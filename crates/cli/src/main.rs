@@ -38,8 +38,6 @@ fn main() -> ExitCode {
         Some("gen") => cmd_gen(&args[1..]),
         Some("sim") => cmd_sim(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
-        Some("bench-parallel") => cmd_bench_parallel(&args[1..]),
-        Some("bench-hotpath") => cmd_bench_hotpath(&args[1..]),
         Some("frames") => cmd_frames(&args[1..]),
         Some("check") => cmd_check(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
@@ -118,7 +116,7 @@ Parallelism: --jobs/--threads N (or the REPLAY_JOBS environment variable)
 sets the worker count; the default is the machine's available parallelism
 and 1 forces the legacy serial path. Results are identical at any count.
 
-Persistent store: sim, compare, report, and bench-parallel cache
+Persistent store: sim, compare, report, serve, clone, and sweep cache
 synthesized traces and optimized frames under .replay-cache/ so warm
 reruns skip that work with bit-identical results. --cache-dir DIR (or
 REPLAY_CACHE_DIR) moves the cache; --no-store (or REPLAY_NO_STORE)
@@ -313,31 +311,6 @@ const SPEC_COMPARE: CmdSpec = CmdSpec {
         NO_STORE_FLAG,
     ],
 };
-const SPEC_BENCH_PARALLEL: CmdSpec = CmdSpec {
-    name: "bench-parallel",
-    positional: "",
-    about: "time the serial vs parallel experiment engine, record a JSON artifact",
-    flags: &[
-        flag(&["n"], "N"),
-        JOBS_FLAG,
-        flag(&["out", "o"], "FILE"),
-        CACHE_DIR_FLAG,
-        NO_STORE_FLAG,
-    ],
-};
-const SPEC_BENCH_HOTPATH: CmdSpec = CmdSpec {
-    name: "bench-hotpath",
-    positional: "",
-    about: "benchmark the hot-path execution engine: fig6-grid job scaling, \
-            cold vs warm serial passes, interpreted vs specialized frame \
-            execution; records a JSON artifact",
-    flags: &[
-        flag(&["n"], "N"),
-        flag(&["out", "o"], "FILE"),
-        CACHE_DIR_FLAG,
-        NO_STORE_FLAG,
-    ],
-};
 const SPEC_FRAMES: CmdSpec = CmdSpec {
     name: "frames",
     positional: "<workload>",
@@ -478,8 +451,6 @@ const ALL_SPECS: &[&CmdSpec] = &[
     &SPEC_REPORT,
     &SPEC_SERVE,
     &SPEC_SUBMIT,
-    &SPEC_BENCH_PARALLEL,
-    &SPEC_BENCH_HOTPATH,
     &SPEC_FRAMES,
     &SPEC_INFO,
     &SPEC_DISASM,
@@ -1050,372 +1021,6 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Formats an `f64` as a JSON number (Rust's shortest-roundtrip `{:?}`
-/// output is valid JSON for every finite value).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn cmd_bench_parallel(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &SPEC_BENCH_PARALLEL)?;
-    if !opts.positional.is_empty() {
-        return Err(SPEC_BENCH_PARALLEL.usage());
-    }
-    let scale = opts.count("n", 6_000)?;
-    let jobs = opts.jobs()?;
-    configure_store(&opts);
-    let out = opts
-        .get("out")
-        .or_else(|| opts.get("o"))
-        .unwrap_or("BENCH_parallel.json");
-
-    // Warm the trace store first so both timed runs measure simulation,
-    // not trace synthesis.
-    let ws = workloads::all();
-    let store = TraceStore::global();
-    let t = Instant::now();
-    store.prefetch(&ws, scale, jobs);
-    let synth_secs = t.elapsed().as_secs_f64();
-    let generations = store.generations();
-    let disk_hits = store.disk_hits();
-    let segments: usize = ws.iter().map(|w| w.segments).sum();
-    println!(
-        "prepared {segments} trace segments (scale {scale}) in {synth_secs:.2}s on {jobs} workers \
-         ({generations} synthesized, {disk_hits} from the persistent store)"
-    );
-
-    println!("running the Figure 6 grid (14 workloads x 4 configurations) serially...");
-    let t = Instant::now();
-    let serial = experiment::ipc_comparison_jobs(scale, 1);
-    let serial_secs = t.elapsed().as_secs_f64();
-    println!("  serial:   {serial_secs:.2}s");
-
-    println!("running the same grid on {jobs} workers...");
-    let t = Instant::now();
-    let par = experiment::ipc_comparison_jobs(scale, jobs);
-    let par_secs = t.elapsed().as_secs_f64();
-    println!("  parallel: {par_secs:.2}s");
-
-    if store.generations() != generations {
-        return Err(format!(
-            "trace store regenerated traces during simulation ({} -> {})",
-            generations,
-            store.generations()
-        ));
-    }
-    if generations + disk_hits != segments as u64 {
-        return Err(format!(
-            "trace accounting broken: {generations} synthesized + {disk_hits} disk hits \
-             != {segments} segments"
-        ));
-    }
-
-    // Every row must be bit-identical between the serial and parallel runs.
-    let identical = serial.len() == par.len()
-        && serial.iter().zip(&par).all(|(a, b)| {
-            a.name == b.name
-                && a.ipc
-                    .iter()
-                    .zip(&b.ipc)
-                    .all(|(x, y)| x.to_bits() == y.to_bits())
-                && a.rpo_gain_pct.to_bits() == b.rpo_gain_pct.to_bits()
-                && a.coverage.to_bits() == b.coverage.to_bits()
-                && a.assert_cycle_frac.to_bits() == b.assert_cycle_frac.to_bits()
-        });
-    if !identical {
-        return Err("parallel results diverge from the serial reference".into());
-    }
-    let speedup = if par_secs > 0.0 {
-        serial_secs / par_secs
-    } else {
-        0.0
-    };
-    println!("speedup: {speedup:.2}x, outputs bit-identical");
-    let degraded = parallel::warn_if_degraded(jobs);
-
-    let mut rows = String::new();
-    for (i, r) in serial.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        let ipc: Vec<String> = r.ipc.iter().map(|&v| json_f64(v)).collect();
-        rows.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ipc\": [{}], \"rpo_gain_pct\": {}, \"coverage\": {}}}",
-            r.name,
-            ipc.join(", "),
-            json_f64(r.rpo_gain_pct),
-            json_f64(r.coverage)
-        ));
-    }
-    let cores = parallel::available_jobs();
-    let json = format!(
-        "{{\n  \"experiment\": \"fig6 ipc grid, serial vs parallel\",\n  \"scale\": {scale},\n  \"jobs\": {jobs},\n  \"available_cores\": {cores},\n  \"degraded\": {degraded},\n  \"trace_segments\": {segments},\n  \"trace_generations\": {generations},\n  \"trace_disk_hits\": {disk_hits},\n  \"trace_synthesis_secs\": {},\n  \"serial_secs\": {},\n  \"parallel_secs\": {},\n  \"speedup\": {},\n  \"identical_output\": {identical},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
-        json_f64(synth_secs),
-        json_f64(serial_secs),
-        json_f64(par_secs),
-        json_f64(speedup)
-    );
-    std::fs::write(out, json).map_err(|e| format!("writing {out:?}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// Bit-identity check between two Figure 6 result sets (same fold
-/// `bench-parallel` uses): every float must match to the bit.
-fn ipc_rows_identical(a: &[experiment::IpcRow], b: &[experiment::IpcRow]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.name == y.name
-                && x.ipc
-                    .iter()
-                    .zip(&y.ipc)
-                    .all(|(p, q)| p.to_bits() == q.to_bits())
-                && x.rpo_gain_pct.to_bits() == y.rpo_gain_pct.to_bits()
-                && x.coverage.to_bits() == y.coverage.to_bits()
-                && x.assert_cycle_frac.to_bits() == y.assert_cycle_frac.to_bits()
-        })
-}
-
-fn cmd_bench_hotpath(args: &[String]) -> Result<(), String> {
-    use replay_core::{probe_frame, ExecPlan, ExecScratch, PlanScratch, ProbeOutcome};
-
-    let opts = Opts::parse(args, &SPEC_BENCH_HOTPATH)?;
-    if !opts.positional.is_empty() {
-        return Err(SPEC_BENCH_HOTPATH.usage());
-    }
-    let scale = opts.count("n", 6_000)?;
-    configure_store(&opts);
-    let out = opts
-        .get("out")
-        .or_else(|| opts.get("o"))
-        .unwrap_or("BENCH_hotpath.json");
-
-    const JOB_POINTS: [usize; 4] = [1, 2, 4, 8];
-    let max_jobs = JOB_POINTS[JOB_POINTS.len() - 1];
-    let cores = parallel::available_jobs();
-    let degraded = parallel::warn_if_degraded(max_jobs);
-
-    // Warm the trace store so every timed section below measures
-    // simulation, not trace synthesis.
-    let ws = workloads::all();
-    let store = TraceStore::global();
-    let t = Instant::now();
-    store.prefetch(&ws, scale, cores);
-    let synth_secs = t.elapsed().as_secs_f64();
-    println!("prepared traces (scale {scale}) in {synth_secs:.2}s");
-
-    // Cold vs warm: two consecutive serial passes over the Figure 6 grid.
-    // Frame caches and execution plans are rebuilt per run by design, so
-    // "cold" is the first full pass after trace synthesis and "warm" the
-    // steady-state repeat; the delta is this process's cache warm-up.
-    println!("fig6 grid (14 workloads x 4 configurations), serial cold pass...");
-    let t = Instant::now();
-    let baseline = experiment::ipc_comparison_jobs(scale, 1);
-    let cold_secs = t.elapsed().as_secs_f64();
-    println!("  cold: {cold_secs:.2}s");
-    println!("fig6 grid, serial warm pass...");
-    let t = Instant::now();
-    let warm_rows = experiment::ipc_comparison_jobs(scale, 1);
-    let warm_secs = t.elapsed().as_secs_f64();
-    println!("  warm: {warm_secs:.2}s");
-    let mut identical = ipc_rows_identical(&baseline, &warm_rows);
-
-    // Job-scaling curve over the same grid, each point checked
-    // bit-identical against the serial baseline. The jobs=1 point reuses
-    // the warm pass so every speedup is warm-vs-warm.
-    let mut curve = String::new();
-    for (i, &j) in JOB_POINTS.iter().enumerate() {
-        let (secs, rows) = if j == 1 {
-            (warm_secs, warm_rows.clone())
-        } else {
-            let t = Instant::now();
-            let rows = experiment::ipc_comparison_jobs(scale, j);
-            (t.elapsed().as_secs_f64(), rows)
-        };
-        identical &= ipc_rows_identical(&baseline, &rows);
-        let speedup = if secs > 0.0 { warm_secs / secs } else { 0.0 };
-        let point_degraded = parallel::degraded(j);
-        println!(
-            "  jobs={j}: {secs:.2}s ({speedup:.2}x vs serial){}",
-            if point_degraded { " [degraded]" } else { "" }
-        );
-        if i > 0 {
-            curve.push_str(",\n");
-        }
-        curve.push_str(&format!(
-            "    {{\"jobs\": {j}, \"secs\": {}, \"speedup\": {}, \"degraded\": {point_degraded}}}",
-            json_f64(secs),
-            json_f64(speedup)
-        ));
-    }
-
-    // Interpreted vs specialized: the RPO configuration over every
-    // workload, serially, with the frame fast path disabled and then at
-    // the default threshold. The simulated numbers must not move.
-    let rpo_specs = |specialized: bool| -> Vec<SimSpec> {
-        ws.iter()
-            .map(|w| {
-                let cfg = SimConfig::new(ConfigKind::ReplayOpt).without_verify();
-                let cfg = if specialized {
-                    cfg
-                } else {
-                    cfg.without_specialization()
-                };
-                SimSpec::for_workload(w, scale, cfg)
-            })
-            .collect()
-    };
-    println!("RPO sweep, interpreted (specialization off)...");
-    let t = Instant::now();
-    let interp = experiment::run_specs(&rpo_specs(false), 1);
-    let interp_secs = t.elapsed().as_secs_f64();
-    println!("  interpreted: {interp_secs:.2}s");
-    println!("RPO sweep, specialized (default threshold)...");
-    let t = Instant::now();
-    let spec = experiment::run_specs(&rpo_specs(true), 1);
-    let spec_secs = t.elapsed().as_secs_f64();
-    println!("  specialized: {spec_secs:.2}s");
-    let sim_identical = interp.len() == spec.len()
-        && interp.iter().zip(&spec).all(|(a, b)| {
-            a.cycles == b.cycles
-                && a.x86_retired == b.x86_retired
-                && a.coverage.to_bits() == b.coverage.to_bits()
-                && a.assert_events == b.assert_events
-                && a.dyn_uops_removed == b.dyn_uops_removed
-        });
-    let counter_sum =
-        |rs: &[replay_sim::SimResult], name: &str| rs.iter().map(|r| r.profile.counter(name)).sum();
-    let specialized_hits: u64 = counter_sum(&spec, "sim.exec.specialized_hits");
-    let fallbacks: u64 = counter_sum(&spec, "sim.exec.fallbacks");
-    let plans_compiled: u64 = counter_sum(&spec, "sim.exec.plans_compiled");
-    let sim_speedup = if spec_secs > 0.0 {
-        interp_secs / spec_secs
-    } else {
-        0.0
-    };
-    println!(
-        "  {sim_speedup:.2}x end-to-end ({specialized_hits} specialized fetches, \
-         {fallbacks} fallbacks, {plans_compiled} plans)"
-    );
-
-    // Frame-execution microbenchmark: harvest real frames (with the
-    // machine state each was constructed against) from every workload,
-    // then time the interpreter loop against the compiled-plan loop over
-    // the identical (frame, state) set. This isolates the probe itself —
-    // the component the specialization threshold is buying — from the
-    // timing model around it.
-    const MAX_CASES: usize = 256;
-    let mut cases: Vec<(replay_core::OptFrame, ExecPlan, replay_uop::MachineState)> = Vec::new();
-    let mut scratch = ExecScratch::new();
-    let mut plan_scratch = PlanScratch::new();
-    'harvest: for w in &ws {
-        let trace = w.segment_trace(0, scale);
-        let mut injector = Injector::new();
-        injector.preseed(&trace);
-        let mut constructor = FrameConstructor::new(ConstructorConfig::default());
-        let mut seen = std::collections::HashSet::new();
-        for r in trace.records() {
-            let flow = injector.flow(r);
-            let ev = RetireEvent {
-                addr: r.addr,
-                uops: &flow,
-                next_pc: r.next_pc,
-                fallthrough: r.fallthrough(),
-            };
-            if let Some(frame) = constructor.retire(&ev) {
-                if seen.insert(frame.start_addr) {
-                    let (opt, _) = optimize(&frame, &AliasProfile::empty(), &OptConfig::default());
-                    let state = injector.golden().clone();
-                    if let Some(plan) = ExecPlan::compile(&opt) {
-                        let reference = probe_frame(&opt, &state, &mut scratch);
-                        let planned = plan.probe(&state, &mut plan_scratch);
-                        if reference != planned {
-                            return Err(format!(
-                                "plan diverges from interpreter on a {} frame at {:#x}",
-                                w.name, frame.start_addr
-                            ));
-                        }
-                        if reference == ProbeOutcome::Completed {
-                            cases.push((opt, plan, state));
-                            if cases.len() >= MAX_CASES {
-                                break 'harvest;
-                            }
-                        }
-                    }
-                }
-            }
-            injector.apply(r);
-        }
-    }
-    if cases.is_empty() {
-        return Err("no completing frames harvested for the microbenchmark".into());
-    }
-    let total_steps: usize = cases.iter().map(|(_, p, _)| p.step_count()).sum();
-    // Size the loop for tens of millions of executed steps so the timer
-    // resolution is irrelevant, bounded on both sides for tiny suites.
-    let iters = (20_000_000 / total_steps.max(1)).clamp(100, 200_000);
-    println!(
-        "frame-exec microbenchmark: {} frames, {total_steps} plan steps, {iters} iterations",
-        cases.len()
-    );
-    let mut interp_completed = 0u64;
-    let t = Instant::now();
-    for _ in 0..iters {
-        for (frame, _, state) in &cases {
-            if probe_frame(frame, state, &mut scratch) == ProbeOutcome::Completed {
-                interp_completed += 1;
-            }
-        }
-    }
-    let fe_interp_secs = t.elapsed().as_secs_f64();
-    let mut plan_completed = 0u64;
-    let t = Instant::now();
-    for (_, plan, state) in &cases {
-        for _ in 0..iters {
-            if plan.probe(state, &mut plan_scratch) == ProbeOutcome::Completed {
-                plan_completed += 1;
-            }
-        }
-    }
-    let fe_plan_secs = t.elapsed().as_secs_f64();
-    let fe_identical =
-        interp_completed == plan_completed && interp_completed == (cases.len() * iters) as u64;
-    let fe_speedup = if fe_plan_secs > 0.0 {
-        fe_interp_secs / fe_plan_secs
-    } else {
-        0.0
-    };
-    println!("  interpreter {fe_interp_secs:.3}s, plan {fe_plan_secs:.3}s ({fe_speedup:.2}x)");
-
-    if !identical {
-        return Err("fig6 grid results diverge across job counts or passes".into());
-    }
-    if !sim_identical {
-        return Err("specialized simulation diverges from the interpreted run".into());
-    }
-
-    let json = format!(
-        "{{\n  \"schema\": \"replay-bench-hotpath/v1\",\n  \"scale\": {scale},\n  \"available_cores\": {cores},\n  \"degraded\": {degraded},\n  \"trace_synthesis_secs\": {},\n  \"serial_cold_secs\": {},\n  \"serial_warm_secs\": {},\n  \"jobs_curve\": [\n{curve}\n  ],\n  \"sim_split\": {{\"interpreted_secs\": {}, \"specialized_secs\": {}, \"speedup\": {}, \"specialized_hits\": {specialized_hits}, \"fallbacks\": {fallbacks}, \"plans_compiled\": {plans_compiled}, \"identical_output\": {sim_identical}}},\n  \"frame_exec\": {{\"cases\": {}, \"plan_steps\": {total_steps}, \"iters\": {iters}, \"interpreted_secs\": {}, \"specialized_secs\": {}, \"speedup\": {}, \"identical_output\": {fe_identical}}},\n  \"identical_output\": {identical}\n}}\n",
-        json_f64(synth_secs),
-        json_f64(cold_secs),
-        json_f64(warm_secs),
-        json_f64(interp_secs),
-        json_f64(spec_secs),
-        json_f64(sim_speedup),
-        cases.len(),
-        json_f64(fe_interp_secs),
-        json_f64(fe_plan_secs),
-        json_f64(fe_speedup)
-    );
-    std::fs::write(out, json).map_err(|e| format!("writing {out:?}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
 fn cmd_check(args: &[String]) -> Result<(), String> {
     use replay_check::{probe_fault_sensitivity, run_check, to_text, CheckConfig, PassSelection};
 
@@ -1789,8 +1394,6 @@ mod tests {
             &SPEC_GEN,
             &SPEC_SIM,
             &SPEC_COMPARE,
-            &SPEC_BENCH_PARALLEL,
-            &SPEC_BENCH_HOTPATH,
             &SPEC_FRAMES,
             &SPEC_CHECK,
             &SPEC_INFO,
@@ -1854,8 +1457,6 @@ mod tests {
             "report",
             "serve",
             "submit",
-            "bench-parallel",
-            "bench-hotpath",
             "frames",
             "info",
             "disasm",

@@ -39,24 +39,6 @@ pub fn degraded(jobs: usize) -> bool {
     available_jobs() < jobs
 }
 
-/// Emits a loud stderr warning when benchmarking `jobs` workers on fewer
-/// available cores, returning whether the measurement is degraded. Callers
-/// record the returned flag in their JSON output so a starved-runner
-/// result can never masquerade as a real scaling curve.
-pub fn warn_if_degraded(jobs: usize) -> bool {
-    let cores = available_jobs();
-    if cores < jobs {
-        eprintln!(
-            "WARNING: benchmarking {jobs} jobs on {cores} available core(s); \
-             parallel timings below measure time-slicing, NOT scaling. \
-             The JSON output is marked \"degraded\": true."
-        );
-        true
-    } else {
-        false
-    }
-}
-
 /// The worker count the experiment drivers use by default: the
 /// `REPLAY_JOBS` environment variable if it parses to a positive integer,
 /// otherwise [`available_jobs`].

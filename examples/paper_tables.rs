@@ -1,9 +1,8 @@
-//! Regenerates the paper-evaluation tables pinned in `EXPERIMENTS.md`
-//! — Table 3 (uop/load removal), Figure 6 (IPC by configuration), and
-//! the Figures 7/8 Frame-cycle reduction headline — using only the
-//! workspace crates. The criterion harnesses under `crates/bench` print
-//! the same numbers but need a network fetch to build; this example is
-//! what an offline re-pin uses.
+//! Regenerates every number pinned in `EXPERIMENTS.md` — Table 3
+//! (uop/load removal), Figure 6 (IPC by configuration), the Figures 7/8
+//! Frame-cycle reduction headline, Figures 9 and 10, the pass-profit
+//! ranking, the design-choice sweeps, and the §5.1.1 uop/x86 ratio —
+//! using only the workspace crates, fully offline.
 //!
 //! ```text
 //! cargo run --release -p replay-examples --bin paper_tables [SCALE] [--core-model MODEL]
@@ -14,9 +13,11 @@
 //! `SCALE` defaults to 30 000 x86 instructions per segment, the scale at
 //! which `EXPERIMENTS.md` is pinned. `--core-model port` reruns every
 //! table on the port-accurate core model; the `models` mode prints the
-//! dual-model seven-pass profit ranking pinned in EXPERIMENTS.md.
+//! dual-model seven-pass profit ranking pinned in EXPERIMENTS.md; the
+//! `sweeps` mode prints the design-choice sweep points and the §5.1.1
+//! translator expansion ratio.
 
-use replay_core::DatapathConfig;
+use replay_core::{DatapathConfig, OptConfig};
 use replay_sim::experiment::{
     ablation_model, cycle_breakdown_model, ipc_comparison_model, pass_profit_jobs,
     removal_averages, removal_table_model, scope_comparison_model, ABLATION_APPS, ABLATION_LABELS,
@@ -25,10 +26,11 @@ use replay_sim::experiment::{
 use replay_sim::{parallel, simulate, ConfigKind, CoreModel, SimConfig};
 use replay_timing::CycleBin;
 use replay_trace::{workloads, Suite};
+use replay_x86::Interp;
 
 /// The design-choice sweep data points quoted in EXPERIMENTS.md's
-/// "Design-choice sweeps" section (the full grids are in
-/// `crates/bench/benches/ablation_sweeps.rs`, which needs criterion).
+/// "Design-choice sweeps" section, then the §5.1.1 uop/x86 expansion
+/// ratio over every workload.
 fn sweeps(scale: usize) {
     let n = scale.min(20_000);
     let run = |cfg: &SimConfig| {
@@ -60,6 +62,49 @@ fn sweeps(scale: usize) {
         print!(" {:.2}", run(&cfg));
     }
     println!();
+    print!("frame cache capacity (1K, 4K, 16K, 64K uops):");
+    for cap in [1usize, 4, 16, 64] {
+        let mut cfg = SimConfig::new(ConfigKind::ReplayOpt).without_verify();
+        cfg.timing.frame_cache_uops = cap * 1024;
+        print!(" {:.2}", run(&cfg));
+    }
+    println!();
+    print!("rescheduling (off, on):");
+    for reschedule in [false, true] {
+        let cfg = SimConfig::new(ConfigKind::ReplayOpt)
+            .with_opt(OptConfig {
+                reschedule,
+                ..OptConfig::default()
+            })
+            .without_verify();
+        print!(" {:.2}", run(&cfg));
+    }
+    println!();
+
+    // (x86 instructions, uops) translated per workload.
+    let counts: Vec<(u64, u64)> = workloads::all()
+        .iter()
+        .map(|w| {
+            let (program, data) = w.segment_program(0);
+            let mut interp = Interp::new(program);
+            for (addr, bytes) in &data {
+                interp.machine.mem.write_bytes(*addr, bytes);
+            }
+            interp.run(n).expect("workload runs");
+            let t = interp.translator();
+            (t.x86_count(), t.uop_count())
+        })
+        .collect();
+    let ratios: Vec<f64> = counts.iter().map(|&(x, u)| u as f64 / x as f64).collect();
+    let lo = ratios.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = ratios.iter().copied().fold(0.0, f64::max);
+    let x86: u64 = counts.iter().map(|c| c.0).sum();
+    let uops: u64 = counts.iter().map(|c| c.1).sum();
+    println!(
+        "uop/x86 ratio ({} workloads): average {:.3}, range {lo:.3}-{hi:.3}",
+        counts.len(),
+        uops as f64 / x86 as f64
+    );
 }
 
 /// The dual-model seven-pass profit ranking (EXPERIMENTS.md "Pass profit

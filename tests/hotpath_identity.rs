@@ -4,10 +4,16 @@
 //! bit-identical at any specialization threshold, any chunk size, any
 //! worker count, and any cache temperature.
 
+use replay_core::{
+    optimize, probe_frame, AliasProfile, ExecPlan, ExecScratch, OptConfig, PlanScratch,
+    ProbeOutcome,
+};
+use replay_frame::{ConstructorConfig, FrameConstructor, RetireEvent};
 use replay_sim::experiment::{run_specs, SimSpec};
 use replay_sim::report::{run_report, strip_store_section};
-use replay_sim::{ConfigKind, SimConfig, SimResult, TraceStore};
+use replay_sim::{ConfigKind, Injector, SimConfig, SimResult, TraceStore};
 use replay_trace::workloads;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 const SCALE: usize = 3_000;
@@ -65,6 +71,76 @@ fn hotpath_settings_never_change_simulated_numbers() {
             }
         }
     }
+}
+
+/// Specialization is invisible in the RPO column of every workload, not
+/// just the two the settings sweep above covers.
+#[test]
+fn specialized_rpo_matches_interpreted_on_every_workload() {
+    let mut hits = 0;
+    for w in workloads::all() {
+        let cfg = SimConfig::new(ConfigKind::ReplayOpt).without_verify();
+        let interp = rpo_result(&w.name, cfg.clone().without_specialization(), 1);
+        let spec = rpo_result(&w.name, cfg, 1);
+        assert_simulated_identical(
+            &interp,
+            &spec,
+            &format!("{} interpreted vs specialized", w.name),
+        );
+        hits += spec.profile.counter("sim.exec.specialized_hits");
+    }
+    assert!(hits > 0, "the default threshold must take the fast path");
+}
+
+/// A compiled plan agrees with the interpreter on real frames: every
+/// distinct frame the constructor builds from each workload, optimized
+/// and probed against the golden machine state at the point it was
+/// built, yields the same outcome and the same memory transactions.
+#[test]
+fn plan_probe_matches_interpreter_on_workload_frames() {
+    let mut scratch = ExecScratch::new();
+    let mut plan_scratch = PlanScratch::new();
+    let (mut compiled, mut completed) = (0usize, 0usize);
+    for w in workloads::all() {
+        let trace = w.segment_trace(0, SCALE);
+        let mut injector = Injector::new();
+        injector.preseed(&trace);
+        let mut constructor = FrameConstructor::new(ConstructorConfig::default());
+        let mut seen = HashSet::new();
+        for r in trace.records() {
+            let flow = injector.flow(r);
+            let ev = RetireEvent {
+                addr: r.addr,
+                uops: &flow,
+                next_pc: r.next_pc,
+                fallthrough: r.fallthrough(),
+            };
+            if let Some(frame) = constructor.retire(&ev) {
+                if seen.insert(frame.start_addr) {
+                    let (opt, _) = optimize(&frame, &AliasProfile::empty(), &OptConfig::default());
+                    if let Some(plan) = ExecPlan::compile(&opt) {
+                        let state = injector.golden();
+                        let reference = probe_frame(&opt, state, &mut scratch);
+                        let planned = plan.probe(state, &mut plan_scratch);
+                        let at = format!("{} frame at {:#x}", w.name, frame.start_addr);
+                        assert_eq!(reference, planned, "{at}: outcome");
+                        if reference == ProbeOutcome::Completed {
+                            assert_eq!(
+                                scratch.transactions(),
+                                plan_scratch.transactions(),
+                                "{at}: transactions"
+                            );
+                            completed += 1;
+                        }
+                        compiled += 1;
+                    }
+                }
+            }
+            injector.apply(r);
+        }
+    }
+    assert!(compiled > 0, "no frame compiled to a plan");
+    assert!(completed > 0, "no compiled frame completed");
 }
 
 /// An eagerly specialized run on many workers still matches the serial

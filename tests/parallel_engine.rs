@@ -10,23 +10,47 @@ use std::sync::Arc;
 
 const SCALE: usize = 2_500;
 
-/// Figure 6 rows are bit-identical between the legacy serial path and a
-/// heavily threaded run.
+/// Asserts two Figure 6 result sets match row for row, every float to the
+/// bit.
+fn assert_rows_identical(a: &[experiment::IpcRow], b: &[experiment::IpcRow], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: row count");
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(x.name, y.name, "{what}: row order");
+        for (p, q) in x.ipc.iter().zip(&y.ipc) {
+            assert_eq!(p.to_bits(), q.to_bits(), "{what}: {} IPC", x.name);
+        }
+        assert_eq!(
+            x.rpo_gain_pct.to_bits(),
+            y.rpo_gain_pct.to_bits(),
+            "{what}: {} gain",
+            x.name
+        );
+        assert_eq!(
+            x.coverage.to_bits(),
+            y.coverage.to_bits(),
+            "{what}: {} coverage",
+            x.name
+        );
+        assert_eq!(
+            x.assert_cycle_frac.to_bits(),
+            y.assert_cycle_frac.to_bits(),
+            "{what}: {} assert cycles",
+            x.name
+        );
+    }
+}
+
+/// The whole Figure 6 grid is bit-identical between the legacy serial
+/// path, a repeated serial pass (cold, then warm), and a heavily threaded
+/// run.
 #[test]
 fn ipc_rows_identical_serial_vs_parallel() {
-    let w = workloads::by_name("bzip2").unwrap();
-    let serial = experiment::ipc_row_jobs(&w, SCALE, 1);
-    let par = experiment::ipc_row_jobs(&w, SCALE, 8);
-    assert_eq!(serial.name, par.name);
-    for (a, b) in serial.ipc.iter().zip(&par.ipc) {
-        assert_eq!(a.to_bits(), b.to_bits(), "IPC bit-identical");
-    }
-    assert_eq!(serial.rpo_gain_pct.to_bits(), par.rpo_gain_pct.to_bits());
-    assert_eq!(serial.coverage.to_bits(), par.coverage.to_bits());
-    assert_eq!(
-        serial.assert_cycle_frac.to_bits(),
-        par.assert_cycle_frac.to_bits()
-    );
+    let cold = experiment::ipc_comparison_jobs(SCALE, 1);
+    assert_eq!(cold.len(), workloads::all().len(), "one row per workload");
+    let warm = experiment::ipc_comparison_jobs(SCALE, 1);
+    assert_rows_identical(&cold, &warm, "serial cold vs warm");
+    let par = experiment::ipc_comparison_jobs(SCALE, 8);
+    assert_rows_identical(&cold, &par, "1 job vs 8 jobs");
 }
 
 /// `run_specs` merges segments in the same order as the serial reference
