@@ -390,6 +390,7 @@ pub fn read_frame(r: &mut Reader<'_>) -> Result<OptFrame, WireError> {
         block_of,
         value_uses: Vec::new(),
         flags_uses: Vec::new(),
+        valid_count: 0,
         live_out,
         flags_out,
         expectations,

@@ -37,6 +37,8 @@ pub struct OptFrame {
     pub(crate) block_of: Vec<u16>,
     pub(crate) value_uses: Vec<u32>,
     pub(crate) flags_uses: Vec<u32>,
+    /// Number of valid slots, kept in step with every `valid` change.
+    pub(crate) valid_count: usize,
     pub(crate) live_out: Vec<(ArchReg, Src)>,
     pub(crate) flags_out: FlagsSrc,
     pub(crate) expectations: Vec<ControlExpectation>,
@@ -121,6 +123,7 @@ impl OptFrame {
             block_of,
             value_uses: Vec::new(),
             flags_uses: Vec::new(),
+            valid_count: 0,
             live_out,
             flags_out: flags,
             expectations: frame.expectations.clone(),
@@ -130,13 +133,18 @@ impl OptFrame {
         f
     }
 
+    /// Recomputes the use counts and the valid-slot count from scratch.
     pub(crate) fn rebuild_use_counts(&mut self) {
-        self.value_uses = vec![0; self.slots.len()];
-        self.flags_uses = vec![0; self.slots.len()];
+        self.value_uses.clear();
+        self.value_uses.resize(self.slots.len(), 0);
+        self.flags_uses.clear();
+        self.flags_uses.resize(self.slots.len(), 0);
+        self.valid_count = 0;
         for u in &self.slots {
             if !u.valid {
                 continue;
             }
+            self.valid_count += 1;
             for src in [u.src_a, u.src_b].into_iter().flatten() {
                 if let Src::Slot(s) = src {
                     self.value_uses[s as usize] += 1;
@@ -172,7 +180,7 @@ impl OptFrame {
 
     /// Number of valid (not removed) uops.
     pub fn uop_count(&self) -> usize {
-        self.slots.iter().filter(|u| u.valid).count()
+        self.valid_count
     }
 
     /// Number of valid load uops.
@@ -332,19 +340,12 @@ impl OptFrame {
 
     /// Redirects every value use of slot `from` (operands and live-outs) to
     /// `to`. Returns the number of rewritten references.
+    ///
+    /// Renamed consumers always follow their producer (`validate` checks
+    /// it), so only the slots after `from` are scanned, and the scan stops
+    /// as soon as `from` has no uses left.
     pub fn redirect_value_uses(&mut self, from: Slot, to: Src) -> usize {
         let mut rewritten = 0;
-        for i in 0..self.slots.len() {
-            if !self.slots[i].valid {
-                continue;
-            }
-            for which in [Operand::A, Operand::B] {
-                if self.slots[i].operand(which) == Some(Src::Slot(from)) {
-                    self.rewrite_operand(i as Slot, which, Some(to));
-                    rewritten += 1;
-                }
-            }
-        }
         for idx in 0..self.live_out.len() {
             if self.live_out[idx].1 == Src::Slot(from) {
                 self.live_out[idx].1 = to;
@@ -353,6 +354,20 @@ impl OptFrame {
                     self.value_uses[s as usize] += 1;
                 }
                 rewritten += 1;
+            }
+        }
+        for i in from as usize + 1..self.slots.len() {
+            if self.value_uses[from as usize] == 0 {
+                break;
+            }
+            if !self.slots[i].valid {
+                continue;
+            }
+            for which in [Operand::A, Operand::B] {
+                if self.slots[i].operand(which) == Some(Src::Slot(from)) {
+                    self.rewrite_operand(i as Slot, which, Some(to));
+                    rewritten += 1;
+                }
             }
         }
         rewritten
@@ -386,10 +401,7 @@ impl OptFrame {
         u.src_a = None;
         u.src_b = None;
         u.flags_src = None;
-        // Track removed speculative/ordinary loads for Table 3 statistics.
-        if u.is_load() {
-            // nothing extra: load_count() recomputes from valid bits
-        }
+        self.valid_count -= 1;
     }
 
     /// Replaces a uop with `MovImm value`, releasing its old inputs. The
@@ -621,7 +633,7 @@ impl OptFrame {
     /// * referenced producers actually produce the consumed result
     ///   (a value reference targets a slot with a destination; a flags
     ///   reference targets a flags writer);
-    /// * use counts equal a fresh recount;
+    /// * use counts and the valid-uop count equal a fresh recount;
     /// * live-outs and expectations reference valid slots.
     pub fn validate(&self) -> Result<(), String> {
         for (i, u) in self.iter() {
@@ -688,6 +700,12 @@ impl OptFrame {
         }
         if clone.flags_uses != self.flags_uses {
             return Err("flags use counts drifted".into());
+        }
+        if clone.valid_count != self.valid_count {
+            return Err(format!(
+                "valid-uop count drifted: cached {}, recounted {}",
+                self.valid_count, clone.valid_count
+            ));
         }
         Ok(())
     }

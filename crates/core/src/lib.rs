@@ -67,6 +67,7 @@ mod datapath;
 mod exec;
 pub mod frame_codec;
 mod frame_ir;
+mod fxhash;
 mod ir;
 pub mod passes;
 mod passid;
@@ -81,7 +82,7 @@ pub use exec::{exec_frame, probe_frame, ExecScratch, FrameOutcome, MemTransactio
 pub use frame_ir::OptFrame;
 pub use ir::{FlagsSrc, Operand, OptUop, Slot, Src};
 pub use passid::{run_pass, PassCtx, PassId};
-pub use pipeline::{observe_opt_result, optimize, optimize_observed, OptConfig, OptScope};
+pub use pipeline::{observe_opt_totals, optimize, optimize_timed, OptConfig, OptScope, OptTimings};
 pub use plan::{ExecPlan, PlanScratch};
 pub use schedule::reschedule;
 pub use stats::OptStats;

@@ -16,11 +16,11 @@
 //! always enabled (§6.4).
 
 use crate::alias::AliasProfile;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ir::{FlagsSrc, Operand, OptUop, Slot, Src};
 use crate::pipeline::OptScope;
 use crate::OptFrame;
 use replay_uop::{eval_alu, Opcode};
-use std::collections::HashMap;
 
 /// True when a consumer at `consumer` may observe/rewire against a producer
 /// at `producer` under the given optimization scope.
@@ -346,7 +346,8 @@ struct AluKey {
 /// consumed, it stays.
 pub fn cse_alu(f: &mut OptFrame, scope: OptScope) -> u64 {
     let mut collapsed = 0;
-    let mut table: HashMap<AluKey, Slot> = HashMap::new();
+    let mut table: FxHashMap<AluKey, Slot> =
+        FxHashMap::with_capacity_and_hasher(f.len(), Default::default());
     for i in 0..f.len() as Slot {
         let u = f.slot(i);
         if !u.valid || !u.op.is_alu() || u.op.is_flags_only() || u.dst_arch.is_none() {
@@ -426,7 +427,7 @@ impl AddrKey {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Available {
     key: AddrKey,
     value: Src,
@@ -469,8 +470,11 @@ pub fn memory_opt(
     enable_rle: bool,
 ) -> MemOptResult {
     let mut res = MemOptResult::default();
-    let mut avail: Vec<Available> = Vec::new();
-    let mut seen_keys: std::collections::HashSet<AddrKey> = std::collections::HashSet::new();
+    // Sized once for the whole frame: growing both as they fill would
+    // reallocate several times per call.
+    let mut avail: Vec<Available> = Vec::with_capacity(f.len());
+    let mut seen_keys: FxHashSet<AddrKey> =
+        FxHashSet::with_capacity_and_hasher(f.len(), Default::default());
     let mut block = 0u16;
 
     for i in 0..f.len() as Slot {
@@ -489,8 +493,7 @@ pub fn memory_opt(
             // never be marked unsafe: at execution its address would
             // trivially match that prior transaction and abort the frame.
             // Entries that would have to speculate across it die instead.
-            let unsafe_eligible = speculative && !seen_keys.contains(&key);
-            seen_keys.insert(key);
+            let unsafe_eligible = seen_keys.insert(key) && speculative;
             // Update or kill overlapping entries.
             let mut j = 0;
             while j < avail.len() {
@@ -523,7 +526,7 @@ pub fn memory_opt(
             let hit = avail.iter().position(|e| e.key == key);
             match hit {
                 Some(pos) => {
-                    let entry = avail[pos].clone();
+                    let entry = &avail[pos];
                     let enabled = if entry.provider_is_store {
                         enable_sf
                     } else {
@@ -584,59 +587,56 @@ pub fn memory_opt(
 // ---------------------------------------------------------------------
 
 /// Removes uops whose value and flags results have no consumers and which
-/// have no side effects. Iterates to a fixpoint (removing a consumer can
-/// kill its producers). Returns the number of uops removed.
+/// have no side effects. Returns the number of uops removed.
 ///
-/// In block scope, the last writer of each general-purpose register within
-/// a block — and the last flags writer — are kept alive, because blocks
-/// optimized individually must preserve their architectural outputs (§6.3).
+/// One reverse sweep reaches the fixpoint: renamed consumers always follow
+/// their producers, so by the time the sweep reaches a uop every one of its
+/// consumers has already been visited (and removed, if dead), and the keep
+/// set below is fixed for the whole sweep.
+///
+/// In the multi-exit scopes the last writer of each general-purpose
+/// register within a block — and the last flags writer — are kept alive,
+/// because every block exit must see its architectural outputs (§6.3).
 pub fn dce(f: &mut OptFrame, scope: OptScope) -> u64 {
+    let keep = match scope {
+        OptScope::Frame => Vec::new(),
+        // In inter-block scope the *final* block has no further exit — its
+        // outputs are the frame live-outs, which the use counts already
+        // protect.
+        OptScope::Block => block_keep_set(f, false),
+        OptScope::InterBlock => block_keep_set(f, true),
+    };
     let mut removed = 0;
-    loop {
-        let keep = match scope {
-            OptScope::Frame => Vec::new(),
-            // Multi-exit scopes: each block's GPR outputs must stay
-            // materialized. In inter-block scope the *final* block has no
-            // further exit — its outputs are the frame live-outs, which
-            // the use counts already protect.
-            OptScope::Block => block_keep_set(f, false),
-            OptScope::InterBlock => block_keep_set(f, true),
-        };
-        let mut changed = false;
-        for i in (0..f.len() as Slot).rev() {
-            let u = f.slot(i);
-            if !u.valid || u.has_side_effect() {
-                continue;
-            }
-            if f.value_uses(i) > 0 {
-                continue;
-            }
-            if u.writes_flags && f.flags_uses(i) > 0 {
-                continue;
-            }
-            if scope == OptScope::Block && keep.contains(&i) {
-                continue;
-            }
-            f.invalidate(i);
-            removed += 1;
-            changed = true;
+    for i in (0..f.len() as Slot).rev() {
+        let u = f.slot(i);
+        if !u.valid || u.has_side_effect() {
+            continue;
         }
-        if !changed {
-            return removed;
+        if f.value_uses(i) > 0 {
+            continue;
         }
+        if u.writes_flags && f.flags_uses(i) > 0 {
+            continue;
+        }
+        if keep.contains(&i) {
+            continue;
+        }
+        f.invalidate(i);
+        removed += 1;
     }
+    removed
 }
 
 /// Slots that must stay alive under multi-exit optimization scopes: the
 /// final valid writer of each GPR, and the final flags writer, within each
-/// block. With `skip_final_block`, the last block's writers are exempt
-/// (its outputs are the frame live-outs, already protected by use counts).
+/// block. With `skip_final_block`, the frame's last block is exempt (its
+/// outputs are the frame live-outs, already protected by use counts).
+///
+/// The last block is the one the buffer's last slot belongs to, valid or
+/// not, so removing that block's uops never turns an earlier block into
+/// the exempt one.
 fn block_keep_set(f: &OptFrame, skip_final_block: bool) -> Vec<Slot> {
-    let final_block = f
-        .iter_valid()
-        .map(|(i, _)| f.block_of(i))
-        .max()
-        .unwrap_or(0);
+    let final_block = f.block_count().saturating_sub(1) as u16;
     let mut keep = Vec::new();
     let mut cur_block = u16::MAX;
     let mut last_writer: [Option<Slot>; 8] = [None; 8];
@@ -647,10 +647,7 @@ fn block_keep_set(f: &OptFrame, skip_final_block: bool) -> Vec<Slot> {
         *w = [None; 8];
         *fl = None;
     };
-    for (i, u) in f.iter() {
-        if !u.valid {
-            continue;
-        }
+    for (i, u) in f.iter_valid() {
         if f.block_of(i) != cur_block {
             flush(&mut keep, &mut last_writer, &mut last_flags);
             cur_block = f.block_of(i);
@@ -1175,6 +1172,22 @@ mod tests {
         assert_eq!(dce(&mut f, OptScope::Frame), 1);
         let mut f = OptFrame::from_frame(&frame);
         assert_eq!(dce(&mut f, OptScope::Block), 0);
+    }
+
+    #[test]
+    fn inter_block_scope_dce_keeps_non_final_block_live_outs() {
+        // The same two blocks: block 0 is not the frame's last block, so
+        // its EBX output must survive an exit after it.
+        let frame = Frame {
+            block_starts: vec![0, 1],
+            ..mk_frame(vec![
+                Uop::mov_imm(ArchReg::Ebx, 1),
+                Uop::mov_imm(ArchReg::Ebx, 2),
+            ])
+        };
+        let mut f = OptFrame::from_frame(&frame);
+        assert_eq!(dce(&mut f, OptScope::InterBlock), 0);
+        assert!(f.slot(0).valid, "block 0's EBX writer is a block output");
     }
 
     #[test]

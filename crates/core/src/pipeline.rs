@@ -3,7 +3,8 @@
 use crate::passid::{run_pass, PassCtx, PassId};
 use crate::{AliasProfile, OptFrame, OptStats};
 use replay_frame::Frame;
-use replay_obs::Obs;
+use replay_obs::{Hist, Obs};
+use std::time::Instant;
 
 /// The scope at which optimizations are applied (§3, §6.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -188,23 +189,44 @@ impl OptConfig {
 /// assert_eq!(opt.uop_count(), 1); // only the store remains
 /// ```
 pub fn optimize(frame: &Frame, profile: &AliasProfile, cfg: &OptConfig) -> (OptFrame, OptStats) {
-    optimize_observed(frame, profile, cfg, &mut Obs::disabled())
+    run_pipeline(frame, profile, cfg, None)
 }
 
-/// [`optimize`] with observability: in addition to the per-pass removal
-/// attribution that always lands in [`OptStats::removed_by_pass`], an
-/// enabled [`Obs`] receives per-pass rewrite counters
-/// (`opt.pass.<NAME>.rewrites`, `opt.pass.<NAME>.removed_uops`) and span
-/// wall-time (`opt.pass.<NAME>.time_ns`), plus whole-pipeline metrics
-/// (`opt.frames`, `opt.iterations`, `opt.time_ns`). A disabled handle makes
-/// this identical to [`optimize`] — no formatting, no clock reads.
-pub fn optimize_observed(
+/// Host wall time spent in the optimizer, summed over every frame a caller
+/// optimizes through [`optimize_timed`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct OptTimings {
+    /// Frames optimized.
+    pub frames: u64,
+    /// Nanoseconds from remapping to the end of cleanup (`opt.time_ns`).
+    pub total_ns: u64,
+    /// Nanoseconds inside each pass, in [`PassId::ALL`] order
+    /// (`opt.pass.<NAME>.time_ns`).
+    pub pass_ns: [u64; 7],
+}
+
+/// [`optimize`], adding the wall time of the whole pipeline and of each pass
+/// into `timings`. The optimized frame and its statistics are identical.
+pub fn optimize_timed(
     frame: &Frame,
     profile: &AliasProfile,
     cfg: &OptConfig,
-    obs: &mut Obs,
+    timings: &mut OptTimings,
 ) -> (OptFrame, OptStats) {
-    let total_span = obs.start_span();
+    run_pipeline(frame, profile, cfg, Some(timings))
+}
+
+fn elapsed_ns(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+fn run_pipeline(
+    frame: &Frame,
+    profile: &AliasProfile,
+    cfg: &OptConfig,
+    mut timings: Option<&mut OptTimings>,
+) -> (OptFrame, OptStats) {
+    let start = timings.is_some().then(Instant::now);
     let mut f = OptFrame::from_frame(frame);
     let mut stats = OptStats {
         uops_before: f.uop_count() as u64,
@@ -217,7 +239,7 @@ pub fn optimize_observed(
         let mut changed = 0u64;
         for (pi, pass) in PassId::ALL.into_iter().enumerate() {
             if cfg.enables(pass) {
-                let span = obs.start_span();
+                let pass_start = timings.is_some().then(Instant::now);
                 let valid_before = f.uop_count();
                 let rewrites = run_pass(&mut f, pass, &ctx, &mut stats);
                 changed += rewrites;
@@ -227,8 +249,8 @@ pub fn optimize_observed(
                 // deltas telescope to uops_before - uops_after because
                 // compact() drops only already-invalid slots.
                 stats.removed_by_pass[pi] += valid_before.saturating_sub(f.uop_count()) as u64;
-                if obs.enabled() {
-                    obs.end_span(&format!("opt.pass.{}.time_ns", pass.name()), span);
+                if let (Some(t), Some(s)) = (timings.as_deref_mut(), pass_start) {
+                    t.pass_ns[pi] += elapsed_ns(s);
                 }
             }
         }
@@ -245,44 +267,65 @@ pub fn optimize_observed(
     stats.uops_after = f.uop_count() as u64;
     stats.loads_after = f.load_count() as u64;
     stats.unsafe_stores = f.unsafe_store_count() as u64;
-    observe_opt_result(obs, cfg, &stats);
-    if obs.enabled() {
-        obs.end_span("opt.time_ns", total_span);
+    if let (Some(t), Some(s)) = (timings, start) {
+        t.frames += 1;
+        t.total_ns += elapsed_ns(s);
     }
     (f, stats)
 }
 
-/// Emits the deterministic per-frame optimizer metrics described by `stats`
-/// under `cfg`: per-enabled-pass rewrite counters, the whole-pipeline
-/// `opt.frames` / `opt.iterations` counters, the removed-uop histogram, and
-/// nonzero per-pass removal attribution. Wall-time spans are *not* included
-/// (they are nondeterministic and excluded from default renderers).
+/// Emits a run's optimizer metrics once, from totals its caller kept while
+/// optimizing (or loading already optimized) frames:
 ///
-/// [`optimize_observed`] calls this itself; call it directly only when
-/// replaying a previously computed optimization result — e.g. a frame loaded
-/// from the persistent artifact store on a warm start — so cold and warm
-/// runs produce identical observability profiles.
-pub fn observe_opt_result(obs: &mut Obs, cfg: &OptConfig, stats: &OptStats) {
+/// * `removed`, one sample of [`OptStats::removed_uops`] per frame, is the
+///   histogram `opt.frame_removed_uops`, and its sample count `opt.frames`;
+/// * `stats`, the sum of every frame's [`OptStats`], gives the counters
+///   `opt.iterations`, `opt.pass.<NAME>.rewrites` (every pass `cfg`
+///   enables) and `opt.pass.<NAME>.removed_uops` (nonzero ones);
+/// * `timings` gives the durations `opt.time_ns` and
+///   `opt.pass.<NAME>.time_ns` (every pass `cfg` enables).
+///
+/// A run that handled no frame emits no counter, and one that ran no pass
+/// emits no duration, so a frame loaded from the artifact store counts
+/// exactly as a freshly optimized one while adding no time.
+pub fn observe_opt_totals(
+    obs: &mut Obs,
+    cfg: &OptConfig,
+    stats: &OptStats,
+    removed: &Hist,
+    timings: &OptTimings,
+) {
     if !obs.enabled() {
         return;
     }
-    for (pi, pass) in PassId::ALL.into_iter().enumerate() {
-        if cfg.enables(pass) {
-            obs.counter(
-                &format!("opt.pass.{}.rewrites", pass.name()),
-                stats.rewrites_by_pass[pi],
-            );
+    if removed.count() > 0 {
+        obs.counter("opt.frames", removed.count());
+        obs.counter("opt.iterations", stats.iterations);
+        obs.hist_merge("opt.frame_removed_uops", removed);
+        for (pi, pass) in PassId::ALL.into_iter().enumerate() {
+            if cfg.enables(pass) {
+                obs.counter(
+                    &format!("opt.pass.{}.rewrites", pass.name()),
+                    stats.rewrites_by_pass[pi],
+                );
+            }
+            if stats.removed_by_pass[pi] != 0 {
+                obs.counter(
+                    &format!("opt.pass.{}.removed_uops", pass.name()),
+                    stats.removed_by_pass[pi],
+                );
+            }
         }
     }
-    obs.counter("opt.frames", 1);
-    obs.counter("opt.iterations", stats.iterations);
-    obs.hist("opt.frame_removed_uops", stats.removed_uops());
-    for (pi, pass) in PassId::ALL.into_iter().enumerate() {
-        if stats.removed_by_pass[pi] != 0 {
-            obs.counter(
-                &format!("opt.pass.{}.removed_uops", pass.name()),
-                stats.removed_by_pass[pi],
-            );
+    if timings.frames > 0 {
+        obs.duration_ns("opt.time_ns", timings.total_ns);
+        for (pi, pass) in PassId::ALL.into_iter().enumerate() {
+            if cfg.enables(pass) {
+                obs.duration_ns(
+                    &format!("opt.pass.{}.time_ns", pass.name()),
+                    timings.pass_ns[pi],
+                );
+            }
         }
     }
 }

@@ -46,10 +46,9 @@ pub struct OptStats {
     /// entries telescope exactly: their sum equals `removed_uops()`.
     pub removed_by_pass: [u64; 7],
     /// Rewrites each pass reported across all iterations, indexed in
-    /// `PassId::ALL` order. This is the per-pass `opt.pass.*.rewrites`
-    /// observability counter in aggregate form, carried here so a frame
-    /// optimized once can replay its exact metric contribution later
-    /// (e.g. on a warm start from the persistent artifact store).
+    /// `PassId::ALL` order. Summed over a run, these are the per-pass
+    /// `opt.pass.*.rewrites` counters; stored with each frame in the
+    /// persistent artifact store, they make a warm start count the same.
     pub rewrites_by_pass: [u64; 7],
 }
 

@@ -183,13 +183,19 @@ impl Profile {
         self.metrics.len()
     }
 
+    /// The metric `name`, inserting `init()` first if it is absent. The
+    /// name is copied into an owned key only on insertion, so recording
+    /// into an existing metric never allocates.
+    fn slot(&mut self, name: &str, init: impl FnOnce() -> Metric) -> &mut Metric {
+        if !self.metrics.contains_key(name) {
+            self.metrics.insert(name.to_string(), init());
+        }
+        self.metrics.get_mut(name).expect("inserted above")
+    }
+
     /// Adds `v` to the counter `name`, creating it at zero first.
     pub fn counter_add(&mut self, name: &str, v: u64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(Metric::Counter(0))
-        {
+        match self.slot(name, || Metric::Counter(0)) {
             Metric::Counter(c) => *c += v,
             m => panic!("metric {name} is a {}, not a counter", m.kind()),
         }
@@ -197,11 +203,7 @@ impl Profile {
 
     /// Adds `ns` nanoseconds to the duration `name`.
     pub fn duration_add_ns(&mut self, name: &str, ns: u64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(Metric::DurationNs(0))
-        {
+        match self.slot(name, || Metric::DurationNs(0)) {
             Metric::DurationNs(d) => *d += ns,
             m => panic!("metric {name} is a {}, not a duration", m.kind()),
         }
@@ -209,12 +211,17 @@ impl Profile {
 
     /// Records one sample into the histogram `name`.
     pub fn hist_record(&mut self, name: &str, v: u64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Hist(Box::default()))
-        {
+        match self.slot(name, || Metric::Hist(Box::default())) {
             Metric::Hist(h) => h.record(v),
+            m => panic!("metric {name} is a {}, not a histogram", m.kind()),
+        }
+    }
+
+    /// Adds every sample of `hist` into the histogram `name` — the same
+    /// result as recording each sample with [`Profile::hist_record`].
+    pub fn hist_merge(&mut self, name: &str, hist: &Hist) {
+        match self.slot(name, || Metric::Hist(Box::default())) {
+            Metric::Hist(h) => h.merge(hist),
             m => panic!("metric {name} is a {}, not a histogram", m.kind()),
         }
     }
@@ -420,6 +427,13 @@ impl Obs {
         }
     }
 
+    /// Merges a histogram recorded elsewhere into histogram `name`.
+    pub fn hist_merge(&mut self, name: &str, hist: &Hist) {
+        if let Some(p) = &mut self.profile {
+            p.hist_merge(name, hist);
+        }
+    }
+
     /// Adds elapsed nanoseconds to duration `name`.
     pub fn duration_ns(&mut self, name: &str, ns: u64) {
         if let Some(p) = &mut self.profile {
@@ -536,6 +550,19 @@ mod tests {
             Some(Metric::Hist(h)) => assert_eq!(h.count(), 2),
             m => panic!("unexpected {m:?}"),
         }
+    }
+
+    #[test]
+    fn hist_merge_equals_recording_each_sample() {
+        let mut h = Hist::default();
+        let mut one_by_one = Profile::new();
+        for v in [5, 0, 17, 3] {
+            h.record(v);
+            one_by_one.hist_record("h", v);
+        }
+        let mut merged = Profile::new();
+        merged.hist_merge("h", &h);
+        assert_eq!(merged, one_by_one);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 use crate::framestore::{frame_key, FrameBundle};
 use crate::{ConfigKind, Injector, SimConfig, SimResult, TraceEntry, TraceFiller};
 use replay_core::{
-    observe_opt_result, optimize_observed, probe_frame, AliasProfile, ExecPlan, ExecScratch,
-    OptFrame, OptStats, OptimizerDatapath, PassId, PlanScratch, ProbeOutcome,
+    observe_opt_totals, optimize_timed, probe_frame, AliasProfile, ExecPlan, ExecScratch, OptFrame,
+    OptStats, OptTimings, OptimizerDatapath, PassId, PlanScratch, ProbeOutcome,
 };
 use replay_frame::{CacheEntry, FrameCache, FrameConstructor, RetireEvent};
-use replay_obs::Obs;
+use replay_obs::{Hist, Obs};
 use replay_timing::{FetchPath, FrameFetch, Pipeline, X86Fetch};
 use replay_trace::{Trace, TraceRecord};
 use replay_uop::Uop;
@@ -219,6 +219,11 @@ struct Runner<'a> {
     bundle: Option<FrameBundle>,
     verifier: Verifier,
     opt_stats: OptStats,
+    /// Uops removed from each frame the optimizer handled, cold or warm
+    /// (`opt.frame_removed_uops`).
+    opt_removed: Hist,
+    /// Wall time of the frames optimized in this run (warm hits add none).
+    opt_timings: OptTimings,
     frames_x86: u64,
     path_mismatch_completions: u64,
     dyn_uops_removed: u64,
@@ -267,6 +272,8 @@ impl<'a> Runner<'a> {
                 .flatten(),
             verifier: Verifier::new(),
             opt_stats: OptStats::default(),
+            opt_removed: Hist::default(),
+            opt_timings: OptTimings::default(),
             frames_x86: 0,
             path_mismatch_completions: 0,
             dyn_uops_removed: 0,
@@ -426,31 +433,25 @@ impl<'a> Runner<'a> {
                     _ => None,
                 };
                 let (opt, stats) = match cached {
-                    Some((_, Some((opt, stats)))) => {
-                        // Warm hit: the stored result is bit-identical to
-                        // what the passes would produce, so emit exactly
-                        // the deterministic counters a fresh optimization
-                        // would have (wall-time spans excluded) and skip
-                        // the passes entirely.
-                        observe_opt_result(&mut self.obs, &self.cfg.opt, &stats);
-                        (opt, stats)
-                    }
-                    Some((key, None)) => {
-                        let (opt, stats) =
-                            optimize_observed(&frame, &self.profile, &self.cfg.opt, &mut self.obs);
+                    // Warm hit: the stored result and its statistics are
+                    // bit-identical to what the passes would produce.
+                    Some((_, Some(hit))) => hit,
+                    miss => {
+                        let (opt, stats) = optimize_timed(
+                            &frame,
+                            &self.profile,
+                            &self.cfg.opt,
+                            &mut self.opt_timings,
+                        );
                         let opt = Arc::new(opt);
-                        if let Some(bundle) = self.bundle.as_mut() {
+                        if let (Some((key, None)), Some(bundle)) = (miss, self.bundle.as_mut()) {
                             bundle.insert(key, Arc::clone(&opt), stats);
                         }
                         (opt, stats)
                     }
-                    None => {
-                        let (opt, stats) =
-                            optimize_observed(&frame, &self.profile, &self.cfg.opt, &mut self.obs);
-                        (Arc::new(opt), stats)
-                    }
                 };
                 self.opt_stats += stats;
+                self.opt_removed.record(stats.removed_uops());
                 if self.cfg.verify {
                     let mut raw = raw.expect("reference frame built when verification is on");
                     raw.compact();
@@ -711,7 +712,13 @@ impl<'a> Runner<'a> {
         };
 
         // Final harvest: everything the run observed, under stable names.
-        // The per-pass optimizer metrics (opt.*) accumulated in-line.
+        observe_opt_totals(
+            &mut self.obs,
+            &self.cfg.opt,
+            &self.opt_stats,
+            &self.opt_removed,
+            &self.opt_timings,
+        );
         self.frame_cache
             .stats()
             .observe_into("frame_cache", &mut self.obs);

@@ -4,9 +4,11 @@
 //! gates CI runs via `replay check`, at integration-test scale.
 
 use replay_check::{
-    probe_fault_sensitivity, replay_dir, run_check, CheckConfig, FaultKind, PassSelection,
+    arb_frame, probe_fault_sensitivity, replay_dir, run_check, CheckConfig, FaultKind,
+    PassSelection,
 };
-use replay_core::PassId;
+use replay_core::{passes, run_pass, AliasProfile, OptFrame, OptScope, OptStats, PassCtx, PassId};
+use replay_rng::SmallRng;
 use replay_sim::experiment;
 use replay_trace::workloads;
 use std::path::Path;
@@ -55,6 +57,42 @@ fn explicit_sequence_selection_is_sound() {
     let report = run_check(&cfg);
     assert!(report.ok(), "failures: {:?}", report.failures);
     assert_eq!(report.sequences.len(), 1);
+}
+
+/// Dead-code elimination reaches its fixpoint in one sweep: on generated
+/// frames at every scope, after any prefix of the pipeline followed by
+/// DCE, a second DCE removes nothing. `dce` makes a single sweep, so this
+/// is what keeps it equal to running the sweep until nothing changes.
+#[test]
+fn dce_is_idempotent_after_any_pipeline_prefix() {
+    let profile = AliasProfile::empty();
+    let mut rng = SmallRng::seed_from_u64(0xdce);
+    for case in 0..300 {
+        let frame = arb_frame(&mut rng);
+        for scope in [OptScope::Frame, OptScope::Block, OptScope::InterBlock] {
+            let ctx = PassCtx {
+                scope,
+                ..PassCtx::full(&profile)
+            };
+            for k in 0..PassId::ALL.len() {
+                let mut f = OptFrame::from_frame(&frame);
+                let mut stats = OptStats::default();
+                for &pass in PassId::ALL[..k].iter().chain(&[PassId::Dce]) {
+                    run_pass(&mut f, pass, &ctx, &mut stats);
+                    f.validate()
+                        .unwrap_or_else(|e| panic!("case {case} {scope:?} after {pass}: {e}"));
+                }
+                let again = passes::dce(&mut f, scope);
+                assert_eq!(
+                    again,
+                    0,
+                    "case {case} {scope:?}: second DCE after {:?} + DCE removed {again} more:\n{}",
+                    &PassId::ALL[..k],
+                    f.listing()
+                );
+            }
+        }
+    }
 }
 
 /// Every planted bug species is caught by the differential oracle — the
