@@ -2,7 +2,6 @@
 
 use crate::Frame;
 use replay_obs::Obs;
-use std::collections::HashMap;
 
 /// Hit/miss counters for the frame cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,23 +47,18 @@ impl CacheStats {
     }
 }
 
-/// Something the [`FrameCache`] can store: any frame-like object with an
-/// entry address and a size in uop slots.
+/// Something the [`FrameCache`] can store: any frame-like object with a
+/// size in uop slots.
 ///
 /// Implemented by [`Frame`]; the simulator also implements it for optimized
 /// frames, whose smaller `slot_cost` is what increases effective cache
 /// capacity under optimization (§6.1).
 pub trait CacheEntry {
-    /// The x86 entry address the frame is indexed by.
-    fn entry_addr(&self) -> u32;
     /// The number of uop slots the frame occupies in the cache.
     fn slot_cost(&self) -> usize;
 }
 
 impl CacheEntry for Frame {
-    fn entry_addr(&self) -> u32 {
-        self.start_addr
-    }
     fn slot_cost(&self) -> usize {
         self.uop_count()
     }
@@ -74,9 +68,6 @@ impl CacheEntry for Frame {
 /// entries so a cache hit is a reference-count bump rather than a deep
 /// clone of the frame's uop vectors.
 impl<T: CacheEntry + ?Sized> CacheEntry for std::sync::Arc<T> {
-    fn entry_addr(&self) -> u32 {
-        (**self).entry_addr()
-    }
     fn slot_cost(&self) -> usize {
         (**self).slot_cost()
     }
@@ -84,22 +75,33 @@ impl<T: CacheEntry + ?Sized> CacheEntry for std::sync::Arc<T> {
 
 #[derive(Debug)]
 struct Slot<T> {
+    key: u32,
     frame: T,
     last_use: u64,
 }
 
-/// An on-chip cache of constructed frames, indexed by entry address.
+/// An on-chip cache of constructed frames, indexed by entry point.
+///
+/// Entry points are named by a *dense key* the caller assigns — the
+/// simulator uses the static-instruction id of the entry address. A key
+/// indexes a table of positions into the list of resident frames, so a
+/// lookup is two array indexations and the LRU victim scan walks only the
+/// resident frames. Keys must be dense (the position table grows to the
+/// largest key inserted, four bytes a key); never key it by a raw address.
 ///
 /// Capacity is measured in **uop slots**, matching the paper's "16K
 /// micro-operations (approximately 64 kB)" configuration: an optimized frame
 /// occupies fewer slots than its unoptimized form, so optimization increases
 /// the cache's effective capacity (§6.1). Replacement is LRU; inserting a
-/// frame whose entry address is already present replaces the old frame.
+/// frame whose key is already present replaces the old frame.
 #[derive(Debug)]
 pub struct FrameCache<T = Frame> {
     capacity_uops: usize,
     used_uops: usize,
-    slots: HashMap<u32, Slot<T>>,
+    /// Per key, its frame's position in `resident` plus one; 0 when absent.
+    index: Vec<u32>,
+    /// The resident frames, in no particular order.
+    resident: Vec<Slot<T>>,
     clock: u64,
     stats: CacheStats,
 }
@@ -115,7 +117,8 @@ impl<T: CacheEntry> FrameCache<T> {
         FrameCache {
             capacity_uops,
             used_uops: 0,
-            slots: HashMap::new(),
+            index: Vec::new(),
+            resident: Vec::new(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -133,12 +136,12 @@ impl<T: CacheEntry> FrameCache<T> {
 
     /// Number of resident frames.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.resident.len()
     }
 
     /// True if no frames are resident.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.resident.is_empty()
     }
 
     /// Lookup statistics.
@@ -146,47 +149,72 @@ impl<T: CacheEntry> FrameCache<T> {
         self.stats
     }
 
-    /// Inserts a frame, evicting least-recently-used frames as needed.
+    /// The position in `resident` of the frame under `key`.
+    fn position(&self, key: u32) -> Option<usize> {
+        match self.index.get(key as usize) {
+            Some(&p) if p != 0 => Some(p as usize - 1),
+            _ => None,
+        }
+    }
+
+    /// Removes the frame under `key`, refunding its slots.
+    fn take(&mut self, key: u32) -> Option<T> {
+        let p = self.position(key)?;
+        self.index[key as usize] = 0;
+        let slot = self.resident.swap_remove(p);
+        if let Some(moved) = self.resident.get(p) {
+            self.index[moved.key as usize] = p as u32 + 1;
+        }
+        self.used_uops -= slot.frame.slot_cost();
+        Some(slot.frame)
+    }
+
+    /// Inserts a frame under `key`, evicting least-recently-used frames as
+    /// needed.
     ///
     /// Frames larger than the whole cache are rejected (returns `false`).
-    pub fn insert(&mut self, frame: T) -> bool {
+    pub fn insert(&mut self, key: u32, frame: T) -> bool {
         let size = frame.slot_cost();
         if size > self.capacity_uops {
             return false;
         }
-        if let Some(old) = self.slots.remove(&frame.entry_addr()) {
-            self.used_uops -= old.frame.slot_cost();
+        if self.take(key).is_some() {
             self.stats.replacements += 1;
         }
         while self.used_uops + size > self.capacity_uops {
+            // `last_use` values are unique, so the victim does not depend
+            // on the order of `resident`.
             let victim = self
-                .slots
+                .resident
                 .iter()
-                .min_by_key(|(_, s)| s.last_use)
-                .map(|(addr, _)| *addr)
+                .min_by_key(|s| s.last_use)
+                .map(|s| s.key)
                 .expect("cache non-empty while over capacity");
-            let old = self.slots.remove(&victim).expect("victim present");
-            self.used_uops -= old.frame.slot_cost();
+            self.take(victim);
             self.stats.evictions += 1;
         }
         self.clock += 1;
-        self.slots.insert(
-            frame.entry_addr(),
-            Slot {
-                frame,
-                last_use: self.clock,
-            },
-        );
+        let k = key as usize;
+        if k >= self.index.len() {
+            self.index.resize(k + 1, 0);
+        }
+        self.resident.push(Slot {
+            key,
+            frame,
+            last_use: self.clock,
+        });
+        self.index[k] = self.resident.len() as u32;
         self.used_uops += size;
         self.stats.inserts += 1;
         true
     }
 
-    /// Looks up a frame by entry address, refreshing its LRU position.
-    pub fn lookup(&mut self, addr: u32) -> Option<&T> {
+    /// Looks up a frame by key, refreshing its LRU position.
+    pub fn lookup(&mut self, key: u32) -> Option<&T> {
         self.clock += 1;
-        match self.slots.get_mut(&addr) {
-            Some(slot) => {
+        match self.position(key) {
+            Some(p) => {
+                let slot = &mut self.resident[p];
                 slot.last_use = self.clock;
                 self.stats.hits += 1;
                 Some(&slot.frame)
@@ -199,16 +227,15 @@ impl<T: CacheEntry> FrameCache<T> {
     }
 
     /// Checks residency without touching LRU state or statistics.
-    pub fn peek(&self, addr: u32) -> Option<&T> {
-        self.slots.get(&addr).map(|s| &s.frame)
+    pub fn peek(&self, key: u32) -> Option<&T> {
+        self.position(key).map(|p| &self.resident[p].frame)
     }
 
-    /// Removes a frame by entry address.
-    pub fn invalidate(&mut self, addr: u32) -> Option<T> {
-        let slot = self.slots.remove(&addr)?;
-        self.used_uops -= slot.frame.slot_cost();
+    /// Removes a frame by key.
+    pub fn invalidate(&mut self, key: u32) -> Option<T> {
+        let frame = self.take(key)?;
         self.stats.invalidations += 1;
-        Some(slot.frame)
+        Some(frame)
     }
 }
 
@@ -234,7 +261,7 @@ mod tests {
     #[test]
     fn insert_and_lookup() {
         let mut c = FrameCache::new(100);
-        assert!(c.insert(frame(0x10, 20)));
+        assert!(c.insert(0x10, frame(0x10, 20)));
         assert_eq!(c.len(), 1);
         assert_eq!(c.used_uops(), 20);
         assert!(c.lookup(0x10).is_some());
@@ -246,12 +273,12 @@ mod tests {
     #[test]
     fn lru_eviction_by_uop_capacity() {
         let mut c = FrameCache::new(50);
-        c.insert(frame(1, 20));
-        c.insert(frame(2, 20));
+        c.insert(1, frame(1, 20));
+        c.insert(2, frame(2, 20));
         // Touch frame 1 so frame 2 is LRU.
         c.lookup(1);
         // 20 + 20 + 20 > 50: one eviction needed; victim must be frame 2.
-        c.insert(frame(3, 20));
+        c.insert(3, frame(3, 20));
         assert!(c.peek(1).is_some());
         assert!(c.peek(2).is_none());
         assert!(c.peek(3).is_some());
@@ -262,9 +289,9 @@ mod tests {
     #[test]
     fn same_address_replaces() {
         let mut c = FrameCache::new(100);
-        c.insert(frame(5, 30));
+        c.insert(5, frame(5, 30));
         // A smaller (optimized) frame replaces the old one and frees slots.
-        c.insert(frame(5, 10));
+        c.insert(5, frame(5, 10));
         assert_eq!(c.len(), 1);
         assert_eq!(c.used_uops(), 10);
         assert_eq!(c.stats().evictions, 0);
@@ -280,7 +307,7 @@ mod tests {
         for round in 0..50 {
             // Alternate sizes so a stale-cost bug cannot cancel out.
             let size = if round % 2 == 0 { 30 } else { 7 };
-            assert!(c.insert(frame(5, size)));
+            assert!(c.insert(5, frame(5, size)));
             assert_eq!(c.len(), 1);
             assert_eq!(c.used_uops(), size);
         }
@@ -289,7 +316,7 @@ mod tests {
         // No capacity pressure ever arose, so no evictions were charged.
         assert_eq!(c.stats().evictions, 0);
         // The cache still has its full capacity available for others.
-        assert!(c.insert(frame(6, 93)));
+        assert!(c.insert(6, frame(6, 93)));
         assert_eq!(c.used_uops(), 100);
     }
 
@@ -299,15 +326,15 @@ mod tests {
         // strictly by LRU until the new size fits — and each eviction is
         // counted exactly once.
         let mut c = FrameCache::new(60);
-        c.insert(frame(1, 20));
-        c.insert(frame(2, 20));
-        c.insert(frame(3, 20));
+        c.insert(1, frame(1, 20));
+        c.insert(2, frame(2, 20));
+        c.insert(3, frame(3, 20));
         // Refresh 1 and 3; frame 2 is now LRU.
         c.lookup(1);
         c.lookup(3);
         // Growing frame 1 from 20 to 40 uops: refund 20, need 40 into the
         // 20 free -> evict exactly one frame (the LRU, #2).
-        assert!(c.insert(frame(1, 40)));
+        assert!(c.insert(1, frame(1, 40)));
         assert_eq!(c.stats().replacements, 1);
         assert_eq!(c.stats().evictions, 1);
         assert!(c.peek(2).is_none(), "LRU frame 2 evicted");
@@ -323,14 +350,14 @@ mod tests {
     #[test]
     fn oversized_frame_rejected() {
         let mut c = FrameCache::new(10);
-        assert!(!c.insert(frame(1, 11)));
+        assert!(!c.insert(1, frame(1, 11)));
         assert!(c.is_empty());
     }
 
     #[test]
     fn invalidate_frees_space() {
         let mut c = FrameCache::new(10);
-        c.insert(frame(1, 10));
+        c.insert(1, frame(1, 10));
         assert_eq!(c.invalidate(1).map(|f| f.start_addr), Some(1));
         assert_eq!(c.used_uops(), 0);
         assert!(c.invalidate(1).is_none());
@@ -339,12 +366,80 @@ mod tests {
     #[test]
     fn hit_rate() {
         let mut c = FrameCache::new(100);
-        c.insert(frame(1, 1));
+        c.insert(1, frame(1, 1));
         c.lookup(1);
         c.lookup(2);
         c.lookup(1);
         assert!((c.stats().hit_rate() - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(FrameCache::<Frame>::new(1).stats().hit_rate(), 0.0);
+    }
+
+    /// A reference LRU: resident `(key, size, last_use)` triples.
+    #[derive(Default)]
+    struct ModelLru {
+        frames: Vec<(u32, usize, u64)>,
+        clock: u64,
+    }
+
+    impl ModelLru {
+        fn used(&self) -> usize {
+            self.frames.iter().map(|f| f.1).sum()
+        }
+
+        fn insert(&mut self, capacity: usize, key: u32, size: usize) {
+            self.frames.retain(|f| f.0 != key);
+            while self.used() + size > capacity {
+                let lru = (0..self.frames.len())
+                    .min_by_key(|&i| self.frames[i].2)
+                    .unwrap();
+                self.frames.remove(lru);
+            }
+            self.clock += 1;
+            self.frames.push((key, size, self.clock));
+        }
+
+        fn lookup(&mut self, key: u32) -> bool {
+            self.clock += 1;
+            let clock = self.clock;
+            self.frames
+                .iter_mut()
+                .find(|f| f.0 == key)
+                .map(|f| f.2 = clock)
+                .is_some()
+        }
+    }
+
+    #[test]
+    fn matches_a_reference_lru_under_churn() {
+        // Inserts, lookups and invalidations over more keys than fit keep
+        // the position table, the resident list and LRU order consistent
+        // through every swap-remove.
+        for seed in 0..8 {
+            let mut rng = replay_rng::SmallRng::seed_from_u64(seed);
+            let mut c = FrameCache::new(200);
+            let mut m = ModelLru::default();
+            for _ in 0..3_000 {
+                let key = rng.random_range(0..64u32);
+                match rng.random_range(0..4u32) {
+                    0 | 1 => {
+                        let size = rng.random_range(1..60usize);
+                        assert!(c.insert(key, frame(key, size)));
+                        m.insert(200, key, size);
+                    }
+                    2 => assert_eq!(c.lookup(key).is_some(), m.lookup(key)),
+                    _ => {
+                        let gone = c.invalidate(key).map(|f| f.start_addr);
+                        let pos = m.frames.iter().position(|f| f.0 == key);
+                        assert_eq!(gone, pos.map(|p| m.frames.remove(p).0));
+                    }
+                }
+                assert_eq!(c.len(), m.frames.len());
+                assert_eq!(c.used_uops(), m.used());
+                for &(k, size, _) in &m.frames {
+                    assert_eq!(c.peek(k).map(Frame::uop_count), Some(size));
+                }
+            }
+        }
     }
 
     #[test]

@@ -248,38 +248,37 @@ impl FrameConstructor {
     }
 
     /// Appends an instruction's flow to the pending frame, transforming
-    /// control uops. Returns `true` if the frame must end after this
-    /// instruction.
+    /// control uops in place. Returns `true` if the frame must end after
+    /// this instruction.
     fn append(&mut self, ev: &RetireEvent<'_>) -> bool {
+        let FrameConstructor {
+            cfg,
+            bias,
+            pending,
+            stats,
+            ..
+        } = self;
+        let pending = pending.as_mut().expect("append requires a pending frame");
+        pending.x86_addrs.push(ev.addr);
         let mut ends = false;
-        // Collect transformed uops first to avoid holding a mutable borrow
-        // of `pending` across bias-table updates.
-        let mut transformed: Vec<(
-            Uop,
-            bool, /*block boundary after*/
-            bool, /*expectation*/
-        )> = Vec::with_capacity(ev.uops.len());
         for u in ev.uops {
-            match u.op {
+            let (uop, boundary_after, expectation) = match u.op {
                 Opcode::Br => {
                     let cc = u.cc.expect("Br carries a condition");
                     let taken = ev.next_pc == u.target;
-                    let biased = self
-                        .bias
-                        .record(ev.addr, BranchOutcome::Conditional { taken });
-                    if biased {
+                    if bias.record(ev.addr, BranchOutcome::Conditional { taken }) {
                         // Paper §3.3: the branch becomes an assertion on the
                         // condition that keeps execution on the frame path.
                         let cond = if taken { cc } else { cc.negate() };
                         let mut a = Uop::assert_cc(cond);
                         a.x86_addr = u.x86_addr;
                         a.last_of_x86 = u.last_of_x86;
-                        transformed.push((a, true, true));
-                        self.stats.branches_converted += 1;
+                        stats.branches_converted += 1;
+                        (a, true, true)
                     } else {
-                        transformed.push((u.clone(), false, false));
-                        self.stats.ended_by_branch += 1;
+                        stats.ended_by_branch += 1;
                         ends = true;
+                        (u.clone(), false, false)
                     }
                 }
                 Opcode::JmpInd => {
@@ -288,40 +287,27 @@ impl FrameConstructor {
                     // are asserted: a mispredicted target assertion costs a
                     // whole-frame rollback, so require twice the
                     // conditional-branch run length.
-                    let run = self
-                        .bias
-                        .record_run(ev.addr, BranchOutcome::Indirect { target });
-                    let matches_bias = run >= self.cfg.bias_threshold * 2
-                        && self.bias.bias(ev.addr) == Some(Direction::Indirect { target });
+                    let run = bias.record_run(ev.addr, BranchOutcome::Indirect { target });
+                    let matches_bias = run >= cfg.bias_threshold * 2
+                        && bias.bias(ev.addr) == Some(Direction::Indirect { target });
                     if matches_bias {
                         let reg = u.src_a.expect("JmpInd reads a register");
                         let mut a = Uop::assert_cmp(Cond::Eq, reg, None, target as i32);
                         a.x86_addr = u.x86_addr;
                         a.last_of_x86 = u.last_of_x86;
-                        transformed.push((a, true, true));
-                        self.stats.indirects_converted += 1;
+                        stats.indirects_converted += 1;
+                        (a, true, true)
                     } else {
-                        transformed.push((u.clone(), false, false));
-                        self.stats.ended_by_indirect += 1;
+                        stats.ended_by_indirect += 1;
                         ends = true;
+                        (u.clone(), false, false)
                     }
                 }
-                Opcode::Jmp => {
-                    // Unconditional direct jumps stay in the frame (NOP
-                    // removal deletes them later); a new block begins at the
-                    // target.
-                    transformed.push((u.clone(), true, false));
-                }
-                _ => transformed.push((u.clone(), false, false)),
-            }
-        }
-
-        let pending = self
-            .pending
-            .as_mut()
-            .expect("append requires a pending frame");
-        pending.x86_addrs.push(ev.addr);
-        for (uop, boundary_after, expectation) in transformed {
+                // Unconditional direct jumps stay in the frame (NOP removal
+                // deletes them later); a new block begins at the target.
+                Opcode::Jmp => (u.clone(), true, false),
+                _ => (u.clone(), false, false),
+            };
             let idx = pending.uops.len();
             if expectation {
                 pending.expectations.push(ControlExpectation {

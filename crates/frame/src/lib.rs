@@ -19,8 +19,9 @@
 //! of `CALL`/`RET` pairs to the optimizer.
 //!
 //! The [`FrameCache`] stores constructed (and, in the optimizing
-//! configurations, optimized) frames on chip, indexed by entry address, with
-//! LRU replacement measured in uop slots — the paper's configuration holds
+//! configurations, optimized) frames on chip, indexed by entry point (a
+//! dense key the caller assigns to each entry address), with LRU
+//! replacement measured in uop slots — the paper's configuration holds
 //! 16K uops (≈64 kB).
 
 #![forbid(unsafe_code)]

@@ -61,8 +61,8 @@ pub struct HotpathConfig {
     /// compiled to a [`replay_core::ExecPlan`]. `0` disables
     /// specialization entirely (pure interpreter).
     pub spec_threshold: u32,
-    /// Trace records fetched per streaming chunk (`0` = unchunked,
-    /// record-at-a-time legacy iteration).
+    /// Trace records per streaming chunk, counted in `sim.chunks` with a
+    /// `sim.chunk.fill` span at each boundary (`0` = unchunked).
     pub chunk_records: usize,
 }
 

@@ -1,7 +1,7 @@
 //! The Micro-Op Injector: translation and golden-state maintenance.
 
 use replay_trace::{Trace, TraceRecord};
-use replay_uop::{ArchReg, Flags, MachineState, Uop};
+use replay_uop::{AddrSet, ArchReg, Flags, MachineState, Uop};
 use replay_x86::translate;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -10,9 +10,19 @@ use std::rc::Rc;
 /// (cached per static instruction) and maintains the *golden* architectural
 /// machine state along the trace — the state the verifier and the frame
 /// executor consult at every point.
+///
+/// Static instructions get dense ids in first-appearance order, so the
+/// per-record hot path indexes arrays instead of hashing addresses: the
+/// address → id map is consulted once per record in
+/// [`Injector::preseed`] (and by [`Injector::flow`]), never again.
 #[derive(Debug, Default)]
 pub struct Injector {
-    flows: HashMap<u32, Rc<Vec<Uop>>>,
+    /// Static instruction address → dense id.
+    ids: HashMap<u32, u32>,
+    /// Decode flow per dense id.
+    flows: Vec<Rc<Vec<Uop>>>,
+    /// Dense id of every record of the preseeded trace.
+    record_ids: Vec<u32>,
     golden: MachineState,
     x86_seen: u64,
     uops_seen: u64,
@@ -27,7 +37,8 @@ impl Injector {
 
     /// Seeds the golden memory with the *first-touch* value of every
     /// location the trace will access — the paper's initial memory map
-    /// (§5.1.3), extended to the whole trace.
+    /// (§5.1.3), extended to the whole trace — and gives every record the
+    /// dense id of its static instruction.
     ///
     /// Frames run ahead of retirement: a frame fetched at record *i* may
     /// load a location whose first trace access happens at record *i + k*.
@@ -38,8 +49,12 @@ impl Injector {
             self.golden.set_reg(r, trace.init_regs[r.index()]);
         }
         self.golden.set_flags(Flags::from_bits(trace.init_flags));
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = AddrSet::new();
+        self.record_ids.clear();
+        self.record_ids.reserve(trace.len());
         for r in trace.records() {
+            let id = self.intern(r);
+            self.record_ids.push(id);
             for &(addr, value) in r.mem_reads.iter().chain(r.mem_writes.iter()) {
                 if seen.insert(addr) {
                     self.golden.store32(addr, value);
@@ -48,16 +63,37 @@ impl Injector {
         }
     }
 
+    /// The dense id of `r`'s instruction, translating it on first sight.
+    fn intern(&mut self, r: &TraceRecord) -> u32 {
+        let flows = &mut self.flows;
+        *self.ids.entry(r.addr).or_insert_with(|| {
+            flows.push(Rc::new(translate(&r.inst, r.addr, r.fallthrough())));
+            (flows.len() - 1) as u32
+        })
+    }
+
     /// The uop decode flow of a record's instruction (cached by address).
     pub fn flow(&mut self, r: &TraceRecord) -> Rc<Vec<Uop>> {
-        match self.flows.get(&r.addr) {
-            Some(f) => Rc::clone(f),
-            None => {
-                let f = Rc::new(translate(&r.inst, r.addr, r.fallthrough()));
-                self.flows.insert(r.addr, Rc::clone(&f));
-                f
-            }
-        }
+        let id = self.intern(r);
+        Rc::clone(&self.flows[id as usize])
+    }
+
+    /// The dense static-instruction id of record `idx` of the preseeded
+    /// trace.
+    #[inline]
+    pub(crate) fn record_id(&self, idx: usize) -> u32 {
+        self.record_ids[idx]
+    }
+
+    /// The decode flow of record `idx` of the preseeded trace.
+    #[inline]
+    pub(crate) fn record_flow(&self, idx: usize) -> &[Uop] {
+        &self.flows[self.record_ids[idx] as usize]
+    }
+
+    /// The dense id of the instruction at `addr`, if one was indexed.
+    pub(crate) fn static_id(&self, addr: u32) -> Option<u32> {
+        self.ids.get(&addr).copied()
     }
 
     /// The golden machine state as of every record applied so far.
@@ -69,23 +105,34 @@ impl Injector {
     /// accounts it.
     pub fn apply(&mut self, r: &TraceRecord) {
         self.apply_state(r);
-        if let Some(f) = self.flows.get(&r.addr) {
-            let uops = f.len() as u64;
-            let loads = f.iter().filter(|u| u.is_load()).count() as u64;
-            self.uops_seen += uops;
-            self.loads_seen += loads;
+        if let Some(f) = self.static_id(r.addr).map(|id| &self.flows[id as usize]) {
+            let (uops, loads) = (f.len(), f.iter().filter(|u| u.is_load()).count());
+            self.account(uops, loads);
         }
     }
 
     /// Applies one record like [`Injector::apply`], but accounts uops from
-    /// a flow the caller already holds (the chunk arena's copy), skipping
-    /// the per-record flow-map lookup on the streaming hot path. The
+    /// a flow the caller already holds, skipping the flow-map lookup. The
     /// counts are identical to [`Injector::apply`] whenever `flow` is the
     /// record's decode flow.
     pub fn apply_with_flow(&mut self, r: &TraceRecord, flow: &[Uop]) {
         self.apply_state(r);
-        self.uops_seen += flow.len() as u64;
-        self.loads_seen += flow.iter().filter(|u| u.is_load()).count() as u64;
+        self.account(flow.len(), flow.iter().filter(|u| u.is_load()).count());
+    }
+
+    /// Applies record `idx` of the preseeded trace, `r`, accounting uops
+    /// from its flow in the dense index — the streaming loop's hash-free
+    /// form of [`Injector::apply`].
+    pub(crate) fn apply_record(&mut self, idx: usize, r: &TraceRecord) {
+        self.apply_state(r);
+        let flow = &self.flows[self.record_ids[idx] as usize];
+        let (uops, loads) = (flow.len(), flow.iter().filter(|u| u.is_load()).count());
+        self.account(uops, loads);
+    }
+
+    fn account(&mut self, uops: usize, loads: usize) {
+        self.uops_seen += uops as u64;
+        self.loads_seen += loads as u64;
     }
 
     /// Golden-state update shared by the two `apply` flavors.

@@ -19,7 +19,6 @@ use replay_frame::{CacheEntry, FrameCache, FrameConstructor, RetireEvent};
 use replay_obs::{Hist, Obs};
 use replay_timing::{FetchPath, FrameFetch, Pipeline, X86Fetch};
 use replay_trace::{Trace, TraceRecord};
-use replay_uop::Uop;
 use replay_verify::Verifier;
 use replay_x86::Inst;
 use std::collections::HashMap;
@@ -48,6 +47,8 @@ struct SpecState {
 /// cloning a cache hit never copies uop vectors.
 #[derive(Debug, Clone)]
 struct CachedFrame {
+    /// Frame-cache key: the static-instruction id of the entry address.
+    key: u32,
     opt: Arc<OptFrame>,
     /// Uops each pass removed from this frame (`PassId::ALL` order), kept
     /// alongside the frame so every dynamic fetch can attribute its saved
@@ -58,9 +59,6 @@ struct CachedFrame {
 }
 
 impl CacheEntry for CachedFrame {
-    fn entry_addr(&self) -> u32 {
-        self.opt.start_addr
-    }
     fn slot_cost(&self) -> usize {
         self.opt.uop_count()
     }
@@ -146,63 +144,6 @@ impl AliasWindow {
     }
 }
 
-/// Chunked decode-flow storage for the streaming hot loop.
-///
-/// Record-at-a-time iteration resolved every record's flow through the
-/// injector's per-address hash map — two to three SipHash lookups per
-/// retired instruction, each landing on a separately boxed `Rc<Vec<Uop>>`.
-/// The arena instead materializes one chunk of records at a time into a
-/// single contiguous uop buffer with `(offset, len)` spans per record:
-/// the hot loop's flow lookups become two array indexations into memory
-/// that stays cache-resident for the whole chunk, and the buffers recycle
-/// their capacity so steady-state refills allocate nothing.
-#[derive(Debug, Default)]
-struct FlowArena {
-    /// All chunk flows, concatenated in record order.
-    uops: Vec<Uop>,
-    /// Per-record `(offset, len)` into `uops`.
-    spans: Vec<(u32, u32)>,
-    /// Record index the chunk starts at.
-    start: usize,
-}
-
-impl FlowArena {
-    /// Replaces the chunk with the flows of `records[start..start+chunk]`
-    /// (clamped to the trace end), reusing the existing capacity.
-    fn refill(
-        &mut self,
-        injector: &mut Injector,
-        records: &[TraceRecord],
-        start: usize,
-        chunk: usize,
-    ) {
-        self.uops.clear();
-        self.spans.clear();
-        self.start = start;
-        let end = start.saturating_add(chunk).min(records.len());
-        for r in &records[start..end] {
-            let flow = injector.flow(r);
-            let off = self.uops.len() as u32;
-            self.uops.extend_from_slice(&flow);
-            self.spans.push((off, flow.len() as u32));
-        }
-    }
-
-    /// First record index past the chunk.
-    fn end(&self) -> usize {
-        self.start + self.spans.len()
-    }
-
-    /// The decode flow of record `idx`, if the chunk covers it. Frame
-    /// instances that run past the chunk boundary miss here and fall back
-    /// to the injector's flow cache.
-    fn flow_of(&self, idx: usize) -> Option<&[Uop]> {
-        let rel = idx.checked_sub(self.start)?;
-        let &(off, len) = self.spans.get(rel)?;
-        Some(&self.uops[off as usize..(off + len) as usize])
-    }
-}
-
 struct Runner<'a> {
     cfg: &'a SimConfig,
     records: &'a [TraceRecord],
@@ -237,14 +178,16 @@ struct Runner<'a> {
     scratch: ExecScratch,
     mem_addrs: Vec<Option<u32>>,
     touchers: HashMap<u32, Touchers>,
-    /// Chunked decode-flow staging for the streaming hot loop.
-    arena: FlowArena,
+    /// First record index past the current chunk of the streaming loop.
+    chunk_end: usize,
     /// Reusable buffers for specialized (plan) probes.
     plan_scratch: PlanScratch,
     chunks: u64,
     specialized_hits: u64,
     spec_fallbacks: u64,
     plans_compiled: u64,
+    /// `REPLAY_DEBUG_ABORTS` is set: print every assertion abort.
+    debug_aborts: bool,
     /// Dynamic uops saved on *specialized* fetches, per pass — the subset
     /// of `dyn_removed_by_pass` earned while the plan fast path served the
     /// probe.
@@ -284,25 +227,23 @@ impl<'a> Runner<'a> {
             scratch: ExecScratch::new(),
             mem_addrs: Vec::new(),
             touchers: HashMap::new(),
-            arena: FlowArena::default(),
+            chunk_end: 0,
             plan_scratch: PlanScratch::new(),
             chunks: 0,
             specialized_hits: 0,
             spec_fallbacks: 0,
             plans_compiled: 0,
+            debug_aborts: std::env::var_os("REPLAY_DEBUG_ABORTS").is_some(),
             dyn_removed_by_pass_spec: [0; 7],
         }
     }
 
-    /// Stages the next chunk of decode flows starting at record `start`.
-    fn refill_arena(&mut self, start: usize) {
+    /// Opens the next chunk of the streaming loop at record `start`.
+    fn next_chunk(&mut self, start: usize) {
         let span = self.obs.start_span();
-        self.arena.refill(
-            &mut self.injector,
-            self.records,
-            start,
-            self.cfg.hotpath.chunk_records,
-        );
+        self.chunk_end = start
+            .saturating_add(self.cfg.hotpath.chunk_records)
+            .min(self.records.len());
         self.obs.end_span("sim.chunk.fill", span);
         self.chunks += 1;
     }
@@ -310,14 +251,7 @@ impl<'a> Runner<'a> {
     /// Fetches one record through the decoder path.
     fn fetch_via_decoder(&mut self, idx: usize, path: FetchPath) {
         let r = &self.records[idx];
-        let rc;
-        let flow: &[Uop] = match self.arena.flow_of(idx) {
-            Some(f) => f,
-            None => {
-                rc = self.injector.flow(r);
-                &rc
-            }
-        };
+        let flow = self.injector.record_flow(idx);
         let fetch = X86Fetch {
             addr: r.addr,
             uops: flow,
@@ -337,14 +271,7 @@ impl<'a> Runner<'a> {
         let r = &self.records[idx];
 
         if self.cfg.kind.uses_frames() {
-            let rc;
-            let flow: &[Uop] = match self.arena.flow_of(idx) {
-                Some(f) => f,
-                None => {
-                    rc = self.injector.flow(r);
-                    &rc
-                }
-            };
+            let flow = self.injector.record_flow(idx);
             let ev = RetireEvent {
                 addr: r.addr,
                 uops: flow,
@@ -357,16 +284,14 @@ impl<'a> Runner<'a> {
             }
         }
         if self.cfg.kind == ConfigKind::TraceCache {
-            let flow_len = match self.arena.flow_of(idx) {
-                Some(f) => f.len(),
-                None => self.injector.flow(r).len(),
-            };
+            let flow_len = self.injector.record_flow(idx).len();
             let ends = matches!(r.inst, Inst::Ret | Inst::JmpInd { .. } | Inst::LongFlow);
             if let Some(t) = self
                 .filler
                 .retire(r.addr, flow_len, r.taken().is_some(), ends)
             {
-                self.tc_cache.insert(Arc::new(t));
+                let key = self.static_id(t.start_addr);
+                self.tc_cache.insert(key, Arc::new(t));
             }
         }
 
@@ -379,15 +304,15 @@ impl<'a> Runner<'a> {
             );
         }
 
-        let rc;
-        let flow: &[Uop] = match self.arena.flow_of(idx) {
-            Some(f) => f,
-            None => {
-                rc = self.injector.flow(r);
-                &rc
-            }
-        };
-        self.injector.apply_with_flow(r, flow);
+        self.injector.apply_record(idx, r);
+    }
+
+    /// The cache key of a frame or trace entered at `addr`: its static
+    /// instruction id (once per built frame, not per record).
+    fn static_id(&self, addr: u32) -> u32 {
+        self.injector
+            .static_id(addr)
+            .expect("frames start at traced instructions")
     }
 
     /// Records aliasing events observed within the span of a just-built
@@ -416,6 +341,7 @@ impl<'a> Runner<'a> {
     /// it toward the frame cache.
     fn handle_new_frame(&mut self, frame: replay_frame::Frame) {
         let now = self.pipeline.cycles();
+        let key = self.static_id(frame.start_addr);
         match self.cfg.kind {
             ConfigKind::ReplayOpt => {
                 self.profile_span(frame.x86_count());
@@ -461,6 +387,7 @@ impl<'a> Runner<'a> {
                 // pipelined latency (10 cycles per uop).
                 self.datapath.offer(
                     CachedFrame {
+                        key,
                         opt,
                         removed_by_pass: stats.removed_by_pass,
                         spec: Arc::new(SpecState::default()),
@@ -480,11 +407,15 @@ impl<'a> Runner<'a> {
                     loads_after: opt.load_count() as u64,
                     ..OptStats::default()
                 };
-                self.frame_cache.insert(CachedFrame {
-                    opt: Arc::new(opt),
-                    removed_by_pass: [0; 7],
-                    spec: Arc::new(SpecState::default()),
-                });
+                self.frame_cache.insert(
+                    key,
+                    CachedFrame {
+                        key,
+                        opt: Arc::new(opt),
+                        removed_by_pass: [0; 7],
+                        spec: Arc::new(SpecState::default()),
+                    },
+                );
             }
         }
     }
@@ -586,7 +517,7 @@ impl<'a> Runner<'a> {
         // conflict, fault, or (rarely) a divergence the optimizer proved
         // away. Charge the pessimistic recovery, then refetch the original
         // instructions from the ICache along the *actual* path.
-        if std::env::var_os("REPLAY_DEBUG_ABORTS").is_some() {
+        if self.debug_aborts {
             if let ProbeOutcome::AssertFired { uop_index } = outcome {
                 let u = opt.slot(uop_index as replay_core::Slot);
                 eprintln!(
@@ -625,7 +556,7 @@ impl<'a> Runner<'a> {
         // behaviour: drop it. The constructor rebuilds a frame for this
         // region if it is still hot (with the offending branch no longer
         // converted, since its bias run was just broken).
-        self.frame_cache.invalidate(opt.start_addr);
+        self.frame_cache.invalidate(cached.key);
         let mut j = 0;
         while j < n && i + j < self.records.len() && self.records[i + j].addr == opt.x86_addrs[j] {
             self.fetch_via_decoder(i + j, FetchPath::ICache);
@@ -639,16 +570,16 @@ impl<'a> Runner<'a> {
         let chunking = self.cfg.hotpath.chunk_records > 0;
         let mut i = 0usize;
         while i < self.records.len() {
-            if chunking && i >= self.arena.end() {
-                self.refill_arena(i);
+            if chunking && i >= self.chunk_end {
+                self.next_chunk(i);
             }
             if self.cfg.kind == ConfigKind::ReplayOpt {
                 let now = self.pipeline.cycles();
                 for f in self.datapath.take_completed(now) {
-                    self.frame_cache.insert(f);
+                    self.frame_cache.insert(f.key, f);
                 }
             }
-            let addr = self.records[i].addr;
+            let key = self.injector.record_id(i);
             match self.cfg.kind {
                 ConfigKind::ICache => {
                     self.fetch_via_decoder(i, FetchPath::ICache);
@@ -656,7 +587,7 @@ impl<'a> Runner<'a> {
                     i += 1;
                 }
                 ConfigKind::TraceCache => {
-                    let hit = self.tc_cache.lookup(addr).cloned();
+                    let hit = self.tc_cache.lookup(key).cloned();
                     match hit {
                         Some(entry) => {
                             let mut j = 0;
@@ -685,7 +616,7 @@ impl<'a> Runner<'a> {
                     }
                 }
                 ConfigKind::Replay | ConfigKind::ReplayOpt => {
-                    let hit = self.frame_cache.lookup(addr).cloned();
+                    let hit = self.frame_cache.lookup(key).cloned();
                     match hit {
                         Some(cached) => {
                             i += self.fetch_frame_instance(&cached, i);

@@ -19,9 +19,6 @@ pub struct TraceEntry {
 }
 
 impl CacheEntry for TraceEntry {
-    fn entry_addr(&self) -> u32 {
-        self.start_addr
-    }
     fn slot_cost(&self) -> usize {
         self.uop_count
     }

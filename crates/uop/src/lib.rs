@@ -61,7 +61,7 @@ mod uop;
 pub use cond::Cond;
 pub use flags::Flags;
 pub use machine::{ControlEffect, ExecError, MachineState, UopEffect};
-pub use memory::SparseMemory;
+pub use memory::{AddrSet, SparseMemory};
 pub use opcode::{Opcode, OpcodeClass};
 pub use reg::{ArchReg, RegSet, NUM_ARCH_REGS};
 pub use semantics::{eval_alu, eval_alu_with_flags, AluError, AluResult};

@@ -9,7 +9,6 @@
 
 use crate::{DecodeError, Inst, Program, Translator};
 use replay_uop::{ControlEffect, ExecError, Flags, MachineState, Uop, UopEffect};
-use std::collections::HashMap;
 
 /// Address that terminates interpretation: the harness seeds the initial
 /// stack with this return address, so the program's final `RET` lands here.
@@ -117,7 +116,8 @@ pub struct Interp {
     /// The current program counter.
     pub pc: u32,
     program: Program,
-    decode_cache: HashMap<u32, (Inst, u8)>,
+    /// Decoded instructions by byte offset into the program image.
+    decode_cache: Vec<Option<(Inst, u8)>>,
     translator: Translator,
 }
 
@@ -131,11 +131,12 @@ impl Interp {
         machine.set_reg(replay_uop::ArchReg::Esp, stack_top);
         machine.store32(stack_top, HALT_ADDR);
         let pc = program.entry;
+        let decode_cache = vec![None; program.image.len()];
         Interp {
             machine,
             pc,
             program,
-            decode_cache: HashMap::new(),
+            decode_cache,
             translator: Translator::new(),
         }
     }
@@ -166,14 +167,15 @@ impl Interp {
         if !self.program.contains(addr) {
             return Err(InterpError::OutOfProgram { pc: addr });
         }
-        let (inst, len) = match self.decode_cache.get(&addr) {
-            Some(&hit) => hit,
+        let slot = &mut self.decode_cache[(addr - self.program.base) as usize];
+        let (inst, len) = match *slot {
+            Some(hit) => hit,
             None => {
                 let decoded = self
                     .program
                     .decode_at(addr)
                     .map_err(|err| InterpError::Decode { addr, err })?;
-                self.decode_cache.insert(addr, decoded);
+                *slot = Some(decoded);
                 decoded
             }
         };

@@ -137,11 +137,11 @@ fn frame_cache_capacity_behaves_like_the_paper() {
     let mut raw_cache: FrameCache<Frame> = FrameCache::new(4 * 1024);
     let mut opt_sizes = 0usize;
     let mut raw_sizes = 0usize;
-    for f in frames.values() {
+    for (key, f) in frames.values().enumerate() {
         let (opt, _) = optimize(f, &AliasProfile::empty(), &OptConfig::default());
         opt_sizes += opt.uop_count();
         raw_sizes += f.uop_count();
-        raw_cache.insert(f.clone());
+        raw_cache.insert(key as u32, f.clone());
     }
     assert!(
         opt_sizes < raw_sizes,
