@@ -12,9 +12,17 @@ use std::collections::HashSet;
 ///
 /// Pairs are keyed by the x86 addresses of the two memory instructions and
 /// are unordered.
+///
+/// The profile only grows, and it keeps its pairs in insertion order as
+/// well: [`AliasProfile::epoch`] names a point in that order and
+/// [`AliasProfile::pairs_since`] returns what was learned after it, so a
+/// caller holding a result computed at an older epoch can check it against
+/// the new pairs alone.
 #[derive(Debug, Clone, Default)]
 pub struct AliasProfile {
     pairs: HashSet<(u32, u32)>,
+    /// Every pair of `pairs`, in the order it was first recorded.
+    log: Vec<(u32, u32)>,
 }
 
 impl AliasProfile {
@@ -40,7 +48,26 @@ impl AliasProfile {
     /// Records that the memory instructions at `a` and `b` touched the same
     /// address in some dynamic instance.
     pub fn record(&mut self, a: u32, b: u32) {
-        self.pairs.insert(Self::key(a, b));
+        let key = Self::key(a, b);
+        if self.pairs.insert(key) {
+            self.log.push(key);
+        }
+    }
+
+    /// The profile's current epoch: the number of distinct pairs recorded
+    /// so far. It advances exactly when a new pair is recorded.
+    pub fn epoch(&self) -> usize {
+        self.log.len()
+    }
+
+    /// The pairs first recorded at or after epoch `e`, in recording order,
+    /// each as `(lower address, higher address)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is later than [`AliasProfile::epoch`].
+    pub fn pairs_since(&self, e: usize) -> &[(u32, u32)] {
+        &self.log[e..]
     }
 
     /// True if an aliasing event between `a` and `b` was ever observed.
@@ -60,7 +87,9 @@ impl AliasProfile {
 
     /// Merges another profile into this one.
     pub fn merge(&mut self, other: &AliasProfile) {
-        self.pairs.extend(other.pairs.iter().copied());
+        for &(a, b) in &other.log {
+            self.record(a, b);
+        }
     }
 }
 
@@ -89,6 +118,37 @@ mod tests {
         a.merge(&b);
         assert!(a.aliased(1, 2) && a.aliased(3, 4));
         assert_eq!(a.len(), 2);
+    }
+
+    #[test]
+    fn epoch_advances_only_on_new_pairs() {
+        let mut p = AliasProfile::new();
+        assert_eq!(p.epoch(), 0);
+        p.record(0x20, 0x10);
+        p.record(0x30, 0x40);
+        assert_eq!(p.epoch(), 2);
+        let e = p.epoch();
+        p.record(0x10, 0x20);
+        p.record(0x40, 0x30);
+        assert_eq!(p.epoch(), e, "duplicates do not advance the epoch");
+        assert!(p.pairs_since(e).is_empty());
+        p.record(0x50, 0x50);
+        p.record(0x60, 0x10);
+        p.record(0x10, 0x60);
+        assert_eq!(p.pairs_since(e), &[(0x50, 0x50), (0x10, 0x60)]);
+        assert_eq!(p.pairs_since(0).len(), 4);
+        assert!(p.pairs_since(p.epoch()).is_empty());
+    }
+
+    #[test]
+    fn merge_logs_only_new_pairs() {
+        let mut a = AliasProfile::new();
+        a.record(1, 2);
+        let mut b = AliasProfile::new();
+        b.record(2, 1);
+        b.record(3, 4);
+        a.merge(&b);
+        assert_eq!(a.pairs_since(0), &[(1, 2), (3, 4)]);
     }
 
     #[test]

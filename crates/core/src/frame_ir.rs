@@ -21,7 +21,10 @@ use replay_uop::{ArchReg, Opcode, RegSet};
 /// consistent.
 #[derive(Debug, Clone)]
 pub struct OptFrame {
-    /// Frame identity (inherited from construction).
+    /// Frame identity (inherited from construction). The simulator's
+    /// frame memo reuses one optimized frame for every later identical
+    /// construction, so there it names the first of them; nothing in the
+    /// simulator reads it.
     pub id: FrameId,
     /// x86 entry address.
     pub start_addr: u32,

@@ -9,13 +9,13 @@
 //! a frame-cache hit is a reference-count bump, and frame probes reuse one
 //! [`ExecScratch`] instead of cloning the golden machine state.
 
-use crate::framestore::{frame_key, FrameBundle};
+use crate::framestore::{frame_key, FrameBundle, FrameMemo};
 use crate::{ConfigKind, Injector, SimConfig, SimResult, TraceEntry, TraceFiller};
 use replay_core::{
     observe_opt_totals, optimize_timed, probe_frame, AliasProfile, ExecPlan, ExecScratch, OptFrame,
     OptStats, OptTimings, OptimizerDatapath, PassId, PlanScratch, ProbeOutcome,
 };
-use replay_frame::{CacheEntry, FrameCache, FrameConstructor, RetireEvent};
+use replay_frame::{CacheEntry, Frame, FrameCache, FrameConstructor, RetireEvent};
 use replay_obs::{Hist, Obs};
 use replay_timing::{FetchPath, FrameFetch, Pipeline, X86Fetch};
 use replay_trace::{Trace, TraceRecord};
@@ -155,6 +155,9 @@ struct Runner<'a> {
     filler: TraceFiller,
     datapath: OptimizerDatapath<CachedFrame>,
     profile: AliasProfile,
+    /// This run's optimization results, reused for every frame identical
+    /// to one built before (RP and RPO).
+    memo: FrameMemo,
     /// Persistent cache of optimized frames for this `(trace, opt config)`
     /// pair; present only under RPO when the artifact store is enabled.
     bundle: Option<FrameBundle>,
@@ -210,6 +213,7 @@ impl<'a> Runner<'a> {
             filler: TraceFiller::new(),
             datapath: OptimizerDatapath::new(cfg.datapath),
             profile: AliasProfile::new(),
+            memo: FrameMemo::new(cfg.timing.frame_cache_uops),
             bundle: (cfg.kind == ConfigKind::ReplayOpt)
                 .then(|| FrameBundle::open(trace, &cfg.opt))
                 .flatten(),
@@ -339,85 +343,97 @@ impl<'a> Runner<'a> {
 
     /// Optimizes (or merely remaps) a newly constructed frame and routes
     /// it toward the frame cache.
-    fn handle_new_frame(&mut self, frame: replay_frame::Frame) {
+    ///
+    /// A frame identical to one built earlier in the run reuses that
+    /// frame's result from the memo; everything else below (statistics,
+    /// verification, the datapath's modeled latency, a fresh `SpecState`)
+    /// happens for every frame, so a hit changes no simulated number.
+    fn handle_new_frame(&mut self, frame: Frame) {
         let now = self.pipeline.cycles();
         let key = self.static_id(frame.start_addr);
-        match self.cfg.kind {
-            ConfigKind::ReplayOpt => {
-                self.profile_span(frame.x86_count());
-                // The remapped pre-optimization frame is both the
-                // persistent-store key input and the verifier reference;
-                // build it only when one of them will use it, keeping the
-                // store-less, verify-less path allocation-lean.
-                let raw = (self.bundle.is_some() || self.cfg.verify)
-                    .then(|| OptFrame::from_frame(&frame));
-                let cached = match (&self.bundle, &raw) {
-                    (Some(bundle), Some(raw)) => {
-                        let key = frame_key(raw, &self.profile);
-                        Some((key, bundle.get(key)))
-                    }
-                    _ => None,
-                };
-                let (opt, stats) = match cached {
-                    // Warm hit: the stored result and its statistics are
-                    // bit-identical to what the passes would produce.
-                    Some((_, Some(hit))) => hit,
-                    miss => {
-                        let (opt, stats) = optimize_timed(
-                            &frame,
-                            &self.profile,
-                            &self.cfg.opt,
-                            &mut self.opt_timings,
-                        );
-                        let opt = Arc::new(opt);
-                        if let (Some((key, None)), Some(bundle)) = (miss, self.bundle.as_mut()) {
-                            bundle.insert(key, Arc::clone(&opt), stats);
-                        }
-                        (opt, stats)
-                    }
-                };
-                self.opt_stats += stats;
-                self.opt_removed.record(stats.removed_uops());
-                if self.cfg.verify {
-                    let mut raw = raw.expect("reference frame built when verification is on");
-                    raw.compact();
-                    self.verifier.check(&raw, &opt, self.injector.golden());
-                }
-                // Frames become visible only after the optimizer datapath's
-                // pipelined latency (10 cycles per uop).
-                self.datapath.offer(
-                    CachedFrame {
-                        key,
-                        opt,
-                        removed_by_pass: stats.removed_by_pass,
-                        spec: Arc::new(SpecState::default()),
-                    },
-                    frame.orig_uop_count,
-                    now,
-                );
-            }
-            _ => {
-                // Basic rePLay: frames go straight into the cache (§6.3).
-                let mut opt = OptFrame::from_frame(&frame);
-                opt.compact();
-                self.opt_stats += OptStats {
-                    uops_before: opt.uop_count() as u64,
-                    uops_after: opt.uop_count() as u64,
-                    loads_before: opt.load_count() as u64,
-                    loads_after: opt.load_count() as u64,
-                    ..OptStats::default()
-                };
-                self.frame_cache.insert(
-                    key,
-                    CachedFrame {
-                        key,
-                        opt: Arc::new(opt),
-                        removed_by_pass: [0; 7],
-                        spec: Arc::new(SpecState::default()),
-                    },
-                );
-            }
+        let rpo = self.cfg.kind == ConfigKind::ReplayOpt;
+        if rpo {
+            self.profile_span(frame.x86_count());
         }
+        let hit = self.memo.get(key, &frame, &self.profile);
+        #[cfg(debug_assertions)]
+        if let Some(hit) = &hit {
+            let fresh = if rpo {
+                replay_core::optimize(&frame, &self.profile, &self.cfg.opt)
+            } else {
+                remap(&frame)
+            };
+            self.memo.assert_exact(hit, fresh);
+        }
+        // The remapped pre-optimization frame is both the persistent-store
+        // key input and the verifier reference; build it only when one of
+        // them will use it, keeping the store-less, verify-less path
+        // allocation-lean.
+        let raw = (rpo && (self.cfg.verify || (hit.is_none() && self.bundle.is_some())))
+            .then(|| OptFrame::from_frame(&frame));
+        let memoized = hit.is_some();
+        let (opt, stats) = match hit {
+            Some(hit) => hit,
+            None if rpo => self.optimize_cold(&frame, raw.as_ref()),
+            None => {
+                let (opt, stats) = remap(&frame);
+                (Arc::new(opt), stats)
+            }
+        };
+        self.opt_stats += stats;
+        let cached = CachedFrame {
+            key,
+            opt: Arc::clone(&opt),
+            removed_by_pass: stats.removed_by_pass,
+            spec: Arc::new(SpecState::default()),
+        };
+        let orig_uop_count = frame.orig_uop_count;
+        if !memoized {
+            self.memo.insert(key, frame, &self.profile, (opt, stats));
+        }
+        if rpo {
+            self.opt_removed.record(stats.removed_uops());
+            if let Some(mut raw) = raw.filter(|_| self.cfg.verify) {
+                raw.compact();
+                self.verifier
+                    .check(&raw, &cached.opt, self.injector.golden());
+            }
+            // Frames become visible only after the optimizer datapath's
+            // pipelined latency (10 cycles per uop).
+            self.datapath.offer(cached, orig_uop_count, now);
+        } else {
+            // Basic rePLay: frames go straight into the cache (§6.3).
+            self.frame_cache.insert(key, cached);
+        }
+    }
+
+    /// Optimizes a frame the memo does not hold, through the persistent
+    /// bundle when the artifact store is enabled (`raw` is the remapped
+    /// frame, built whenever there is a bundle).
+    fn optimize_cold(
+        &mut self,
+        frame: &Frame,
+        raw: Option<&OptFrame>,
+    ) -> (Arc<OptFrame>, OptStats) {
+        let bundle_key = match (&self.bundle, raw) {
+            (Some(bundle), Some(raw)) => {
+                let key = frame_key(raw, &self.profile);
+                // Warm hit: the stored result and its statistics are
+                // bit-identical to what the passes would produce.
+                if let Some(hit) = bundle.get(key) {
+                    return hit;
+                }
+                Some(key)
+            }
+            _ => None,
+        };
+        let (opt, stats) =
+            optimize_timed(frame, &self.profile, &self.cfg.opt, &mut self.opt_timings);
+        let opt = Arc::new(opt);
+        if let (Some(key), Some(bundle)) = (bundle_key, self.bundle.as_mut()) {
+            bundle.insert(key, Arc::clone(&opt), stats);
+        }
+        (opt, stats)
     }
 
     /// Fetches one dynamic instance of a cached frame starting at record
@@ -721,6 +737,21 @@ impl<'a> Runner<'a> {
             profile: self.obs.into_profile(),
         }
     }
+}
+
+/// Basic rePLay's frame (§6.3): remapped and compacted, with statistics
+/// that record nothing removed.
+fn remap(frame: &Frame) -> (OptFrame, OptStats) {
+    let mut opt = OptFrame::from_frame(frame);
+    opt.compact();
+    let stats = OptStats {
+        uops_before: opt.uop_count() as u64,
+        uops_after: opt.uop_count() as u64,
+        loads_before: opt.load_count() as u64,
+        loads_after: opt.load_count() as u64,
+        ..OptStats::default()
+    };
+    (opt, stats)
 }
 
 /// Simulates one trace through one configuration.
