@@ -372,12 +372,9 @@ const SPEC_SERVE: CmdSpec = CmdSpec {
         flag(&["addr"], "ADDR"),
         flag(&["peers"], "ADDR,ADDR,..."),
         flag(&["cluster-addr"], "ADDR"),
-        flag(&["cluster-proxy"], ""),
         flag(&["push-fanout"], "N"),
         JOBS_FLAG,
-        flag(&["event-loop"], "on|off"),
         flag(&["max-conns"], "N"),
-        flag(&["conn-queue"], "N"),
         flag(&["work-queue"], "N"),
         flag(&["batch-max"], "N"),
         CACHE_DIR_FLAG,
@@ -883,13 +880,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         jobs: opts.jobs()?,
         ..replay_serve::ServerConfig::default()
     };
-    if let Some(n) = opts.get("conn-queue") {
-        cfg.conn_queue = n
-            .parse()
-            .ok()
-            .filter(|n| *n >= 1)
-            .ok_or_else(|| format!("bad --conn-queue value {n:?}"))?;
-    }
     if let Some(n) = opts.get("work-queue") {
         cfg.work_queue = n
             .parse()
@@ -904,20 +894,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .filter(|n| *n >= 1)
             .ok_or_else(|| format!("bad --batch-max value {n:?}"))?;
     }
-    if let Some(v) = opts.get("event-loop") {
-        cfg.event_loop = match v {
-            "on" => {
-                if !replay_serve::poll::supported() {
-                    return Err("--event-loop on: readiness polling is not \
-                                supported on this target"
-                        .to_string());
-                }
-                true
-            }
-            "off" => false,
-            other => return Err(format!("bad --event-loop value {other:?} (want on|off)")),
-        };
-    }
     if let Some(n) = opts.get("max-conns") {
         cfg.max_conns = n
             .parse()
@@ -926,23 +902,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .ok_or_else(|| format!("bad --max-conns value {n:?}"))?;
     }
     replay_serve::signal::install();
-    if cfg.event_loop {
-        // Every held connection is a file descriptor; give the ceiling
-        // headroom before the first accept rather than failing under load.
-        let _ = replay_serve::poll::raise_nofile_limit(cfg.max_conns as u64 + 512);
-    }
+    // Every held connection is a file descriptor; give the ceiling
+    // headroom before the first accept rather than failing under load.
+    let _ = replay_serve::poll::raise_nofile_limit(cfg.max_conns as u64 + 512);
     let jobs = cfg.jobs;
-    let front = if cfg.event_loop {
-        "event-loop front"
-    } else {
-        "thread front"
-    };
     let mut server =
         replay_serve::Server::bind(addr, cfg).map_err(|e| format!("binding {addr:?}: {e}"))?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;
     if let Some(peer_list) = peers {
         let mut ccfg = replay_serve::ClusterConfig::new(self_addr.clone(), peer_list);
-        ccfg.proxy = opts.has("cluster-proxy");
         ccfg.push_fanout = opts.count("push-fanout", ccfg.push_fanout)?;
         let members = {
             // The ring dedups and adds self if absent; mirror that here
@@ -954,13 +922,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             m.len()
         };
         println!(
-            "cluster mode: {self_addr} on a {members}-member ring ({} misses, fanout {})",
-            if ccfg.proxy { "proxies" } else { "redirects" },
+            "cluster mode: {self_addr} on a {members}-member ring (redirects misses, fanout {})",
             ccfg.push_fanout,
         );
         server.configure_cluster(ccfg);
     }
-    println!("replay-serve listening on {bound} ({jobs} workers, {front}; SIGTERM/ctrl-c drains)");
+    println!(
+        "replay-serve listening on {bound} ({jobs} workers, event-loop front; SIGTERM/ctrl-c drains)"
+    );
     let stats = server.run();
     println!("drained; serve metrics:");
     print!("{}", stats.profile.render_table(false));

@@ -4,9 +4,9 @@
 //! One [`ClusterState`] per serve process ties three things together:
 //!
 //! 1. **Request routing** — [`ClusterState::route_request`] answers, for
-//!    every decoded client request, whether this node serves it locally,
-//!    redirects the client to the ring owner ([`Status::NotOwner`] with
-//!    the owner's address), or proxies it to the owner itself. A
+//!    every decoded client request, whether this node serves it locally
+//!    or redirects the client to the ring owner ([`Status::NotOwner`]
+//!    with the owner's address); a node never forwards a request. A
 //!    *relayed* request ([`Request::relayed`]) is always served locally:
 //!    that single rule bounds every request to at most one redirect hop
 //!    and makes routing loops structurally impossible, even when the
@@ -25,10 +25,8 @@
 //!
 //! Byte-identity across nodes costs nothing here: every node renders
 //! responses through the same deterministic
-//! [`replay_sim::report::render_report`] path, so a proxied, redirected,
-//! or failed-over response is bit-equal to a local one — which is why
-//! proxy failure can safely *fall back to local simulation* instead of
-//! failing the request.
+//! [`replay_sim::report::render_report`] path, so a redirected or
+//! failed-over response is bit-equal to a local one.
 
 use crate::proto::{
     read_frame, write_frame, Message, PeerArtifact, PeerFetch, PeerPush, Request, Response, Status,
@@ -52,12 +50,6 @@ pub struct ClusterConfig {
     /// Every member's advertised address, including this node's. Order
     /// and duplicates are irrelevant; the ring sorts and dedups.
     pub peers: Vec<String>,
-    /// Serve misrouted requests by proxying to the owner (`true`) instead
-    /// of answering [`Status::NotOwner`] (`false`, the default). Proxy
-    /// failure falls back to local simulation — responses are
-    /// byte-identical from any node, so correctness never depends on the
-    /// owner being reachable.
-    pub proxy: bool,
     /// Gossip fanout: a freshly synthesized artifact is pushed to this
     /// many ring successors of its key (0 disables gossip; pull-on-miss
     /// still works).
@@ -65,9 +57,6 @@ pub struct ClusterConfig {
     /// Connect/IO timeout for peer artifact RPCs. Short: a slow peer
     /// must cost less than the synthesis it would save.
     pub peer_io_timeout: Duration,
-    /// Connect/IO timeout for proxied simulation requests. Long: a proxy
-    /// carries a full simulation.
-    pub proxy_timeout: Duration,
 }
 
 impl ClusterConfig {
@@ -76,10 +65,8 @@ impl ClusterConfig {
         ClusterConfig {
             self_addr: self_addr.into(),
             peers,
-            proxy: false,
             push_fanout: 1,
             peer_io_timeout: Duration::from_secs(2),
-            proxy_timeout: Duration::from_secs(60),
         }
     }
 }
@@ -93,12 +80,10 @@ pub enum RequestRoute {
     /// Another node owns the key: answer [`Status::NotOwner`] carrying
     /// this owner address.
     Redirect(String),
-    /// Another node owns the key and proxying is on: forward there.
-    Proxy(String),
 }
 
 /// Shared, immutable-after-construction cluster state plus counters.
-/// Cheap to share across fronts and the dispatcher behind an `Arc`.
+/// Cheap to share between the front and the dispatcher behind an `Arc`.
 pub struct ClusterState {
     cfg: ClusterConfig,
     ring: Ring,
@@ -109,8 +94,6 @@ pub struct ClusterState {
     owned: AtomicU64,
     relayed_served: AtomicU64,
     redirected: AtomicU64,
-    proxied: AtomicU64,
-    proxy_fallback: AtomicU64,
     // serve.peer.*
     artifact_pulls: AtomicU64,
     pull_misses: AtomicU64,
@@ -126,7 +109,6 @@ impl std::fmt::Debug for ClusterState {
         f.debug_struct("ClusterState")
             .field("self_addr", &self.cfg.self_addr)
             .field("members", &self.ring.nodes())
-            .field("proxy", &self.cfg.proxy)
             .finish()
     }
 }
@@ -147,8 +129,6 @@ impl ClusterState {
             owned: AtomicU64::new(0),
             relayed_served: AtomicU64::new(0),
             redirected: AtomicU64::new(0),
-            proxied: AtomicU64::new(0),
-            proxy_fallback: AtomicU64::new(0),
             artifact_pulls: AtomicU64::new(0),
             pull_misses: AtomicU64::new(0),
             artifact_pushes: AtomicU64::new(0),
@@ -173,8 +153,8 @@ impl ClusterState {
     ///
     /// The anti-loop invariant lives here: a request with
     /// [`Request::relayed`] set is *always* [`RequestRoute::Local`] — a
-    /// node never redirects or proxies a request that has already been
-    /// routed once, no matter what its own ring says.
+    /// node never redirects a request that has already been routed once,
+    /// no matter what its own ring says.
     pub fn route_request(&self, req: &Request) -> RequestRoute {
         if req.relayed {
             self.relayed_served.fetch_add(1, Ordering::Relaxed);
@@ -186,36 +166,11 @@ impl ClusterState {
                 self.owned.fetch_add(1, Ordering::Relaxed);
                 RequestRoute::Local
             }
-            Some(owner) if self.cfg.proxy => RequestRoute::Proxy(owner.to_string()),
             Some(owner) => {
                 self.redirected.fetch_add(1, Ordering::Relaxed);
                 RequestRoute::Redirect(owner.to_string())
             }
         }
-    }
-
-    /// Forwards a request to its owner and returns the owner's response,
-    /// or `None` on any transport failure (the caller falls back to local
-    /// simulation — byte-identical by construction — and the fallback is
-    /// counted). The forwarded copy travels with `relayed` set, so the
-    /// owner can never answer `NotOwner` back: proxy chains are one hop
-    /// by the same invariant that bounds client redirects.
-    pub fn proxy_request(&self, owner: &str, req: &Request) -> Option<Response> {
-        let mut relayed = req.clone();
-        relayed.relayed = true;
-        let reply = peer_call(owner, &relayed.encode(), self.cfg.proxy_timeout).ok()?;
-        match Response::decode(&reply) {
-            Ok(resp) => {
-                self.proxied.fetch_add(1, Ordering::Relaxed);
-                Some(resp)
-            }
-            Err(_) => None,
-        }
-    }
-
-    /// Counts a proxy failure that fell back to local simulation.
-    pub fn count_proxy_fallback(&self) {
-        self.proxy_fallback.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Serves a peer's artifact fetch from the local store.
@@ -268,11 +223,6 @@ impl ClusterState {
         obs.counter(
             "serve.ring.redirected",
             self.redirected.load(Ordering::Relaxed),
-        );
-        obs.counter("serve.ring.proxied", self.proxied.load(Ordering::Relaxed));
-        obs.counter(
-            "serve.ring.proxy_fallback",
-            self.proxy_fallback.load(Ordering::Relaxed),
         );
         obs.counter(
             "serve.peer.artifact_pulls",
@@ -427,7 +377,6 @@ mod tests {
                     RequestRoute::Redirect(to) => {
                         assert_eq!(to, owner, "redirects all point at the owner");
                     }
-                    RequestRoute::Proxy(_) => panic!("proxy is off"),
                 }
             }
             assert_eq!(locals, 1, "{name}: exactly one owner");
@@ -443,22 +392,6 @@ mod tests {
             let mut r = req("gzip");
             r.relayed = true;
             assert_eq!(s.route_request(&r), RequestRoute::Local, "{member}");
-        }
-    }
-
-    #[test]
-    fn proxy_mode_forwards_instead_of_redirecting() {
-        let mut cfg = ClusterConfig::new("10.0.0.1:21075", members());
-        cfg.proxy = true;
-        let s = ClusterState::new(cfg, None);
-        for name in ["gzip", "eon", "mcf", "twolf"] {
-            let r = req(name);
-            let owner = s.ring().owner(r.key()).unwrap().to_string();
-            match s.route_request(&r) {
-                RequestRoute::Local => assert_eq!(owner, "10.0.0.1:21075"),
-                RequestRoute::Proxy(to) => assert_eq!(to, owner),
-                RequestRoute::Redirect(_) => panic!("proxy mode must not redirect"),
-            }
         }
     }
 

@@ -93,8 +93,8 @@ pub struct Conn<S> {
     pub token: u64,
     /// Last time any byte moved — the idle-sweep clock.
     pub last_activity: Instant,
-    /// Set when the request frame completed; latency is measured from
-    /// here, mirroring the thread-per-connection path.
+    /// Set when the request frame completed — the instant the request's
+    /// latency is measured from.
     pub received: Option<Instant>,
     len_buf: [u8; 4],
     filled: usize,

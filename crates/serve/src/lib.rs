@@ -15,18 +15,17 @@
 //!
 //! The robustness story, end to end:
 //!
-//! - **Event-driven serve core** — by default one thread holds every
-//!   connection as a small state machine ([`conn`]) over a readiness
-//!   poller ([`poll`]: a zero-dep raw-syscall `epoll` shim), so tens of
-//!   thousands of idle or byte-dribbling clients cost file descriptors,
-//!   not blocked OS threads. The original thread-per-connection path is
-//!   kept behind [`ServerConfig::event_loop`]` = false` for
-//!   differential testing; responses are byte-identical either way.
-//! - **Bounded queues, typed shedding** — the intake and work queues are
-//!   bounded; a full queue answers [`proto::Status::Overloaded`] with a
-//!   retry hint, and a *draining* server answers
-//!   [`proto::Status::ShuttingDown`], instead of hanging the connection
-//!   ([`queue`]).
+//! - **Event-driven serve core** — one thread holds every connection as
+//!   a small state machine ([`conn`]) over a readiness poller ([`poll`]:
+//!   a zero-dep raw-syscall `epoll` shim), so tens of thousands of idle
+//!   or byte-dribbling clients cost file descriptors, not blocked OS
+//!   threads. Targets without the shim get a typed
+//!   [`std::io::ErrorKind::Unsupported`] from [`Server::bind`].
+//! - **Bounded intake, typed shedding** — the connection count and the
+//!   work queue are bounded; a connection over the ceiling or a full
+//!   queue is answered [`proto::Status::Overloaded`] with a retry hint,
+//!   and a *draining* server answers [`proto::Status::ShuttingDown`],
+//!   instead of hanging the connection ([`queue`]).
 //! - **Batching with deduplication** — the dispatcher collects requests
 //!   into batches, deduplicates identical ones (one simulation, many
 //!   responses), and submits each batch as a single worker-pool run
@@ -39,14 +38,14 @@
 //!   [`replay_rng::SmallRng`], so retry schedules are reproducible under
 //!   test.
 //! - **Graceful drain** — SIGTERM/ctrl-c ([`signal`]) or the programmatic
-//!   flag stops accepting immediately, then every accepted connection is
-//!   parsed, simulated, and answered before [`Server::run`] returns.
+//!   flag stops accepting immediately, then every parsed request is
+//!   simulated and answered before [`Server::run`] returns.
 //! - **Observability** — queue depths, batch sizes, shed/deadline/retry
 //!   counts, and per-request latency land in a [`replay_obs::Profile`]
 //!   returned from [`Server::run`].
 //! - **Cluster mode** — `--peers` shards the request key space over a
-//!   deterministic consistent-hash ring ([`ring`]); non-owners redirect
-//!   (or proxy) to the owner, nodes replicate warm RPAS artifacts
+//!   deterministic consistent-hash ring ([`ring`]); non-owners answer
+//!   `NotOwner` naming the owner, nodes replicate warm RPAS artifacts
 //!   peer-to-peer (pull-on-miss plus gossip-on-write, [`cluster`]), and
 //!   the multi-address client fails over along the same ring without
 //!   ever hot-looping.

@@ -23,8 +23,9 @@
 //!   [`Doorbell::drain`] on wakeup).
 //! - [`supported`] — whether this target has the shim at all. On
 //!   unsupported targets every constructor returns
-//!   [`io::ErrorKind::Unsupported`] and the server falls back to the
-//!   thread-per-connection path.
+//!   [`io::ErrorKind::Unsupported`], which is the error
+//!   [`crate::Server::bind`] reports there: the server has no other
+//!   front.
 //!
 //! Tokens, not pointers, ride in `epoll_data`: the loop owns a map from
 //! token to connection, so there is no aliasing to get wrong and a stale
@@ -33,8 +34,8 @@
 use std::io;
 
 /// True when the readiness shim works on this target (Linux on x86_64 or
-/// aarch64). Everywhere else the event-driven server mode is unavailable
-/// and [`Poller::new`] returns [`io::ErrorKind::Unsupported`].
+/// aarch64). Everywhere else the server cannot run and [`Poller::new`]
+/// returns [`io::ErrorKind::Unsupported`].
 pub const fn supported() -> bool {
     cfg!(all(
         target_os = "linux",
@@ -42,8 +43,9 @@ pub const fn supported() -> bool {
     ))
 }
 
-/// Which readiness a registration asks for. Error/hangup conditions are
-/// always reported regardless of interest.
+/// Which readiness a registration asks for. Errors and full hangups are
+/// always reported; a half-close (the peer stopped sending) only with
+/// read interest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
     /// Wake when the fd is readable.
@@ -63,9 +65,10 @@ impl Interest {
         readable: false,
         writable: true,
     };
-    /// Neither — the fd stays registered (hangup still reported) but
-    /// produces no readiness wakeups. Used while a request is dispatched
-    /// and the connection has nothing to read or write.
+    /// Neither — the fd stays registered (a full hangup or error is still
+    /// reported, a half-close is not) but produces no readiness wakeups.
+    /// Used while a request is dispatched and the connection has nothing
+    /// to read or write.
     pub const NONE: Interest = Interest {
         readable: false,
         writable: false,
@@ -81,9 +84,13 @@ pub struct Event {
     pub readable: bool,
     /// The fd can take more bytes.
     pub writable: bool,
-    /// The peer hung up or the fd errored (`EPOLLERR | EPOLLHUP |
-    /// EPOLLRDHUP`); the connection is finished either way.
+    /// The peer stopped sending, hung up, or the fd errored (`EPOLLRDHUP
+    /// | EPOLLHUP | EPOLLERR`).
     pub closed: bool,
+    /// The subset of `closed` that also ends the write side (`EPOLLHUP |
+    /// EPOLLERR`): nothing more can reach the peer. A half-closed peer
+    /// (`closed` alone) may still be waiting for its response.
+    pub hung_up: bool,
 }
 
 #[cfg(all(
@@ -333,10 +340,14 @@ mod imp {
     use super::{sys, Event, Interest};
     use std::io;
 
+    /// `EPOLLERR | EPOLLHUP` are implicit in every registration. The
+    /// half-close bit rides with read interest only: it is level-triggered,
+    /// so watching it on a connection that no longer reads would wake
+    /// every wait until the connection closes.
     fn mask(interest: Interest) -> u32 {
-        let mut m = sys::EPOLLRDHUP;
+        let mut m = 0;
         if interest.readable {
-            m |= sys::EPOLLIN;
+            m |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
         if interest.writable {
             m |= sys::EPOLLOUT;
@@ -395,6 +406,7 @@ mod imp {
                     readable: events & sys::EPOLLIN != 0,
                     writable: events & sys::EPOLLOUT != 0,
                     closed: events & (sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0,
+                    hung_up: events & (sys::EPOLLERR | sys::EPOLLHUP) != 0,
                 });
             }
             Ok(n)
@@ -521,8 +533,8 @@ impl Poller {
         })
     }
 
-    /// Registers `fd` under `token` with the given interest. Hangup and
-    /// error conditions are always reported.
+    /// Registers `fd` under `token` with the given interest. Full hangup
+    /// and error conditions are always reported.
     pub fn add(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
         self.inner.add(fd, token, interest)
     }
@@ -595,7 +607,7 @@ pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
 mod tests {
     use super::*;
     use std::io::Write;
-    use std::net::{TcpListener, TcpStream};
+    use std::net::{Shutdown, TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
     use std::time::Duration;
 
@@ -653,6 +665,41 @@ mod tests {
         poller.wait(&mut events, 1000).expect("wait");
         assert_eq!(events.len(), 1);
         assert!(events[0].closed, "peer hangup must surface as closed");
+    }
+
+    #[test]
+    fn half_close_is_reported_only_to_readers_and_full_hangup_always() {
+        if !supported() {
+            return;
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = TcpStream::connect(addr).expect("connect");
+        let (server_side, _) = listener.accept().expect("accept");
+        server_side.set_nonblocking(true).expect("nonblocking");
+        let fd = server_side.as_raw_fd();
+
+        let mut poller = Poller::new().expect("epoll");
+        poller.add(fd, 5, Interest::READ).expect("add");
+        client.shutdown(Shutdown::Write).expect("half-close");
+        let mut events = Vec::new();
+        poller.wait(&mut events, 1000).expect("wait");
+        assert_eq!(events.len(), 1);
+        assert!(events[0].closed, "a reader sees the half-close");
+        assert!(!events[0].hung_up, "the peer can still read");
+
+        // Without read interest a half-closed socket stays quiet:
+        // level-triggered, it would otherwise report on every wait.
+        poller.modify(fd, 5, Interest::NONE).expect("modify");
+        poller.wait(&mut events, 0).expect("wait");
+        assert!(events.is_empty(), "half-close must not wake a non-reader");
+
+        // Closing our side too finishes both directions: reported even
+        // with no interest at all.
+        server_side.shutdown(Shutdown::Write).expect("shutdown");
+        poller.wait(&mut events, 1000).expect("wait");
+        assert_eq!(events.len(), 1);
+        assert!(events[0].hung_up, "a full hangup is always reported");
     }
 
     #[test]

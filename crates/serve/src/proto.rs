@@ -103,9 +103,9 @@ pub struct Request {
     /// A request older than its deadline when dispatch begins is answered
     /// with [`Status::DeadlineExceeded`] instead of being simulated.
     pub deadline_ms: u64,
-    /// Cluster routing flag: set when the sender has already routed this
-    /// request (a client that rotated off the ring owner, or a proxying
-    /// peer). A server must serve a relayed request locally — never
+    /// Cluster routing flag: set when the client has already routed this
+    /// request (it followed a [`Status::NotOwner`] redirect or rotated off
+    /// the ring owner). A server must serve a relayed request locally — never
     /// answer [`Status::NotOwner`] — which is what bounds every request
     /// to at most one redirect and makes redirect loops impossible.
     /// Excluded from [`Request::key`]: routing does not change identity.

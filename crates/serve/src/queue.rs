@@ -1,6 +1,6 @@
 //! A bounded MPMC queue with explicit shedding semantics.
 //!
-//! The server's backpressure story is built on two of these: a full queue
+//! The server's backpressure story is built on this queue: a full queue
 //! *rejects* the push (so the caller can answer [`Overloaded`] instead of
 //! hanging the connection), and a closed queue drains — consumers keep
 //! popping until it is empty, which is exactly the graceful-shutdown

@@ -1,50 +1,46 @@
-//! The serving core: two interchangeable front halves feeding one
-//! dispatcher.
+//! The serving core: an event-driven front feeding one dispatcher.
 //!
 //! ```text
-//!  event mode (default):                 thread mode (--event-loop off):
-//!
-//!   epoll ◄─── doorbell ◄──┐               conn queue (bounded)
-//!     │ readiness          │             accept ─► [TcpStream,..] ─► readers
-//!     ▼                    │               │shed: typed response      │
-//!   conn state machines    │               ▼                          ▼
-//!     │ complete frames    │             respond            work queue (bounded)
-//!     ▼                    │                                          │
-//!   work queue (bounded) ──┴─────────────────────────────◄────────────┘
-//!     │
-//!     ▼
+//!   epoll ◄─── doorbell ◄──────────┐
+//!     │ readiness                  │
+//!     ▼                            │
+//!   conn state machines            │ completions
+//!     │ complete frames            │
+//!     ▼                            │
+//!   work queue (bounded)           │
+//!     │                            │
+//!     ▼                            │
 //!   dispatcher: batch → dedupe → run_specs → respond
 //! ```
 //!
-//! The **event-driven front** (one thread, [`crate::poll`] +
-//! [`crate::conn`]) holds every connection as a small state machine:
-//! tens of thousands of idle or byte-dribbling clients cost file
-//! descriptors, not blocked OS threads, and a slow peer can only ever
-//! starve itself. The **thread front** keeps the original blocking
-//! accept/read/write path — retained behind
-//! [`ServerConfig::event_loop`]` = false` for differential testing and
-//! for targets without the epoll shim.
+//! The front is one thread ([`crate::poll`] + [`crate::conn`]) that holds
+//! every connection as a small state machine: tens of thousands of idle
+//! or byte-dribbling clients cost file descriptors, not blocked OS
+//! threads, and a slow peer can only ever starve itself. Targets without
+//! the epoll shim cannot serve: [`Server::bind`] returns the shim's
+//! [`io::ErrorKind::Unsupported`] error.
 //!
-//! Both fronts shed instead of blocking: a full queue turns into a typed
+//! The front sheds instead of blocking: a full queue (or a connection
+//! over [`ServerConfig::max_conns`]) turns into a typed
 //! [`Status::Overloaded`] response with a retry hint, a *closed* queue
 //! (the server is draining) into [`Status::ShuttingDown`] — never a hung
-//! connection. The shared dispatcher collects jobs into batches
-//! (deduplicating identical requests batch-locally), runs each batch as
-//! one [`run_specs`] call on the shared worker pool, and renders
-//! responses through the same [`replay_sim::report`] code path the CLI
-//! uses — which is what makes a served body byte-identical to a local
-//! `replay report --json` regardless of which front carried it.
+//! connection. The dispatcher collects jobs into batches (deduplicating
+//! identical requests batch-locally), runs each batch as one
+//! [`run_specs`] call on the shared worker pool, and renders responses
+//! through the same [`replay_sim::report`] code path the CLI uses — which
+//! is what makes a served body byte-identical to a local
+//! `replay report --json`.
 //!
 //! Shutdown (programmatic flag or SIGTERM via [`crate::signal`]) stops
 //! the accept path immediately, then *drains*: requests already parsed
-//! are simulated and answered; event-mode connections that never sent a
-//! complete request are closed (they may never speak), and only then
-//! does [`Server::run`] return.
+//! are simulated and answered; connections that never sent a complete
+//! request are closed (they may never speak), and only then does
+//! [`Server::run`] return.
 
 use crate::cluster::{ClusterConfig, ClusterState, RequestRoute};
 use crate::conn::{Conn, ConnState, ReadStep, WriteStep};
 use crate::poll;
-use crate::proto::{read_frame, write_frame, Message, Request, Response, Source, Status};
+use crate::proto::{Message, Request, Response, Source, Status};
 use crate::queue::{Bounded, Pop, PushError};
 use crate::signal;
 use replay_obs::{Obs, Profile, Registry};
@@ -54,7 +50,7 @@ use replay_sim::{Exchange, TraceStore};
 use replay_trace::{read_trace, workloads, Trace};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -65,10 +61,6 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Simulation worker threads per batch (the CLI's `--jobs`).
     pub jobs: usize,
-    /// Thread mode: accepted connections awaiting parse before shedding
-    /// starts. (The event loop parses incrementally and uses
-    /// [`ServerConfig::max_conns`] instead.)
-    pub conn_queue: usize,
     /// Parsed requests awaiting dispatch before shedding starts.
     pub work_queue: usize,
     /// Most requests dispatched as one simulation batch.
@@ -76,13 +68,9 @@ pub struct ServerConfig {
     /// How long the dispatcher lingers for stragglers after the first
     /// job of a batch arrives.
     pub batch_linger: Duration,
-    /// Thread mode: request-parsing threads. Unused by the event loop,
-    /// whose single thread parses every connection incrementally.
-    pub readers: usize,
-    /// Thread mode: socket read/write timeout. Event mode: how long a
-    /// connection may sit *mid-frame* (or mid-response) without moving a
-    /// byte before being closed — a connection that has sent nothing at
-    /// all is idle, not stalled, and is never timed out.
+    /// How long a connection may sit *mid-frame* (or mid-response)
+    /// without moving a byte before being closed — a connection that has
+    /// sent nothing at all is idle, not stalled, and is never timed out.
     pub io_timeout: Duration,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Duration,
@@ -92,12 +80,8 @@ pub struct ServerConfig {
     /// overload and deadline windows deterministic under test. Zero in
     /// production.
     pub batch_hold: Duration,
-    /// Serve with the readiness-polling event loop (default wherever
-    /// [`poll::supported`]); `false` selects the thread-per-connection
-    /// path. Responses are byte-identical either way.
-    pub event_loop: bool,
-    /// Event mode: concurrent-connection ceiling; the connection that
-    /// would exceed it is answered [`Status::Overloaded`] immediately.
+    /// Concurrent-connection ceiling; the connection that would exceed
+    /// it is answered [`Status::Overloaded`] immediately.
     pub max_conns: usize,
     /// Decoded inline traces kept warm, keyed by content digest, evicted
     /// least-recently-used. Bounded so sustained unique-trace traffic
@@ -109,16 +93,13 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             jobs: replay_sim::parallel::job_count(),
-            conn_queue: 128,
             work_queue: 64,
             batch_max: 8,
             batch_linger: Duration::from_millis(2),
-            readers: 2,
             io_timeout: Duration::from_secs(10),
             default_deadline: Duration::from_secs(30),
             retry_after: Duration::from_millis(50),
             batch_hold: Duration::ZERO,
-            event_loop: poll::supported(),
             max_conns: 20_000,
             inline_cache_cap: 64,
         }
@@ -126,8 +107,8 @@ impl Default for ServerConfig {
 }
 
 /// What [`Server::run`] returns after draining: the serve-side metrics
-/// profile (queue depths, batch sizes, shed/latency accounting, and in
-/// event mode the per-state connection counters).
+/// profile (queue depths, batch sizes, shed/latency accounting, and the
+/// per-state connection counters).
 #[derive(Debug)]
 pub struct ServeStats {
     /// Merged metrics from every serving thread, deterministic order.
@@ -155,7 +136,7 @@ impl ServeStats {
         self.profile.counter("serve.peer.artifact_pulls")
     }
 
-    /// Requests shed with [`Status::Overloaded`] (connection intake and
+    /// Requests shed with [`Status::Overloaded`] (connection ceiling and
     /// work queue).
     pub fn shed(&self) -> u64 {
         self.profile.counter("serve.shed.conn") + self.profile.counter("serve.shed.work")
@@ -169,19 +150,11 @@ impl ServeStats {
     }
 }
 
-/// Where a job's response must go.
-enum Reply {
-    /// Thread mode: write the frame on this (blocking) stream.
-    Stream(TcpStream),
-    /// Event mode: route the encoded response back to the loop under
-    /// this connection token (via the completion queue + doorbell).
-    Event(u64),
-}
-
-/// One parsed request awaiting dispatch.
+/// One parsed request awaiting dispatch. Its response goes back to the
+/// event loop under `token` (via the completion queue + doorbell).
 struct Job {
     req: Request,
-    reply: Reply,
+    token: u64,
     received: Instant,
 }
 
@@ -189,12 +162,12 @@ struct Job {
 /// loop: `(connection token, encoded response payload)`.
 type Completion = (u64, Vec<u8>);
 
-/// Maps a refused queue push to its wire response and shed counter —
-/// the single source of truth for both fronts and both queues. A *full*
-/// queue is genuine overload (retry after the hint); a *closed* queue
-/// means the server is draining, so the response says "shutting down"
-/// with a zero retry hint (retry immediately, elsewhere) and is counted
-/// separately.
+/// Maps a refused admission to its wire response and shed counter — the
+/// single source of truth for the connection ceiling and the work queue.
+/// A *full* queue is genuine overload (retry after the hint); a *closed*
+/// queue means the server is draining, so the response says "shutting
+/// down" with a zero retry hint (retry immediately, elsewhere) and is
+/// counted separately.
 fn shed_outcome(cfg: &ServerConfig, closed: bool, stage: &'static str) -> (Response, &'static str) {
     if closed {
         (
@@ -221,34 +194,20 @@ fn shed_outcome(cfg: &ServerConfig, closed: bool, stage: &'static str) -> (Respo
 /// `serve.latency_ms` histogram (tail latency is most interesting
 /// exactly when requests are being shed, which is when the old per-path
 /// responders used to skip it).
-fn finish_job(job: Job, resp: &Response, completions: Option<&Bounded<Completion>>, obs: &mut Obs) {
+fn finish_job(job: Job, resp: &Response, completions: &Bounded<Completion>, obs: &mut Obs) {
     obs.hist(
         "serve.latency_ms",
         job.received.elapsed().as_millis() as u64,
     );
-    match job.reply {
-        Reply::Stream(conn) => respond_stream(conn, resp, obs),
-        Reply::Event(token) => {
-            if let Some(q) = completions {
-                let _ = q.try_push((token, resp.encode()));
-            }
-        }
-    }
-}
-
-/// Writes one response frame on a blocking stream, counting (not
-/// propagating) write failures — a peer that hung up is not the server's
-/// problem.
-fn respond_stream(mut conn: TcpStream, resp: &Response, obs: &mut Obs) {
-    if write_frame(&mut conn, &resp.encode()).is_err() {
-        obs.counter("serve.responses.write_failed", 1);
-    }
+    let _ = completions.try_push((job.token, resp.encode()));
 }
 
 /// A TCP simulation server. [`Server::bind`] claims the address;
 /// [`Server::run`] serves until shutdown and returns the metrics.
 pub struct Server {
     listener: TcpListener,
+    poller: poll::Poller,
+    bell: poll::Doorbell,
     cfg: ServerConfig,
     stop: Arc<AtomicBool>,
     cluster: Option<Arc<ClusterState>>,
@@ -256,12 +215,19 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` (e.g. `127.0.0.1:4655`; port 0 picks a free port).
+    /// Binds `addr` (e.g. `127.0.0.1:4655`; port 0 picks a free port)
+    /// and creates the readiness poller the server runs on. Where
+    /// [`poll::supported`] is false this fails with
+    /// [`io::ErrorKind::Unsupported`].
     pub fn bind(addr: &str, cfg: ServerConfig) -> io::Result<Server> {
+        let poller = poll::Poller::new()?;
+        let bell = poll::Doorbell::new()?;
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         Ok(Server {
             listener,
+            poller,
+            bell,
             cfg,
             stop: Arc::new(AtomicBool::new(false)),
             cluster: None,
@@ -311,39 +277,30 @@ impl Server {
             .unwrap_or_else(|| TraceStore::global())
     }
 
-    fn stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst) || signal::triggered()
-    }
-
     /// Serves until shutdown, then drains in-flight work and returns the
-    /// metrics profile. Dispatch runs on a scoped thread that is joined
-    /// before return, so when this returns every parsed request has been
-    /// answered.
+    /// metrics profile. One thread owns every connection's state machine;
+    /// the dispatcher runs on a scoped thread that answers through the
+    /// completion queue, whose doorbell wakes the poll loop, and is
+    /// joined before return — so when this returns every parsed request
+    /// has been answered.
     pub fn run(self) -> ServeStats {
+        #[cfg(not(unix))]
+        unreachable!("Server::bind fails where readiness polling is unsupported");
         #[cfg(unix)]
-        if self.cfg.event_loop {
-            match (poll::Poller::new(), poll::Doorbell::new()) {
-                (Ok(poller), Ok(bell)) => return self.run_event(poller, bell),
-                _ => eprintln!(
-                    "replay-serve: readiness polling unavailable on this target; \
-                     falling back to thread-per-connection"
-                ),
-            }
-        }
-        self.run_threads()
+        self.run_event()
     }
 
-    /// The readiness-polling front: one thread owns every connection's
-    /// state machine; the dispatcher answers through the completion
-    /// queue, whose doorbell wakes the poll loop.
     #[cfg(unix)]
-    fn run_event(self, poller: poll::Poller, bell: poll::Doorbell) -> ServeStats {
+    fn run_event(self) -> ServeStats {
         let cfg = &self.cfg;
-        let trace_store = self.trace_store_ref();
+        let trace_store = self
+            .trace_store
+            .as_deref()
+            .unwrap_or_else(|| TraceStore::global());
         let cluster = self.cluster.as_deref();
-        let work_q: Arc<Bounded<Job>> = Arc::new(Bounded::new(cfg.work_queue));
-        let completions: Arc<Bounded<Completion>> = Arc::new(Bounded::new(usize::MAX));
-        let bell = Arc::new(bell);
+        let work_q: Bounded<Job> = Bounded::new(cfg.work_queue);
+        let completions: Bounded<Completion> = Bounded::new(usize::MAX);
+        let bell = Arc::new(self.bell);
         {
             let bell = Arc::clone(&bell);
             completions.set_waker(Box::new(move || bell.ring()));
@@ -352,99 +309,19 @@ impl Server {
 
         std::thread::scope(|scope| {
             {
-                let work_q = Arc::clone(&work_q);
-                let completions = Arc::clone(&completions);
-                let registry = &registry;
+                let (work_q, completions, registry) = (&work_q, &completions, &registry);
                 scope.spawn(move || {
-                    let profile =
-                        dispatcher_loop(cfg, &work_q, Some(&completions), trace_store, cluster);
+                    let profile = dispatcher_loop(cfg, work_q, completions, trace_store, cluster);
                     registry.submit(1, profile);
                 });
             }
-            let mut el = event::EventLoop::new(cfg, &self.listener, poller, bell, &work_q, cluster);
-            let profile = el.serve(&completions, || self.stopping());
+            let mut el =
+                event::EventLoop::new(cfg, &self.listener, self.poller, bell, &work_q, cluster);
+            let stop = &self.stop;
+            let profile = el.serve(&completions, || {
+                stop.load(Ordering::SeqCst) || signal::triggered()
+            });
             registry.submit(0, profile);
-        });
-
-        if let Some(cl) = cluster {
-            let mut obs = Obs::collecting();
-            cl.observe_into(&mut obs);
-            registry.submit(usize::MAX, obs.into_profile());
-        }
-        ServeStats {
-            profile: registry.finish(),
-        }
-    }
-
-    /// The original blocking front: the calling thread accepts, reader
-    /// threads parse, the dispatcher answers on the job's own stream.
-    fn run_threads(self) -> ServeStats {
-        let cfg = &self.cfg;
-        let trace_store = self.trace_store_ref();
-        let cluster = self.cluster.as_deref();
-        let conn_q: Arc<Bounded<TcpStream>> = Arc::new(Bounded::new(cfg.conn_queue));
-        let work_q: Arc<Bounded<Job>> = Arc::new(Bounded::new(cfg.work_queue));
-        let registry = Registry::new();
-        let readers_left = AtomicUsize::new(cfg.readers.max(1));
-
-        std::thread::scope(|scope| {
-            for reader_idx in 0..cfg.readers.max(1) {
-                let conn_q = Arc::clone(&conn_q);
-                let work_q = Arc::clone(&work_q);
-                let registry = &registry;
-                let readers_left = &readers_left;
-                scope.spawn(move || {
-                    let profile = reader_loop(cfg, &conn_q, &work_q, cluster);
-                    // The last reader out closes the work queue so the
-                    // dispatcher knows no more jobs can arrive.
-                    if readers_left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        work_q.close();
-                    }
-                    registry.submit(1 + reader_idx, profile);
-                });
-            }
-            {
-                let work_q = Arc::clone(&work_q);
-                let registry = &registry;
-                let n_readers = cfg.readers.max(1);
-                scope.spawn(move || {
-                    let profile = dispatcher_loop(cfg, &work_q, None, trace_store, cluster);
-                    registry.submit(1 + n_readers, profile);
-                });
-            }
-
-            // Accept loop on the calling thread: nonblocking accept with a
-            // short poll so the shutdown flag is honored within ~1 ms.
-            let mut obs = Obs::collecting();
-            while !self.stopping() {
-                match self.listener.accept() {
-                    Ok((conn, _peer)) => {
-                        obs.counter("serve.accepted", 1);
-                        let _ = conn.set_read_timeout(Some(cfg.io_timeout));
-                        let _ = conn.set_write_timeout(Some(cfg.io_timeout));
-                        let _ = conn.set_nodelay(true);
-                        if let Err(err) = conn_q.try_push(conn) {
-                            // Shed at the door: a typed response, not a
-                            // silently dropped connection.
-                            let closed = matches!(err, PushError::Closed(_));
-                            let (PushError::Full(conn) | PushError::Closed(conn)) = err;
-                            let (resp, counter) = shed_outcome(cfg, closed, "accept");
-                            obs.counter(counter, 1);
-                            respond_stream(conn, &resp, &mut obs);
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                }
-            }
-            // Stop accepting (listener closes on drop after the scope);
-            // close the conn queue so readers drain what was accepted and
-            // exit, which cascades into the work queue closing and the
-            // dispatcher draining.
-            conn_q.close();
-            registry.submit(0, obs.into_profile());
         });
 
         if let Some(cl) = cluster {
@@ -458,10 +335,9 @@ impl Server {
     }
 }
 
-/// Answers a peer-exchange message directly on the front (both fronts
-/// route through here): artifact fetches and pushes are cheap disk
-/// operations that must not wait behind simulation batches in the work
-/// queue. Returns the encoded reply frame.
+/// Answers a peer-exchange message directly on the front: artifact
+/// fetches and pushes are cheap disk operations that must not wait behind
+/// simulation batches in the work queue. Returns the encoded reply frame.
 fn peer_message_reply(msg: &Message, cluster: Option<&ClusterState>, obs: &mut Obs) -> Vec<u8> {
     let Some(cl) = cluster else {
         return Response::reject(Status::BadRequest, "server is not in cluster mode").encode();
@@ -475,59 +351,6 @@ fn peer_message_reply(msg: &Message, cluster: Option<&ClusterState>, obs: &mut O
         // Inbound Response/PeerArtifact frames make no sense server-side.
         _ => Response::reject(Status::BadRequest, "unexpected message kind").encode(),
     }
-}
-
-/// Parses requests off accepted connections and queues them for dispatch
-/// (thread mode only).
-fn reader_loop(
-    cfg: &ServerConfig,
-    conn_q: &Bounded<TcpStream>,
-    work_q: &Bounded<Job>,
-    cluster: Option<&ClusterState>,
-) -> Profile {
-    let mut obs = Obs::collecting();
-    loop {
-        let mut conn = match conn_q.pop() {
-            Pop::Item(c) => c,
-            Pop::Closed => break,
-            Pop::Empty => continue, // unreachable for blocking pop
-        };
-        let received = Instant::now();
-        let msg = match read_frame(&mut conn)
-            .map_err(|e| e.to_string())
-            .and_then(|p| Message::decode(&p).map_err(|e| e.to_string()))
-        {
-            Ok(msg) => msg,
-            Err(e) => {
-                obs.counter("serve.requests.bad", 1);
-                respond_stream(conn, &Response::reject(Status::BadRequest, e), &mut obs);
-                continue;
-            }
-        };
-        let req = match msg {
-            Message::Request(req) => req,
-            other => {
-                if write_frame(&mut conn, &peer_message_reply(&other, cluster, &mut obs)).is_err() {
-                    obs.counter("serve.responses.write_failed", 1);
-                }
-                continue;
-            }
-        };
-        obs.counter("serve.requests.received", 1);
-        let job = Job {
-            req,
-            reply: Reply::Stream(conn),
-            received,
-        };
-        if let Err(err) = work_q.try_push(job) {
-            let closed = matches!(err, PushError::Closed(_));
-            let (PushError::Full(job) | PushError::Closed(job)) = err;
-            let (resp, counter) = shed_outcome(cfg, closed, "work");
-            obs.counter(counter, 1);
-            finish_job(job, &resp, None, &mut obs);
-        }
-    }
-    obs.into_profile()
 }
 
 /// Decoded inline traces kept warm, keyed by content digest, with a
@@ -570,11 +393,11 @@ impl InlineTraceCache {
 }
 
 /// Collects jobs into batches, deduplicates identical requests, runs each
-/// batch as one pool submission, and answers every job (both fronts).
+/// batch as one pool submission, and answers every job.
 fn dispatcher_loop(
     cfg: &ServerConfig,
     work_q: &Bounded<Job>,
-    completions: Option<&Bounded<Completion>>,
+    completions: &Bounded<Completion>,
     trace_store: &TraceStore,
     cluster: Option<&ClusterState>,
 ) -> Profile {
@@ -624,7 +447,7 @@ fn process_batch(
     cfg: &ServerConfig,
     batch: Vec<Job>,
     inline_traces: &mut InlineTraceCache,
-    completions: Option<&Bounded<Completion>>,
+    completions: &Bounded<Completion>,
     trace_store: &TraceStore,
     cluster: Option<&ClusterState>,
     obs: &mut Obs,
@@ -650,11 +473,9 @@ fn process_batch(
         }
     }
 
-    // Ring routing: redirect (or proxy) requests another node owns. A
-    // relayed request is always Local — see `ClusterState::route_request`
-    // for the anti-loop invariant. Proxy failure falls back to local
-    // simulation: the response is byte-identical from any node, so the
-    // owner being down costs the warm-cache benefit, never correctness.
+    // Ring routing: redirect requests another node owns. A relayed
+    // request is always Local — see `ClusterState::route_request` for the
+    // anti-loop invariant.
     let mut live: Vec<Job> = Vec::with_capacity(routed.len());
     for job in routed {
         let Some(cl) = cluster else {
@@ -666,13 +487,6 @@ fn process_batch(
             RequestRoute::Redirect(owner) => {
                 finish_job(job, &Response::not_owner(owner), completions, obs);
             }
-            RequestRoute::Proxy(owner) => match cl.proxy_request(&owner, &job.req) {
-                Some(resp) => finish_job(job, &resp, completions, obs),
-                None => {
-                    cl.count_proxy_fallback();
-                    live.push(job);
-                }
-            },
         }
     }
 
@@ -924,9 +738,10 @@ mod event {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return; // stale event for a finished connection
             };
+            let state = conn.state();
             if ev.readable
                 && matches!(
-                    conn.state(),
+                    state,
                     ConnState::Accepted | ConnState::ReadingLen | ConnState::ReadingPayload
                 )
             {
@@ -956,14 +771,14 @@ mod event {
                         return;
                     }
                 }
-            } else if ev.closed && !matches!(self.state_of(token), Some(ConnState::Dispatched)) {
-                // Hangup on a connection with nothing readable and no
-                // response owed to it.
-                if self.state_of(token).is_some() {
-                    self.obs.counter("serve.conns.disconnected", 1);
-                    self.conns.remove(&token);
-                    return;
-                }
+            } else if ev.hung_up || (ev.closed && state != ConnState::Dispatched) {
+                // The peer is gone, or stopped sending with no response
+                // owed to it. Dropping the connection also ends the
+                // level-triggered report; a dispatched job's completion
+                // then counts `serve.responses.conn_gone`.
+                self.obs.counter("serve.conns.disconnected", 1);
+                self.conns.remove(&token);
+                return;
             }
             if ev.writable || ev.closed {
                 if let Some(conn) = self.conns.get(&token) {
@@ -972,10 +787,6 @@ mod event {
                     }
                 }
             }
-        }
-
-        fn state_of(&self, token: u64) -> Option<ConnState> {
-            self.conns.get(&token).map(|c| c.state())
         }
 
         /// A complete frame arrived: decode, then dispatch or shed — all
@@ -988,14 +799,16 @@ mod event {
                     self.obs.counter("serve.requests.received", 1);
                     let job = Job {
                         req,
-                        reply: Reply::Event(token),
+                        token,
                         received: now,
                     };
                     match self.work_q.try_push(job) {
                         Ok(()) => {
                             self.in_flight += 1;
                             // Nothing to read or write until the
-                            // completion comes back.
+                            // completion comes back. Without read
+                            // interest a half-closed peer no longer
+                            // wakes the loop, yet still gets its reply.
                             if let Some(conn) = self.conns.get(&token) {
                                 let fd = conn.stream().as_raw_fd();
                                 let _ = self.poller.modify(fd, token, Interest::NONE);

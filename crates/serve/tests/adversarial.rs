@@ -1,8 +1,8 @@
 //! Adversarial client tests for the event-driven serve core: slow-loris
-//! peers, one-byte dribblers, connect-and-idle floods, and mid-frame
-//! disconnects — none of which may starve a well-behaved request — plus
-//! the differential guarantee that both server fronts (event loop and
-//! thread-per-connection) serve byte-identical responses.
+//! peers, one-byte dribblers, connect-and-idle floods, mid-frame
+//! disconnects, and peers that hang up while their request is being
+//! simulated — none of which may starve a well-behaved request or spin
+//! the event loop.
 //!
 //! These tests drive shutdown through [`Server::shutdown_flag`], never
 //! `signal::trigger()` (whose static flag is process-wide).
@@ -15,7 +15,7 @@ use replay_serve::{
 };
 use replay_sim::report::strip_store_section;
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -84,10 +84,8 @@ fn frame_bytes(req: &Request) -> Vec<u8> {
 
 #[test]
 fn one_byte_dribble_is_parsed_incrementally_and_answered_in_full() {
-    // Requires the event loop: only these fronts parse partial frames.
     let (addr, stop, handle) = spawn_server(ServerConfig {
         jobs: 1,
-        event_loop: true,
         ..ServerConfig::default()
     });
 
@@ -117,7 +115,6 @@ fn slow_loris_peers_are_timed_out_and_do_not_starve_service() {
     let loris_count = 16;
     let (addr, stop, handle) = spawn_server(ServerConfig {
         jobs: 1,
-        event_loop: true,
         io_timeout: Duration::from_millis(150),
         ..ServerConfig::default()
     });
@@ -133,9 +130,8 @@ fn slow_loris_peers_are_timed_out_and_do_not_starve_service() {
         })
         .collect();
 
-    // A well-behaved request sails past the stalled peers immediately —
-    // under the old thread front, 16 lorises against 2 reader threads
-    // would hold it hostage for ~8 io_timeout windows.
+    // A well-behaved request sails past the stalled peers immediately:
+    // a stalled connection holds a file descriptor, never a thread.
     let mut c = client(&addr, 11);
     let t = std::time::Instant::now();
     assert_eq!(
@@ -167,7 +163,6 @@ fn slow_loris_peers_are_timed_out_and_do_not_starve_service() {
 fn connect_and_idle_peers_cost_nothing_and_are_never_timed_out() {
     let (addr, stop, handle) = spawn_server(ServerConfig {
         jobs: 1,
-        event_loop: true,
         io_timeout: Duration::from_millis(100),
         ..ServerConfig::default()
     });
@@ -198,7 +193,6 @@ fn connect_and_idle_peers_cost_nothing_and_are_never_timed_out() {
 fn mid_frame_disconnect_is_counted_and_service_continues() {
     let (addr, stop, handle) = spawn_server(ServerConfig {
         jobs: 1,
-        event_loop: true,
         ..ServerConfig::default()
     });
 
@@ -225,29 +219,66 @@ fn mid_frame_disconnect_is_counted_and_service_continues() {
     );
 }
 
+/// One raw request frame on a fresh connection, then `after_send` (which
+/// hangs up, fully or halfway). Returns the server's stats after drain
+/// and whatever response bytes the connection still received.
+fn hang_up_while_dispatched(
+    after_send: impl FnOnce(TcpStream) -> Option<Vec<u8>>,
+) -> (replay_serve::ServeStats, Option<Vec<u8>>) {
+    let (addr, stop, handle) = spawn_server(ServerConfig {
+        jobs: 1,
+        batch_hold: Duration::from_millis(500),
+        ..ServerConfig::default()
+    });
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    conn.set_nodelay(true).expect("nodelay");
+    conn.write_all(&frame_bytes(&workload_request("gzip")))
+        .expect("send request");
+    let reply = after_send(conn);
+    // Let the server read the frame before the drain starts; the drain
+    // then waits for the held batch.
+    std::thread::sleep(Duration::from_millis(100));
+    stop.store(true, Ordering::SeqCst);
+    (handle.join().expect("server thread"), reply)
+}
+
 #[test]
-fn event_and_thread_fronts_serve_identical_bytes() {
-    let oracle = local_report("twolf", 1);
-    let mut bodies = Vec::new();
-    for event_loop in [true, false] {
-        let (addr, stop, handle) = spawn_server(ServerConfig {
-            jobs: 1,
-            event_loop,
-            ..ServerConfig::default()
-        });
-        let mut c = client(&addr, 14);
-        bodies.push(body_of(
-            c.submit(&workload_request("twolf")).expect("submit"),
-        ));
-        stop.store(true, Ordering::SeqCst);
-        let stats = handle.join().expect("server thread");
-        assert_eq!(stats.served(), 1, "event_loop={event_loop}");
-    }
-    assert_eq!(
-        bodies[0], bodies[1],
-        "the two server fronts must serve byte-identical responses"
+fn a_peer_hanging_up_while_dispatched_does_not_spin_the_poll_loop() {
+    // Hang-up reports are level-triggered: one left armed on a dispatched
+    // connection wakes every poll wait for the whole 500 ms batch hold,
+    // hundreds of thousands of times, stealing CPU from the simulation
+    // worker. A quiet server wakes a handful of times.
+    const MAX_WAKEUPS: u64 = 20;
+
+    // A peer that drops its socket right after sending.
+    let (stats, _) = hang_up_while_dispatched(|conn| {
+        drop(conn);
+        None
+    });
+    let wakeups = stats.profile.counter("serve.poll.wakeups");
+    assert!(
+        wakeups <= MAX_WAKEUPS,
+        "dropped peer: {wakeups} poll wakeups; profile:\n{}",
+        stats.profile.render_table(false)
     );
-    assert_eq!(bodies[0], oracle, "and both must match a local report");
+
+    // A peer that half-closes (done sending) but still reads: it is owed
+    // its full response.
+    let (stats, reply) = hang_up_while_dispatched(|mut conn| {
+        conn.shutdown(Shutdown::Write).expect("half-close");
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        Some(read_frame(&mut conn).expect("response after half-close"))
+    });
+    let wakeups = stats.profile.counter("serve.poll.wakeups");
+    assert!(
+        wakeups <= MAX_WAKEUPS,
+        "half-closed peer: {wakeups} poll wakeups; profile:\n{}",
+        stats.profile.render_table(false)
+    );
+    let resp = Response::decode(&reply.expect("reply")).expect("decode response");
+    assert_eq!(body_of(resp), local_report("gzip", 1));
+    assert_eq!(stats.served(), 1);
 }
 
 #[test]
@@ -284,7 +315,7 @@ fn five_thousand_idle_or_slow_connections_do_not_starve_a_real_request() {
     const TOTAL: usize = 5_000;
     const SLOW: usize = 500; // the rest are pure idlers
     if !poll::supported() {
-        return; // the thread front cannot (and need not) hold 5k sockets
+        return; // no server runs here at all
     }
     // Each held connection is one fd on the client side and one on the
     // server side, both in this process.
@@ -298,7 +329,6 @@ fn five_thousand_idle_or_slow_connections_do_not_starve_a_real_request() {
 
     let (addr, stop, handle) = spawn_server(ServerConfig {
         jobs: 1,
-        event_loop: true,
         // Long enough that the slow dribblers are never swept mid-test.
         io_timeout: Duration::from_secs(60),
         ..ServerConfig::default()
@@ -316,8 +346,7 @@ fn five_thousand_idle_or_slow_connections_do_not_starve_a_real_request() {
     }
 
     // With five thousand connections parked, a well-behaved request must
-    // still be answered with exactly the local-report bytes (which the
-    // differential test above pins to the thread-front baseline).
+    // still be answered with exactly the local-report bytes.
     let mut c = client(&addr, 16);
     let body = body_of(
         c.submit(&workload_request("gzip"))

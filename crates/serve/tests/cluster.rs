@@ -7,8 +7,9 @@
 //! The properties pinned here are the cluster-mode contract:
 //!
 //! * the response for a key is byte-identical from every node, cold or
-//!   warm, redirect-mode or proxy-mode — and identical to a local
-//!   `replay report --json`;
+//!   warm, and identical to a local `replay report --json`;
+//! * a non-owner answers `NotOwner` naming the owner and never forwards
+//!   the request itself;
 //! * after one node synthesizes a trace, other nodes answer the same
 //!   key from peer replication (pull-on-miss or gossip push) with zero
 //!   re-synthesis;
@@ -56,7 +57,7 @@ fn scratch_store(tag: &str) -> &'static Store {
 
 /// Binds `n` servers on ephemeral ports, wires them into one ring, and
 /// runs each on a background thread. `tweak` edits each node's cluster
-/// config (proxy mode, fanout) before it is applied.
+/// config (gossip fanout) before it is applied.
 fn spawn_cluster(n: usize, tag: &str, tweak: impl Fn(&mut ClusterConfig)) -> Vec<Node> {
     // Bind everything first: every node needs the full member list, and
     // ephemeral ports are only known after bind.
@@ -208,35 +209,20 @@ fn non_owners_redirect_to_the_owner_and_the_client_follows_once() {
         local_report("crafty")
     );
 
+    let owner = nodes.iter().position(|n| n.addr == route[0]).unwrap();
     let stats: Vec<ServeStats> = nodes.into_iter().map(Node::finish).collect();
     let redirected: u64 = stats.iter().map(|s| s.redirected()).sum();
     assert!(redirected >= 2, "both probes should have been redirected");
     assert_eq!(stats.iter().map(|s| s.write_failed()).sum::<u64>(), 0);
-}
-
-#[test]
-fn proxy_mode_serves_from_any_node_without_bouncing_the_client() {
-    let nodes = spawn_cluster(3, "proxy", |c| c.proxy = true);
-    let req = workload_request("twolf");
-    let addrs: Vec<String> = nodes.iter().map(|n| n.addr.clone()).collect();
-    let route = route_order(&addrs, &req);
-    let expected = local_report("twolf");
-
-    // A non-owner in proxy mode forwards to the owner and relays the
-    // owner's bytes — the client never sees NotOwner.
-    let resp = raw_submit(&route[2], &req);
-    assert_eq!(resp.status, Status::Ok);
+    // The non-owner never forwarded: the owner saw exactly one request —
+    // the client's own relayed re-send — and no other node simulated.
     assert_eq!(
-        strip_store_section(&String::from_utf8(resp.body).unwrap()),
-        expected
+        stats[owner].profile.counter("serve.requests.received"),
+        1,
+        "only the client's redirected re-send may reach the owner"
     );
-
-    let stats: Vec<ServeStats> = nodes.into_iter().map(Node::finish).collect();
-    let proxied: u64 = stats
-        .iter()
-        .map(|s| s.profile.counter("serve.ring.proxied"))
-        .sum();
-    assert!(proxied >= 1, "the non-owner should have proxied");
+    assert_eq!(stats[owner].profile.counter("serve.ring.relayed_served"), 1);
+    assert_eq!(stats.iter().map(|s| s.served()).sum::<u64>(), 1);
 }
 
 #[test]

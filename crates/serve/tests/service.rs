@@ -6,11 +6,13 @@
 //! server in this test process. Real signal delivery is exercised by the
 //! CI smoke job, where the server is its own process.
 
+use replay_serve::proto::{read_frame, write_frame};
 use replay_serve::{
     Client, ClientConfig, ClientError, Request, Response, Server, ServerConfig, Source, Status,
 };
 use replay_sim::report::strip_store_section;
 use replay_trace::{workloads, write_trace};
+use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -163,17 +165,15 @@ fn unknown_workload_is_a_typed_terminal_rejection() {
 
 #[test]
 fn overload_sheds_typed_and_seeded_backoff_converges() {
-    // One-slot queues and a dispatcher that holds each batch long enough
-    // for concurrent submitters to pile up: some requests must be shed
-    // with a typed Overloaded (not a hang, not a dropped connection), and
-    // a client retrying on its seeded backoff schedule must still land
+    // A one-slot work queue and a dispatcher that holds each batch long
+    // enough for concurrent submitters to pile up: some requests must be
+    // shed with a typed Overloaded (not a hang, not a dropped connection),
+    // and a client retrying on its seeded backoff schedule must still land
     // every request eventually.
     let (addr, stop, handle) = spawn_server(ServerConfig {
         jobs: 1,
-        conn_queue: 1,
         work_queue: 1,
         batch_max: 1,
-        readers: 1,
         batch_hold: Duration::from_millis(150),
         ..ServerConfig::default()
     });
@@ -206,10 +206,46 @@ fn overload_sheds_typed_and_seeded_backoff_converges() {
     assert!(stats.served() >= 1);
     assert!(
         stats.shed() > 0,
-        "six concurrent clients against one-slot queues must shed at least once; stats: served={} shed={}",
+        "six concurrent clients against a one-slot work queue must shed at least once; stats: served={} shed={}",
         stats.served(),
         stats.shed()
     );
+}
+
+#[test]
+fn connection_ceiling_sheds_typed_overloaded_and_recovers() {
+    // The only connection-level shed: one connection over `max_conns` is
+    // answered Overloaded with the configured retry hint on accept,
+    // before it sends a byte.
+    let cfg = ServerConfig {
+        jobs: 1,
+        max_conns: 1,
+        ..ServerConfig::default()
+    };
+    let retry_after = cfg.retry_after;
+    let (addr, stop, handle) = spawn_server(cfg);
+
+    let idle = TcpStream::connect(&addr).expect("idle connect");
+    let mut over = TcpStream::connect(&addr).expect("second connect");
+    over.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let resp = Response::decode(&read_frame(&mut over).expect("shed frame")).expect("decode");
+    assert_eq!(resp.status, Status::Overloaded, "{}", resp.message);
+    assert_eq!(resp.retry_after_ms, retry_after.as_millis() as u64);
+
+    // Once the idle peer leaves, its slot frees and a well-behaved
+    // request is served.
+    drop(idle);
+    std::thread::sleep(Duration::from_millis(100));
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    write_frame(&mut conn, &workload_request("gzip").encode()).expect("send");
+    let resp = Response::decode(&read_frame(&mut conn).expect("reply")).expect("decode");
+    assert_eq!(body_of(resp), strip_store_section(&local_report("gzip", 1)));
+
+    stop.store(true, Ordering::SeqCst);
+    let stats = handle.join().expect("server thread");
+    assert_eq!(stats.profile.counter("serve.shed.conn"), 1);
+    assert_eq!(stats.served(), 1);
 }
 
 #[test]
