@@ -1,28 +1,29 @@
 //! The Micro-Op Injector: translation and golden-state maintenance.
 
-use replay_trace::{Trace, TraceRecord};
-use replay_uop::{AddrSet, ArchReg, Flags, MachineState, Uop};
+use replay_trace::{StaticIndex, Trace, TraceRecord};
+use replay_uop::{ArchReg, Flags, MachineState, Uop};
 use replay_x86::translate;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// The injector of Figure 5: translates trace records into uop flows
-/// (cached per static instruction) and maintains the *golden* architectural
-/// machine state along the trace — the state the verifier and the frame
-/// executor consult at every point.
+/// and maintains the *golden* architectural machine state along the trace
+/// — the state the verifier and the frame executor consult at every point.
 ///
-/// Static instructions get dense ids in first-appearance order, so the
-/// per-record hot path indexes arrays instead of hashing addresses: the
-/// address → id map is consulted once per record in
-/// [`Injector::preseed`] (and by [`Injector::flow`]), never again.
+/// The paper's injector translates each static x86 instruction once. Here
+/// that translation lives on the trace: its [`StaticIndex`] (dense static
+/// ids, pooled decode flows, the initial memory map) is built on the
+/// trace's first simulation and shared by every later one, so
+/// [`Injector::preseed`] only sets the entry state and holds the index;
+/// it walks no records. [`Injector::flow`] serves callers that feed
+/// records one at a time, translating each address once per injector.
 #[derive(Debug, Default)]
 pub struct Injector {
-    /// Static instruction address → dense id.
-    ids: HashMap<u32, u32>,
-    /// Decode flow per dense id.
-    flows: Vec<Rc<Vec<Uop>>>,
-    /// Dense id of every record of the preseeded trace.
-    record_ids: Vec<u32>,
+    /// The static-instruction index of the preseeded trace.
+    index: Option<Arc<StaticIndex>>,
+    /// Flows handed out by [`Injector::flow`], by instruction address.
+    flows: HashMap<u32, Rc<Vec<Uop>>>,
     golden: MachineState,
     x86_seen: u64,
     uops_seen: u64,
@@ -35,10 +36,11 @@ impl Injector {
         Injector::default()
     }
 
-    /// Seeds the golden memory with the *first-touch* value of every
-    /// location the trace will access — the paper's initial memory map
-    /// (§5.1.3), extended to the whole trace — and gives every record the
-    /// dense id of its static instruction.
+    /// Sets the trace's initial registers and flags and seeds the golden
+    /// memory with the *first-touch* value of every location the trace
+    /// will access — the paper's initial memory map (§5.1.3), extended to
+    /// the whole trace. Both come from the trace's shared
+    /// [`StaticIndex`], which the injector then holds.
     ///
     /// Frames run ahead of retirement: a frame fetched at record *i* may
     /// load a location whose first trace access happens at record *i + k*.
@@ -49,51 +51,20 @@ impl Injector {
             self.golden.set_reg(r, trace.init_regs[r.index()]);
         }
         self.golden.set_flags(Flags::from_bits(trace.init_flags));
-        let mut seen = AddrSet::new();
-        self.record_ids.clear();
-        self.record_ids.reserve(trace.len());
-        for r in trace.records() {
-            let id = self.intern(r);
-            self.record_ids.push(id);
-            for &(addr, value) in r.mem_reads.iter().chain(r.mem_writes.iter()) {
-                if seen.insert(addr) {
-                    self.golden.store32(addr, value);
-                }
-            }
+        let index = trace.static_index();
+        for &(addr, value) in index.first_touch() {
+            self.golden.store32(addr, value);
         }
-    }
-
-    /// The dense id of `r`'s instruction, translating it on first sight.
-    fn intern(&mut self, r: &TraceRecord) -> u32 {
-        let flows = &mut self.flows;
-        *self.ids.entry(r.addr).or_insert_with(|| {
-            flows.push(Rc::new(translate(&r.inst, r.addr, r.fallthrough())));
-            (flows.len() - 1) as u32
-        })
+        self.index = Some(Arc::clone(index));
     }
 
     /// The uop decode flow of a record's instruction (cached by address).
     pub fn flow(&mut self, r: &TraceRecord) -> Rc<Vec<Uop>> {
-        let id = self.intern(r);
-        Rc::clone(&self.flows[id as usize])
-    }
-
-    /// The dense static-instruction id of record `idx` of the preseeded
-    /// trace.
-    #[inline]
-    pub(crate) fn record_id(&self, idx: usize) -> u32 {
-        self.record_ids[idx]
-    }
-
-    /// The decode flow of record `idx` of the preseeded trace.
-    #[inline]
-    pub(crate) fn record_flow(&self, idx: usize) -> &[Uop] {
-        &self.flows[self.record_ids[idx] as usize]
-    }
-
-    /// The dense id of the instruction at `addr`, if one was indexed.
-    pub(crate) fn static_id(&self, addr: u32) -> Option<u32> {
-        self.ids.get(&addr).copied()
+        Rc::clone(
+            self.flows
+                .entry(r.addr)
+                .or_insert_with(|| Rc::new(translate(&r.inst, r.addr, r.fallthrough()))),
+        )
     }
 
     /// The golden machine state as of every record applied so far.
@@ -102,31 +73,36 @@ impl Injector {
     }
 
     /// Applies one record's architectural effects to the golden state and
-    /// accounts it.
+    /// accounts its uops, if its instruction is in the preseeded trace or
+    /// was handed out by [`Injector::flow`].
     pub fn apply(&mut self, r: &TraceRecord) {
         self.apply_state(r);
-        if let Some(f) = self.static_id(r.addr).map(|id| &self.flows[id as usize]) {
-            let (uops, loads) = (f.len(), f.iter().filter(|u| u.is_load()).count());
+        let indexed = self.index.as_deref().and_then(|ix| {
+            ix.static_id(r.addr)
+                .map(|id| (ix.flow(id).len(), ix.loads(id)))
+        });
+        let counts = indexed.or_else(|| self.flows.get(&r.addr).map(|f| (f.len(), count_loads(f))));
+        if let Some((uops, loads)) = counts {
             self.account(uops, loads);
         }
     }
 
     /// Applies one record like [`Injector::apply`], but accounts uops from
-    /// a flow the caller already holds, skipping the flow-map lookup. The
+    /// a flow the caller already holds, skipping the flow lookup. The
     /// counts are identical to [`Injector::apply`] whenever `flow` is the
     /// record's decode flow.
     pub fn apply_with_flow(&mut self, r: &TraceRecord, flow: &[Uop]) {
         self.apply_state(r);
-        self.account(flow.len(), flow.iter().filter(|u| u.is_load()).count());
+        self.account(flow.len(), count_loads(flow));
     }
 
-    /// Applies record `idx` of the preseeded trace, `r`, accounting uops
-    /// from its flow in the dense index — the streaming loop's hash-free
-    /// form of [`Injector::apply`].
-    pub(crate) fn apply_record(&mut self, idx: usize, r: &TraceRecord) {
+    /// Applies a record of the preseeded trace whose static id is `id`,
+    /// reading its uop and load counts from the index — the simulation
+    /// loop's lookup-free form of [`Injector::apply`].
+    pub(crate) fn apply_static(&mut self, r: &TraceRecord, id: u32) {
         self.apply_state(r);
-        let flow = &self.flows[self.record_ids[idx] as usize];
-        let (uops, loads) = (flow.len(), flow.iter().filter(|u| u.is_load()).count());
+        let ix = self.index.as_deref().expect("apply_static follows preseed");
+        let (uops, loads) = (ix.flow(id).len(), ix.loads(id));
         self.account(uops, loads);
     }
 
@@ -135,7 +111,7 @@ impl Injector {
         self.loads_seen += loads as u64;
     }
 
-    /// Golden-state update shared by the two `apply` flavors.
+    /// Golden-state update shared by the `apply` flavors.
     fn apply_state(&mut self, r: &TraceRecord) {
         // Load values reflect what memory held: seeding them keeps the
         // golden memory consistent even for locations initialized outside
@@ -161,7 +137,7 @@ impl Injector {
         self.x86_seen
     }
 
-    /// Dynamic uops injected (over applied records with cached flows).
+    /// Dynamic uops injected (over applied records with known flows).
     pub fn uops_seen(&self) -> u64 {
         self.uops_seen
     }
@@ -181,6 +157,10 @@ impl Injector {
     }
 }
 
+fn count_loads(flow: &[Uop]) -> usize {
+    flow.iter().filter(|u| u.is_load()).count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +178,29 @@ mod tests {
         }
         assert_eq!(inj.x86_seen(), trace.len() as u64);
         assert!(inj.uop_ratio() > 1.0 && inj.uop_ratio() < 2.0);
+    }
+
+    #[test]
+    fn preseeded_apply_accounts_like_apply_with_flow() {
+        let trace = workloads::by_name("vortex")
+            .unwrap()
+            .segment_trace(0, 2_000);
+        let mut indexed = Injector::new();
+        indexed.preseed(&trace);
+        let mut fed = Injector::new();
+        fed.preseed(&trace);
+        for r in trace.records() {
+            indexed.apply(r);
+            let f = fed.flow(r);
+            fed.apply_with_flow(r, &f);
+        }
+        assert!(Arc::ptr_eq(
+            indexed.index.as_ref().unwrap(),
+            trace.static_index()
+        ));
+        assert_eq!(indexed.uops_seen(), fed.uops_seen());
+        assert_eq!(indexed.loads_seen(), fed.loads_seen());
+        assert!(indexed.loads_seen() > 0);
     }
 
     #[test]

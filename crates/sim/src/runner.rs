@@ -18,7 +18,7 @@ use replay_core::{
 use replay_frame::{CacheEntry, Frame, FrameCache, FrameConstructor, RetireEvent};
 use replay_obs::{Hist, Obs};
 use replay_timing::{FetchPath, FrameFetch, Pipeline, X86Fetch};
-use replay_trace::{Trace, TraceRecord};
+use replay_trace::{StaticIndex, Trace, TraceRecord};
 use replay_verify::Verifier;
 use replay_x86::Inst;
 use std::collections::HashMap;
@@ -147,6 +147,8 @@ impl AliasWindow {
 struct Runner<'a> {
     cfg: &'a SimConfig,
     records: &'a [TraceRecord],
+    /// The trace's static ids and decode flows.
+    index: &'a StaticIndex,
     pipeline: Pipeline,
     injector: Injector,
     constructor: FrameConstructor,
@@ -205,6 +207,7 @@ impl<'a> Runner<'a> {
         Runner {
             cfg,
             records: trace.records(),
+            index: trace.static_index(),
             pipeline: Pipeline::new(cfg.timing.clone()),
             injector,
             constructor: FrameConstructor::new(cfg.constructor.clone()),
@@ -255,7 +258,7 @@ impl<'a> Runner<'a> {
     /// Fetches one record through the decoder path.
     fn fetch_via_decoder(&mut self, idx: usize, path: FetchPath) {
         let r = &self.records[idx];
-        let flow = self.injector.record_flow(idx);
+        let flow = self.index.record_flow(idx);
         let fetch = X86Fetch {
             addr: r.addr,
             uops: flow,
@@ -275,7 +278,7 @@ impl<'a> Runner<'a> {
         let r = &self.records[idx];
 
         if self.cfg.kind.uses_frames() {
-            let flow = self.injector.record_flow(idx);
+            let flow = self.index.record_flow(idx);
             let ev = RetireEvent {
                 addr: r.addr,
                 uops: flow,
@@ -288,7 +291,7 @@ impl<'a> Runner<'a> {
             }
         }
         if self.cfg.kind == ConfigKind::TraceCache {
-            let flow_len = self.injector.record_flow(idx).len();
+            let flow_len = self.index.record_flow(idx).len();
             let ends = matches!(r.inst, Inst::Ret | Inst::JmpInd { .. } | Inst::LongFlow);
             if let Some(t) = self
                 .filler
@@ -308,13 +311,13 @@ impl<'a> Runner<'a> {
             );
         }
 
-        self.injector.apply_record(idx, r);
+        self.injector.apply_static(r, self.index.record_id(idx));
     }
 
     /// The cache key of a frame or trace entered at `addr`: its static
     /// instruction id (once per built frame, not per record).
     fn static_id(&self, addr: u32) -> u32 {
-        self.injector
+        self.index
             .static_id(addr)
             .expect("frames start at traced instructions")
     }
@@ -595,7 +598,7 @@ impl<'a> Runner<'a> {
                     self.frame_cache.insert(f.key, f);
                 }
             }
-            let key = self.injector.record_id(i);
+            let key = self.index.record_id(i);
             match self.cfg.kind {
                 ConfigKind::ICache => {
                     self.fetch_via_decoder(i, FetchPath::ICache);

@@ -141,6 +141,13 @@ pub struct Pipeline {
     /// Without this map, removing a load via store forwarding would
     /// *lengthen* the modeled dependence chain instead of shortening the
     /// machine's work.
+    ///
+    /// Bounded exactly: fetch cycles never decrease and a load issues no
+    /// earlier than `fetch + front_end_depth`, so an entry completing at or
+    /// before `cycle + front_end_depth` can never delay a load again. Once
+    /// the map passes `4 × window` entries, [`Pipeline::record_store`]
+    /// drops those. The std hasher stays: store addresses come from
+    /// untrusted traces.
     store_ready: HashMap<u32, u64>,
     icache: Cache,
     l1d: Cache,
@@ -384,13 +391,24 @@ impl Pipeline {
         t
     }
 
-    /// Records a store's completion under every word it touches.
+    /// Records a store's completion under every word it touches, pruning
+    /// entries no later load can wait on once the map outgrows its bound
+    /// (see `store_ready`).
     fn record_store(&mut self, addr: u32, complete: u64) {
         let [w0, w1] = access_words(addr);
         self.store_ready.insert(w0, complete);
         if w1 != w0 {
             self.store_ready.insert(w1, complete);
         }
+        if self.store_ready.len() > self.store_ready_bound() {
+            let horizon = self.cycle + self.cfg.front_end_depth;
+            self.store_ready.retain(|_, &mut done| done > horizon);
+        }
+    }
+
+    /// Entries `store_ready` may hold before it is pruned.
+    fn store_ready_bound(&self) -> usize {
+        4 * self.cfg.window
     }
 
     /// Records the selected core model's per-port pressure counters
@@ -648,9 +666,6 @@ impl Pipeline {
     pub fn finish(&mut self) {
         let drain = self.retire_cycle.max(self.cycle);
         self.stall_until(drain, CycleBin::Stall);
-        if self.cycle_bin.is_none() && self.bins.total() == 0 {
-            // Degenerate empty run.
-        }
     }
 }
 
@@ -987,6 +1002,21 @@ mod tests {
         f.load_addr = Some(0x30_0008);
         p.fetch_x86(&f);
         assert!(p.reg_ready[ArchReg::Ebx.index()] < chain_done + 100);
+    }
+
+    #[test]
+    fn store_ready_stays_bounded_over_distinct_words() {
+        // 100k stores to distinct words: the map is pruned to the
+        // entries a later load could still wait on, never past its bound.
+        let mut p = Pipeline::new(cfg());
+        let st = vec![Uop::store(ArchReg::Esi, 0, ArchReg::Eax).ending_x86()];
+        for i in 0..100_000u32 {
+            let mut f = plain_fetch(0x1000 + (i % 64), &st);
+            f.store_addr = Some(0x10_0000 + i * 4);
+            p.fetch_x86(&f);
+            assert!(p.store_ready.len() <= p.store_ready_bound());
+        }
+        assert_eq!(p.stats().retired_x86, 100_000);
     }
 
     #[test]

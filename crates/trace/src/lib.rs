@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 
 mod builder;
+mod index;
 mod io;
 mod profile;
 mod record;
@@ -45,6 +46,7 @@ mod stats;
 pub mod workloads;
 
 pub use builder::ProgramBuilder;
+pub use index::StaticIndex;
 pub use io::{read_trace, trace_digest, write_trace, TraceIoError, FORMAT_VERSION};
 pub use profile::{StatProfile, PROFILE_DIMS, REDUNDANCY_WINDOW};
 pub use record::{Trace, TraceRecord};

@@ -1,6 +1,8 @@
 //! Trace records.
 
+use crate::StaticIndex;
 use replay_x86::{Inst, StepRecord};
+use std::sync::{Arc, OnceLock};
 
 /// The record of one dynamic x86 instruction, as carried in a trace file.
 ///
@@ -91,6 +93,9 @@ pub struct Trace {
     /// Packed architectural flags at the first record.
     pub init_flags: u8,
     records: Vec<TraceRecord>,
+    /// The static-instruction index, built on first use
+    /// ([`Trace::static_index`]).
+    index: OnceLock<Arc<StaticIndex>>,
 }
 
 impl Trace {
@@ -101,6 +106,7 @@ impl Trace {
             init_regs: [0; replay_uop::NUM_ARCH_REGS],
             init_flags: 0,
             records,
+            index: OnceLock::new(),
         }
     }
 
@@ -114,6 +120,14 @@ impl Trace {
     /// The records, in execution order.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
+    }
+
+    /// The trace's static-instruction index, built on first call and
+    /// shared by every later call, every clone made after it, and every
+    /// thread holding the trace.
+    pub fn static_index(&self) -> &Arc<StaticIndex> {
+        self.index
+            .get_or_init(|| Arc::new(StaticIndex::build(&self.records)))
     }
 
     /// Number of dynamic x86 instructions.
