@@ -26,7 +26,7 @@ use replay_frame::{ConstructorConfig, FrameConstructor, RetireEvent};
 use replay_sim::experiment::{self, SimSpec};
 use replay_sim::{parallel, simulate, ConfigKind, CoreModel, Injector, SimConfig, TraceStore};
 use replay_timing::CycleBin;
-use replay_trace::{read_trace, workloads, write_trace, Trace};
+use replay_trace::{read_trace, workloads, write_trace, Trace, Workload};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -117,10 +117,10 @@ sets the worker count; the default is the machine's available parallelism
 and 1 forces the legacy serial path. Results are identical at any count.
 
 Persistent store: sim, compare, report, serve, clone, and sweep cache
-synthesized traces and optimized frames under .replay-cache/ so warm
-reruns skip that work with bit-identical results. --cache-dir DIR (or
-REPLAY_CACHE_DIR) moves the cache; --no-store (or REPLAY_NO_STORE)
-disables it. Corrupt cache artifacts are evicted and regenerated."
+synthesized traces under .replay-cache/ so warm reruns skip synthesis
+with bit-identical results. --cache-dir DIR (or REPLAY_CACHE_DIR) moves
+the cache; --no-store (or REPLAY_NO_STORE) disables it. Corrupt cache
+artifacts are evicted and regenerated."
     );
 }
 
@@ -584,8 +584,8 @@ fn cmd_workloads(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Applies the persistent-store options before the first trace or frame
-/// lookup. `--no-store` disables the artifact store for this invocation;
+/// Applies the persistent-store options before the first trace lookup.
+/// `--no-store` disables the artifact store for this invocation;
 /// otherwise the cache root is `--cache-dir DIR`, then the
 /// `REPLAY_CACHE_DIR` environment variable, then `.replay-cache`. The
 /// `REPLAY_NO_STORE` environment variable always wins (it is honored
@@ -618,9 +618,7 @@ fn parse_addr_list(s: &str) -> Vec<String> {
 /// the four configurations of `compare`) synthesize the trace only once.
 fn load_trace(source: &str, n: usize, segment: usize) -> Result<Arc<Trace>, String> {
     if let Some(w) = workloads::by_name(source) {
-        if segment >= w.segments {
-            return Err(format!("{source} has {} segments", w.segments));
-        }
+        check_segment(&w, segment)?;
         return Ok(TraceStore::global().segment(&w, segment, n));
     }
     let file =
@@ -628,6 +626,14 @@ fn load_trace(source: &str, n: usize, segment: usize) -> Result<Arc<Trace>, Stri
     read_trace(std::io::BufReader::new(file))
         .map(Arc::new)
         .map_err(|e| format!("reading {source:?}: {e}"))
+}
+
+/// Rejects a segment index past the workload's last segment.
+fn check_segment(w: &Workload, segment: usize) -> Result<(), String> {
+    if segment >= w.segments {
+        return Err(format!("{} has {} segments", w.name, w.segments));
+    }
+    Ok(())
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
@@ -641,6 +647,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let n = opts.count("n", 100_000)?;
     let seg = opts.count("s", 0)?;
     let w = workloads::by_name(name).ok_or_else(|| format!("unknown workload {name:?}"))?;
+    check_segment(&w, seg)?;
     let trace = w.segment_trace(seg, n);
     let file = std::fs::File::create(out).map_err(|e| format!("creating {out:?}: {e}"))?;
     write_trace(std::io::BufWriter::new(file), &trace).map_err(|e| e.to_string())?;
@@ -1115,6 +1122,7 @@ fn cmd_disasm(args: &[String]) -> Result<(), String> {
     };
     let seg = opts.count("s", 0)?;
     let w = workloads::by_name(name).ok_or_else(|| format!("unknown workload {name:?}"))?;
+    check_segment(&w, seg)?;
     let (program, _) = w.segment_program(seg);
     for line in program.disasm() {
         match line {
@@ -1457,6 +1465,25 @@ mod tests {
         let args = argv(&["gzip", "-n"]);
         let err = Opts::parse(&args, &SPEC_COMPARE).unwrap_err();
         assert!(err.contains("-n requires a value"), "{err}");
+    }
+
+    #[test]
+    fn gen_rejects_an_out_of_range_segment() {
+        let out = std::env::temp_dir().join(format!("replay-gen-seg-{}.trace", std::process::id()));
+        let out = out.to_str().unwrap();
+        let segments = workloads::by_name("gzip").unwrap().segments;
+        let seg = segments.to_string();
+        let err = cmd_gen(&argv(&["gzip", "-o", out, "-n", "100", "-s", &seg])).unwrap_err();
+        assert_eq!(err, format!("gzip has {segments} segments"));
+        assert!(!std::path::Path::new(out).exists(), "no file created");
+    }
+
+    #[test]
+    fn disasm_rejects_an_out_of_range_segment() {
+        let segments = workloads::by_name("excel").unwrap().segments;
+        let seg = segments.to_string();
+        let err = cmd_disasm(&argv(&["excel", "-s", &seg])).unwrap_err();
+        assert_eq!(err, format!("excel has {segments} segments"));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use replay_uop::{ArchReg, Opcode, RegSet};
 /// The structure maintains exact use counts for every slot's value and
 /// flags results; all mutation goes through methods that keep the counts
 /// consistent.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptFrame {
     /// Frame identity (inherited from construction). The simulator's
     /// frame memo reuses one optimized frame for every later identical

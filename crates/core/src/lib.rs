@@ -65,7 +65,6 @@
 mod alias;
 mod datapath;
 mod exec;
-pub mod frame_codec;
 mod frame_ir;
 mod fxhash;
 mod ir;

@@ -275,7 +275,7 @@ fn run_pipeline(
 }
 
 /// Emits a run's optimizer metrics once, from totals its caller kept while
-/// optimizing (or loading already optimized) frames:
+/// optimizing (or reusing already optimized) frames:
 ///
 /// * `removed`, one sample of [`OptStats::removed_uops`] per frame, is the
 ///   histogram `opt.frame_removed_uops`, and its sample count `opt.frames`;
@@ -286,8 +286,9 @@ fn run_pipeline(
 ///   `opt.pass.<NAME>.time_ns` (every pass `cfg` enables).
 ///
 /// A run that handled no frame emits no counter, and one that ran no pass
-/// emits no duration, so a frame loaded from the artifact store counts
-/// exactly as a freshly optimized one while adding no time.
+/// emits no duration, so a frame whose result is reused from an earlier
+/// identical one counts exactly as a freshly optimized one while adding no
+/// time.
 pub fn observe_opt_totals(
     obs: &mut Obs,
     cfg: &OptConfig,

@@ -47,8 +47,8 @@ pub struct OptStats {
     pub removed_by_pass: [u64; 7],
     /// Rewrites each pass reported across all iterations, indexed in
     /// `PassId::ALL` order. Summed over a run, these are the per-pass
-    /// `opt.pass.*.rewrites` counters; stored with each frame in the
-    /// persistent artifact store, they make a warm start count the same.
+    /// `opt.pass.*.rewrites` counters; reused with each frame from the
+    /// simulator's in-run memo, they make a memo hit count the same.
     pub rewrites_by_pass: [u64; 7],
 }
 

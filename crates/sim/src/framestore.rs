@@ -1,118 +1,31 @@
-//! Reuse of *optimization results*: an exact in-run memo ahead of the
-//! optimizer, and the persistent disk layer beneath it.
+//! Reuse of *optimization results* within a run: an exact memo ahead of
+//! the optimizer.
 //!
 //! Optimizing a frame is a pure function of three inputs: the constructed
 //! frame itself (every field but its construction-order `id`), the
-//! [`OptConfig`], and the alias-profile facts the memory pass can query
-//! (the `aliased()` relation restricted to the frame's memory uops — the
-//! optimizer's single profile query site). This module owns the rule for
-//! when a result computed earlier may stand in for running the passes.
+//! optimizer configuration, and the alias-profile facts the memory pass
+//! can query (the `aliased()` relation restricted to the frame's memory
+//! uops — the optimizer's single profile query site). This module owns the
+//! rule for when a result computed earlier may stand in for running the
+//! passes.
 //!
-//! **In a run**, [`FrameMemo`] keeps the result for each distinct frame a
-//! `simulate()` call has built. Loops rebuild the same region over and
-//! over, so most frames equal one built earlier in the same run; those
-//! reuse its `(Arc<OptFrame>, OptStats)` instead of running the passes
-//! (RPO) or the remapper (RP). A hit needs exact equality of the frame, so
-//! no digest collision can return a wrong result, and an alias pair learned
-//! since the entry was last validated, with both ends among the frame's
-//! memory instructions, makes the entry stale. The memo is bounded and
-//! belongs to one run, so `simulate` stays a pure function of its inputs.
+//! [`FrameMemo`] keeps the result for each distinct frame a `simulate()`
+//! call has built. Loops rebuild the same region over and over, so most
+//! frames equal one built earlier in the same run; those reuse its
+//! `(Arc<OptFrame>, OptStats)` instead of running the passes (RPO) or the
+//! remapper (RP). A hit needs exact equality of the frame, so no digest
+//! collision can return a wrong result, and an alias pair learned since
+//! the entry was last validated, with both ends among the frame's memory
+//! instructions, makes the entry stale. The memo is bounded and belongs to
+//! one run, so `simulate` stays a pure function of its inputs.
 //!
-//! **Across runs**, a [`FrameBundle`] keys each optimized frame by a digest
-//! of exactly the optimizer's inputs (the remapped frame's encoding, id
-//! included, plus the restricted alias relation), so a warm run that
-//! reconstructs the same frame under the same profile state gets the
-//! *bit-identical* optimization result without running a single pass —
-//! and a frame rebuilt under a different profile (say, after an
-//! unsafe-store conflict taught the profiler a new alias pair) gets a
-//! different key and a fresh optimization. The bundle sits behind the memo
-//! and sees memo misses only; the sequence of misses is deterministic, so
-//! a warm run asks the bundle for exactly the frames a cold run stored.
-//!
-//! One bundle artifact holds every optimized frame of one
-//! `(trace, optimizer configuration)` pair, persisted through
-//! [`replay_store::Store`] at the end of a run and merged with whatever a
-//! concurrent process persisted first. Corrupt bundles — including ones
-//! that pass the container checksum but fail decode or the byte-exact
-//! re-encode gate — are evicted and the run proceeds cold.
-//!
-//! Specialized execution plans ([`replay_core::ExecPlan`]) are **not**
-//! persisted here: a plan is a cheap, deterministic recompilation of its
-//! `OptFrame` (microseconds, triggered by the runner's hit threshold),
-//! so storing one would add a second serialized encoding of frame
-//! semantics to keep honest for zero warm-start win. Warm runs load the
-//! optimized frames and re-earn their plans at runtime.
+//! Nothing here outlives the run, as in the paper, where the optimizer is
+//! a datapath feeding the frame cache. The trace's own loops supply the
+//! reuse, so no optimized frame is kept across runs.
 
-use replay_core::{frame_codec, AliasProfile, OptConfig, OptFrame, OptScope, OptStats};
+use replay_core::{AliasProfile, OptFrame, OptStats};
 use replay_frame::Frame;
-use replay_store::{Digest64, Reader, Store, WireError, Writer};
-use replay_trace::{trace_digest, Trace};
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Artifact class of persisted frame bundles.
-pub(crate) const FRAMES_CLASS: &str = "frames";
-
-/// Stable digest of an optimizer configuration — every field that can
-/// change what the pass pipeline produces.
-fn opt_config_digest(cfg: &OptConfig) -> u64 {
-    let mut d = Digest64::new();
-    d.write_u8(match cfg.scope {
-        OptScope::Frame => 0,
-        OptScope::Block => 1,
-        OptScope::InterBlock => 2,
-    });
-    d.write_bool(cfg.assert_fuse);
-    d.write_bool(cfg.const_prop);
-    d.write_bool(cfg.cse);
-    d.write_bool(cfg.nop_removal);
-    d.write_bool(cfg.reassoc);
-    d.write_bool(cfg.store_fwd);
-    d.write_bool(cfg.speculative_memory);
-    d.write_usize(cfg.max_iterations);
-    d.write_bool(cfg.reschedule);
-    d.finish()
-}
-
-/// The bundle artifact key: trace content, optimizer configuration, and
-/// the frame codec version (bumping the codec orphans old bundles instead
-/// of misreading them).
-fn bundle_key(trace: &Trace, cfg: &OptConfig) -> Option<u64> {
-    let mut d = Digest64::new();
-    d.write_u32(frame_codec::FRAME_CODEC_VERSION);
-    d.write_u64(trace_digest(trace).ok()?);
-    d.write_u64(opt_config_digest(cfg));
-    Some(d.finish())
-}
-
-/// Digest of one frame's optimization inputs: the remapped
-/// (pre-optimization) frame's exact encoding plus the alias-profile
-/// relation restricted to the frame's memory instructions.
-///
-/// The restriction is sound because the optimizer's only profile query
-/// site asks `aliased(a, b)` for x86 addresses of memory uops within the
-/// frame being optimized — hashing that whole sub-relation covers every
-/// answer the passes can observe.
-pub(crate) fn frame_key(raw: &OptFrame, profile: &AliasProfile) -> u64 {
-    let mut d = Digest64::new();
-    d.write(&frame_codec::encode_frame(raw));
-    let mut addrs: Vec<u32> = raw
-        .iter()
-        .filter(|(_, u)| u.is_load() || u.is_store())
-        .map(|(_, u)| u.x86_addr)
-        .collect();
-    addrs.sort_unstable();
-    addrs.dedup();
-    for (i, &a) in addrs.iter().enumerate() {
-        for &b in &addrs[i..] {
-            if profile.aliased(a, b) {
-                d.write_u32(a);
-                d.write_u32(b);
-            }
-        }
-    }
-    d.finish()
-}
 
 /// Most variants [`FrameMemo`] keeps per frame entry point.
 const MEMO_VARIANTS: usize = 4;
@@ -166,10 +79,6 @@ pub(crate) struct FrameMemo {
     buckets: Vec<Vec<MemoEntry>>,
     uops: usize,
     cap_uops: usize,
-    /// Reused encoding buffers of [`FrameMemo::assert_exact`], so the
-    /// debug-build cross-check adds no steady-state allocation.
-    #[cfg(debug_assertions)]
-    check: [Writer; 2],
 }
 
 impl FrameMemo {
@@ -179,8 +88,6 @@ impl FrameMemo {
             buckets: Vec::new(),
             uops: 0,
             cap_uops,
-            #[cfg(debug_assertions)]
-            check: Default::default(),
         }
     }
 
@@ -259,169 +166,27 @@ impl FrameMemo {
     }
 
     /// Panics unless a result [`FrameMemo::get`] returned equals `fresh`,
-    /// the same frame's result recomputed from scratch: the encodings of
-    /// frame and statistics must match byte for byte, ids aside. Debug
-    /// builds run this on every hit.
+    /// the same frame's result recomputed from scratch: frame (use counts
+    /// included) and statistics must be equal, ids aside. Debug builds run
+    /// this on every hit.
     #[cfg(debug_assertions)]
-    pub fn assert_exact(&mut self, hit: &(Arc<OptFrame>, OptStats), fresh: (OptFrame, OptStats)) {
+    pub fn assert_exact(hit: &(Arc<OptFrame>, OptStats), fresh: (OptFrame, OptStats)) {
         let (mut fresh_frame, fresh_stats) = fresh;
         fresh_frame.id = hit.0.id;
-        let [a, b] = &mut self.check;
-        for (w, frame, stats) in [
-            (&mut *a, &*hit.0, &hit.1),
-            (&mut *b, &fresh_frame, &fresh_stats),
-        ] {
-            w.clear();
-            frame_codec::write_frame(w, frame);
-            frame_codec::write_stats(w, stats);
-        }
         assert!(
-            a.as_bytes() == b.as_bytes(),
+            *hit.0 == fresh_frame && hit.1 == fresh_stats,
             "frame memo result for the frame at {:#x} differs from a fresh one",
             fresh_frame.start_addr
         );
     }
 }
 
-type Entries = HashMap<u64, (Arc<OptFrame>, OptStats)>;
-
-/// Canonical bundle payload: entries sorted by key, each as
-/// `key · frame · stats`. Sorting makes the encoding deterministic, which
-/// the decode-side re-encode gate relies on.
-fn encode_bundle(entries: &Entries) -> Vec<u8> {
-    let mut keys: Vec<u64> = entries.keys().copied().collect();
-    keys.sort_unstable();
-    let mut w = Writer::new();
-    w.put_u32(keys.len() as u32);
-    for k in keys {
-        let (frame, stats) = &entries[&k];
-        w.put_u64(k);
-        frame_codec::write_frame(&mut w, frame);
-        frame_codec::write_stats(&mut w, stats);
-    }
-    w.into_bytes()
-}
-
-fn decode_bundle(payload: &[u8]) -> Result<Entries, WireError> {
-    let mut r = Reader::new(payload);
-    let n = r.get_len("bundle entries", 8)?;
-    let mut entries = Entries::with_capacity(n);
-    for _ in 0..n {
-        let key = r.get_u64("entry key")?;
-        let frame = frame_codec::read_frame(&mut r)?;
-        let stats = frame_codec::read_stats(&mut r)?;
-        entries.insert(key, (Arc::new(frame), stats));
-    }
-    r.finish()?;
-    Ok(entries)
-}
-
-/// The per-run view of one `(trace, optimizer config)` bundle: loaded
-/// once when the run starts, consulted on every frame construction,
-/// persisted (merged with the on-disk state) when the run ends.
-pub(crate) struct FrameBundle {
-    store: &'static Store,
-    key: u64,
-    entries: Entries,
-    dirty: bool,
-}
-
-impl FrameBundle {
-    /// Loads the bundle for a run, if the process-wide store is enabled.
-    ///
-    /// A damaged bundle — container-level corruption, a decode failure,
-    /// or a payload whose decoded form does not re-encode byte-exactly —
-    /// is evicted and the run starts from an empty bundle.
-    pub fn open(trace: &Trace, cfg: &OptConfig) -> Option<FrameBundle> {
-        let store = Store::global()?;
-        let key = bundle_key(trace, cfg)?;
-        let entries = match store.load(FRAMES_CLASS, key) {
-            Some(payload) => match decode_bundle(&payload) {
-                Ok(entries) => {
-                    // Round-trip gate: the decoded bundle must mean
-                    // exactly what its bytes say.
-                    if encode_bundle(&entries) == payload {
-                        entries
-                    } else {
-                        store.evict_corrupt(FRAMES_CLASS, key, "re-encode mismatch");
-                        Entries::new()
-                    }
-                }
-                Err(e) => {
-                    store.evict_corrupt(FRAMES_CLASS, key, &e.to_string());
-                    Entries::new()
-                }
-            },
-            None => Entries::new(),
-        };
-        Some(FrameBundle {
-            store,
-            key,
-            entries,
-            dirty: false,
-        })
-    }
-
-    /// The cached optimization result for a frame key, if present.
-    pub fn get(&self, frame_key: u64) -> Option<(Arc<OptFrame>, OptStats)> {
-        self.entries
-            .get(&frame_key)
-            .map(|(f, s)| (Arc::clone(f), *s))
-    }
-
-    /// Records a freshly optimized frame.
-    pub fn insert(&mut self, frame_key: u64, frame: Arc<OptFrame>, stats: OptStats) {
-        if self.entries.insert(frame_key, (frame, stats)).is_none() {
-            self.dirty = true;
-        }
-    }
-
-    /// Persists the bundle if this run added anything, merging with
-    /// whatever another process persisted meanwhile (new entries win ties;
-    /// equal keys imply equal content anyway).
-    pub fn persist(&self) {
-        if !self.dirty {
-            return;
-        }
-        let mut merged = self
-            .store
-            .load(FRAMES_CLASS, self.key)
-            .and_then(|payload| decode_bundle(&payload).ok())
-            .unwrap_or_default();
-        for (k, v) in &self.entries {
-            merged.insert(*k, v.clone());
-        }
-        self.store
-            .save(FRAMES_CLASS, self.key, &encode_bundle(&merged));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use replay_core::optimize;
-    use replay_frame::{Frame, FrameId};
+    use replay_core::{optimize, OptConfig};
+    use replay_frame::FrameId;
     use replay_uop::{ArchReg, Uop};
-
-    fn sample_frame() -> Frame {
-        Frame {
-            id: FrameId(1),
-            start_addr: 0x400,
-            uops: vec![
-                Uop::store(ArchReg::Esp, -4, ArchReg::Ebp).at(0x400),
-                Uop::load(ArchReg::Ebx, ArchReg::Esp, -4).at(0x402),
-            ],
-            x86_addrs: vec![0x400, 0x402],
-            block_starts: vec![0],
-            expectations: vec![],
-            exit_next: 0x500,
-            orig_uop_count: 2,
-        }
-    }
-
-    fn sample_raw() -> OptFrame {
-        OptFrame::from_frame(&sample_frame())
-    }
 
     /// A frame entered at 0x400 with two stores and a load, each its own
     /// x86 instruction, and one control expectation.
@@ -576,71 +341,26 @@ mod tests {
         assert_eq!(tiny.uops, 0);
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn frame_key_sensitive_to_relevant_alias_pairs_only() {
-        let raw = sample_raw();
-        let empty = AliasProfile::empty();
-        let base = frame_key(&raw, &empty);
-        assert_eq!(base, frame_key(&raw, &empty), "deterministic");
-
-        // A pair between this frame's memory uops changes the key...
-        let mut relevant = AliasProfile::empty();
-        relevant.record(0x400, 0x402);
-        assert_ne!(frame_key(&raw, &relevant), base);
-
-        // ...a pair between unrelated instructions does not.
-        let mut irrelevant = AliasProfile::empty();
-        irrelevant.record(0x9000, 0x9004);
-        assert_eq!(frame_key(&raw, &irrelevant), base);
+    fn cross_check_accepts_a_fresh_result_under_another_id() {
+        let profile = AliasProfile::empty();
+        let hit = optimized(&memo_frame(), &profile);
+        let again = Frame {
+            id: FrameId(99),
+            ..memo_frame()
+        };
+        FrameMemo::assert_exact(&hit, optimize(&again, &profile, &OptConfig::default()));
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn bundle_encoding_is_canonical_and_round_trips() {
-        let raw = sample_raw();
-        let (opt, stats) = optimize(
-            &sample_frame(),
-            &AliasProfile::empty(),
-            &OptConfig::default(),
-        );
-        let mut entries = Entries::new();
-        entries.insert(7, (Arc::new(opt), stats));
-        entries.insert(3, (Arc::new(raw), OptStats::default()));
-        let bytes = encode_bundle(&entries);
-        let back = decode_bundle(&bytes).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(encode_bundle(&back), bytes, "canonical re-encode");
-        let (f, s) = &back[&7];
-        assert_eq!(s.store_forwards, stats.store_forwards);
-        assert_eq!(f.uop_count(), 1);
-    }
-
-    #[test]
-    fn corrupt_bundle_decodes_to_error_never_panics() {
-        let raw = sample_raw();
-        let mut entries = Entries::new();
-        entries.insert(1, (Arc::new(raw), OptStats::default()));
-        let bytes = encode_bundle(&entries);
-        for cut in 0..bytes.len() {
-            assert!(decode_bundle(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn config_digest_separates_configurations() {
-        let mut seen = std::collections::HashSet::new();
-        for cfg in [
-            OptConfig::default(),
-            OptConfig::none(),
-            OptConfig::without("CP"),
-            OptConfig::without("SF"),
-            OptConfig::without("CSE"),
-            OptConfig::block_scope(),
-            OptConfig::inter_block_scope(),
-        ] {
-            assert!(
-                seen.insert(opt_config_digest(&cfg)),
-                "digest collision for {cfg:?}"
-            );
-        }
+    #[should_panic(expected = "differs from a fresh one")]
+    fn cross_check_rejects_a_differing_frame() {
+        let profile = AliasProfile::empty();
+        let hit = optimized(&memo_frame(), &profile);
+        let (mut frame, stats) = optimize(&memo_frame(), &profile, &OptConfig::default());
+        frame.exit_next += 4;
+        FrameMemo::assert_exact(&hit, (frame, stats));
     }
 }

@@ -9,7 +9,7 @@
 //! a frame-cache hit is a reference-count bump, and frame probes reuse one
 //! [`ExecScratch`] instead of cloning the golden machine state.
 
-use crate::framestore::{frame_key, FrameBundle, FrameMemo};
+use crate::framestore::FrameMemo;
 use crate::{ConfigKind, Injector, SimConfig, SimResult, TraceEntry, TraceFiller};
 use replay_core::{
     observe_opt_totals, optimize_timed, probe_frame, AliasProfile, ExecPlan, ExecScratch, OptFrame,
@@ -160,15 +160,12 @@ struct Runner<'a> {
     /// This run's optimization results, reused for every frame identical
     /// to one built before (RP and RPO).
     memo: FrameMemo,
-    /// Persistent cache of optimized frames for this `(trace, opt config)`
-    /// pair; present only under RPO when the artifact store is enabled.
-    bundle: Option<FrameBundle>,
     verifier: Verifier,
     opt_stats: OptStats,
-    /// Uops removed from each frame the optimizer handled, cold or warm
+    /// Uops removed from each frame the optimizer handled, memoized or not
     /// (`opt.frame_removed_uops`).
     opt_removed: Hist,
-    /// Wall time of the frames optimized in this run (warm hits add none).
+    /// Wall time of the frames optimized in this run (memo hits add none).
     opt_timings: OptTimings,
     frames_x86: u64,
     path_mismatch_completions: u64,
@@ -217,9 +214,6 @@ impl<'a> Runner<'a> {
             datapath: OptimizerDatapath::new(cfg.datapath),
             profile: AliasProfile::new(),
             memo: FrameMemo::new(cfg.timing.frame_cache_uops),
-            bundle: (cfg.kind == ConfigKind::ReplayOpt)
-                .then(|| FrameBundle::open(trace, &cfg.opt))
-                .flatten(),
             verifier: Verifier::new(),
             opt_stats: OptStats::default(),
             opt_removed: Hist::default(),
@@ -366,18 +360,19 @@ impl<'a> Runner<'a> {
             } else {
                 remap(&frame)
             };
-            self.memo.assert_exact(hit, fresh);
+            FrameMemo::assert_exact(hit, fresh);
         }
-        // The remapped pre-optimization frame is both the persistent-store
-        // key input and the verifier reference; build it only when one of
-        // them will use it, keeping the store-less, verify-less path
-        // allocation-lean.
-        let raw = (rpo && (self.cfg.verify || (hit.is_none() && self.bundle.is_some())))
-            .then(|| OptFrame::from_frame(&frame));
+        // The remapped pre-optimization frame is the verifier's reference;
+        // build it only when verifying, keeping that path allocation-lean.
+        let raw = (rpo && self.cfg.verify).then(|| OptFrame::from_frame(&frame));
         let memoized = hit.is_some();
         let (opt, stats) = match hit {
             Some(hit) => hit,
-            None if rpo => self.optimize_cold(&frame, raw.as_ref()),
+            None if rpo => {
+                let (opt, stats) =
+                    optimize_timed(&frame, &self.profile, &self.cfg.opt, &mut self.opt_timings);
+                (Arc::new(opt), stats)
+            }
             None => {
                 let (opt, stats) = remap(&frame);
                 (Arc::new(opt), stats)
@@ -396,7 +391,7 @@ impl<'a> Runner<'a> {
         }
         if rpo {
             self.opt_removed.record(stats.removed_uops());
-            if let Some(mut raw) = raw.filter(|_| self.cfg.verify) {
+            if let Some(mut raw) = raw {
                 raw.compact();
                 self.verifier
                     .check(&raw, &cached.opt, self.injector.golden());
@@ -408,35 +403,6 @@ impl<'a> Runner<'a> {
             // Basic rePLay: frames go straight into the cache (§6.3).
             self.frame_cache.insert(key, cached);
         }
-    }
-
-    /// Optimizes a frame the memo does not hold, through the persistent
-    /// bundle when the artifact store is enabled (`raw` is the remapped
-    /// frame, built whenever there is a bundle).
-    fn optimize_cold(
-        &mut self,
-        frame: &Frame,
-        raw: Option<&OptFrame>,
-    ) -> (Arc<OptFrame>, OptStats) {
-        let bundle_key = match (&self.bundle, raw) {
-            (Some(bundle), Some(raw)) => {
-                let key = frame_key(raw, &self.profile);
-                // Warm hit: the stored result and its statistics are
-                // bit-identical to what the passes would produce.
-                if let Some(hit) = bundle.get(key) {
-                    return hit;
-                }
-                Some(key)
-            }
-            _ => None,
-        };
-        let (opt, stats) =
-            optimize_timed(frame, &self.profile, &self.cfg.opt, &mut self.opt_timings);
-        let opt = Arc::new(opt);
-        if let (Some(key), Some(bundle)) = (bundle_key, self.bundle.as_mut()) {
-            bundle.insert(key, Arc::clone(&opt), stats);
-        }
-        (opt, stats)
     }
 
     /// Fetches one dynamic instance of a cached frame starting at record
@@ -650,9 +616,6 @@ impl<'a> Runner<'a> {
             }
         }
         self.pipeline.finish();
-        if let Some(bundle) = &self.bundle {
-            bundle.persist();
-        }
 
         let pstats = self.pipeline.stats();
         let coverage = if pstats.retired_x86 == 0 {

@@ -2,14 +2,15 @@
 //!
 //! A persistent, content-addressed artifact store for the rePLay engine.
 //!
-//! Synthesizing a workload trace and optimizing its frames are pure
-//! functions of their inputs, yet before this crate every *process*
-//! recomputed them from scratch — the in-memory memoization of
-//! `replay_sim::TraceStore` dies with the process. This crate adds the
-//! disk layer beneath it: artifacts cached under a directory (default
-//! `.replay-cache/` for the CLI) keyed by a stable 64-bit content digest
-//! of everything that determines their bytes, so warm runs skip synthesis
-//! and optimization entirely.
+//! Synthesizing a workload trace is a pure function of its inputs, yet
+//! before this crate every *process* recomputed it from scratch — the
+//! in-memory memoization of `replay_sim::TraceStore` dies with the
+//! process. This crate adds the disk layer beneath it: artifacts cached
+//! under a directory (default `.replay-cache/` for the CLI) keyed by a
+//! stable 64-bit content digest of everything that determines their
+//! bytes, so warm runs skip synthesis entirely. Traces are the one
+//! artifact class the simulator stores; optimized frames are recomputed in
+//! each run.
 //!
 //! Three properties the implementation guarantees:
 //!

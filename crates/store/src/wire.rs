@@ -65,16 +65,6 @@ impl Writer {
         self.buf
     }
 
-    /// The bytes written so far.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Discards everything written, keeping the buffer for reuse.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -102,11 +92,6 @@ impl Writer {
 
     /// Appends a `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `i32`.
-    pub fn put_i32(&mut self, v: i32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -178,12 +163,6 @@ impl<'a> Reader<'a> {
         ]))
     }
 
-    /// Reads an `i32`.
-    pub fn get_i32(&mut self, what: &'static str) -> Result<i32, WireError> {
-        let b = self.take(4, what)?;
-        Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
     /// Reads `n` raw bytes (caller handles any length prefix, typically
     /// via [`Reader::get_len`] with `min_elem_size` 1).
     pub fn get_bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
@@ -218,14 +197,12 @@ mod tests {
         w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
-        w.put_i32(-42);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_u8("a").unwrap(), 7);
         assert_eq!(r.get_u16("b").unwrap(), 0xBEEF);
         assert_eq!(r.get_u32("c").unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64("d").unwrap(), u64::MAX - 1);
-        assert_eq!(r.get_i32("e").unwrap(), -42);
         assert_eq!(r.finish(), Ok(()));
     }
 

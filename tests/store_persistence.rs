@@ -6,7 +6,7 @@
 //! panic, never silently wrong), and concurrent writers leave exactly one
 //! valid artifact with no torn reads.
 
-use replay_sim::{simulate, ConfigKind, SimConfig};
+use replay_sim::{simulate, ConfigKind, SimConfig, TraceStore};
 use replay_store::Store;
 use replay_trace::workloads;
 use std::path::PathBuf;
@@ -150,10 +150,17 @@ fn concurrent_writers_leave_one_untorn_artifact() {
     assert!(payloads.contains(&last));
 }
 
+/// The number of files in a store directory.
+fn file_count(store: &Store) -> usize {
+    std::fs::read_dir(store.root()).unwrap().count()
+}
+
 /// The end-to-end warm-start contract through the process-global store:
-/// a warm RPO simulation is bit-identical to the cold one (including under
-/// concurrent warm replays), serves from disk, and survives corruption of
-/// every cached artifact by regenerating — still bit-identically.
+/// a trace read warm from its artifact simulates bit-identically to the
+/// cold synthesis (including under concurrent warm replays), simulation
+/// itself neither reads nor writes the store, and corrupting every cached
+/// artifact makes the trace store evict and regenerate — still
+/// bit-identically.
 ///
 /// This is the only test allowed to touch [`Store::global`]; everything it
 /// checks happens sequentially inside one test body so no other test can
@@ -166,19 +173,26 @@ fn warm_start_is_bit_identical_and_corruption_tolerant() {
         "global store must be configured before first use"
     );
     let store = Store::global().expect("global store enabled");
-
-    let trace = workloads::by_name("crafty")
-        .unwrap()
-        .segment_trace(0, 4_000);
+    let crafty = workloads::by_name("crafty").unwrap();
+    // A fresh trace store has an empty memory layer, so every segment
+    // request goes to the disk.
+    let segment = || TraceStore::with_disk(store).segment(&crafty, 0, 4_000);
     let cfg = SimConfig::new(ConfigKind::ReplayOpt).without_verify();
 
-    let cold = simulate(&trace, &cfg);
-    assert!(store.writes() > 0, "cold run persists its frame bundle");
+    let cold_trace = segment();
+    assert!(store.writes() > 0, "cold synthesis persists the trace");
+
+    // An RPO simulation is a pure function of its inputs: no store I/O.
+    let counters = |s: &Store| (s.hits(), s.misses(), s.writes());
+    let (before, files_before) = (counters(store), file_count(store));
+    let cold = simulate(&cold_trace, &cfg);
+    assert_eq!(counters(store), before, "simulate touches no artifact");
+    assert_eq!(file_count(store), files_before, "simulate adds no file");
     let cold_json = cold.profile.to_json(false);
 
     let hits_before = store.hits();
-    let warm = simulate(&trace, &cfg);
-    assert!(store.hits() > hits_before, "warm run reads the bundle");
+    let warm = simulate(&segment(), &cfg);
+    assert!(store.hits() > hits_before, "warm trace read from disk");
     assert_eq!(cold.cycles, warm.cycles);
     assert_eq!(cold.x86_retired, warm.x86_retired);
     assert_eq!(cold.coverage.to_bits(), warm.coverage.to_bits());
@@ -187,7 +201,9 @@ fn warm_start_is_bit_identical_and_corruption_tolerant() {
 
     // Concurrent warm replays (the `--jobs 8` shape): all bit-identical.
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..8).map(|_| s.spawn(|| simulate(&trace, &cfg))).collect();
+        let handles: Vec<_> = (0..8)
+            .map(|_| s.spawn(|| simulate(&segment(), &cfg)))
+            .collect();
         for h in handles {
             let r = h.join().unwrap();
             assert_eq!(r.cycles, cold.cycles);
@@ -206,7 +222,7 @@ fn warm_start_is_bit_identical_and_corruption_tolerant() {
     }
     assert!(corrupted > 0, "cold run left artifacts to corrupt");
     let evictions_before = store.corrupt_evictions();
-    let recovered = simulate(&trace, &cfg);
+    let recovered = simulate(&segment(), &cfg);
     assert!(
         store.corrupt_evictions() > evictions_before,
         "damaged artifacts were evicted"
