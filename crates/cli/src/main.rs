@@ -24,12 +24,42 @@
 use replay_core::{optimize, AliasProfile, OptConfig};
 use replay_frame::{ConstructorConfig, FrameConstructor, RetireEvent};
 use replay_sim::experiment::{self, SimSpec};
-use replay_sim::{parallel, simulate, ConfigKind, CoreModel, Injector, SimConfig, TraceStore};
+use replay_sim::{parallel, simulate, ConfigKind, CoreModel, SimConfig, TraceStore};
 use replay_timing::CycleBin;
 use replay_trace::{read_trace, workloads, write_trace, Trace, Workload};
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// `print!` for command output, through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for command output, through [`emit`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes command output to stdout. A reader that closed early (`replay
+/// disasm excel | head -1`) ends the process quietly with status 0, the
+/// way a pipeline expects; any other write failure panics like `print!`.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -100,17 +130,17 @@ fn wrap(text: &str, indent: &str, width: usize) -> String {
 }
 
 fn print_usage() {
-    println!("replay — Dynamic Optimization of Micro-Operations (HPCA 2003) reproduction\n");
-    println!("USAGE:");
+    outln!("replay — Dynamic Optimization of Micro-Operations (HPCA 2003) reproduction\n");
+    outln!("USAGE:");
     // Generated from the same CmdSpecs the parser validates against:
     // the synopsis line is CmdSpec::usage() minus the "usage: " prefix.
     for spec in ALL_SPECS {
         let synopsis = spec.usage();
         let synopsis = synopsis.strip_prefix("usage: ").unwrap_or(&synopsis);
-        println!("{}", wrap(synopsis, "  ", 78));
-        println!("{}", wrap(spec.about, "      ", 78));
+        outln!("{}", wrap(synopsis, "  ", 78));
+        outln!("{}", wrap(spec.about, "      ", 78));
     }
-    println!(
+    outln!(
         "
 Parallelism: --jobs/--threads N (or the REPLAY_JOBS environment variable)
 sets the worker count; the default is the machine's available parallelism
@@ -565,12 +595,15 @@ fn cmd_workloads(args: &[String]) -> Result<(), String> {
     if !opts.positional.is_empty() {
         return Err(SPEC_WORKLOADS.usage());
     }
-    println!(
+    outln!(
         "{:10} {:8} {:>9} {:>14}   (Table 1 of the paper)",
-        "name", "suite", "segments", "default x86"
+        "name",
+        "suite",
+        "segments",
+        "default x86"
     );
     for w in workloads::all() {
-        println!(
+        outln!(
             "{:10} {:8} {:>9} {:>14}",
             w.name,
             match w.suite {
@@ -651,7 +684,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let trace = w.segment_trace(seg, n);
     let file = std::fs::File::create(out).map_err(|e| format!("creating {out:?}: {e}"))?;
     write_trace(std::io::BufWriter::new(file), &trace).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "wrote {} records of `{}` segment {seg} to {out}",
         trace.len(),
         name
@@ -691,15 +724,15 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
         cfg = cfg.without_verify();
     }
     let r = simulate(&trace, &cfg);
-    println!("trace `{}`: {} x86 instructions", trace.name, trace.len());
-    println!(
+    outln!("trace `{}`: {} x86 instructions", trace.name, trace.len());
+    outln!(
         "configuration {kind} ({} core): {} cycles, IPC {:.3}",
         model.label(),
         r.cycles,
         r.ipc()
     );
     if kind.uses_frames() {
-        println!(
+        outln!(
             "coverage {:.1}%  |  uops removed {:.1}%  loads removed {:.1}%  |  aborts {}",
             r.coverage * 100.0,
             r.uop_removal() * 100.0,
@@ -707,15 +740,16 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
             r.assert_events
         );
         if r.verify.checked > 0 {
-            println!(
+            outln!(
                 "verifier: {} checked, {} failed",
-                r.verify.checked, r.verify.failed
+                r.verify.checked,
+                r.verify.failed
             );
         }
     }
-    println!("cycle breakdown:");
+    outln!("cycle breakdown:");
     for bin in CycleBin::ALL {
-        println!(
+        outln!(
             "  {:8} {:10} ({:5.1}%)",
             bin.label(),
             r.bins.get(bin),
@@ -723,8 +757,8 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
         );
     }
     if opts.has("profile") {
-        println!("profile [{}]:", kind.label());
-        print!("{}", r.profile.render_table(opts.has("timings")));
+        outln!("profile [{}]:", kind.label());
+        out!("{}", r.profile.render_table(opts.has("timings")));
     }
     Ok(())
 }
@@ -739,7 +773,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     let model = core_model_opt(&opts)?;
     configure_store(&opts);
     let trace = load_trace(source, n, 0)?;
-    println!(
+    outln!(
         "trace `{}`: {} x86 instructions ({} worker{}, {} core)",
         trace.name,
         trace.len(),
@@ -758,14 +792,19 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         })
         .collect();
     let results = experiment::run_specs(&specs, jobs);
-    println!(
+    outln!(
         "{:5} {:>9} {:>7} {:>7} {:>9} {:>8}",
-        "cfg", "cycles", "IPC", "cov%", "removed%", "aborts"
+        "cfg",
+        "cycles",
+        "IPC",
+        "cov%",
+        "removed%",
+        "aborts"
     );
     let mut rp = 0.0;
     let mut rpo = 0.0;
     for (kind, r) in ConfigKind::ALL.into_iter().zip(&results) {
-        println!(
+        outln!(
             "{:5} {:>9} {:>7.3} {:>7.1} {:>9.1} {:>8}",
             kind.label(),
             r.cycles,
@@ -781,7 +820,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         }
     }
     if rp > 0.0 {
-        println!("optimization gain: {:+.1}%", (rpo / rp - 1.0) * 100.0);
+        outln!("optimization gain: {:+.1}%", (rpo / rp - 1.0) * 100.0);
     }
     if opts.has("profile") {
         // The profile section is deterministic: counters only (timings are
@@ -789,8 +828,8 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         // submission order — byte-identical at any --jobs count.
         let timings = opts.has("timings");
         for (kind, r) in ConfigKind::ALL.into_iter().zip(&results) {
-            println!("profile [{}]:", kind.label());
-            print!("{}", r.profile.render_table(timings));
+            outln!("profile [{}]:", kind.label());
+            out!("{}", r.profile.render_table(timings));
         }
     }
     Ok(())
@@ -815,7 +854,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     match opts.get("json") {
         Some(path) => {
             std::fs::write(path, &json).map_err(|e| format!("writing {path:?}: {e}"))?;
-            println!(
+            outln!(
                 "trace `{}`: {} x86 instructions ({} worker{})",
                 trace.name,
                 trace.len(),
@@ -823,16 +862,16 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
                 if jobs == 1 { "" } else { "s" }
             );
             for (kind, r) in ConfigKind::ALL.into_iter().zip(&results) {
-                println!(
+                outln!(
                     "  {:4} dyn uops removed {:>9} / {:>9}",
                     kind.label(),
                     r.dyn_uops_removed,
                     r.dyn_uops_total
                 );
             }
-            println!("wrote {path}");
+            outln!("wrote {path}");
         }
-        None => print!("{json}"),
+        None => out!("{json}"),
     }
     Ok(())
 }
@@ -919,27 +958,19 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(peer_list) = peers {
         let mut ccfg = replay_serve::ClusterConfig::new(self_addr.clone(), peer_list);
         ccfg.push_fanout = opts.count("push-fanout", ccfg.push_fanout)?;
-        let members = {
-            // The ring dedups and adds self if absent; mirror that here
-            // so the banner's member count is what the ring will use.
-            let mut m: Vec<&str> = ccfg.peers.iter().map(String::as_str).collect();
-            m.push(&self_addr);
-            m.sort_unstable();
-            m.dedup();
-            m.len()
-        };
-        println!(
-            "cluster mode: {self_addr} on a {members}-member ring (redirects misses, fanout {})",
-            ccfg.push_fanout,
-        );
+        let fanout = ccfg.push_fanout;
         server.configure_cluster(ccfg);
+        let members = server.cluster().map_or(0, |c| c.ring().len());
+        outln!(
+            "cluster mode: {self_addr} on a {members}-member ring (redirects misses, fanout {fanout})"
+        );
     }
-    println!(
+    outln!(
         "replay-serve listening on {bound} ({jobs} workers, event-loop front; SIGTERM/ctrl-c drains)"
     );
     let stats = server.run();
-    println!("drained; serve metrics:");
-    print!("{}", stats.profile.render_table(false));
+    outln!("drained; serve metrics:");
+    out!("{}", stats.profile.render_table(false));
     Ok(())
 }
 
@@ -990,9 +1021,9 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     match opts.get("json") {
         Some(path) => {
             std::fs::write(path, &body).map_err(|e| format!("writing {path:?}: {e}"))?;
-            println!("wrote {path} ({} bytes from {addr})", body.len());
+            outln!("wrote {path} ({} bytes from {addr})", body.len());
         }
-        None => print!("{body}"),
+        None => out!("{body}"),
     }
     Ok(())
 }
@@ -1021,13 +1052,11 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         // Sensitivity mode: plant every known bug species into optimized
         // frames and require that the differential oracle catches each one.
         let attempts = cases.min(10_000) as u32;
-        println!(
-            "planting faults into optimized frames ({attempts} attempts per kind, seed {seed})"
-        );
-        println!("{:14} {:>9} {:>9}", "fault", "injected", "detected");
+        outln!("planting faults into optimized frames ({attempts} attempts per kind, seed {seed})");
+        outln!("{:14} {:>9} {:>9}", "fault", "injected", "detected");
         let mut missed = Vec::new();
         for probe in probe_fault_sensitivity(seed, attempts) {
-            println!(
+            outln!(
                 "{:14} {:>9} {:>9}",
                 probe.kind.name(),
                 probe.injected,
@@ -1038,7 +1067,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
             }
         }
         return if missed.is_empty() {
-            println!("every fault kind detected");
+            outln!("every fault kind detected");
             Ok(())
         } else {
             Err(format!(
@@ -1056,8 +1085,8 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     // Replay the persisted corpus first: previously-found bugs must stay
     // fixed before we go looking for new ones.
     match replay_check::replay_dir(&corpus) {
-        Ok(0) => println!("corpus {}: empty", corpus.display()),
-        Ok(n) => println!("corpus {}: {n} case(s) replayed clean", corpus.display()),
+        Ok(0) => outln!("corpus {}: empty", corpus.display()),
+        Ok(n) => outln!("corpus {}: {n} case(s) replayed clean", corpus.display()),
         Err((path, e)) => return Err(format!("corpus case {}: {e}", path.display())),
     }
 
@@ -1071,7 +1100,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     };
     let t = Instant::now();
     let report = run_check(&cfg);
-    println!(
+    outln!(
         "{report} (seed {seed}, {jobs} worker{}, {:.2}s)",
         if jobs == 1 { "" } else { "s" },
         t.elapsed().as_secs_f64()
@@ -1089,7 +1118,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         ));
         std::fs::write(&path, to_text(&cex.case))
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!(
+        outln!(
             "  {} ({} uops): {}",
             path.display(),
             cex.case.frame.uop_count(),
@@ -1110,8 +1139,8 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     };
     let n = opts.count("n", 30_000)?;
     let trace = load_trace(source, n, 0)?;
-    println!("trace `{}`", trace.name);
-    print!("{}", replay_trace::TraceStats::of(&trace).report());
+    outln!("trace `{}`", trace.name);
+    out!("{}", replay_trace::TraceStats::of(&trace).report());
     Ok(())
 }
 
@@ -1126,7 +1155,7 @@ fn cmd_disasm(args: &[String]) -> Result<(), String> {
     let (program, _) = w.segment_program(seg);
     for line in program.disasm() {
         match line {
-            Ok(l) => println!("{:#010x}: {}", l.addr, l.inst),
+            Ok(l) => outln!("{:#010x}: {}", l.addr, l.inst),
             Err(e) => return Err(format!("disassembly failed: {e}")),
         }
     }
@@ -1142,16 +1171,14 @@ fn cmd_frames(args: &[String]) -> Result<(), String> {
     let top = opts.count("top", 3)?;
     let w = workloads::by_name(name).ok_or_else(|| format!("unknown workload {name:?}"))?;
     let trace = w.segment_trace(0, n);
-    let mut injector = Injector::new();
-    injector.preseed(&trace);
+    let index = trace.static_index();
     let mut constructor = FrameConstructor::new(ConstructorConfig::default());
     let mut best: Vec<(u64, replay_frame::Frame)> = Vec::new();
     let mut seen = std::collections::HashSet::new();
-    for r in trace.records() {
-        let flow = injector.flow(r);
+    for (i, r) in trace.records().iter().enumerate() {
         let ev = RetireEvent {
             addr: r.addr,
-            uops: &flow,
+            uops: index.record_flow(i),
             next_pc: r.next_pc,
             fallthrough: r.fallthrough(),
         };
@@ -1161,10 +1188,9 @@ fn cmd_frames(args: &[String]) -> Result<(), String> {
                 best.push((stats.removed_uops(), frame));
             }
         }
-        injector.apply(r);
     }
     best.sort_by_key(|(removed, _)| std::cmp::Reverse(*removed));
-    println!(
+    outln!(
         "{} distinct frames constructed from {} instructions of `{}`",
         best.len(),
         trace.len(),
@@ -1172,7 +1198,7 @@ fn cmd_frames(args: &[String]) -> Result<(), String> {
     );
     for (removed, frame) in best.into_iter().take(top) {
         let (opt, stats) = optimize(&frame, &AliasProfile::empty(), &OptConfig::default());
-        println!(
+        outln!(
             "\n=== frame at {:#x}: {} x86 instrs, {} -> {} uops ({removed} removed, {} loads) ===",
             frame.start_addr,
             frame.x86_count(),
@@ -1180,8 +1206,8 @@ fn cmd_frames(args: &[String]) -> Result<(), String> {
             stats.uops_after,
             stats.removed_loads()
         );
-        println!("--- before ---\n{}", frame.listing());
-        println!("--- after ---\n{}", opt.listing());
+        outln!("--- before ---\n{}", frame.listing());
+        outln!("--- after ---\n{}", opt.listing());
     }
     Ok(())
 }
@@ -1215,7 +1241,7 @@ fn cmd_clone(args: &[String]) -> Result<(), String> {
     // from a suite workload is reachable exactly.
     let target_trace = load_trace(source, n, 0)?;
     let target = replay_trace::StatProfile::measure(&target_trace);
-    println!(
+    outln!(
         "target `{}`: {} x86 instructions; fitting at scale {} (tolerance {}, seed {:#x})",
         source,
         target_trace.len(),
@@ -1224,22 +1250,25 @@ fn cmd_clone(args: &[String]) -> Result<(), String> {
         cfg.seed
     );
     let fit = replay_clone::fit(&target, &cfg).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "converged: `{}` at distance {:.4} after {} iterations ({} evaluations)",
-        fit.workload.name, fit.distance, fit.iterations, fit.evaluations
+        fit.workload.name,
+        fit.distance,
+        fit.iterations,
+        fit.evaluations
     );
     let (axis, delta) = fit.measured.worst_component(&target);
-    println!("worst dimension: {axis} (|delta| = {delta:.4})");
+    outln!("worst dimension: {axis} (|delta| = {delta:.4})");
     if let Some(path) = opts.get("json") {
         let json = replay_clone::clone_json(&cfg, &target, &fit);
         std::fs::write(path, &json).map_err(|e| format!("writing {path:?}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     if let Some(out) = opts.get("o") {
         let trace = TraceStore::global().segment(&fit.workload, 0, cfg.fit_scale);
         let file = std::fs::File::create(out).map_err(|e| format!("creating {out:?}: {e}"))?;
         write_trace(std::io::BufWriter::new(file), &trace).map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "wrote {} records of `{}` to {out}",
             trace.len(),
             fit.workload.name
@@ -1281,13 +1310,19 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     }
     let result = replay_clone::run_sweep(&cfg);
     for corner in &result.corners {
-        println!("corner {}:", corner.corner);
-        println!(
+        outln!("corner {}:", corner.corner);
+        outln!(
             "  {:>4} {:>5} {:>7} {:>7} {:>8} {:>5} {:>7}",
-            "step", "frac", "rp", "rpo", "gain%", "cov", "assert"
+            "step",
+            "frac",
+            "rp",
+            "rpo",
+            "gain%",
+            "cov",
+            "assert"
         );
         for p in &corner.points {
-            println!(
+            outln!(
                 "  {:>4} {:>5.2} {:>7.3} {:>7.3} {:>+8.2} {:>5.2} {:>7.3}",
                 p.step,
                 p.frac,
@@ -1299,16 +1334,16 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             );
         }
         match corner.collapse_step {
-            Some(step) => println!(
+            Some(step) => outln!(
                 "  collapse at step {step} (gain below {}%)",
                 cfg.gain_floor_pct
             ),
-            None => println!("  no collapse above the {}% floor", cfg.gain_floor_pct),
+            None => outln!("  no collapse above the {}% floor", cfg.gain_floor_pct),
         }
     }
     if let Some(path) = opts.get("out") {
         std::fs::write(path, result.to_json()).map_err(|e| format!("writing {path:?}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Ok(())
 }

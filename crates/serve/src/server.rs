@@ -271,6 +271,11 @@ impl Server {
         self.cluster = Some(state);
     }
 
+    /// The cluster state [`Server::configure_cluster`] built, if any.
+    pub fn cluster(&self) -> Option<&ClusterState> {
+        self.cluster.as_deref()
+    }
+
     fn trace_store_ref(&self) -> &TraceStore {
         self.trace_store
             .as_deref()

@@ -1,7 +1,7 @@
 //! Processor configuration (paper Table 2).
 
 use crate::cache::CacheConfig;
-use crate::ports::{CoreModel, PortConfigError, PortTable};
+use crate::ports::CoreModel;
 
 /// The timing model's processor parameters.
 ///
@@ -26,16 +26,6 @@ pub struct TimingConfig {
     pub front_end_depth: u64,
     /// Scheduling-window capacity in uops (paper: 512).
     pub window: usize,
-    /// Number of single-cycle integer ALUs (paper: 6).
-    pub simple_alus: usize,
-    /// Number of multi-cycle integer units (paper: 2).
-    pub complex_alus: usize,
-    /// Number of floating-point units (paper: 3). The integer-only uop
-    /// ISA never routes to them, so neither core model instantiates an
-    /// FPU bank; the count is retained as Table 2 bookkeeping.
-    pub fpus: usize,
-    /// Number of load/store units (paper: 4).
-    pub ldst_units: usize,
     /// gshare global-history length in bits (paper: 18).
     pub gshare_bits: u32,
     /// Instruction cache geometry.
@@ -55,16 +45,10 @@ pub struct TimingConfig {
     /// Idle cycle charged when fetch switches between the frame cache and
     /// the ICache (the paper's Wait cycles).
     pub cache_switch_wait: u64,
-    /// Latency of a complex integer op (`IMUL`).
-    pub mul_latency: u64,
-    /// Latency of `DIV`/`REM`.
-    pub div_latency: u64,
-    /// Which execution-core model schedules uops (see the `ports`
-    /// module). `Generic` reproduces the paper's Table 2 unit pool.
+    /// Which execution-core model schedules uops: it picks the port table
+    /// (functional units, latencies, occupancies) of the `ports` module.
+    /// `Generic` is the paper's Table 2 unit pool.
     pub core_model: CoreModel,
-    /// Per-opcode port bindings and latencies used when `core_model` is
-    /// [`CoreModel::PortAccurate`].
-    pub port_table: PortTable,
 }
 
 impl TimingConfig {
@@ -75,10 +59,6 @@ impl TimingConfig {
             width: 8,
             x86_decode_width: 4,
             window: 512,
-            simple_alus: 6,
-            complex_alus: 2,
-            fpus: 3,
-            ldst_units: 4,
             gshare_bits: 18,
             icache: CacheConfig {
                 size_bytes: 8 * 1024,
@@ -100,12 +80,9 @@ impl TimingConfig {
             memory_latency: 50,
             frame_cache_uops: 16 * 1024,
             cache_switch_wait: 1,
-            mul_latency: 3,
-            div_latency: 12,
             branch_resolution_depth: 15,
             front_end_depth: 8,
             core_model: CoreModel::Generic,
-            port_table: PortTable::uops_info(),
         }
     }
 
@@ -122,17 +99,6 @@ impl TimingConfig {
             ..TimingConfig::paper_default()
         }
     }
-
-    /// Validates the configuration for the selected core model: under
-    /// [`CoreModel::PortAccurate`], every opcode must bind at least one
-    /// issue port with non-zero latency and occupancy (the generic model's
-    /// unit counts are checked at pool construction).
-    pub fn validate(&self) -> Result<(), PortConfigError> {
-        match self.core_model {
-            CoreModel::Generic => Ok(()),
-            CoreModel::PortAccurate => self.port_table.validate(),
-        }
-    }
 }
 
 impl Default for TimingConfig {
@@ -144,6 +110,7 @@ impl Default for TimingConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ports::{PortBinding, PortConfigError, PortSet};
 
     #[test]
     fn table2_values() {
@@ -152,10 +119,14 @@ mod tests {
         assert_eq!(c.x86_decode_width, 4);
         assert_eq!(c.branch_resolution_depth, 15);
         assert_eq!(c.window, 512);
-        assert_eq!(
-            (c.simple_alus, c.complex_alus, c.fpus, c.ldst_units),
-            (6, 2, 3, 4)
-        );
+        let units: Vec<_> = c
+            .core_model
+            .table()
+            .ports()
+            .iter()
+            .map(|p| p.pipes)
+            .collect();
+        assert_eq!(units, [6, 2, 4], "simple, complex and load/store units");
         assert_eq!(c.gshare_bits, 18);
         assert_eq!(c.l1d.size_bytes, 32 * 1024);
         assert_eq!(c.l1d_latency, 2);
@@ -166,24 +137,22 @@ mod tests {
         assert_eq!(c.icache.size_bytes, 8 * 1024);
         assert_eq!(c.core_model, CoreModel::Generic);
         assert!(c.front_end_depth < c.branch_resolution_depth);
-        assert!(c.validate().is_ok());
     }
 
     #[test]
     fn port_model_validates_its_table() {
-        let mut c = TimingConfig::paper_default();
-        c.core_model = CoreModel::PortAccurate;
-        assert!(c.validate().is_ok());
-        c.port_table.set_binding(
+        let mut table = CoreModel::PortAccurate.table();
+        assert!(table.validate().is_ok());
+        table.set_binding(
             replay_uop::Opcode::Load,
-            crate::ports::PortBinding {
-                ports: crate::ports::PortSet::NONE,
+            PortBinding {
+                ports: PortSet::NONE,
                 latency: 1,
                 occupancy: 1,
             },
         );
         assert_eq!(
-            c.validate(),
+            table.validate(),
             Err(PortConfigError::UnboundOpcode(replay_uop::Opcode::Load))
         );
     }

@@ -7,14 +7,16 @@
 //!   path, 15 cycles minimum from branch fetch to branch resolution;
 //! * 18-bit gshare predictor plus a BTB for taken/indirect targets;
 //! * 512-entry scheduling window;
-//! * 6 simple ALUs, 2 complex ALUs, 3 FPUs, 4 load/store units;
+//! * 6 simple ALUs, 2 complex ALUs, 4 load/store units (Table 2's 3 FPUs
+//!   have no opcode in the integer-only uop ISA and are not modeled);
 //! * 32 kB L1 data cache (2-cycle hit), 512 kB L2 (10-cycle), 50-cycle
 //!   memory, and an 8 kB (or 64 kB) instruction cache.
 //!
-//! Two selectable execution-core models sit behind the [`PortScheduler`]
-//! trait ([`CoreModel`]): the paper's class-banked unit pool above, and a
-//! port- and latency-accurate model (`ports` module) with named issue
-//! ports and uops.info-seeded per-opcode tables for re-evaluating the
+//! One scheduler serves two selectable execution-core models
+//! ([`CoreModel`]), which differ only in their [`PortTable`]: the paper's
+//! class-banked unit pool above ([`PortTable::table2`]), and a port- and
+//! latency-accurate model with named issue ports and uops.info-seeded
+//! per-opcode latencies ([`PortTable::uops_info`]) for re-evaluating the
 //! paper's results on a modern port-constrained machine.
 //!
 //! The model is *fetch-centric*: every cycle is attributed to exactly one
@@ -35,7 +37,6 @@ mod accounting;
 mod cache;
 mod config;
 mod pipeline;
-mod pool;
 mod ports;
 mod predictor;
 
@@ -43,9 +44,5 @@ pub use accounting::{CycleBin, CycleBins};
 pub use cache::{Cache, CacheConfig};
 pub use config::TimingConfig;
 pub use pipeline::{FetchPath, FrameFetch, Pipeline, PipelineStats, X86Fetch};
-pub use pool::FuPool;
-pub use ports::{
-    CoreModel, GenericScheduler, Port, PortAccurateScheduler, PortBinding, PortConfigError,
-    PortScheduler, PortSet, PortTable,
-};
+pub use ports::{CoreModel, Port, PortBinding, PortConfigError, PortSet, PortTable};
 pub use predictor::{Btb, Gshare};

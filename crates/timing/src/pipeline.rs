@@ -12,7 +12,7 @@
 use crate::accounting::{CycleBin, CycleBins};
 use crate::cache::Cache;
 use crate::config::TimingConfig;
-use crate::ports::{CoreModel, GenericScheduler, PortAccurateScheduler, PortScheduler};
+use crate::ports::{CoreModel, Scheduler};
 use crate::predictor::{Btb, Gshare};
 use replay_core::{FlagsSrc, OptFrame, Src};
 use replay_uop::{Opcode, Uop, NUM_ARCH_REGS};
@@ -127,7 +127,7 @@ pub struct Pipeline {
     last_path: Option<FetchPath>,
     reg_ready: [u64; NUM_ARCH_REGS],
     flags_ready: u64,
-    sched: Box<dyn PortScheduler>,
+    sched: Scheduler,
     retire_ring: VecDeque<u64>,
     retire_cycle: u64,
     retire_used: usize,
@@ -176,18 +176,12 @@ impl Pipeline {
     ///
     /// # Panics
     ///
-    /// Panics if [`TimingConfig::validate`] rejects the configuration
-    /// (e.g. a port-accurate table with an unbound opcode).
+    /// Panics if the core model's port table fails
+    /// [`PortTable::validate`](crate::PortTable::validate) (the shipped
+    /// tables are unit-tested to pass).
     pub fn new(cfg: TimingConfig) -> Pipeline {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid timing configuration: {e}");
-        }
-        let sched: Box<dyn PortScheduler> = match cfg.core_model {
-            CoreModel::Generic => Box::new(GenericScheduler::new(&cfg)),
-            CoreModel::PortAccurate => {
-                Box::new(PortAccurateScheduler::new(cfg.port_table).expect("validated above"))
-            }
-        };
+        let sched = Scheduler::new(cfg.core_model.table())
+            .unwrap_or_else(|e| panic!("invalid timing configuration: {e}"));
         Pipeline {
             icache: Cache::new(cfg.icache),
             l1d: Cache::new(cfg.l1d),
@@ -380,6 +374,61 @@ impl Pipeline {
         issue + latency
     }
 
+    /// Issues one uop of either fetch path given its fetch cycle and
+    /// operand-ready time: loads also wait for overlapping in-flight
+    /// stores, stores record their completion for later loads, and
+    /// branches count their fetch-to-resolution latency. Returns the uop's
+    /// completion time.
+    fn issue_uop(&mut self, op: Opcode, fetch: u64, mut ready: u64, mem: Option<u32>) -> u64 {
+        if op == Opcode::Load {
+            if let Some(addr) = mem {
+                ready = ready.max(self.load_store_wait(addr));
+            }
+        }
+        let complete = self.execute(op, fetch, ready, mem);
+        if op == Opcode::Store {
+            if let Some(addr) = mem {
+                self.record_store(addr, complete);
+            }
+        }
+        if op.is_branch() {
+            self.stats.branch_resolution_cycles += complete.saturating_sub(fetch);
+            self.stats.branches_resolved += 1;
+        }
+        complete
+    }
+
+    /// Predicts the control transfer ending an instruction or frame at
+    /// `pc` with the ordinary predictors: gshare for a conditional
+    /// direction (`taken`), then the BTB for a taken branch's
+    /// `taken_target` or an indirect jump's `indirect` target. Returns
+    /// `true` on a wrong direction or a wrong/missing target, after which
+    /// fetch must wait for the branch to resolve.
+    fn mispredicted(
+        &mut self,
+        pc: u32,
+        taken: Option<bool>,
+        taken_target: u32,
+        indirect: Option<u32>,
+    ) -> bool {
+        if let Some(taken) = taken {
+            if !self.gshare.predict_and_update(pc, taken) {
+                self.stats.mispredicts += 1;
+                return true;
+            }
+            if taken && !self.btb.predict_and_update(pc, taken_target) {
+                self.stats.btb_misses += 1;
+                return true;
+            }
+        } else if let Some(actual) = indirect {
+            if !self.btb.predict_and_update(pc, actual) {
+                self.stats.btb_misses += 1;
+                return true;
+            }
+        }
+        false
+    }
+
     /// Operand-ready floor imposed by in-flight stores overlapping a load
     /// at `addr` (word-granular; see `store_ready`).
     fn load_store_wait(&self, addr: u32) -> u64 {
@@ -411,12 +460,14 @@ impl Pipeline {
         4 * self.cfg.window
     }
 
-    /// Records the selected core model's per-port pressure counters
+    /// Records the port model's per-port pressure counters
     /// (`timing.port.*.issued` / `.contention_cycles`) into an
-    /// [`replay_obs::Obs`]. The generic model has no ports and records
-    /// nothing.
+    /// [`replay_obs::Obs`]. The generic model's Table 2 unit banks record
+    /// nothing, so its profiles carry no `timing.port.*` key.
     pub fn observe_ports(&self, obs: &mut replay_obs::Obs) {
-        self.sched.observe_into(obs);
+        if self.cfg.core_model == CoreModel::PortAccurate {
+            self.sched.observe_into(obs);
+        }
     }
 
     // ---------------- ICache path ----------------
@@ -459,17 +510,7 @@ impl Pipeline {
                 Opcode::Store => store_addr.take(),
                 _ => None,
             };
-            if u.op == Opcode::Load {
-                if let Some(addr) = mem {
-                    ready = ready.max(self.load_store_wait(addr));
-                }
-            }
-            let complete = self.execute(u.op, fetch, ready, mem);
-            if u.op == Opcode::Store {
-                if let Some(addr) = mem {
-                    self.record_store(addr, complete);
-                }
-            }
+            let complete = self.issue_uop(u.op, fetch, ready, mem);
             if let Some(d) = u.dst {
                 self.reg_ready[d.index()] = complete;
             }
@@ -478,8 +519,6 @@ impl Pipeline {
             }
             if u.op.is_branch() {
                 branch_complete = Some(complete);
-                self.stats.branch_resolution_cycles += complete.saturating_sub(fetch);
-                self.stats.branches_resolved += 1;
             }
             self.retire(complete);
         }
@@ -487,29 +526,12 @@ impl Pipeline {
 
         // Prediction: a wrong direction or a wrong/missing target stalls
         // fetch until the branch resolves.
-        let mut redirect = None;
-        if let Some(taken) = f.taken {
-            let correct = self.gshare.predict_and_update(f.addr, taken);
-            if !correct {
-                self.stats.mispredicts += 1;
-                redirect = branch_complete;
-            } else if taken {
-                let target_known = self
-                    .btb
-                    .predict_and_update(f.addr, f.uops.last().map_or(0, |u| u.target));
-                if !target_known {
-                    self.stats.btb_misses += 1;
-                    redirect = branch_complete;
-                }
-            }
-        } else if let Some(actual) = f.indirect_target {
-            let target_known = self.btb.predict_and_update(f.addr, actual);
-            if !target_known {
-                self.stats.btb_misses += 1;
-                redirect = branch_complete;
-            }
-        }
-
+        let taken_target = f.uops.last().map_or(0, |u| u.target);
+        let redirect = if self.mispredicted(f.addr, f.taken, taken_target, f.indirect_target) {
+            branch_complete
+        } else {
+            None
+        };
         if let Some(resolve) = redirect {
             self.stall_until(resolve + 1, CycleBin::Mispredict);
         } else if f.redirects_fetch && f.path == FetchPath::ICache {
@@ -564,26 +586,13 @@ impl Pipeline {
                     FlagsSrc::Slot(s) => self.frame_slot_flags_done[s as usize],
                 });
             }
-            let mem = f.mem_addrs[i as usize];
-            if u.op == Opcode::Load {
-                if let Some(addr) = mem {
-                    ready = ready.max(self.load_store_wait(addr));
-                }
-            }
-            let complete = self.execute(u.op, fetch, ready, mem);
-            if u.op == Opcode::Store {
-                if let Some(addr) = mem {
-                    self.record_store(addr, complete);
-                }
-            }
+            let complete = self.issue_uop(u.op, fetch, ready, f.mem_addrs[i as usize]);
             self.frame_slot_done[i as usize] = complete;
             if u.writes_flags {
                 self.frame_slot_flags_done[i as usize] = complete;
             }
             if u.op.is_branch() {
                 exit_branch = Some((u.x86_addr, u.target, complete));
-                self.stats.branch_resolution_cycles += complete.saturating_sub(fetch);
-                self.stats.branches_resolved += 1;
             }
             self.frame_completions.push(complete);
             completions_max = completions_max.max(complete);
@@ -629,23 +638,8 @@ impl Pipeline {
         // predicted by the ordinary predictors, exactly like a decoder-path
         // branch; a wrong prediction stalls fetch until the exit resolves.
         if let Some((pc, target, complete)) = exit_branch {
-            let mut redirect = None;
-            if let Some(taken) = f.exit_taken {
-                if !self.gshare.predict_and_update(pc, taken) {
-                    self.stats.mispredicts += 1;
-                    redirect = Some(complete);
-                } else if taken && !self.btb.predict_and_update(pc, target) {
-                    self.stats.btb_misses += 1;
-                    redirect = Some(complete);
-                }
-            } else if let Some(actual) = f.exit_indirect {
-                if !self.btb.predict_and_update(pc, actual) {
-                    self.stats.btb_misses += 1;
-                    redirect = Some(complete);
-                }
-            }
-            if let Some(resolve) = redirect {
-                self.stall_until(resolve + 1, CycleBin::Mispredict);
+            if self.mispredicted(pc, f.exit_taken, target, f.exit_indirect) {
+                self.stall_until(complete + 1, CycleBin::Mispredict);
             } else {
                 self.next_cycle();
             }

@@ -1,15 +1,16 @@
 //! Dual-core-model integration tests.
 //!
 //! The timing model offers two execution-core models (see
-//! `replay-timing`'s `ports` module): the paper's class-banked generic
-//! model and the port-accurate model with named issue ports and
-//! uops.info-seeded latencies. Both must honor the repository's
-//! determinism contract — byte-identical `replay-report/v3` artifacts at
-//! any worker count and any cache temperature — and the generic model's
-//! artifact must not move when the port model exists but is not selected.
-//! The latter is pinned against a committed golden report
-//! (`tests/golden/report_gzip_4000.json`, store section stripped), which
-//! CI also byte-compares against a fresh CLI run.
+//! `replay-timing`'s `ports` module), one scheduler over two port tables:
+//! the paper's class-banked Table 2 unit pool and the port-accurate model
+//! with named issue ports and uops.info-seeded latencies. Both must honor
+//! the repository's determinism contract — byte-identical
+//! `replay-report/v3` artifacts at any worker count and any cache
+//! temperature — and neither model's artifact may move without an
+//! explicit golden update. Each is pinned against a committed golden
+//! report (`tests/golden/report_gzip_4000.json` and
+//! `tests/golden/report_gzip_4000_port.json`, store section stripped),
+//! which CI also byte-compares against fresh CLI runs.
 
 use replay_sim::experiment::{run_specs, SimSpec};
 use replay_sim::report::{run_report_model, strip_store_section};
@@ -60,6 +61,23 @@ fn generic_report_matches_committed_golden() {
         "generic-model report drifted from tests/golden/report_gzip_4000.json; \
          if the change is intentional, regenerate the golden \
          (see the comment at the top of that file's generator in CI)"
+    );
+}
+
+/// The port model's store-stripped report for gzip at scale 4 000 is
+/// byte-identical to its committed golden, generated with
+/// `replay report gzip -n 4000 --no-store --core-model port --json` and
+/// stripped like the generic one.
+#[test]
+fn port_report_matches_committed_golden() {
+    let golden = include_str!("golden/report_gzip_4000_port.json");
+    let trace = Arc::new(workloads::by_name("gzip").unwrap().segment_trace(0, SCALE));
+    let (_, json) = run_report_model(&trace, 1, false, CoreModel::PortAccurate);
+    assert_eq!(
+        strip_store_section(&json),
+        golden,
+        "port-model report drifted from tests/golden/report_gzip_4000_port.json; \
+         if the change is intentional, regenerate the golden"
     );
 }
 
