@@ -23,7 +23,7 @@
 
 use replay_core::{optimize, AliasProfile, OptConfig};
 use replay_frame::{ConstructorConfig, FrameConstructor, RetireEvent};
-use replay_sim::experiment::{self, SimSpec};
+use replay_sim::experiment;
 use replay_sim::{parallel, simulate, ConfigKind, CoreModel, SimConfig, TraceStore};
 use replay_timing::CycleBin;
 use replay_trace::{read_trace, workloads, write_trace, Trace, Workload};
@@ -783,14 +783,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     );
     // One spec per configuration over the shared trace: the four
     // simulations run concurrently and print in ConfigKind::ALL order.
-    let specs: Vec<SimSpec> = ConfigKind::ALL
-        .into_iter()
-        .map(|kind| SimSpec {
-            name: trace.name.clone(),
-            traces: vec![Arc::clone(&trace)],
-            cfg: SimConfig::new(kind).without_verify().with_core_model(model),
-        })
-        .collect();
+    let specs = replay_sim::report::specs_for_trace_model(&trace, model);
     let results = experiment::run_specs(&specs, jobs);
     outln!(
         "{:5} {:>9} {:>7} {:>7} {:>9} {:>8}",
@@ -801,8 +794,6 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         "removed%",
         "aborts"
     );
-    let mut rp = 0.0;
-    let mut rpo = 0.0;
     for (kind, r) in ConfigKind::ALL.into_iter().zip(&results) {
         outln!(
             "{:5} {:>9} {:>7.3} {:>7.1} {:>9.1} {:>8}",
@@ -813,14 +804,11 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             r.uop_removal() * 100.0,
             r.assert_events
         );
-        match kind {
-            ConfigKind::Replay => rp = r.ipc(),
-            ConfigKind::ReplayOpt => rpo = r.ipc(),
-            _ => {}
-        }
     }
+    // RP and RPO, in ConfigKind::ALL order.
+    let (rp, rpo) = (results[2].ipc(), results[3].ipc());
     if rp > 0.0 {
-        outln!("optimization gain: {:+.1}%", (rpo / rp - 1.0) * 100.0);
+        outln!("optimization gain: {:+.1}%", experiment::gain_pct(rp, rpo));
     }
     if opts.has("profile") {
         // The profile section is deterministic: counters only (timings are

@@ -2,8 +2,8 @@
 //! pathological corner and record where the RPO IPC gain collapses.
 
 use crate::{json_f64, params_json, profile_json, SCHEMA};
-use replay_sim::experiment::{gain_from, gain_specs, run_specs, GainPoint, SimSpec};
-use replay_sim::{parallel, TraceStore};
+use replay_sim::experiment::{gain_from, grid, GainPoint};
+use replay_sim::{parallel, ConfigKind, SimConfig, TraceStore};
 use replay_trace::{GenParams, StatProfile, Suite, Workload};
 
 /// A pathological corner of generator-parameter space. Each corner is a
@@ -241,11 +241,9 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResult {
     });
 
     // One batch: RP and RPO for every point.
-    let specs: Vec<SimSpec> = workloads
-        .iter()
-        .flat_map(|w| gain_specs(w, cfg.scale))
-        .collect();
-    let results = run_specs(&specs, cfg.jobs);
+    let cfgs = [ConfigKind::Replay, ConfigKind::ReplayOpt]
+        .map(|kind| SimConfig::new(kind).without_verify());
+    let results = grid(&workloads, cfg.scale, cfg.jobs, &cfgs);
 
     let mut corners: Vec<CornerResult> = Vec::new();
     for ((&(corner, step), w), (profile, pair)) in points

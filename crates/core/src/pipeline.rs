@@ -91,24 +91,34 @@ impl OptConfig {
     }
 
     /// The default configuration with one named optimization disabled —
-    /// the paper's Figure 10 leave-one-out trials. Recognized names (case
-    /// insensitive): `ASST`, `CP`, `CSE`, `NOP`, `RA`, `SF`.
+    /// the paper's Figure 10 leave-one-out trials ([`OptConfig::disable`]
+    /// names the optimizations).
     ///
     /// # Panics
     ///
     /// Panics on an unrecognized name.
     pub fn without(name: &str) -> OptConfig {
-        let mut cfg = OptConfig::default();
+        OptConfig::default().disable(name)
+    }
+
+    /// This configuration with one named optimization disabled (builder
+    /// style). Recognized names (case insensitive): `ASST`, `CP`, `CSE`,
+    /// `NOP`, `RA`, `SF`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unrecognized name.
+    pub fn disable(mut self, name: &str) -> OptConfig {
         match name.to_ascii_uppercase().as_str() {
-            "ASST" => cfg.assert_fuse = false,
-            "CP" => cfg.const_prop = false,
-            "CSE" => cfg.cse = false,
-            "NOP" => cfg.nop_removal = false,
-            "RA" => cfg.reassoc = false,
-            "SF" => cfg.store_fwd = false,
+            "ASST" => self.assert_fuse = false,
+            "CP" => self.const_prop = false,
+            "CSE" => self.cse = false,
+            "NOP" => self.nop_removal = false,
+            "RA" => self.reassoc = false,
+            "SF" => self.store_fwd = false,
             other => panic!("unknown optimization {other:?}"),
         }
-        cfg
+        self
     }
 
     /// The default configuration restricted to block scope (Figure 9).
@@ -494,6 +504,18 @@ mod tests {
             .count();
             assert_eq!(disabled, 1, "{name} disables exactly one pass");
         }
+        let all_off = ["ASST", "CP", "CSE", "NOP", "RA", "SF"]
+            .into_iter()
+            .fold(OptConfig::default(), OptConfig::disable);
+        let none = OptConfig::none();
+        assert_eq!(
+            (all_off.assert_fuse, all_off.const_prop, all_off.cse),
+            (none.assert_fuse, none.const_prop, none.cse)
+        );
+        assert_eq!(
+            (all_off.nop_removal, all_off.reassoc, all_off.store_fwd),
+            (none.nop_removal, none.reassoc, none.store_fwd)
+        );
     }
 
     #[test]

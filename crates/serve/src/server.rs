@@ -141,13 +141,6 @@ impl ServeStats {
     pub fn shed(&self) -> u64 {
         self.profile.counter("serve.shed.conn") + self.profile.counter("serve.shed.work")
     }
-
-    /// Requests refused with [`Status::ShuttingDown`] because they
-    /// arrived during drain — counted apart from genuine overload so a
-    /// rolling restart is not mistaken for capacity exhaustion.
-    pub fn shed_shutdown(&self) -> u64 {
-        self.profile.counter("serve.shed.shutdown")
-    }
 }
 
 /// One parsed request awaiting dispatch. Its response goes back to the

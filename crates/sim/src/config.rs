@@ -53,25 +53,18 @@ impl fmt::Display for ConfigKind {
 ///
 /// These control *how fast the simulator runs*, never *what it computes*:
 /// specialization falls back to the interpreter on any divergence-capable
-/// event, and chunking only changes record batching, so every simulated
-/// number is identical at every setting.
+/// event, so every simulated number is identical at every setting.
 #[derive(Debug, Clone, Copy)]
 pub struct HotpathConfig {
     /// Frame-cache hit count after which a cached frame's `OptFrame` is
     /// compiled to a [`replay_core::ExecPlan`]. `0` disables
     /// specialization entirely (pure interpreter).
     pub spec_threshold: u32,
-    /// Trace records per streaming chunk, counted in `sim.chunks` with a
-    /// `sim.chunk.fill` span at each boundary (`0` = unchunked).
-    pub chunk_records: usize,
 }
 
 impl Default for HotpathConfig {
     fn default() -> HotpathConfig {
-        HotpathConfig {
-            spec_threshold: 8,
-            chunk_records: 1024,
-        }
+        HotpathConfig { spec_threshold: 8 }
     }
 }
 
@@ -92,7 +85,7 @@ pub struct SimConfig {
     /// check against the unoptimized form). Slows simulation; on by
     /// default to mirror the paper's methodology.
     pub verify: bool,
-    /// Host-side hot-path execution knobs (specialization + chunking).
+    /// Host-side hot-path execution knobs (frame specialization).
     pub hotpath: HotpathConfig,
 }
 
@@ -147,13 +140,6 @@ impl SimConfig {
     pub fn without_specialization(self) -> SimConfig {
         self.with_spec_threshold(0)
     }
-
-    /// Replaces the streaming chunk size in trace records (builder
-    /// style); `0` disables chunking and decodes record-at-a-time.
-    pub fn with_chunk_records(mut self, records: usize) -> SimConfig {
-        self.hotpath.chunk_records = records;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -205,12 +191,9 @@ mod tests {
     fn hotpath_builders() {
         let c = SimConfig::new(ConfigKind::ReplayOpt);
         assert_eq!(c.hotpath.spec_threshold, 8);
-        assert_eq!(c.hotpath.chunk_records, 1024);
         let c = c.without_specialization();
         assert_eq!(c.hotpath.spec_threshold, 0);
         let c = c.with_spec_threshold(3);
         assert_eq!(c.hotpath.spec_threshold, 3);
-        let c = c.with_chunk_records(7);
-        assert_eq!(c.hotpath.chunk_records, 7);
     }
 }

@@ -1,24 +1,24 @@
 //! Experiment drivers: one function per table / figure of the paper.
 //!
-//! Every driver expands its workloads × configurations grid into a batch
-//! of [`SimSpec`]s and hands the batch to [`run_specs`], which fans the
-//! individual `(workload, segment, configuration)` jobs across a scoped
-//! worker pool ([`crate::parallel`]). Traces come from the process-wide
-//! [`TraceStore`], so each segment is synthesized once and shared by every
-//! driver and configuration.
+//! Every driver takes an explicit workload list and runs it through
+//! [`grid`], the one place a paper grid is run: the workloads ×
+//! configurations grid becomes one batch of [`SimSpec`]s for
+//! [`run_specs`], which fans the individual `(workload, segment,
+//! configuration)` jobs across a scoped worker pool ([`crate::parallel`]).
+//! Traces come from the process-wide [`TraceStore`], so each segment is
+//! synthesized once and shared by every driver and configuration.
 //!
 //! Parallelism never changes the numbers: each job is a pure function of
 //! its inputs, results are collected in submission order, and segments
 //! merge in the same order as the serial loop — so driver output is
-//! bit-identical for every worker count. The plain driver functions size
-//! the pool with [`parallel::job_count`] (`REPLAY_JOBS` or all cores);
-//! the `*_jobs` variants take an explicit count (`1` = run serially on
-//! the calling thread).
+//! bit-identical for every worker count (`jobs`; `1` runs serially on the
+//! calling thread), and a workload's row does not depend on which other
+//! workloads share its batch.
 
 use crate::{parallel, simulate, ConfigKind, SimConfig, SimResult, TraceStore};
 use replay_core::OptConfig;
-use replay_timing::{CoreModel, CycleBin};
-use replay_trace::{workloads, Suite, Trace, Workload};
+use replay_timing::{CoreModel, CycleBin, CycleBins};
+use replay_trace::{Suite, Trace, Workload};
 use std::sync::Arc;
 
 /// The standard driver configuration: verification off (the drivers
@@ -110,6 +110,49 @@ pub fn run_workload_config(traces: &[Trace], name: &str, cfg: &SimConfig) -> Sim
     result
 }
 
+/// Runs every workload of `ws` through every configuration of `cfgs` as
+/// one batch on `jobs` worker threads: the traces are prefetched, one
+/// workload-major spec batch goes to [`run_specs`], and the results come
+/// back workload-major — `cfgs.len()` per workload, in `cfgs` order.
+pub fn grid(ws: &[Workload], scale: usize, jobs: usize, cfgs: &[SimConfig]) -> Vec<SimResult> {
+    TraceStore::global().prefetch(ws, scale, jobs);
+    let specs: Vec<SimSpec> = ws
+        .iter()
+        .flat_map(|w| {
+            cfgs.iter()
+                .map(move |cfg| SimSpec::for_workload(w, scale, cfg.clone()))
+        })
+        .collect();
+    run_specs(&specs, jobs)
+}
+
+/// Runs [`grid`] and folds each workload's `cfgs.len()` results into one
+/// row.
+fn rows<R>(
+    ws: &[Workload],
+    scale: usize,
+    jobs: usize,
+    cfgs: &[SimConfig],
+    row: impl Fn(&Workload, &[SimResult]) -> R,
+) -> Vec<R> {
+    ws.iter()
+        .zip(grid(ws, scale, jobs, cfgs).chunks_exact(cfgs.len()))
+        .map(|(w, rs)| row(w, rs))
+        .collect()
+}
+
+/// Percent increase of `x` over `base`: `(x / base − 1) × 100`, defined as
+/// 0.0 when `base` is not positive (a run that retired nothing), so a
+/// degenerate result never leaks a NaN or an infinity into a table or a
+/// JSON artifact. The one definition of the paper's RPO-over-RP gain.
+pub fn gain_pct(base: f64, x: f64) -> f64 {
+    if base > 0.0 {
+        (x / base - 1.0) * 100.0
+    } else {
+        0.0
+    }
+}
+
 /// A row of the Figure 6 IPC comparison.
 #[derive(Debug, Clone)]
 pub struct IpcRow {
@@ -132,81 +175,24 @@ pub struct IpcRow {
 /// Builds one Figure 6 row from the four per-configuration results (in
 /// [`ConfigKind::ALL`] order).
 fn ipc_row_from(w: &Workload, results: &[SimResult]) -> IpcRow {
-    let mut ipc = [0.0f64; 4];
-    let mut coverage = 0.0;
-    let mut assert_frac = 0.0;
-    let mut rp = 0.0;
-    let mut rpo = 0.0;
-    for (i, kind) in ConfigKind::ALL.into_iter().enumerate() {
-        let r = &results[i];
-        ipc[i] = r.ipc();
-        match kind {
-            ConfigKind::Replay => {
-                coverage = r.coverage;
-                rp = r.ipc();
-            }
-            ConfigKind::ReplayOpt => {
-                assert_frac = r.bins.fraction(CycleBin::Assert);
-                rpo = r.ipc();
-            }
-            _ => {}
-        }
-    }
+    let ipc: [f64; 4] = std::array::from_fn(|i| results[i].ipc());
+    let (rp, rpo) = (&results[2], &results[3]);
     IpcRow {
         name: w.name.to_string(),
         suite: w.suite,
         ipc,
-        rpo_gain_pct: if rp > 0.0 {
-            (rpo / rp - 1.0) * 100.0
-        } else {
-            0.0
-        },
-        coverage,
-        assert_cycle_frac: assert_frac,
+        rpo_gain_pct: gain_pct(rp.ipc(), rpo.ipc()),
+        coverage: rp.coverage,
+        assert_cycle_frac: rpo.bins.fraction(CycleBin::Assert),
     }
-}
-
-/// The four per-configuration specs of one Figure 6 row.
-fn ipc_specs(w: &Workload, scale: usize, model: CoreModel) -> Vec<SimSpec> {
-    ConfigKind::ALL
-        .into_iter()
-        .map(|kind| SimSpec::for_workload(w, scale, cfg_model(kind, model)))
-        .collect()
 }
 
 /// Figure 6: estimated x86 instructions retired per cycle for the ICache,
 /// Trace-Cache, rePLay, and rePLay+Optimization configurations, plus the
 /// §6.1 side observations (coverage, assert cycles).
-pub fn ipc_comparison(scale: usize) -> Vec<IpcRow> {
-    ipc_comparison_jobs(scale, parallel::job_count())
-}
-
-/// [`ipc_comparison`] with an explicit worker count.
-pub fn ipc_comparison_jobs(scale: usize, jobs: usize) -> Vec<IpcRow> {
-    ipc_comparison_model(scale, jobs, CoreModel::Generic)
-}
-
-/// [`ipc_comparison`] under an explicit execution-core model.
-pub fn ipc_comparison_model(scale: usize, jobs: usize, model: CoreModel) -> Vec<IpcRow> {
-    let ws = workloads::all();
-    TraceStore::global().prefetch(&ws, scale, jobs);
-    let specs: Vec<SimSpec> = ws.iter().flat_map(|w| ipc_specs(w, scale, model)).collect();
-    let results = run_specs(&specs, jobs);
-    ws.iter()
-        .zip(results.chunks_exact(ConfigKind::ALL.len()))
-        .map(|(w, rs)| ipc_row_from(w, rs))
-        .collect()
-}
-
-/// One workload's Figure 6 row.
-pub fn ipc_row(w: &Workload, scale: usize) -> IpcRow {
-    ipc_row_jobs(w, scale, parallel::job_count())
-}
-
-/// [`ipc_row`] with an explicit worker count.
-pub fn ipc_row_jobs(w: &Workload, scale: usize, jobs: usize) -> IpcRow {
-    let results = run_specs(&ipc_specs(w, scale, CoreModel::Generic), jobs);
-    ipc_row_from(w, &results)
+pub fn ipc_comparison(ws: &[Workload], scale: usize, jobs: usize, model: CoreModel) -> Vec<IpcRow> {
+    let cfgs = ConfigKind::ALL.map(|kind| cfg_model(kind, model));
+    rows(ws, scale, jobs, &cfgs, ipc_row_from)
 }
 
 /// The RP-versus-RPO comparison of one workload at one scale — the
@@ -218,7 +204,7 @@ pub struct GainPoint {
     pub rp_ipc: f64,
     /// IPC under rePLay + optimization.
     pub rpo_ipc: f64,
-    /// Percent IPC increase of RPO over RP (0.0 when RP retired nothing).
+    /// Percent IPC increase of RPO over RP ([`gain_pct`]).
     pub rpo_gain_pct: f64,
     /// Frame coverage under RP.
     pub coverage: f64,
@@ -226,35 +212,20 @@ pub struct GainPoint {
     pub assert_cycle_frac: f64,
 }
 
-/// The two specs — RP then RPO — of one [`GainPoint`], in the order
-/// [`gain_from`] expects. Exposed separately from [`rpo_gain_jobs`] so a
-/// sweep can batch many points through a single [`run_specs`] call.
-pub fn gain_specs(w: &Workload, scale: usize) -> Vec<SimSpec> {
-    [ConfigKind::Replay, ConfigKind::ReplayOpt]
-        .into_iter()
-        .map(|kind| SimSpec::for_workload(w, scale, SimConfig::new(kind).without_verify()))
-        .collect()
-}
-
-/// Folds a consecutive `(RP, RPO)` result pair into a [`GainPoint`].
+/// Folds an `(RP, RPO)` result pair into a [`GainPoint`].
 pub fn gain_from(rp: &SimResult, rpo: &SimResult) -> GainPoint {
     GainPoint {
         rp_ipc: rp.ipc(),
         rpo_ipc: rpo.ipc(),
-        rpo_gain_pct: if rp.ipc() > 0.0 {
-            (rpo.ipc() / rp.ipc() - 1.0) * 100.0
-        } else {
-            0.0
-        },
+        rpo_gain_pct: gain_pct(rp.ipc(), rpo.ipc()),
         coverage: rp.coverage,
         assert_cycle_frac: rpo.bins.fraction(CycleBin::Assert),
     }
 }
 
-/// One workload's [`GainPoint`] with an explicit worker count.
-pub fn rpo_gain_jobs(w: &Workload, scale: usize, jobs: usize) -> GainPoint {
-    let results = run_specs(&gain_specs(w, scale), jobs);
-    gain_from(&results[0], &results[1])
+/// The RP and RPO configurations under `model`, in that order.
+fn rp_rpo(model: CoreModel) -> [SimConfig; 2] {
+    [ConfigKind::Replay, ConfigKind::ReplayOpt].map(|kind| cfg_model(kind, model))
 }
 
 /// A row of the Figures 7/8 cycle breakdown: RP and RPO bins side by side.
@@ -265,51 +236,25 @@ pub struct BreakdownRow {
     /// Suite membership.
     pub suite: Suite,
     /// RP cycle bins.
-    pub rp: replay_timing::CycleBins,
+    pub rp: CycleBins,
     /// RPO cycle bins.
-    pub rpo: replay_timing::CycleBins,
+    pub rpo: CycleBins,
 }
 
 /// Figures 7 (SPEC) and 8 (desktop): per-benchmark execution cycles for
 /// the RP and RPO configurations, classified by fetch event.
-pub fn cycle_breakdown(suite: Suite, scale: usize) -> Vec<BreakdownRow> {
-    cycle_breakdown_jobs(suite, scale, parallel::job_count())
-}
-
-/// [`cycle_breakdown`] with an explicit worker count.
-pub fn cycle_breakdown_jobs(suite: Suite, scale: usize, jobs: usize) -> Vec<BreakdownRow> {
-    cycle_breakdown_model(suite, scale, jobs, CoreModel::Generic)
-}
-
-/// [`cycle_breakdown`] under an explicit execution-core model.
-pub fn cycle_breakdown_model(
-    suite: Suite,
+pub fn cycle_breakdown(
+    ws: &[Workload],
     scale: usize,
     jobs: usize,
     model: CoreModel,
 ) -> Vec<BreakdownRow> {
-    let ws: Vec<Workload> = workloads::all()
-        .into_iter()
-        .filter(|w| w.suite == suite)
-        .collect();
-    TraceStore::global().prefetch(&ws, scale, jobs);
-    let specs: Vec<SimSpec> = ws
-        .iter()
-        .flat_map(|w| {
-            [ConfigKind::Replay, ConfigKind::ReplayOpt]
-                .map(|kind| SimSpec::for_workload(w, scale, cfg_model(kind, model)))
-        })
-        .collect();
-    let results = run_specs(&specs, jobs);
-    ws.iter()
-        .zip(results.chunks_exact(2))
-        .map(|(w, rs)| BreakdownRow {
-            name: w.name.to_string(),
-            suite: w.suite,
-            rp: rs[0].bins,
-            rpo: rs[1].bins,
-        })
-        .collect()
+    rows(ws, scale, jobs, &rp_rpo(model), |w, rs| BreakdownRow {
+        name: w.name.to_string(),
+        suite: w.suite,
+        rp: rs[0].bins,
+        rpo: rs[1].bins,
+    })
 }
 
 /// A row of Table 3.
@@ -327,43 +272,21 @@ pub struct RemovalRow {
 
 /// Table 3: the percentage of micro-operations and loads removed by the
 /// rePLay optimizer, and the resulting IPC increase.
-pub fn removal_table(scale: usize) -> Vec<RemovalRow> {
-    removal_table_jobs(scale, parallel::job_count())
-}
-
-/// [`removal_table`] with an explicit worker count.
-pub fn removal_table_jobs(scale: usize, jobs: usize) -> Vec<RemovalRow> {
-    removal_table_model(scale, jobs, CoreModel::Generic)
-}
-
-/// [`removal_table`] under an explicit execution-core model.
-pub fn removal_table_model(scale: usize, jobs: usize, model: CoreModel) -> Vec<RemovalRow> {
-    let ws = workloads::all();
-    TraceStore::global().prefetch(&ws, scale, jobs);
-    let specs: Vec<SimSpec> = ws
-        .iter()
-        .flat_map(|w| {
-            [ConfigKind::Replay, ConfigKind::ReplayOpt]
-                .map(|kind| SimSpec::for_workload(w, scale, cfg_model(kind, model)))
-        })
-        .collect();
-    let results = run_specs(&specs, jobs);
-    ws.iter()
-        .zip(results.chunks_exact(2))
-        .map(|(w, rs)| {
-            let (rp, rpo) = (&rs[0], &rs[1]);
-            RemovalRow {
-                name: w.name.to_string(),
-                uops_removed: rpo.uop_removal(),
-                loads_removed: rpo.load_removal(),
-                ipc_increase_pct: if rp.ipc() > 0.0 {
-                    (rpo.ipc() / rp.ipc() - 1.0) * 100.0
-                } else {
-                    0.0
-                },
-            }
-        })
-        .collect()
+pub fn removal_table(
+    ws: &[Workload],
+    scale: usize,
+    jobs: usize,
+    model: CoreModel,
+) -> Vec<RemovalRow> {
+    rows(ws, scale, jobs, &rp_rpo(model), |w, rs| {
+        let (rp, rpo) = (&rs[0], &rs[1]);
+        RemovalRow {
+            name: w.name.to_string(),
+            uops_removed: rpo.uop_removal(),
+            loads_removed: rpo.load_removal(),
+            ipc_increase_pct: gain_pct(rp.ipc(), rpo.ipc()),
+        }
+    })
 }
 
 /// Averages a column of [`RemovalRow`]s.
@@ -389,49 +312,25 @@ pub struct ScopeRow {
 
 /// Figure 9: percent IPC increase when frames are optimized only within
 /// individual basic blocks versus as a unit.
-pub fn scope_comparison(scale: usize) -> Vec<ScopeRow> {
-    scope_comparison_jobs(scale, parallel::job_count())
-}
-
-/// [`scope_comparison`] with an explicit worker count.
-pub fn scope_comparison_jobs(scale: usize, jobs: usize) -> Vec<ScopeRow> {
-    scope_comparison_model(scale, jobs, CoreModel::Generic)
-}
-
-/// [`scope_comparison`] under an explicit execution-core model.
-pub fn scope_comparison_model(scale: usize, jobs: usize, model: CoreModel) -> Vec<ScopeRow> {
-    let ws = workloads::all();
-    TraceStore::global().prefetch(&ws, scale, jobs);
-    let specs: Vec<SimSpec> = ws
-        .iter()
-        .flat_map(|w| {
-            [
-                cfg_model(ConfigKind::Replay, model),
-                cfg_model(ConfigKind::ReplayOpt, model).with_opt(OptConfig::block_scope()),
-                cfg_model(ConfigKind::ReplayOpt, model),
-            ]
-            .map(|cfg| SimSpec::for_workload(w, scale, cfg))
-        })
-        .collect();
-    let results = run_specs(&specs, jobs);
-    ws.iter()
-        .zip(results.chunks_exact(3))
-        .map(|(w, rs)| {
-            let (rp, block, frame) = (&rs[0], &rs[1], &rs[2]);
-            let pct = |x: &SimResult| {
-                if rp.ipc() > 0.0 {
-                    (x.ipc() / rp.ipc() - 1.0) * 100.0
-                } else {
-                    0.0
-                }
-            };
-            ScopeRow {
-                name: w.name.to_string(),
-                block_pct: pct(block),
-                frame_pct: pct(frame),
-            }
-        })
-        .collect()
+pub fn scope_comparison(
+    ws: &[Workload],
+    scale: usize,
+    jobs: usize,
+    model: CoreModel,
+) -> Vec<ScopeRow> {
+    let cfgs = [
+        cfg_model(ConfigKind::Replay, model),
+        cfg_model(ConfigKind::ReplayOpt, model).with_opt(OptConfig::block_scope()),
+        cfg_model(ConfigKind::ReplayOpt, model),
+    ];
+    rows(ws, scale, jobs, &cfgs, |w, rs| {
+        let rp = rs[0].ipc();
+        ScopeRow {
+            name: w.name.to_string(),
+            block_pct: gain_pct(rp, rs[1].ipc()),
+            frame_pct: gain_pct(rp, rs[2].ipc()),
+        }
+    })
 }
 
 /// The Figure 10 leave-one-out labels, in the paper's legend order.
@@ -439,6 +338,19 @@ pub const ABLATION_LABELS: [&str; 6] = ["ASST", "CP", "CSE", "NOP", "RA", "SF"];
 
 /// The five applications the paper plots in Figure 10.
 pub const ABLATION_APPS: [&str; 5] = ["bzip2", "crafty", "vortex", "dream", "excel"];
+
+/// The leave-one-out configuration list shared by Figure 10 and the pass
+/// profit ranking: RP, full RPO, then RPO without each of
+/// [`ABLATION_LABELS`] in order.
+fn leave_one_out(model: CoreModel) -> Vec<SimConfig> {
+    let mut cfgs = rp_rpo(model).to_vec();
+    cfgs.extend(
+        ABLATION_LABELS.iter().map(|label| {
+            cfg_model(ConfigKind::ReplayOpt, model).with_opt(OptConfig::without(label))
+        }),
+    );
+    cfgs
+}
 
 /// A row of the Figure 10 ablation: IPC of each leave-one-out trial on the
 /// paper's 0(=RP)..1(=RPO) relative scale.
@@ -460,67 +372,22 @@ pub struct AblationRow {
 
 /// Figure 10: the performance impact of disabling each optimization
 /// individually (dead-code elimination always stays enabled).
-pub fn ablation(apps: &[&str], scale: usize) -> Vec<AblationRow> {
-    ablation_jobs(apps, scale, parallel::job_count())
-}
-
-/// [`ablation`] with an explicit worker count.
-pub fn ablation_jobs(apps: &[&str], scale: usize, jobs: usize) -> Vec<AblationRow> {
-    ablation_model(apps, scale, jobs, CoreModel::Generic)
-}
-
-/// [`ablation`] under an explicit execution-core model.
-pub fn ablation_model(
-    apps: &[&str],
-    scale: usize,
-    jobs: usize,
-    model: CoreModel,
-) -> Vec<AblationRow> {
-    let ws: Vec<Workload> = apps
-        .iter()
-        .map(|name| workloads::by_name(name).expect("known workload"))
-        .collect();
-    TraceStore::global().prefetch(&ws, scale, jobs);
-    // Per app: RP, full RPO, then the six leave-one-out trials — all
-    // submitted as one batch so the pool stays busy across apps.
-    let specs: Vec<SimSpec> = ws
-        .iter()
-        .flat_map(|w| {
-            let mut cfgs = vec![
-                cfg_model(ConfigKind::Replay, model),
-                cfg_model(ConfigKind::ReplayOpt, model),
-            ];
-            cfgs.extend(ABLATION_LABELS.iter().map(|label| {
-                cfg_model(ConfigKind::ReplayOpt, model).with_opt(OptConfig::without(label))
-            }));
-            cfgs.into_iter()
-                .map(|cfg| SimSpec::for_workload(w, scale, cfg))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let results = run_specs(&specs, jobs);
-    ws.iter()
-        .zip(results.chunks_exact(2 + ABLATION_LABELS.len()))
-        .map(|(w, rs)| {
-            let rp = rs[0].ipc();
-            let rpo = rs[1].ipc();
-            // Guard the normalization: when optimization is near-neutral
-            // on an application (as on excel, where speculative aborts eat
-            // the gains), the raw span would explode the relative scale.
-            let span = (rpo - rp).abs().max(0.03 * rp).max(1e-9);
-            let mut relative = [0.0f64; 6];
-            for (i, r) in rs[2..].iter().enumerate() {
-                relative[i] = (r.ipc() - rp) / span;
-            }
-            AblationRow {
-                name: w.name.to_string(),
-                relative,
-                rp_ipc: rp,
-                rpo_ipc: rpo,
-                rpo_relative: (rpo - rp) / span,
-            }
-        })
-        .collect()
+pub fn ablation(ws: &[Workload], scale: usize, jobs: usize, model: CoreModel) -> Vec<AblationRow> {
+    rows(ws, scale, jobs, &leave_one_out(model), |w, rs| {
+        let rp = rs[0].ipc();
+        let rpo = rs[1].ipc();
+        // Guard the normalization: when optimization is near-neutral
+        // on an application (as on excel, where speculative aborts eat
+        // the gains), the raw span would explode the relative scale.
+        let span = (rpo - rp).abs().max(0.03 * rp).max(1e-9);
+        AblationRow {
+            name: w.name.to_string(),
+            relative: std::array::from_fn(|i| (rs[2 + i].ipc() - rp) / span),
+            rp_ipc: rp,
+            rpo_ipc: rpo,
+            rpo_relative: (rpo - rp) / span,
+        }
+    })
 }
 
 /// The seven optimizer passes as profit-ranking rows: the six Figure 10
@@ -533,12 +400,12 @@ pub const PROFIT_PASSES: [&str; 7] = ["NOP", "CP", "RA", "ASST", "SF", "CSE", "D
 pub struct PassProfit {
     /// Pass label ([`PROFIT_PASSES`]; `SF` is the `MemoryOpt` pass).
     pub pass: &'static str,
-    /// Profit in percentage points of RP IPC (see [`pass_profit_jobs`]
-    /// for the two measurement bases).
+    /// Profit in percentage points of RP IPC (see [`pass_profit`] for the
+    /// two measurement bases).
     pub profit_pct: f64,
 }
 
-/// Measures every pass's profit, averaged over `apps`, under `model`.
+/// Measures every pass's profit, averaged over `ws`, under `model`.
 ///
 /// Two measurement bases, both in percentage points of the RP baseline's
 /// IPC:
@@ -554,53 +421,19 @@ pub struct PassProfit {
 /// under both core models (it removes the same uops), any ranking shift
 /// between models is purely a *timing* effect — which resources the
 /// removed uops would have contended for.
-pub fn pass_profit_jobs(
-    apps: &[&str],
+pub fn pass_profit(
+    ws: &[Workload],
     scale: usize,
     jobs: usize,
     model: CoreModel,
 ) -> Vec<PassProfit> {
-    let ws: Vec<Workload> = apps
-        .iter()
-        .map(|name| workloads::by_name(name).expect("known workload"))
-        .collect();
-    TraceStore::global().prefetch(&ws, scale, jobs);
     // OptConfig with every ablatable pass off: only DCE (which has no
     // flag — it is the collector the pipeline always runs) remains.
     let dce_only = ABLATION_LABELS
-        .iter()
-        .fold(OptConfig::default(), |cfg, label| {
-            let mut c = cfg;
-            match *label {
-                "ASST" => c.assert_fuse = false,
-                "CP" => c.const_prop = false,
-                "CSE" => c.cse = false,
-                "NOP" => c.nop_removal = false,
-                "RA" => c.reassoc = false,
-                "SF" => c.store_fwd = false,
-                _ => unreachable!(),
-            }
-            c
-        });
-    // Per app: RP, RPO, six leave-one-out trials, DCE-only — one batch.
-    let specs: Vec<SimSpec> = ws
-        .iter()
-        .flat_map(|w| {
-            let mut cfgs = vec![
-                cfg_model(ConfigKind::Replay, model),
-                cfg_model(ConfigKind::ReplayOpt, model),
-            ];
-            cfgs.extend(ABLATION_LABELS.iter().map(|label| {
-                cfg_model(ConfigKind::ReplayOpt, model).with_opt(OptConfig::without(label))
-            }));
-            cfgs.push(cfg_model(ConfigKind::ReplayOpt, model).with_opt(dce_only.clone()));
-            cfgs.into_iter()
-                .map(|cfg| SimSpec::for_workload(w, scale, cfg))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let results = run_specs(&specs, jobs);
-    let per_app = 3 + ABLATION_LABELS.len();
+        .into_iter()
+        .fold(OptConfig::default(), OptConfig::disable);
+    let mut cfgs = leave_one_out(model);
+    cfgs.push(cfg_model(ConfigKind::ReplayOpt, model).with_opt(dce_only));
     let napps = ws.len().max(1) as f64;
     let mut profit: Vec<PassProfit> = PROFIT_PASSES
         .into_iter()
@@ -609,7 +442,7 @@ pub fn pass_profit_jobs(
             profit_pct: 0.0,
         })
         .collect();
-    for rs in results.chunks_exact(per_app) {
+    for rs in grid(ws, scale, jobs, &cfgs).chunks_exact(cfgs.len()) {
         let rp = rs[0].ipc();
         if rp <= 0.0 {
             continue;
@@ -635,11 +468,14 @@ pub fn pass_profit_jobs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use replay_trace::workloads;
 
     #[test]
     fn ipc_row_has_all_configs() {
         let w = workloads::by_name("eon").unwrap();
-        let row = ipc_row(&w, 4_000);
+        let rows = ipc_comparison(&[w], 4_000, 2, CoreModel::Generic);
+        assert_eq!(rows.len(), 1);
+        let row = &rows[0];
         assert!(row.ipc.iter().all(|&v| v > 0.0), "{:?}", row.ipc);
         assert!(row.coverage > 0.0);
     }
@@ -656,7 +492,7 @@ mod tests {
             config: kind,
             cycles: 0,
             x86_retired: 0,
-            bins: replay_timing::CycleBins::new(),
+            bins: CycleBins::new(),
             pipeline: replay_timing::PipelineStats::default(),
             opt_stats: replay_core::OptStats::default(),
             dyn_uops_total: 0,
@@ -677,6 +513,9 @@ mod tests {
         assert!(row.rpo_gain_pct.is_finite());
         assert!(row.ipc.iter().all(|v| v.is_finite()));
         assert!(row.coverage.is_finite() && row.assert_cycle_frac.is_finite());
+        let point = gain_from(&results[2], &results[3]);
+        assert_eq!(point.rpo_gain_pct, 0.0);
+        assert!(point.assert_cycle_frac.is_finite());
     }
 
     #[test]
@@ -703,15 +542,17 @@ mod tests {
 
     #[test]
     fn ablation_rows_cover_labels() {
-        let rows = ablation(&["bzip2"], 3_000);
+        let w = workloads::by_name("bzip2").unwrap();
+        let rows = ablation(&[w], 3_000, 2, CoreModel::Generic);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].relative.len(), ABLATION_LABELS.len());
     }
 
     #[test]
     fn pass_profit_covers_all_seven_passes_under_both_models() {
+        let ws = [workloads::by_name("bzip2").unwrap()];
         for model in [CoreModel::Generic, CoreModel::PortAccurate] {
-            let rows = pass_profit_jobs(&["bzip2"], 3_000, 2, model);
+            let rows = pass_profit(&ws, 3_000, 2, model);
             assert_eq!(rows.len(), PROFIT_PASSES.len());
             for (row, pass) in rows.iter().zip(PROFIT_PASSES) {
                 assert_eq!(row.pass, pass);

@@ -16,9 +16,10 @@
 //! [`simulate`] drives one trace through one configuration;
 //! [`experiment`] contains the multi-workload drivers that regenerate
 //! every table and figure of the paper's evaluation (see `EXPERIMENTS.md`
-//! at the repository root). The drivers fan their independent
-//! `(workload, segment, configuration)` jobs across a scoped worker pool
-//! ([`parallel`], sized by `REPLAY_JOBS` or the machine's core count) and
+//! at the repository root), each over an explicit workload list. The
+//! drivers fan their independent `(workload, segment, configuration)` jobs
+//! across a scoped worker pool ([`parallel`], sized by the caller, e.g.
+//! with [`parallel::job_count`]: `REPLAY_JOBS` or the core count) and
 //! share synthesized traces through the process-wide [`TraceStore`];
 //! because every job is pure and results merge in submission order, the
 //! numbers are bit-identical at every worker count.

@@ -67,6 +67,10 @@ impl CacheEntry for CachedFrame {
 /// How many recent records feed the alias profiler.
 const ALIAS_WINDOW: usize = 512;
 
+/// Trace records per streaming chunk, counted in `sim.chunks` with a
+/// `sim.chunk.fill` span at each boundary.
+const CHUNK_RECORDS: usize = 1024;
+
 /// Per-address toucher set for [`Runner::profile_span`]: at most 16
 /// distinct x86 addresses per data address, stored inline so the reusable
 /// map never allocates per entry.
@@ -242,9 +246,7 @@ impl<'a> Runner<'a> {
     /// Opens the next chunk of the streaming loop at record `start`.
     fn next_chunk(&mut self, start: usize) {
         let span = self.obs.start_span();
-        self.chunk_end = start
-            .saturating_add(self.cfg.hotpath.chunk_records)
-            .min(self.records.len());
+        self.chunk_end = start.saturating_add(CHUNK_RECORDS).min(self.records.len());
         self.obs.end_span("sim.chunk.fill", span);
         self.chunks += 1;
     }
@@ -552,10 +554,9 @@ impl<'a> Runner<'a> {
     }
 
     fn run(mut self) -> SimResult {
-        let chunking = self.cfg.hotpath.chunk_records > 0;
         let mut i = 0usize;
         while i < self.records.len() {
-            if chunking && i >= self.chunk_end {
+            if i >= self.chunk_end {
                 self.next_chunk(i);
             }
             if self.cfg.kind == ConfigKind::ReplayOpt {
@@ -823,10 +824,10 @@ mod tests {
     }
 
     #[test]
-    fn specialization_and_chunking_never_change_results() {
-        // The hot-path knobs are host-side only: every simulated number
-        // must be bit-identical with specialization/chunking on, off, or
-        // at pathological settings.
+    fn specialization_never_changes_results() {
+        // The specialization threshold is host-side only: every simulated
+        // number must be bit-identical with specialization on, off, or at
+        // pathological settings.
         let trace = short_trace("bzip2", 10_000);
         for kind in [ConfigKind::Replay, ConfigKind::ReplayOpt] {
             let base = simulate(&trace, &SimConfig::new(kind).without_verify());
@@ -843,17 +844,7 @@ mod tests {
                     .without_verify()
                     .without_specialization(),
                 SimConfig::new(kind).without_verify().with_spec_threshold(1),
-                {
-                    let mut c = SimConfig::new(kind).without_verify();
-                    c.hotpath.chunk_records = 0;
-                    c
-                },
-                {
-                    let mut c = SimConfig::new(kind).without_verify();
-                    c.hotpath.chunk_records = 7;
-                    c.hotpath.spec_threshold = 2;
-                    c
-                },
+                SimConfig::new(kind).without_verify().with_spec_threshold(2),
             ];
             for (vi, cfg) in variants.iter().enumerate() {
                 let r = simulate(&trace, cfg);

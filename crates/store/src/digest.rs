@@ -56,11 +56,6 @@ impl Digest64 {
         self.write(&v.to_le_bytes());
     }
 
-    /// Folds an `i32` (little-endian two's complement).
-    pub fn write_i32(&mut self, v: i32) {
-        self.write(&v.to_le_bytes());
-    }
-
     /// Folds a `usize` widened to `u64`, so 32- and 64-bit hosts agree.
     pub fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);

@@ -647,14 +647,6 @@ impl Pipeline {
         true
     }
 
-    /// Charges the exit misprediction of a frame whose successor was not
-    /// the frame's recorded exit (sequencer misprediction).
-    pub fn frame_exit_mispredict(&mut self) {
-        self.stats.mispredicts += 1;
-        let resolve = self.cycle + self.cfg.branch_resolution_depth;
-        self.stall_until(resolve + 1, CycleBin::Mispredict);
-    }
-
     /// Drains the pipeline at end of simulation, charging the tail to
     /// `Stall`.
     pub fn finish(&mut self) {

@@ -119,16 +119,6 @@ impl MachineState {
         self.mem.write_u32(addr, value);
     }
 
-    /// A snapshot of the general-purpose register file (GPRs only, the
-    /// state that must match at frame boundaries).
-    pub fn gpr_snapshot(&self) -> [u32; 8] {
-        let mut out = [0u32; 8];
-        for (i, r) in ArchReg::GPRS.iter().enumerate() {
-            out[i] = self.reg(*r);
-        }
-        out
-    }
-
     /// Resolves the `b` operand of an ALU-style uop: the second register
     /// source if present, otherwise the immediate.
     fn operand_b(&self, u: &Uop) -> u32 {

@@ -286,17 +286,6 @@ impl Uop {
         }
     }
 
-    /// Fused test-and-assert: assert `cc` over flags of `a & b`.
-    pub fn assert_test(cc: Cond, a: ArchReg, b: Option<ArchReg>, imm: i32) -> Uop {
-        Uop {
-            cc: Some(cc),
-            src_a: Some(a),
-            src_b: b,
-            imm,
-            ..Uop::new(Opcode::AssertTest)
-        }
-    }
-
     /// A no-op.
     pub fn nop() -> Uop {
         Uop::new(Opcode::Nop)

@@ -46,11 +46,6 @@ impl MemoryMaps {
         self.finals.get(&addr).copied()
     }
 
-    /// Addresses live at frame entry.
-    pub fn initial_addrs(&self) -> impl Iterator<Item = u32> + '_ {
-        self.initial.keys().copied()
-    }
-
     /// Addresses with a defined final value.
     pub fn final_addrs(&self) -> impl Iterator<Item = u32> + '_ {
         self.finals.keys().copied()

@@ -8,7 +8,7 @@
 //! ```
 
 use replay_core::OptConfig;
-use replay_sim::experiment::ABLATION_LABELS;
+use replay_sim::experiment::{gain_pct, ABLATION_LABELS};
 use replay_sim::{simulate, ConfigKind, SimConfig};
 use replay_trace::workloads;
 
@@ -53,12 +53,12 @@ fn main() {
     println!(
         "  block-scope ipc {:5.2} ({:+.1}% over RP)",
         block.ipc(),
-        (block.ipc() / rp_ipc - 1.0) * 100.0
+        gain_pct(rp_ipc, block.ipc())
     );
     println!(
         "  frame-scope ipc {:5.2} ({:+.1}% over RP)",
         rpo_ipc,
-        (rpo_ipc / rp_ipc - 1.0) * 100.0
+        gain_pct(rp_ipc, rpo_ipc)
     );
 
     println!("\nleave-one-out ablation (Figure 10; 0 = RP, 1 = RPO):");

@@ -9,6 +9,7 @@
 //! cargo run --release -p replay-examples --bin hotloop
 //! ```
 
+use replay_sim::experiment::gain_pct;
 use replay_sim::{simulate, ConfigKind, SimConfig};
 use replay_trace::{Trace, TraceRecord};
 use replay_x86::{AluOp, Assembler, CondX86, Gpr, Inst, Interp, MemOperand};
@@ -76,7 +77,7 @@ fn main() {
         "IPC:                RP {:.2} -> RPO {:.2} ({:+.1}%)",
         rp.ipc(),
         rpo.ipc(),
-        (rpo.ipc() / rp.ipc() - 1.0) * 100.0
+        gain_pct(rp.ipc(), rpo.ipc())
     );
     println!(
         "verifier:           {} frames checked, {} failures",

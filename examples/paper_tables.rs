@@ -19,14 +19,21 @@
 
 use replay_core::{DatapathConfig, OptConfig};
 use replay_sim::experiment::{
-    ablation_model, cycle_breakdown_model, ipc_comparison_model, pass_profit_jobs,
-    removal_averages, removal_table_model, scope_comparison_model, ABLATION_APPS, ABLATION_LABELS,
-    PROFIT_PASSES,
+    ablation, cycle_breakdown, gain_pct, ipc_comparison, pass_profit, removal_averages,
+    removal_table, scope_comparison, ABLATION_APPS, ABLATION_LABELS, PROFIT_PASSES,
 };
 use replay_sim::{parallel, simulate, ConfigKind, CoreModel, SimConfig};
 use replay_timing::CycleBin;
-use replay_trace::{workloads, Suite};
+use replay_trace::{workloads, Suite, Workload};
 use replay_x86::Interp;
+
+/// The five Figure 10 applications ([`ABLATION_APPS`]), resolved.
+fn ablation_apps() -> Vec<Workload> {
+    ABLATION_APPS
+        .iter()
+        .map(|name| workloads::by_name(name).expect("known workload"))
+        .collect()
+}
 
 /// The design-choice sweep data points quoted in EXPERIMENTS.md's
 /// "Design-choice sweeps" section, then the §5.1.1 uop/x86 expansion
@@ -117,8 +124,9 @@ fn models(scale: usize) {
         ABLATION_APPS.len()
     );
     println!("{:6} {:>10} {:>10}", "pass", "generic", "port");
-    let generic = pass_profit_jobs(&ABLATION_APPS, scale, jobs, CoreModel::Generic);
-    let port = pass_profit_jobs(&ABLATION_APPS, scale, jobs, CoreModel::PortAccurate);
+    let apps = ablation_apps();
+    let generic = pass_profit(&apps, scale, jobs, CoreModel::Generic);
+    let port = pass_profit(&apps, scale, jobs, CoreModel::PortAccurate);
     for (g, p) in generic.iter().zip(&port) {
         assert_eq!(g.pass, p.pass);
         println!(
@@ -160,13 +168,14 @@ fn main() {
         }
     };
     let jobs = parallel::job_count();
+    let all = workloads::all();
 
     println!(
         "Table 3 — micro-operations and loads removed (scale {scale} x86/segment, {} core)",
         model.label()
     );
     println!("{:10} {:>7} {:>7} {:>7}", "app", "uops%", "loads%", "IPC+%");
-    let rows = removal_table_model(scale, jobs, model);
+    let rows = removal_table(&all, scale, jobs, model);
     for r in &rows {
         println!(
             "{:10} {:7.1} {:7.1} {:+7.1}",
@@ -194,7 +203,7 @@ fn main() {
     let mut spec_cov = Vec::new();
     let mut desk_cov = Vec::new();
     let mut assert_fracs = Vec::new();
-    for r in ipc_comparison_model(scale, jobs, model) {
+    for r in ipc_comparison(&all, scale, jobs, model) {
         println!(
             "{:10} {:5.2} {:5.2} {:5.2} {:5.2} {:+7.1} {:6.1} {:8.2}",
             r.name,
@@ -224,19 +233,20 @@ fn main() {
     println!();
     println!("Figures 7/8 — Frame-cycle reduction, RP → RPO (scale {scale})");
     for (suite, label) in [(Suite::SpecInt, "SPEC"), (Suite::Desktop, "desktop")] {
-        let rows = cycle_breakdown_model(suite, scale, jobs, model);
+        let ws: Vec<Workload> = all.iter().filter(|w| w.suite == suite).cloned().collect();
+        let rows = cycle_breakdown(&ws, scale, jobs, model);
         let rp: u64 = rows.iter().map(|r| r.rp.get(CycleBin::Frame)).sum();
         let rpo: u64 = rows.iter().map(|r| r.rpo.get(CycleBin::Frame)).sum();
         println!(
             "{label:8} Frame cycles {rp} -> {rpo} ({:+.1}%)",
-            (rpo as f64 / rp as f64 - 1.0) * 100.0
+            gain_pct(rp as f64, rpo as f64)
         );
     }
 
     println!();
     println!("Figure 9 — block-scope vs frame-scope optimization (scale {scale})");
     println!("{:10} {:>8} {:>8}", "app", "block%", "frame%");
-    let rows = scope_comparison_model(scale, jobs, model);
+    let rows = scope_comparison(&all, scale, jobs, model);
     for r in &rows {
         println!("{:10} {:+8.1} {:+8.1}", r.name, r.block_pct, r.frame_pct);
     }
@@ -254,7 +264,7 @@ fn main() {
         print!(" {:>8}", format!("no {l}"));
     }
     println!();
-    for r in ablation_model(&ABLATION_APPS, scale, jobs, model) {
+    for r in ablation(&ablation_apps(), scale, jobs, model) {
         print!("{:10}", r.name);
         for v in r.relative {
             print!(" {v:8.2}");

@@ -8,6 +8,7 @@
 //! RPO (rePLay + optimizer) configurations, and prints the headline
 //! numbers: IPC, uop/load removal, frame coverage, and the cycle breakdown.
 
+use replay_sim::experiment::gain_pct;
 use replay_sim::{simulate, ConfigKind, SimConfig};
 use replay_timing::CycleBin;
 use replay_trace::workloads;
@@ -61,7 +62,7 @@ fn main() {
     );
     println!(
         "IPC increase from optimization: {:+.1}%",
-        (rpo.ipc() / rp.ipc() - 1.0) * 100.0
+        gain_pct(rp.ipc(), rpo.ipc())
     );
     println!(
         "frames aborted (assertions / unsafe stores): {} ({:.2}% of cycles)",

@@ -9,7 +9,7 @@ use replay_check::{
 };
 use replay_core::{passes, run_pass, AliasProfile, OptFrame, OptScope, OptStats, PassCtx, PassId};
 use replay_rng::SmallRng;
-use replay_sim::experiment;
+use replay_sim::{experiment, CoreModel};
 use replay_trace::workloads;
 use std::path::Path;
 
@@ -160,13 +160,14 @@ fn check_workload_coexists_with_sim_engine() {
         jobs: 1,
         ..CheckConfig::default()
     };
-    let serial_row = experiment::ipc_row_jobs(&w, SCALE, 1);
+    let ws = [w];
+    let serial_row = experiment::ipc_comparison(&ws, SCALE, 1, CoreModel::Generic).remove(0);
     let serial_report = run_check(&cfg);
 
     let mut par_cfg = cfg.clone();
     par_cfg.jobs = 8;
     let handle = std::thread::spawn(move || run_check(&par_cfg));
-    let par_row = experiment::ipc_row_jobs(&w, SCALE, 8);
+    let par_row = experiment::ipc_comparison(&ws, SCALE, 8, CoreModel::Generic).remove(0);
     let par_report = handle.join().unwrap();
 
     assert_eq!(serial_report, par_report);

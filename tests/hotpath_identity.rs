@@ -45,8 +45,8 @@ fn rpo_result(w: &str, cfg: SimConfig, jobs: usize) -> SimResult {
     run_specs(&specs, jobs).remove(0)
 }
 
-/// The operative invariant of the overhaul: specialization threshold and
-/// chunk size are invisible in every simulated number, for both rePLay
+/// The operative invariant of the overhaul: the specialization threshold
+/// is invisible in every simulated number, for both rePLay
 /// configurations, eager and disabled alike.
 #[test]
 fn hotpath_settings_never_change_simulated_numbers() {
@@ -58,12 +58,6 @@ fn hotpath_settings_never_change_simulated_numbers() {
                     .without_verify()
                     .without_specialization(),
                 SimConfig::new(kind).without_verify().with_spec_threshold(1),
-                SimConfig::new(kind).without_verify().with_chunk_records(0),
-                SimConfig::new(kind).without_verify().with_chunk_records(3),
-                SimConfig::new(kind)
-                    .without_verify()
-                    .with_spec_threshold(1)
-                    .with_chunk_records(17),
             ];
             for (i, cfg) in variants.into_iter().enumerate() {
                 let r = rpo_result(w, cfg, 1);

@@ -4,8 +4,8 @@
 //! per process no matter how many drivers and threads ask.
 
 use replay_sim::experiment::{self, run_specs, SimSpec};
-use replay_sim::{parallel, ConfigKind, SimConfig, TraceStore};
-use replay_trace::workloads;
+use replay_sim::{parallel, ConfigKind, CoreModel, SimConfig, TraceStore};
+use replay_trace::{workloads, Workload};
 use std::sync::Arc;
 
 const SCALE: usize = 2_500;
@@ -42,15 +42,25 @@ fn assert_rows_identical(a: &[experiment::IpcRow], b: &[experiment::IpcRow], wha
 
 /// The whole Figure 6 grid is bit-identical between the legacy serial
 /// path, a repeated serial pass (cold, then warm), and a heavily threaded
-/// run.
+/// run; and a workload subset run as its own batch yields the same rows as
+/// those workloads in the full grid.
 #[test]
 fn ipc_rows_identical_serial_vs_parallel() {
-    let cold = experiment::ipc_comparison_jobs(SCALE, 1);
-    assert_eq!(cold.len(), workloads::all().len(), "one row per workload");
-    let warm = experiment::ipc_comparison_jobs(SCALE, 1);
+    let all = workloads::all();
+    let fig6 =
+        |ws: &[Workload], jobs| experiment::ipc_comparison(ws, SCALE, jobs, CoreModel::Generic);
+    let cold = fig6(&all, 1);
+    assert_eq!(cold.len(), all.len(), "one row per workload");
+    let warm = fig6(&all, 1);
     assert_rows_identical(&cold, &warm, "serial cold vs warm");
-    let par = experiment::ipc_comparison_jobs(SCALE, 8);
+    let par = fig6(&all, 8);
     assert_rows_identical(&cold, &par, "1 job vs 8 jobs");
+    let subset = ["gzip", "excel"].map(|name| workloads::by_name(name).unwrap());
+    let in_full: Vec<_> = subset
+        .iter()
+        .map(|w| cold.iter().find(|r| r.name == w.name).unwrap().clone())
+        .collect();
+    assert_rows_identical(&fig6(&subset, 8), &in_full, "subset vs full grid");
 }
 
 /// `run_specs` merges segments in the same order as the serial reference
