@@ -24,42 +24,12 @@
 use replay_core::{optimize, AliasProfile, OptConfig};
 use replay_frame::{ConstructorConfig, FrameConstructor, RetireEvent};
 use replay_sim::experiment;
-use replay_sim::{parallel, simulate, ConfigKind, CoreModel, SimConfig, TraceStore};
+use replay_sim::{out, outln, parallel, simulate, ConfigKind, CoreModel, SimConfig, TraceStore};
 use replay_timing::CycleBin;
 use replay_trace::{read_trace, workloads, write_trace, Trace, Workload};
-use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// `print!` for command output, through [`emit`].
-macro_rules! out {
-    ($($arg:tt)*) => {
-        emit(format_args!($($arg)*))
-    };
-}
-
-/// `println!` for command output, through [`emit`].
-macro_rules! outln {
-    () => {
-        emit(format_args!("\n"))
-    };
-    ($($arg:tt)*) => {
-        emit(format_args!("{}\n", format_args!($($arg)*)))
-    };
-}
-
-/// Writes command output to stdout. A reader that closed early (`replay
-/// disasm excel | head -1`) ends the process quietly with status 0, the
-/// way a pipeline expects; any other write failure panics like `print!`.
-fn emit(args: std::fmt::Arguments<'_>) {
-    if let Err(e) = std::io::stdout().write_fmt(args) {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
-        }
-        panic!("failed printing to stdout: {e}");
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -171,12 +141,17 @@ impl FlagSpec {
 
     /// The canonical spelling with dashes: `-n` or `--jobs`.
     fn dashed(&self) -> String {
-        let canon = self.names[0];
-        if canon.len() == 1 {
-            format!("-{canon}")
-        } else {
-            format!("--{canon}")
-        }
+        dashed(self.names[0])
+    }
+}
+
+/// An option name with its dashes: `-x` for one character, `--name`
+/// otherwise.
+fn dashed(name: &str) -> String {
+    if name.len() == 1 {
+        format!("-{name}")
+    } else {
+        format!("--{name}")
     }
 }
 
@@ -265,17 +240,7 @@ impl CmdSpec {
         self.flags
             .iter()
             .map(|f| {
-                let spellings: Vec<String> = f
-                    .names
-                    .iter()
-                    .map(|n| {
-                        if n.len() == 1 {
-                            format!("-{n}")
-                        } else {
-                            format!("--{n}")
-                        }
-                    })
-                    .collect();
+                let spellings: Vec<String> = f.names.iter().map(|n| dashed(n)).collect();
                 let mut s = spellings.join("/");
                 if f.takes_value() {
                     s.push(' ');

@@ -2,8 +2,8 @@
 //! pathological corner and record where the RPO IPC gain collapses.
 
 use crate::{json_f64, params_json, profile_json, SCHEMA};
-use replay_sim::experiment::{gain_from, grid, GainPoint};
-use replay_sim::{parallel, ConfigKind, SimConfig, TraceStore};
+use replay_sim::experiment::{gain_points, grid, Column, GainPoint};
+use replay_sim::{parallel, ConfigKind, CoreModel, TraceStore};
 use replay_trace::{GenParams, StatProfile, Suite, Workload};
 
 /// A pathological corner of generator-parameter space. Each corner is a
@@ -241,17 +241,15 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResult {
     });
 
     // One batch: RP and RPO for every point.
-    let cfgs = [ConfigKind::Replay, ConfigKind::ReplayOpt]
-        .map(|kind| SimConfig::new(kind).without_verify());
-    let results = grid(&workloads, cfg.scale, cfg.jobs, &cfgs);
+    let cols = [ConfigKind::Replay, ConfigKind::ReplayOpt].map(Column::Kind);
+    let rp_rpo = grid(&workloads, cfg.scale, cfg.jobs, CoreModel::Generic, &cols);
 
     let mut corners: Vec<CornerResult> = Vec::new();
-    for ((&(corner, step), w), (profile, pair)) in points
+    for ((&(corner, step), w), (profile, gain)) in points
         .iter()
         .zip(&workloads)
-        .zip(profiles.iter().zip(results.chunks_exact(2)))
+        .zip(profiles.iter().zip(gain_points(&rp_rpo)))
     {
-        let gain = gain_from(&pair[0], &pair[1]);
         if step == 0 {
             corners.push(CornerResult {
                 corner: corner.name(),

@@ -1,31 +1,26 @@
 //! Experiment drivers: one function per table / figure of the paper.
 //!
-//! Every driver takes an explicit workload list and runs it through
-//! [`grid`], the one place a paper grid is run: the workloads ×
-//! configurations grid becomes one batch of [`SimSpec`]s for
-//! [`run_specs`], which fans the individual `(workload, segment,
-//! configuration)` jobs across a scoped worker pool ([`crate::parallel`]).
-//! Traces come from the process-wide [`TraceStore`], so each segment is
-//! synthesized once and shared by every driver and configuration.
+//! The paper's configurations are declared once, as named [`Column`]s
+//! ([`PAPER_COLUMNS`], [`LEAVE_ONE_OUT`]). [`grid`], the one place a paper
+//! grid is run, turns workloads × columns into one batch of [`SimSpec`]s
+//! for [`run_specs`], which fans the `(workload, segment, configuration)`
+//! jobs across a scoped worker pool ([`crate::parallel`]). Each driver
+//! folds the resulting [`Grid`], reading results by column, so one grid
+//! feeds every table that shares its columns. Traces come from the
+//! process-wide [`TraceStore`], so each segment is synthesized once.
 //!
 //! Parallelism never changes the numbers: each job is a pure function of
 //! its inputs, results are collected in submission order, and segments
 //! merge in the same order as the serial loop — so driver output is
 //! bit-identical for every worker count (`jobs`; `1` runs serially on the
 //! calling thread), and a workload's row does not depend on which other
-//! workloads share its batch.
+//! workloads or columns share its batch.
 
 use crate::{parallel, simulate, ConfigKind, SimConfig, SimResult, TraceStore};
 use replay_core::OptConfig;
 use replay_timing::{CoreModel, CycleBin, CycleBins};
 use replay_trace::{Suite, Trace, Workload};
 use std::sync::Arc;
-
-/// The standard driver configuration: verification off (the drivers
-/// reproduce figures, not soundness checks) under the given core model.
-fn cfg_model(kind: ConfigKind, model: CoreModel) -> SimConfig {
-    SimConfig::new(kind).without_verify().with_core_model(model)
-}
 
 /// One simulation request: a workload's trace segments through one
 /// configuration. [`run_specs`] simulates the segments (possibly on
@@ -110,35 +105,150 @@ pub fn run_workload_config(traces: &[Trace], name: &str, cfg: &SimConfig) -> Sim
     result
 }
 
-/// Runs every workload of `ws` through every configuration of `cfgs` as
-/// one batch on `jobs` worker threads: the traces are prefetched, one
-/// workload-major spec batch goes to [`run_specs`], and the results come
-/// back workload-major — `cfgs.len()` per workload, in `cfgs` order.
-pub fn grid(ws: &[Workload], scale: usize, jobs: usize, cfgs: &[SimConfig]) -> Vec<SimResult> {
+/// A configuration column of a [`grid`], addressed by name. Every driver
+/// reads its results by column, never by position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Column {
+    /// One of the four machines of Figure 6 (IC, TC, RP, RPO).
+    Kind(ConfigKind),
+    /// RPO optimizing each basic block on its own (Figure 9).
+    BlockScope,
+    /// RPO without one ablatable pass, by its [`ABLATION_LABELS`] label
+    /// (Figure 10).
+    Without(&'static str),
+    /// RPO with every ablatable pass off: only dead-code elimination,
+    /// which has no flag, remains (the pass-profit ranking).
+    DceOnly,
+}
+
+const RP: Column = Column::Kind(ConfigKind::Replay);
+const RPO: Column = Column::Kind(ConfigKind::ReplayOpt);
+
+impl Column {
+    /// The one driver configuration of this column: verification off (the
+    /// drivers reproduce figures, not soundness checks) under `model`.
+    pub(crate) fn config(self, model: CoreModel) -> SimConfig {
+        let opt = match self {
+            Column::Kind(kind) => {
+                return SimConfig::new(kind).without_verify().with_core_model(model)
+            }
+            Column::BlockScope => OptConfig::block_scope(),
+            Column::Without(label) => OptConfig::without(label),
+            Column::DceOnly => ABLATION_LABELS
+                .into_iter()
+                .fold(OptConfig::default(), OptConfig::disable),
+        };
+        RPO.config(model).with_opt(opt)
+    }
+}
+
+/// The columns of Table 3 and Figures 6–9: the four machines of
+/// Figure 6, then block-scope RPO for Figure 9.
+pub const PAPER_COLUMNS: [Column; 5] = [
+    Column::Kind(ConfigKind::ICache),
+    Column::Kind(ConfigKind::TraceCache),
+    RP,
+    RPO,
+    Column::BlockScope,
+];
+
+/// The columns of Figure 10 and the pass-profit ranking: RP, full RPO,
+/// RPO without each of [`ABLATION_LABELS`], and DCE-only RPO.
+pub const LEAVE_ONE_OUT: [Column; 9] = [
+    RP,
+    RPO,
+    Column::Without("ASST"),
+    Column::Without("CP"),
+    Column::Without("CSE"),
+    Column::Without("NOP"),
+    Column::Without("RA"),
+    Column::Without("SF"),
+    Column::DceOnly,
+];
+
+/// The result of [`grid`]: one row per workload, in workload order, each
+/// holding the workload's result under every column. The drivers below
+/// fold it into a table or figure, so they work on any grid that ran
+/// the columns they read.
+#[derive(Debug)]
+pub struct Grid {
+    rows: Vec<Row>,
+}
+
+impl Grid {
+    /// Folds every row, in workload order, into one driver row.
+    fn map<R>(&self, f: impl Fn(&Row) -> R) -> Vec<R> {
+        self.rows.iter().map(f).collect()
+    }
+}
+
+/// One workload's results in a [`Grid`].
+#[derive(Debug)]
+struct Row {
+    name: String,
+    suite: Suite,
+    cells: Vec<(Column, SimResult)>,
+}
+
+impl Row {
+    /// The result under `col`; panics if the grid did not run `col`.
+    fn get(&self, col: Column) -> &SimResult {
+        self.cells
+            .iter()
+            .find(|(c, _)| *c == col)
+            .map(|(_, r)| r)
+            .unwrap_or_else(|| panic!("{}: the grid has no {col:?} column", self.name))
+    }
+
+    fn ipc(&self, col: Column) -> f64 {
+        self.get(col).ipc()
+    }
+
+    /// The row's RP-versus-RPO comparison.
+    fn gain(&self) -> GainPoint {
+        let (rp, rpo) = (self.get(RP), self.get(RPO));
+        GainPoint {
+            rp_ipc: rp.ipc(),
+            rpo_ipc: rpo.ipc(),
+            rpo_gain_pct: gain_pct(rp.ipc(), rpo.ipc()),
+            coverage: rp.coverage,
+            assert_cycle_frac: rpo.bins.fraction(CycleBin::Assert),
+        }
+    }
+}
+
+/// Runs every workload of `ws` through every column of `columns` under
+/// `model` as one batch on `jobs` worker threads: the traces are
+/// prefetched and one workload-major spec batch goes to [`run_specs`].
+pub fn grid(
+    ws: &[Workload],
+    scale: usize,
+    jobs: usize,
+    model: CoreModel,
+    columns: &[Column],
+) -> Grid {
     TraceStore::global().prefetch(ws, scale, jobs);
     let specs: Vec<SimSpec> = ws
         .iter()
         .flat_map(|w| {
-            cfgs.iter()
-                .map(move |cfg| SimSpec::for_workload(w, scale, cfg.clone()))
+            columns
+                .iter()
+                .map(move |col| SimSpec::for_workload(w, scale, col.config(model)))
         })
         .collect();
-    run_specs(&specs, jobs)
-}
-
-/// Runs [`grid`] and folds each workload's `cfgs.len()` results into one
-/// row.
-fn rows<R>(
-    ws: &[Workload],
-    scale: usize,
-    jobs: usize,
-    cfgs: &[SimConfig],
-    row: impl Fn(&Workload, &[SimResult]) -> R,
-) -> Vec<R> {
-    ws.iter()
-        .zip(grid(ws, scale, jobs, cfgs).chunks_exact(cfgs.len()))
-        .map(|(w, rs)| row(w, rs))
-        .collect()
+    let mut results = run_specs(&specs, jobs).into_iter();
+    let rows = ws
+        .iter()
+        .map(|w| Row {
+            name: w.name.to_string(),
+            suite: w.suite,
+            cells: columns
+                .iter()
+                .map(|&col| (col, results.next().expect("one result per spec")))
+                .collect(),
+        })
+        .collect();
+    Grid { rows }
 }
 
 /// Percent increase of `x` over `base`: `(x / base − 1) × 100`, defined as
@@ -163,36 +273,21 @@ pub struct IpcRow {
     /// IPC for each configuration, in [`ConfigKind::ALL`] order
     /// (IC, TC, RP, RPO).
     pub ipc: [f64; 4],
-    /// Percent IPC increase of RPO over RP (the number printed above the
-    /// RPO bars in the paper).
-    pub rpo_gain_pct: f64,
-    /// Frame coverage under RP.
-    pub coverage: f64,
-    /// Fraction of cycles lost to assertions under RPO.
-    pub assert_cycle_frac: f64,
-}
-
-/// Builds one Figure 6 row from the four per-configuration results (in
-/// [`ConfigKind::ALL`] order).
-fn ipc_row_from(w: &Workload, results: &[SimResult]) -> IpcRow {
-    let ipc: [f64; 4] = std::array::from_fn(|i| results[i].ipc());
-    let (rp, rpo) = (&results[2], &results[3]);
-    IpcRow {
-        name: w.name.to_string(),
-        suite: w.suite,
-        ipc,
-        rpo_gain_pct: gain_pct(rp.ipc(), rpo.ipc()),
-        coverage: rp.coverage,
-        assert_cycle_frac: rpo.bins.fraction(CycleBin::Assert),
-    }
+    /// RPO over RP: the gain printed above the RPO bars in the paper,
+    /// coverage and assert cycles.
+    pub gain: GainPoint,
 }
 
 /// Figure 6: estimated x86 instructions retired per cycle for the ICache,
 /// Trace-Cache, rePLay, and rePLay+Optimization configurations, plus the
 /// §6.1 side observations (coverage, assert cycles).
-pub fn ipc_comparison(ws: &[Workload], scale: usize, jobs: usize, model: CoreModel) -> Vec<IpcRow> {
-    let cfgs = ConfigKind::ALL.map(|kind| cfg_model(kind, model));
-    rows(ws, scale, jobs, &cfgs, ipc_row_from)
+pub fn ipc_comparison(grid: &Grid) -> Vec<IpcRow> {
+    grid.map(|row| IpcRow {
+        name: row.name.clone(),
+        suite: row.suite,
+        ipc: ConfigKind::ALL.map(|kind| row.ipc(Column::Kind(kind))),
+        gain: row.gain(),
+    })
 }
 
 /// The RP-versus-RPO comparison of one workload at one scale — the
@@ -212,20 +307,9 @@ pub struct GainPoint {
     pub assert_cycle_frac: f64,
 }
 
-/// Folds an `(RP, RPO)` result pair into a [`GainPoint`].
-pub fn gain_from(rp: &SimResult, rpo: &SimResult) -> GainPoint {
-    GainPoint {
-        rp_ipc: rp.ipc(),
-        rpo_ipc: rpo.ipc(),
-        rpo_gain_pct: gain_pct(rp.ipc(), rpo.ipc()),
-        coverage: rp.coverage,
-        assert_cycle_frac: rpo.bins.fraction(CycleBin::Assert),
-    }
-}
-
-/// The RP and RPO configurations under `model`, in that order.
-fn rp_rpo(model: CoreModel) -> [SimConfig; 2] {
-    [ConfigKind::Replay, ConfigKind::ReplayOpt].map(|kind| cfg_model(kind, model))
+/// Every row's RP-versus-RPO [`GainPoint`], in workload order.
+pub fn gain_points(grid: &Grid) -> Vec<GainPoint> {
+    grid.map(Row::gain)
 }
 
 /// A row of the Figures 7/8 cycle breakdown: RP and RPO bins side by side.
@@ -243,17 +327,12 @@ pub struct BreakdownRow {
 
 /// Figures 7 (SPEC) and 8 (desktop): per-benchmark execution cycles for
 /// the RP and RPO configurations, classified by fetch event.
-pub fn cycle_breakdown(
-    ws: &[Workload],
-    scale: usize,
-    jobs: usize,
-    model: CoreModel,
-) -> Vec<BreakdownRow> {
-    rows(ws, scale, jobs, &rp_rpo(model), |w, rs| BreakdownRow {
-        name: w.name.to_string(),
-        suite: w.suite,
-        rp: rs[0].bins,
-        rpo: rs[1].bins,
+pub fn cycle_breakdown(grid: &Grid) -> Vec<BreakdownRow> {
+    grid.map(|row| BreakdownRow {
+        name: row.name.clone(),
+        suite: row.suite,
+        rp: row.get(RP).bins,
+        rpo: row.get(RPO).bins,
     })
 }
 
@@ -272,19 +351,14 @@ pub struct RemovalRow {
 
 /// Table 3: the percentage of micro-operations and loads removed by the
 /// rePLay optimizer, and the resulting IPC increase.
-pub fn removal_table(
-    ws: &[Workload],
-    scale: usize,
-    jobs: usize,
-    model: CoreModel,
-) -> Vec<RemovalRow> {
-    rows(ws, scale, jobs, &rp_rpo(model), |w, rs| {
-        let (rp, rpo) = (&rs[0], &rs[1]);
+pub fn removal_table(grid: &Grid) -> Vec<RemovalRow> {
+    grid.map(|row| {
+        let rpo = row.get(RPO);
         RemovalRow {
-            name: w.name.to_string(),
+            name: row.name.clone(),
             uops_removed: rpo.uop_removal(),
             loads_removed: rpo.load_removal(),
-            ipc_increase_pct: gain_pct(rp.ipc(), rpo.ipc()),
+            ipc_increase_pct: row.gain().rpo_gain_pct,
         }
     })
 }
@@ -312,23 +386,13 @@ pub struct ScopeRow {
 
 /// Figure 9: percent IPC increase when frames are optimized only within
 /// individual basic blocks versus as a unit.
-pub fn scope_comparison(
-    ws: &[Workload],
-    scale: usize,
-    jobs: usize,
-    model: CoreModel,
-) -> Vec<ScopeRow> {
-    let cfgs = [
-        cfg_model(ConfigKind::Replay, model),
-        cfg_model(ConfigKind::ReplayOpt, model).with_opt(OptConfig::block_scope()),
-        cfg_model(ConfigKind::ReplayOpt, model),
-    ];
-    rows(ws, scale, jobs, &cfgs, |w, rs| {
-        let rp = rs[0].ipc();
+pub fn scope_comparison(grid: &Grid) -> Vec<ScopeRow> {
+    grid.map(|row| {
+        let rp = row.ipc(RP);
         ScopeRow {
-            name: w.name.to_string(),
-            block_pct: gain_pct(rp, rs[1].ipc()),
-            frame_pct: gain_pct(rp, rs[2].ipc()),
+            name: row.name.clone(),
+            block_pct: gain_pct(rp, row.ipc(Column::BlockScope)),
+            frame_pct: gain_pct(rp, row.ipc(RPO)),
         }
     })
 }
@@ -338,19 +402,6 @@ pub const ABLATION_LABELS: [&str; 6] = ["ASST", "CP", "CSE", "NOP", "RA", "SF"];
 
 /// The five applications the paper plots in Figure 10.
 pub const ABLATION_APPS: [&str; 5] = ["bzip2", "crafty", "vortex", "dream", "excel"];
-
-/// The leave-one-out configuration list shared by Figure 10 and the pass
-/// profit ranking: RP, full RPO, then RPO without each of
-/// [`ABLATION_LABELS`] in order.
-fn leave_one_out(model: CoreModel) -> Vec<SimConfig> {
-    let mut cfgs = rp_rpo(model).to_vec();
-    cfgs.extend(
-        ABLATION_LABELS.iter().map(|label| {
-            cfg_model(ConfigKind::ReplayOpt, model).with_opt(OptConfig::without(label))
-        }),
-    );
-    cfgs
-}
 
 /// A row of the Figure 10 ablation: IPC of each leave-one-out trial on the
 /// paper's 0(=RP)..1(=RPO) relative scale.
@@ -372,17 +423,17 @@ pub struct AblationRow {
 
 /// Figure 10: the performance impact of disabling each optimization
 /// individually (dead-code elimination always stays enabled).
-pub fn ablation(ws: &[Workload], scale: usize, jobs: usize, model: CoreModel) -> Vec<AblationRow> {
-    rows(ws, scale, jobs, &leave_one_out(model), |w, rs| {
-        let rp = rs[0].ipc();
-        let rpo = rs[1].ipc();
+pub fn ablation(grid: &Grid) -> Vec<AblationRow> {
+    grid.map(|row| {
+        let rp = row.ipc(RP);
+        let rpo = row.ipc(RPO);
         // Guard the normalization: when optimization is near-neutral
         // on an application (as on excel, where speculative aborts eat
         // the gains), the raw span would explode the relative scale.
         let span = (rpo - rp).abs().max(0.03 * rp).max(1e-9);
         AblationRow {
-            name: w.name.to_string(),
-            relative: std::array::from_fn(|i| (rs[2 + i].ipc() - rp) / span),
+            name: row.name.clone(),
+            relative: ABLATION_LABELS.map(|label| (row.ipc(Column::Without(label)) - rp) / span),
             rp_ipc: rp,
             rpo_ipc: rpo,
             rpo_relative: (rpo - rp) / span,
@@ -405,7 +456,7 @@ pub struct PassProfit {
     pub profit_pct: f64,
 }
 
-/// Measures every pass's profit, averaged over `ws`, under `model`.
+/// Measures every pass's profit, averaged over the grid's workloads.
 ///
 /// Two measurement bases, both in percentage points of the RP baseline's
 /// IPC:
@@ -421,48 +472,22 @@ pub struct PassProfit {
 /// under both core models (it removes the same uops), any ranking shift
 /// between models is purely a *timing* effect — which resources the
 /// removed uops would have contended for.
-pub fn pass_profit(
-    ws: &[Workload],
-    scale: usize,
-    jobs: usize,
-    model: CoreModel,
-) -> Vec<PassProfit> {
-    // OptConfig with every ablatable pass off: only DCE (which has no
-    // flag — it is the collector the pipeline always runs) remains.
-    let dce_only = ABLATION_LABELS
-        .into_iter()
-        .fold(OptConfig::default(), OptConfig::disable);
-    let mut cfgs = leave_one_out(model);
-    cfgs.push(cfg_model(ConfigKind::ReplayOpt, model).with_opt(dce_only));
-    let napps = ws.len().max(1) as f64;
-    let mut profit: Vec<PassProfit> = PROFIT_PASSES
-        .into_iter()
-        .map(|pass| PassProfit {
-            pass,
-            profit_pct: 0.0,
+pub fn pass_profit(grid: &Grid) -> Vec<PassProfit> {
+    let napps = grid.rows.len().max(1) as f64;
+    let profitable = || grid.rows.iter().filter(|row| row.ipc(RP) > 0.0);
+    PROFIT_PASSES
+        .map(|pass| {
+            let profit_pct = profitable().fold(0.0, |sum, row| {
+                let (rp, rpo) = (row.ipc(RP), row.ipc(RPO));
+                let pct = match pass {
+                    "DCE" => (row.ipc(Column::DceOnly) - rp) / rp * 100.0,
+                    label => (rpo - row.ipc(Column::Without(label))) / rp * 100.0,
+                };
+                sum + pct / napps
+            });
+            PassProfit { pass, profit_pct }
         })
-        .collect();
-    for rs in grid(ws, scale, jobs, &cfgs).chunks_exact(cfgs.len()) {
-        let rp = rs[0].ipc();
-        if rp <= 0.0 {
-            continue;
-        }
-        let rpo = rs[1].ipc();
-        let dce = rs[2 + ABLATION_LABELS.len()].ipc();
-        for p in profit.iter_mut() {
-            let pct = if p.pass == "DCE" {
-                (dce - rp) / rp * 100.0
-            } else {
-                let i = ABLATION_LABELS
-                    .iter()
-                    .position(|l| l == &p.pass)
-                    .expect("profit pass is an ablation label");
-                (rpo - rs[2 + i].ipc()) / rp * 100.0
-            };
-            p.profit_pct += pct / napps;
-        }
-    }
-    profit
+        .to_vec()
 }
 
 #[cfg(test)]
@@ -473,11 +498,11 @@ mod tests {
     #[test]
     fn ipc_row_has_all_configs() {
         let w = workloads::by_name("eon").unwrap();
-        let rows = ipc_comparison(&[w], 4_000, 2, CoreModel::Generic);
+        let rows = ipc_comparison(&grid(&[w], 4_000, 2, CoreModel::Generic, &PAPER_COLUMNS));
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
         assert!(row.ipc.iter().all(|&v| v > 0.0), "{:?}", row.ipc);
-        assert!(row.coverage > 0.0);
+        assert!(row.gain.coverage > 0.0);
     }
 
     #[test]
@@ -507,13 +532,24 @@ mod tests {
             uop_ratio: 0.0,
             profile: replay_obs::Profile::new(),
         };
-        let results: Vec<SimResult> = ConfigKind::ALL.into_iter().map(empty).collect();
-        let row = ipc_row_from(&w, &results);
-        assert_eq!(row.rpo_gain_pct, 0.0, "degenerate gain is defined as 0.0");
-        assert!(row.rpo_gain_pct.is_finite());
+        let grid = Grid {
+            rows: vec![Row {
+                name: w.name.to_string(),
+                suite: w.suite,
+                cells: ConfigKind::ALL
+                    .map(|kind| (Column::Kind(kind), empty(kind)))
+                    .to_vec(),
+            }],
+        };
+        let row = ipc_comparison(&grid).remove(0);
+        assert_eq!(
+            row.gain.rpo_gain_pct, 0.0,
+            "degenerate gain is defined as 0.0"
+        );
+        assert!(row.gain.rpo_gain_pct.is_finite());
         assert!(row.ipc.iter().all(|v| v.is_finite()));
-        assert!(row.coverage.is_finite() && row.assert_cycle_frac.is_finite());
-        let point = gain_from(&results[2], &results[3]);
+        assert!(row.gain.coverage.is_finite() && row.gain.assert_cycle_frac.is_finite());
+        let point = gain_points(&grid)[0];
         assert_eq!(point.rpo_gain_pct, 0.0);
         assert!(point.assert_cycle_frac.is_finite());
     }
@@ -543,7 +579,7 @@ mod tests {
     #[test]
     fn ablation_rows_cover_labels() {
         let w = workloads::by_name("bzip2").unwrap();
-        let rows = ablation(&[w], 3_000, 2, CoreModel::Generic);
+        let rows = ablation(&grid(&[w], 3_000, 2, CoreModel::Generic, &LEAVE_ONE_OUT));
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].relative.len(), ABLATION_LABELS.len());
     }
@@ -552,7 +588,7 @@ mod tests {
     fn pass_profit_covers_all_seven_passes_under_both_models() {
         let ws = [workloads::by_name("bzip2").unwrap()];
         for model in [CoreModel::Generic, CoreModel::PortAccurate] {
-            let rows = pass_profit(&ws, 3_000, 2, model);
+            let rows = pass_profit(&grid(&ws, 3_000, 2, model, &LEAVE_ONE_OUT));
             assert_eq!(rows.len(), PROFIT_PASSES.len());
             for (row, pass) in rows.iter().zip(PROFIT_PASSES) {
                 assert_eq!(row.pass, pass);

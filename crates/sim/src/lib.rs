@@ -16,11 +16,12 @@
 //! [`simulate`] drives one trace through one configuration;
 //! [`experiment`] contains the multi-workload drivers that regenerate
 //! every table and figure of the paper's evaluation (see `EXPERIMENTS.md`
-//! at the repository root), each over an explicit workload list. The
-//! drivers fan their independent `(workload, segment, configuration)` jobs
-//! across a scoped worker pool ([`parallel`], sized by the caller, e.g.
-//! with [`parallel::job_count`]: `REPLAY_JOBS` or the core count) and
-//! share synthesized traces through the process-wide [`TraceStore`];
+//! at the repository root), each a fold over one shared grid of
+//! workloads × configurations. The grid fans its independent `(workload,
+//! segment, configuration)` jobs across a scoped worker pool
+//! ([`parallel`], sized by the caller, e.g. with [`parallel::job_count`]:
+//! `REPLAY_JOBS` or the core count) and shares synthesized traces through
+//! the process-wide [`TraceStore`];
 //! because every job is pure and results merge in submission order, the
 //! numbers are bit-identical at every worker count.
 //!
@@ -44,6 +45,7 @@ mod config;
 pub mod experiment;
 mod framestore;
 mod injector;
+pub mod output;
 pub mod parallel;
 pub mod report;
 mod result;

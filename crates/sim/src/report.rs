@@ -29,8 +29,8 @@
 //! byte-identity across `--jobs` and cache temperature. Consumers that
 //! matched the literal schema string must accept `replay-report/v3`.
 
-use crate::experiment::{run_specs, SimSpec};
-use crate::{ConfigKind, SimConfig, SimResult, TraceStore};
+use crate::experiment::{run_specs, Column, SimSpec};
+use crate::{ConfigKind, SimResult, TraceStore};
 use replay_timing::CoreModel;
 use replay_trace::Trace;
 use std::sync::Arc;
@@ -49,7 +49,7 @@ pub fn specs_for_trace_model(trace: &Arc<Trace>, model: CoreModel) -> Vec<SimSpe
         .map(|kind| SimSpec {
             name: trace.name.clone(),
             traces: vec![Arc::clone(trace)],
-            cfg: SimConfig::new(kind).without_verify().with_core_model(model),
+            cfg: Column::Kind(kind).config(model),
         })
         .collect()
 }

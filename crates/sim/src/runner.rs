@@ -192,8 +192,6 @@ struct Runner<'a> {
     specialized_hits: u64,
     spec_fallbacks: u64,
     plans_compiled: u64,
-    /// `REPLAY_DEBUG_ABORTS` is set: print every assertion abort.
-    debug_aborts: bool,
     /// Dynamic uops saved on *specialized* fetches, per pass — the subset
     /// of `dyn_removed_by_pass` earned while the plan fast path served the
     /// probe.
@@ -238,7 +236,6 @@ impl<'a> Runner<'a> {
             specialized_hits: 0,
             spec_fallbacks: 0,
             plans_compiled: 0,
-            debug_aborts: std::env::var_os("REPLAY_DEBUG_ABORTS").is_some(),
             dyn_removed_by_pass_spec: [0; 7],
         }
     }
@@ -504,15 +501,6 @@ impl<'a> Runner<'a> {
         // conflict, fault, or (rarely) a divergence the optimizer proved
         // away. Charge the pessimistic recovery, then refetch the original
         // instructions from the ICache along the *actual* path.
-        if self.debug_aborts {
-            if let ProbeOutcome::AssertFired { uop_index } = outcome {
-                let u = opt.slot(uop_index as replay_core::Slot);
-                eprintln!(
-                    "abort: {} @x86 {:#x} frame {:#x}",
-                    u, u.x86_addr, opt.start_addr
-                );
-            }
-        }
         let fails_at = match outcome {
             ProbeOutcome::AssertFired { uop_index } => uop_index,
             ProbeOutcome::UnsafeConflict {

@@ -17,15 +17,16 @@
 //! `sweeps` mode prints the design-choice sweep points and the §5.1.1
 //! translator expansion ratio.
 
-use replay_core::{DatapathConfig, OptConfig};
 use replay_sim::experiment::{
-    ablation, cycle_breakdown, gain_pct, ipc_comparison, pass_profit, removal_averages,
-    removal_table, scope_comparison, ABLATION_APPS, ABLATION_LABELS, PROFIT_PASSES,
+    ablation, cycle_breakdown, gain_pct, grid, ipc_comparison, pass_profit, removal_averages,
+    removal_table, scope_comparison, ABLATION_APPS, ABLATION_LABELS, LEAVE_ONE_OUT, PAPER_COLUMNS,
+    PROFIT_PASSES,
 };
-use replay_sim::{parallel, simulate, ConfigKind, CoreModel, SimConfig};
+use replay_sim::{out, outln, parallel, simulate, ConfigKind, CoreModel, SimConfig};
 use replay_timing::CycleBin;
 use replay_trace::{workloads, Suite, Workload};
 use replay_x86::Interp;
+use std::process::ExitCode;
 
 /// The five Figure 10 applications ([`ABLATION_APPS`]), resolved.
 fn ablation_apps() -> Vec<Workload> {
@@ -40,53 +41,31 @@ fn ablation_apps() -> Vec<Workload> {
 /// ratio over every workload.
 fn sweeps(scale: usize) {
     let n = scale.min(20_000);
-    let run = |cfg: &SimConfig| {
-        let t = workloads::by_name("bzip2").unwrap().segment_trace(0, n);
-        simulate(&t, cfg).ipc()
+    let trace = workloads::by_name("bzip2").unwrap().segment_trace(0, n);
+    // One sweep point: RPO with one parameter edited.
+    let point = |edit: &dyn Fn(&mut SimConfig)| {
+        let mut cfg = SimConfig::new(ConfigKind::ReplayOpt).without_verify();
+        edit(&mut cfg);
+        simulate(&trace, &cfg).ipc()
     };
-    println!("Design-choice sweeps, bzip2 RPO (scale {n} x86/segment)");
-    print!("optimizer latency (cycles/uop 1, 10, 40):");
-    for cpu in [1u64, 10, 40] {
-        let mut cfg = SimConfig::new(ConfigKind::ReplayOpt).without_verify();
-        cfg.datapath = DatapathConfig {
-            cycles_per_uop: cpu,
-            ..DatapathConfig::default()
-        };
-        print!(" {:.2}", run(&cfg));
-    }
-    println!();
-    print!("max frame size (32 -> 256 uops):");
-    for max in [32usize, 256] {
-        let mut cfg = SimConfig::new(ConfigKind::ReplayOpt).without_verify();
-        cfg.constructor.max_uops = max;
-        print!(" {:.2}", run(&cfg));
-    }
-    println!();
-    print!("bias threshold (2, 8, 32 outcomes):");
-    for thr in [2u32, 8, 32] {
-        let mut cfg = SimConfig::new(ConfigKind::ReplayOpt).without_verify();
-        cfg.constructor.bias_threshold = thr;
-        print!(" {:.2}", run(&cfg));
-    }
-    println!();
-    print!("frame cache capacity (1K, 4K, 16K, 64K uops):");
-    for cap in [1usize, 4, 16, 64] {
-        let mut cfg = SimConfig::new(ConfigKind::ReplayOpt).without_verify();
-        cfg.timing.frame_cache_uops = cap * 1024;
-        print!(" {:.2}", run(&cfg));
-    }
-    println!();
-    print!("rescheduling (off, on):");
-    for reschedule in [false, true] {
-        let cfg = SimConfig::new(ConfigKind::ReplayOpt)
-            .with_opt(OptConfig {
-                reschedule,
-                ..OptConfig::default()
-            })
-            .without_verify();
-        print!(" {:.2}", run(&cfg));
-    }
-    println!();
+    let line = |label: &str, ipcs: &[f64]| {
+        out!("{label}:");
+        for ipc in ipcs {
+            out!(" {ipc:.2}");
+        }
+        outln!();
+    };
+    outln!("Design-choice sweeps, bzip2 RPO (scale {n} x86/segment)");
+    let latency = [1, 10, 40].map(|v| point(&|c| c.datapath.cycles_per_uop = v));
+    line("optimizer latency (cycles/uop 1, 10, 40)", &latency);
+    let frame_size = [32, 256].map(|v| point(&|c| c.constructor.max_uops = v));
+    line("max frame size (32 -> 256 uops)", &frame_size);
+    let bias = [2, 8, 32].map(|v| point(&|c| c.constructor.bias_threshold = v));
+    line("bias threshold (2, 8, 32 outcomes)", &bias);
+    let capacity = [1, 4, 16, 64].map(|k| point(&|c| c.timing.frame_cache_uops = k * 1024));
+    line("frame cache capacity (1K, 4K, 16K, 64K uops)", &capacity);
+    let reschedule = [false, true].map(|v| point(&|c| c.opt.reschedule = v));
+    line("rescheduling (off, on)", &reschedule);
 
     // (x86 instructions, uops) translated per workload.
     let counts: Vec<(u64, u64)> = workloads::all()
@@ -107,7 +86,7 @@ fn sweeps(scale: usize) {
     let hi = ratios.iter().copied().fold(0.0, f64::max);
     let x86: u64 = counts.iter().map(|c| c.0).sum();
     let uops: u64 = counts.iter().map(|c| c.1).sum();
-    println!(
+    outln!(
         "uop/x86 ratio ({} workloads): average {:.3}, range {lo:.3}-{hi:.3}",
         counts.len(),
         uops as f64 / x86 as f64
@@ -119,19 +98,21 @@ fn sweeps(scale: usize) {
 /// IPC, under the generic and the port-accurate core, side by side.
 fn models(scale: usize) {
     let jobs = parallel::job_count();
-    println!(
+    outln!(
         "Pass profit by core model (scale {scale} x86/segment, {} apps)",
         ABLATION_APPS.len()
     );
-    println!("{:6} {:>10} {:>10}", "pass", "generic", "port");
+    outln!("{:6} {:>10} {:>10}", "pass", "generic", "port");
     let apps = ablation_apps();
-    let generic = pass_profit(&apps, scale, jobs, CoreModel::Generic);
-    let port = pass_profit(&apps, scale, jobs, CoreModel::PortAccurate);
+    let [generic, port] = [CoreModel::Generic, CoreModel::PortAccurate]
+        .map(|model| pass_profit(&grid(&apps, scale, jobs, model, &LEAVE_ONE_OUT)));
     for (g, p) in generic.iter().zip(&port) {
         assert_eq!(g.pass, p.pass);
-        println!(
+        outln!(
             "{:6} {:>+10.2} {:>+10.2}",
-            g.pass, g.profit_pct, p.profit_pct
+            g.pass,
+            g.profit_pct,
+            p.profit_pct
         );
     }
     for (label, rows) in [("generic", &generic), ("port", &port)] {
@@ -140,44 +121,24 @@ fn models(scale: usize) {
             let pct = |pass: &str| rows.iter().find(|r| r.pass == pass).unwrap().profit_pct;
             pct(b).total_cmp(&pct(a))
         });
-        println!("ranking ({label}): {}", ranked.join(" > "));
+        outln!("ranking ({label}): {}", ranked.join(" > "));
     }
 }
 
-fn main() {
-    if std::env::args().nth(1).as_deref() == Some("sweeps") {
-        sweeps(30_000);
-        return;
-    }
-    if std::env::args().nth(1).as_deref() == Some("models") {
-        let scale = std::env::args()
-            .nth(2)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(30_000);
-        models(scale);
-        return;
-    }
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(30_000);
-    let model = match args.iter().position(|a| a == "--core-model") {
-        None => CoreModel::Generic,
-        Some(i) => {
-            let label = args.get(i + 1).map(String::as_str).unwrap_or("");
-            CoreModel::from_label(label)
-                .unwrap_or_else(|| panic!("unknown core model {label:?} (generic, port)"))
-        }
-    };
+/// Table 3 and Figures 6–10 under `model`, folded from two grids: the
+/// paper grid over every workload and the leave-one-out grid over the
+/// Figure 10 applications.
+fn tables(scale: usize, model: CoreModel) {
     let jobs = parallel::job_count();
-    let all = workloads::all();
-
-    println!(
+    outln!(
         "Table 3 — micro-operations and loads removed (scale {scale} x86/segment, {} core)",
         model.label()
     );
-    println!("{:10} {:>7} {:>7} {:>7}", "app", "uops%", "loads%", "IPC+%");
-    let rows = removal_table(&all, scale, jobs, model);
+    outln!("{:10} {:>7} {:>7} {:>7}", "app", "uops%", "loads%", "IPC+%");
+    let paper = grid(&workloads::all(), scale, jobs, model, &PAPER_COLUMNS);
+    let rows = removal_table(&paper);
     for r in &rows {
-        println!(
+        outln!(
             "{:10} {:7.1} {:7.1} {:+7.1}",
             r.name,
             r.uops_removed * 100.0,
@@ -186,7 +147,7 @@ fn main() {
         );
     }
     let (u, l, i) = removal_averages(&rows);
-    println!(
+    outln!(
         "{:10} {:7.1} {:7.1} {:+7.1}",
         "Average",
         u * 100.0,
@@ -194,35 +155,32 @@ fn main() {
         i
     );
 
-    println!();
-    println!("Figure 6 — IPC by configuration (scale {scale} x86/segment)");
-    println!(
-        "{:10} {:>5} {:>5} {:>5} {:>5} {:>7} {:>6} {:>8}",
-        "app", "IC", "TC", "RP", "RPO", "gain%", "cov%", "assert%"
-    );
+    outln!();
+    outln!("Figure 6 — IPC by configuration (scale {scale} x86/segment)");
+    outln!("app           IC    TC    RP   RPO   gain%   cov%  assert%");
     let mut spec_cov = Vec::new();
     let mut desk_cov = Vec::new();
     let mut assert_fracs = Vec::new();
-    for r in ipc_comparison(&all, scale, jobs, model) {
-        println!(
+    for r in ipc_comparison(&paper) {
+        outln!(
             "{:10} {:5.2} {:5.2} {:5.2} {:5.2} {:+7.1} {:6.1} {:8.2}",
             r.name,
             r.ipc[0],
             r.ipc[1],
             r.ipc[2],
             r.ipc[3],
-            r.rpo_gain_pct,
-            r.coverage * 100.0,
-            r.assert_cycle_frac * 100.0
+            r.gain.rpo_gain_pct,
+            r.gain.coverage * 100.0,
+            r.gain.assert_cycle_frac * 100.0
         );
         match r.suite {
-            Suite::SpecInt => spec_cov.push(r.coverage),
-            Suite::Desktop => desk_cov.push(r.coverage),
+            Suite::SpecInt => spec_cov.push(r.gain.coverage),
+            Suite::Desktop => desk_cov.push(r.gain.coverage),
         }
-        assert_fracs.push(r.assert_cycle_frac);
+        assert_fracs.push(r.gain.assert_cycle_frac);
     }
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    println!(
+    outln!(
         "coverage SPEC {:.0}% desktop {:.0}% | assert cycles avg {:.1}% max {:.1}%",
         avg(&spec_cov) * 100.0,
         avg(&desk_cov) * 100.0,
@@ -230,45 +188,90 @@ fn main() {
         assert_fracs.iter().cloned().fold(0.0, f64::max) * 100.0
     );
 
-    println!();
-    println!("Figures 7/8 — Frame-cycle reduction, RP → RPO (scale {scale})");
+    outln!();
+    outln!("Figures 7/8 — Frame-cycle reduction, RP → RPO (scale {scale})");
+    let rows = cycle_breakdown(&paper);
     for (suite, label) in [(Suite::SpecInt, "SPEC"), (Suite::Desktop, "desktop")] {
-        let ws: Vec<Workload> = all.iter().filter(|w| w.suite == suite).cloned().collect();
-        let rows = cycle_breakdown(&ws, scale, jobs, model);
-        let rp: u64 = rows.iter().map(|r| r.rp.get(CycleBin::Frame)).sum();
-        let rpo: u64 = rows.iter().map(|r| r.rpo.get(CycleBin::Frame)).sum();
-        println!(
+        let suite_rows = || rows.iter().filter(|r| r.suite == suite);
+        let rp: u64 = suite_rows().map(|r| r.rp.get(CycleBin::Frame)).sum();
+        let rpo: u64 = suite_rows().map(|r| r.rpo.get(CycleBin::Frame)).sum();
+        outln!(
             "{label:8} Frame cycles {rp} -> {rpo} ({:+.1}%)",
             gain_pct(rp as f64, rpo as f64)
         );
     }
 
-    println!();
-    println!("Figure 9 — block-scope vs frame-scope optimization (scale {scale})");
-    println!("{:10} {:>8} {:>8}", "app", "block%", "frame%");
-    let rows = scope_comparison(&all, scale, jobs, model);
+    outln!();
+    outln!("Figure 9 — block-scope vs frame-scope optimization (scale {scale})");
+    outln!("{:10} {:>8} {:>8}", "app", "block%", "frame%");
+    let rows = scope_comparison(&paper);
     for r in &rows {
-        println!("{:10} {:+8.1} {:+8.1}", r.name, r.block_pct, r.frame_pct);
+        outln!("{:10} {:+8.1} {:+8.1}", r.name, r.block_pct, r.frame_pct);
     }
-    println!(
+    outln!(
         "{:10} {:+8.1} {:+8.1}",
         "Average",
         avg(&rows.iter().map(|r| r.block_pct).collect::<Vec<_>>()),
         avg(&rows.iter().map(|r| r.frame_pct).collect::<Vec<_>>())
     );
 
-    println!();
-    println!("Figure 10 — leave-one-out ablation, 0=RP 1=RPO (scale {scale})");
-    print!("{:10}", "app");
+    outln!();
+    outln!("Figure 10 — leave-one-out ablation, 0=RP 1=RPO (scale {scale})");
+    out!("{:10}", "app");
     for l in ABLATION_LABELS {
-        print!(" {:>8}", format!("no {l}"));
+        out!(" {:>8}", format!("no {l}"));
     }
-    println!();
-    for r in ablation(&ablation_apps(), scale, jobs, model) {
-        print!("{:10}", r.name);
+    outln!();
+    for r in ablation(&grid(&ablation_apps(), scale, jobs, model, &LEAVE_ONE_OUT)) {
+        out!("{:10}", r.name);
         for v in r.relative {
-            print!(" {v:8.2}");
+            out!(" {v:8.2}");
         }
-        println!();
+        outln!();
     }
+}
+
+const USAGE: &str = "usage: paper_tables [SCALE] [--core-model generic|port]
+       paper_tables models [SCALE]
+       paper_tables sweeps";
+
+/// Parses the command line into a mode (`tables` unless `models` or
+/// `sweeps` is named), a scale (default 30 000) and the tables' core
+/// model, rejecting anything [`USAGE`] does not name.
+fn parse_args(args: &[String]) -> Result<(&str, usize, CoreModel), String> {
+    let (mode, rest) = match args.first().map(String::as_str) {
+        Some(mode @ ("models" | "sweeps")) => (mode, &args[1..]),
+        _ => ("tables", args),
+    };
+    let (mut scale, mut model) = (None, CoreModel::Generic);
+    let mut rest = rest.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--core-model" if mode == "tables" => {
+                let label = rest.next().ok_or("--core-model needs a value")?;
+                model = CoreModel::from_label(label)
+                    .ok_or_else(|| format!("unknown core model {label:?} (generic, port)"))?;
+            }
+            s if mode != "sweeps" && scale.is_none() && !s.starts_with('-') => {
+                let n = s.parse().ok().filter(|&n: &usize| n > 0);
+                scale = Some(n.ok_or_else(|| format!("bad SCALE {s:?} (a positive integer)"))?);
+            }
+            s => return Err(format!("unexpected argument {s:?}\n{USAGE}")),
+        }
+    }
+    Ok((mode, scale.unwrap_or(30_000), model))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse_args(&args) {
+        Ok(("models", scale, _)) => models(scale),
+        Ok(("sweeps", scale, _)) => sweeps(scale),
+        Ok((_, scale, model)) => tables(scale, model),
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
 }

@@ -9,7 +9,8 @@ use replay_check::{
 };
 use replay_core::{passes, run_pass, AliasProfile, OptFrame, OptScope, OptStats, PassCtx, PassId};
 use replay_rng::SmallRng;
-use replay_sim::{experiment, CoreModel};
+use replay_sim::experiment::{self, Column};
+use replay_sim::{ConfigKind, CoreModel};
 use replay_trace::workloads;
 use std::path::Path;
 
@@ -161,13 +162,18 @@ fn check_workload_coexists_with_sim_engine() {
         ..CheckConfig::default()
     };
     let ws = [w];
-    let serial_row = experiment::ipc_comparison(&ws, SCALE, 1, CoreModel::Generic).remove(0);
+    let columns = ConfigKind::ALL.map(Column::Kind);
+    let fig6_row = |jobs| {
+        let grid = experiment::grid(&ws, SCALE, jobs, CoreModel::Generic, &columns);
+        experiment::ipc_comparison(&grid).remove(0)
+    };
+    let serial_row = fig6_row(1);
     let serial_report = run_check(&cfg);
 
     let mut par_cfg = cfg.clone();
     par_cfg.jobs = 8;
     let handle = std::thread::spawn(move || run_check(&par_cfg));
-    let par_row = experiment::ipc_comparison(&ws, SCALE, 8, CoreModel::Generic).remove(0);
+    let par_row = fig6_row(8);
     let par_report = handle.join().unwrap();
 
     assert_eq!(serial_report, par_report);
@@ -175,9 +181,12 @@ fn check_workload_coexists_with_sim_engine() {
     for (a, b) in serial_row.ipc.iter().zip(&par_row.ipc) {
         assert_eq!(a.to_bits(), b.to_bits(), "IPC bit-identical under load");
     }
-    assert_eq!(serial_row.coverage.to_bits(), par_row.coverage.to_bits());
     assert_eq!(
-        serial_row.rpo_gain_pct.to_bits(),
-        par_row.rpo_gain_pct.to_bits()
+        serial_row.gain.coverage.to_bits(),
+        par_row.gain.coverage.to_bits()
+    );
+    assert_eq!(
+        serial_row.gain.rpo_gain_pct.to_bits(),
+        par_row.gain.rpo_gain_pct.to_bits()
     );
 }

@@ -3,7 +3,7 @@
 //! store must synthesize each `(workload, segment, scale)` at most once
 //! per process no matter how many drivers and threads ask.
 
-use replay_sim::experiment::{self, run_specs, SimSpec};
+use replay_sim::experiment::{self, grid, run_specs, Column, SimSpec};
 use replay_sim::{parallel, ConfigKind, CoreModel, SimConfig, TraceStore};
 use replay_trace::{workloads, Workload};
 use std::sync::Arc;
@@ -20,20 +20,20 @@ fn assert_rows_identical(a: &[experiment::IpcRow], b: &[experiment::IpcRow], wha
             assert_eq!(p.to_bits(), q.to_bits(), "{what}: {} IPC", x.name);
         }
         assert_eq!(
-            x.rpo_gain_pct.to_bits(),
-            y.rpo_gain_pct.to_bits(),
+            x.gain.rpo_gain_pct.to_bits(),
+            y.gain.rpo_gain_pct.to_bits(),
             "{what}: {} gain",
             x.name
         );
         assert_eq!(
-            x.coverage.to_bits(),
-            y.coverage.to_bits(),
+            x.gain.coverage.to_bits(),
+            y.gain.coverage.to_bits(),
             "{what}: {} coverage",
             x.name
         );
         assert_eq!(
-            x.assert_cycle_frac.to_bits(),
-            y.assert_cycle_frac.to_bits(),
+            x.gain.assert_cycle_frac.to_bits(),
+            y.gain.assert_cycle_frac.to_bits(),
             "{what}: {} assert cycles",
             x.name
         );
@@ -47,8 +47,10 @@ fn assert_rows_identical(a: &[experiment::IpcRow], b: &[experiment::IpcRow], wha
 #[test]
 fn ipc_rows_identical_serial_vs_parallel() {
     let all = workloads::all();
-    let fig6 =
-        |ws: &[Workload], jobs| experiment::ipc_comparison(ws, SCALE, jobs, CoreModel::Generic);
+    let fig6 = |ws: &[Workload], jobs| {
+        let columns = ConfigKind::ALL.map(Column::Kind);
+        experiment::ipc_comparison(&grid(ws, SCALE, jobs, CoreModel::Generic, &columns))
+    };
     let cold = fig6(&all, 1);
     assert_eq!(cold.len(), all.len(), "one row per workload");
     let warm = fig6(&all, 1);
