@@ -367,7 +367,6 @@ const SPEC_SERVE: CmdSpec = CmdSpec {
         flag(&["addr"], "ADDR"),
         flag(&["peers"], "ADDR,ADDR,..."),
         flag(&["cluster-addr"], "ADDR"),
-        flag(&["push-fanout"], "N"),
         JOBS_FLAG,
         flag(&["max-conns"], "N"),
         flag(&["work-queue"], "N"),
@@ -551,7 +550,7 @@ impl<'a> Opts<'a> {
                 };
             }
         }
-        Ok(parallel::job_count())
+        parallel::job_count()
     }
 }
 
@@ -839,7 +838,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if matches!(&peers, Some(p) if p.is_empty()) {
         return Err("--peers needs at least one host:port".to_string());
     }
-    // The address this node advertises on the ring — what peers dial and
+    // The address this node advertises on the ring — what clients dial and
     // what NotOwner redirects name. Defaults to the listen address, which
     // therefore must be concrete (no port 0) in cluster mode.
     let self_addr = opts.get("cluster-addr").unwrap_or(addr).to_string();
@@ -850,31 +849,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 .to_string(),
         );
     }
-    // Cluster nodes sharing a working directory must not share one
-    // artifact cache — replication tests would self-satisfy through the
-    // common disk. Unless the operator pins a directory explicitly, each
-    // node gets its own namespace under the default cache root.
-    if peers.is_some()
-        && !opts.has("no-store")
-        && opts.get("cache-dir").is_none()
-        && std::env::var_os(replay_store::CACHE_DIR_ENV).is_none()
-    {
-        let node: String = self_addr
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '.' {
-                    c
-                } else {
-                    '-'
-                }
-            })
-            .collect();
-        replay_store::Store::configure(Some(std::path::PathBuf::from(format!(
-            ".replay-cache/node-{node}"
-        ))));
-    } else {
-        configure_store(&opts);
-    }
+    configure_store(&opts);
     let mut cfg = replay_serve::ServerConfig {
         jobs: opts.jobs()?,
         ..replay_serve::ServerConfig::default()
@@ -909,14 +884,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         replay_serve::Server::bind(addr, cfg).map_err(|e| format!("binding {addr:?}: {e}"))?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;
     if let Some(peer_list) = peers {
-        let mut ccfg = replay_serve::ClusterConfig::new(self_addr.clone(), peer_list);
-        ccfg.push_fanout = opts.count("push-fanout", ccfg.push_fanout)?;
-        let fanout = ccfg.push_fanout;
-        server.configure_cluster(ccfg);
+        server.configure_cluster(replay_serve::ClusterConfig::new(
+            self_addr.clone(),
+            peer_list,
+        ));
         let members = server.cluster().map_or(0, |c| c.ring().len());
-        outln!(
-            "cluster mode: {self_addr} on a {members}-member ring (redirects misses, fanout {fanout})"
-        );
+        outln!("cluster mode: {self_addr} on a {members}-member ring (redirects misses)");
     }
     outln!(
         "replay-serve listening on {bound} ({jobs} workers, event-loop front; SIGTERM/ctrl-c drains)"

@@ -45,10 +45,10 @@
 //!   returned from [`Server::run`].
 //! - **Cluster mode** — `--peers` shards the request key space over a
 //!   deterministic consistent-hash ring ([`ring`]); non-owners answer
-//!   `NotOwner` naming the owner, nodes replicate warm RPAS artifacts
-//!   peer-to-peer (pull-on-miss plus gossip-on-write, [`cluster`]), and
-//!   the multi-address client fails over along the same ring without
-//!   ever hot-looping.
+//!   `NotOwner` naming the owner ([`cluster`]), and the multi-address
+//!   client fails over along the same ring without ever hot-looping.
+//!   Nodes exchange no artifacts: each loads or synthesizes its own
+//!   traces, and co-located nodes may share one cache directory.
 //!
 //! The wire format ([`proto`]) reuses `replay-store`'s little-endian
 //! codec and FNV-1a [`replay_store::Digest64`] for request keys and

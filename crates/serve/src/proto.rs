@@ -19,14 +19,13 @@
 //! typed [`Status`] — overload and shutdown are *data*, not dropped
 //! connections — plus the exact `replay report --json` bytes on success.
 //!
-//! Cluster mode adds two peer-to-peer message pairs on the same framing:
-//! [`PeerFetch`] → [`PeerArtifact`] (pull one warm RPAS container from a
-//! peer's `.replay-cache`) and [`PeerPush`] → plain [`Response`] ack
-//! (gossip a freshly written container to a small fanout of peers), plus
-//! the [`Status::NotOwner`] redirect and the [`Request::relayed`] flag
-//! that together make redirect loops impossible: a server only ever
-//! answers `NotOwner` to a *non-relayed* request, and a failover client
-//! only ever re-targets a non-owner with `relayed` set.
+//! Cluster mode adds no message kinds, only the [`Status::NotOwner`]
+//! redirect and the [`Request::relayed`] flag, which together make
+//! redirect loops impossible: a server only ever answers `NotOwner` to a
+//! *non-relayed* request, and a failover client only ever re-targets a
+//! non-owner with `relayed` set. A server decodes every inbound payload
+//! as a [`Request`]; any other kind — including [`PeerFetch`], the one
+//! peer message still encodable — is answered [`Status::BadRequest`].
 
 use replay_store::{digest_bytes, Digest64, Reader, WireError, Writer};
 use std::io::{self, Read, Write};
@@ -35,14 +34,14 @@ use std::io::{self, Read, Write};
 pub const MAGIC: u32 = u32::from_le_bytes(*b"RSV1");
 
 /// Protocol version. Bump on any incompatible payload change.
-/// v2: requests carry the cluster `relayed` flag; peer artifact-exchange
-/// messages and the `NotOwner` status exist.
+/// v2: requests carry the cluster `relayed` flag and the `NotOwner`
+/// status exists.
 pub const VERSION: u16 = 2;
 
-/// Hard ceiling on an artifact class name traveling in a peer message.
-/// Real class names ("trace", "frames") are a few bytes; anything longer
-/// is hostile input and is rejected before allocation.
-pub const MAX_CLASS_LEN: usize = 64;
+/// Hard ceiling on a request's `scale`, in records. Synthesis length and
+/// memory follow scale with no other bound (about 166 bytes a record),
+/// so a larger request is rejected at decode, before it is queued.
+pub const MAX_SCALE: u64 = 1_000_000;
 
 /// Hard ceiling on one frame's payload, request or response (64 MiB).
 /// A length prefix above this is rejected before any allocation.
@@ -137,10 +136,7 @@ impl Request {
 
     /// Encodes the request payload (checksummed; framing is separate).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u32(MAGIC);
-        w.put_u16(VERSION);
-        w.put_u8(MSG_REQUEST);
+        let mut w = header(MSG_REQUEST);
         match &self.source {
             Source::Workload(name) => {
                 w.put_u8(0);
@@ -162,13 +158,10 @@ impl Request {
         seal(w)
     }
 
-    /// Decodes and validates a request payload.
+    /// Decodes and validates a request payload: a payload of any other
+    /// kind, or a `scale` above [`MAX_SCALE`], is a [`WireError`].
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
-        Self::decode_fields(open(payload, MSG_REQUEST)?)
-    }
-
-    /// Decodes the fields after the header (shared with [`Message`]).
-    fn decode_fields(mut r: Reader<'_>) -> Result<Request, WireError> {
+        let mut r = open(payload, MSG_REQUEST)?;
         let source = match r.get_u8("source tag")? {
             0 => Source::Workload(get_str(&mut r, "workload name")?),
             1 => {
@@ -191,6 +184,12 @@ impl Request {
             }
         };
         let scale = r.get_u64("scale")?;
+        if scale > MAX_SCALE {
+            return Err(WireError::BadLength {
+                what: "scale",
+                len: scale,
+            });
+        }
         let timings = r.get_u8("timings")? != 0;
         let deadline_ms = r.get_u64("deadline")?;
         let relayed = r.get_u8("relayed")? != 0;
@@ -340,10 +339,7 @@ impl Response {
 
     /// Encodes the response payload (checksummed; framing is separate).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u32(MAGIC);
-        w.put_u16(VERSION);
-        w.put_u8(MSG_RESPONSE);
+        let mut w = header(MSG_RESPONSE);
         w.put_u8(self.status.to_u8());
         put_str(&mut w, &self.message);
         w.put_u64(self.retry_after_ms);
@@ -355,11 +351,7 @@ impl Response {
 
     /// Decodes and validates a response payload.
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
-        Self::decode_fields(open(payload, MSG_RESPONSE)?)
-    }
-
-    /// Decodes the fields after the header (shared with [`Message`]).
-    fn decode_fields(mut r: Reader<'_>) -> Result<Response, WireError> {
+        let mut r = open(payload, MSG_RESPONSE)?;
         let status = Status::from_u8(r.get_u8("status")?)?;
         let message = get_str(&mut r, "message")?;
         let retry_after_ms = r.get_u64("retry hint")?;
@@ -382,12 +374,14 @@ impl Response {
     }
 }
 
-/// A peer asking another node for one warm artifact from its store:
-/// "do you hold `{class}-{key:016x}.rpa`?" The reply is a
-/// [`PeerArtifact`].
+/// A peer-artifact fetch, as older cluster nodes sent it: "do you hold
+/// `{class}-{key:016x}.rpa`?" Nodes no longer exchange artifacts, so a
+/// server answers this [`Status::BadRequest`] on its front without
+/// queueing anything — which makes it a cheap round-trip probe of the
+/// front alone. Only the encoder remains.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerFetch {
-    /// Artifact class name ("trace", "frames", …).
+    /// Artifact class name ("trace").
     pub class: String,
     /// Artifact content key (the store's file-name key).
     pub key: u64,
@@ -401,161 +395,11 @@ impl PeerFetch {
         w.put_u64(self.key);
         seal(w)
     }
-
-    /// Decodes and validates a fetch payload.
-    pub fn decode(payload: &[u8]) -> Result<PeerFetch, WireError> {
-        Self::decode_fields(open(payload, MSG_PEER_FETCH)?)
-    }
-
-    fn decode_fields(mut r: Reader<'_>) -> Result<PeerFetch, WireError> {
-        let class = get_class(&mut r)?;
-        let key = r.get_u64("artifact key")?;
-        r.finish()?;
-        Ok(PeerFetch { class, key })
-    }
-}
-
-/// The answer to a [`PeerFetch`]: either the complete RPAS container
-/// bytes (exactly as stored on disk, so the receiver re-validates the
-/// container's own magic/version/digest/checksum before trusting a
-/// byte), or a miss.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PeerArtifact {
-    /// Echo of the requested class.
-    pub class: String,
-    /// Echo of the requested key.
-    pub key: u64,
-    /// The raw `.rpa` container bytes; empty on a miss.
-    pub container: Vec<u8>,
-}
-
-impl PeerArtifact {
-    /// True when the peer held the artifact.
-    pub fn found(&self) -> bool {
-        !self.container.is_empty()
-    }
-
-    /// Encodes the artifact payload (checksummed; framing is separate).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = header(MSG_PEER_ARTIFACT);
-        put_str(&mut w, &self.class);
-        w.put_u64(self.key);
-        w.put_u32(self.container.len() as u32);
-        w.put_bytes(&self.container);
-        seal(w)
-    }
-
-    /// Decodes and validates an artifact payload.
-    pub fn decode(payload: &[u8]) -> Result<PeerArtifact, WireError> {
-        Self::decode_fields(open(payload, MSG_PEER_ARTIFACT)?)
-    }
-
-    fn decode_fields(mut r: Reader<'_>) -> Result<PeerArtifact, WireError> {
-        let class = get_class(&mut r)?;
-        let key = r.get_u64("artifact key")?;
-        let n = r.get_len("container", 1)?;
-        let container = r.get_bytes(n, "container")?.to_vec();
-        r.finish()?;
-        Ok(PeerArtifact {
-            class,
-            key,
-            container,
-        })
-    }
-}
-
-/// Write-time gossip: a node that just persisted a fresh artifact pushes
-/// the container to a small fanout of ring successors so a later
-/// failover lands warm. The receiver answers with a plain [`Response`]
-/// ack and re-validates the container before admitting it to its store.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PeerPush {
-    /// Artifact class name.
-    pub class: String,
-    /// Artifact content key.
-    pub key: u64,
-    /// The raw `.rpa` container bytes (never empty).
-    pub container: Vec<u8>,
-}
-
-impl PeerPush {
-    /// Encodes the push payload (checksummed; framing is separate).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = header(MSG_PEER_PUSH);
-        put_str(&mut w, &self.class);
-        w.put_u64(self.key);
-        w.put_u32(self.container.len() as u32);
-        w.put_bytes(&self.container);
-        seal(w)
-    }
-
-    /// Decodes and validates a push payload.
-    pub fn decode(payload: &[u8]) -> Result<PeerPush, WireError> {
-        Self::decode_fields(open(payload, MSG_PEER_PUSH)?)
-    }
-
-    fn decode_fields(mut r: Reader<'_>) -> Result<PeerPush, WireError> {
-        let class = get_class(&mut r)?;
-        let key = r.get_u64("artifact key")?;
-        let n = r.get_len("container", 1)?;
-        if n == 0 {
-            return Err(WireError::BadLength {
-                what: "container",
-                len: 0,
-            });
-        }
-        let container = r.get_bytes(n, "container")?.to_vec();
-        r.finish()?;
-        Ok(PeerPush {
-            class,
-            key,
-            container,
-        })
-    }
-}
-
-/// Any inbound payload, dispatched by the kind byte in the header. This
-/// is what a server front decodes: client requests and peer traffic
-/// arrive on the same listener.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Message {
-    /// A client simulation request.
-    Request(Request),
-    /// A response (client-side decode; servers don't receive these).
-    Response(Response),
-    /// A peer asking for an artifact.
-    PeerFetch(PeerFetch),
-    /// A peer answering with an artifact (or a miss).
-    PeerArtifact(PeerArtifact),
-    /// A peer gossiping a fresh artifact.
-    PeerPush(PeerPush),
-}
-
-impl Message {
-    /// Decodes any valid payload, dispatching on the header's kind byte.
-    pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
-        let (kind, r) = open_any(payload)?;
-        Ok(match kind {
-            MSG_REQUEST => Message::Request(Request::decode_fields(r)?),
-            MSG_RESPONSE => Message::Response(Response::decode_fields(r)?),
-            MSG_PEER_FETCH => Message::PeerFetch(PeerFetch::decode_fields(r)?),
-            MSG_PEER_ARTIFACT => Message::PeerArtifact(PeerArtifact::decode_fields(r)?),
-            MSG_PEER_PUSH => Message::PeerPush(PeerPush::decode_fields(r)?),
-            t => {
-                return Err(WireError::BadTag {
-                    what: "message kind",
-                    value: t as u64,
-                })
-            }
-        })
-    }
 }
 
 const MSG_REQUEST: u8 = 1;
 const MSG_RESPONSE: u8 = 2;
 const MSG_PEER_FETCH: u8 = 3;
-const MSG_PEER_ARTIFACT: u8 = 4;
-const MSG_PEER_PUSH: u8 = 5;
 
 /// Starts a payload with the shared magic/version/kind header.
 fn header(kind: u8) -> Writer {
@@ -564,23 +408,6 @@ fn header(kind: u8) -> Writer {
     w.put_u16(VERSION);
     w.put_u8(kind);
     w
-}
-
-/// Reads an artifact class name, rejecting hostile lengths before any
-/// allocation the length would size.
-fn get_class(r: &mut Reader) -> Result<String, WireError> {
-    let n = r.get_len("artifact class", 1)?;
-    if n == 0 || n > MAX_CLASS_LEN {
-        return Err(WireError::BadLength {
-            what: "artifact class",
-            len: n as u64,
-        });
-    }
-    let bytes = r.get_bytes(n, "artifact class")?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadTag {
-        what: "artifact class",
-        value: u64::MAX,
-    })
 }
 
 fn put_str(w: &mut Writer, s: &str) {
@@ -605,10 +432,10 @@ fn seal(w: Writer) -> Vec<u8> {
     body
 }
 
-/// Verifies magic, version, and the trailing checksum; returns the kind
-/// byte and a reader positioned after the header, covering everything
-/// before the checksum.
-fn open_any(payload: &[u8]) -> Result<(u8, Reader<'_>), WireError> {
+/// Verifies magic, version, kind, and the trailing checksum; returns a
+/// reader positioned after the header, covering everything before the
+/// checksum.
+fn open(payload: &[u8], expect_kind: u8) -> Result<Reader<'_>, WireError> {
     if payload.len() < 8 {
         return Err(WireError::UnexpectedEof { what: "payload" });
     }
@@ -637,12 +464,6 @@ fn open_any(payload: &[u8]) -> Result<(u8, Reader<'_>), WireError> {
         });
     }
     let kind = r.get_u8("message kind")?;
-    Ok((kind, r))
-}
-
-/// [`open_any`] plus a kind check, for single-kind decoders.
-fn open<'a>(payload: &'a [u8], expect_kind: u8) -> Result<Reader<'a>, WireError> {
-    let (kind, r) = open_any(payload)?;
     if kind != expect_kind {
         return Err(WireError::BadTag {
             what: "message kind",
@@ -687,6 +508,48 @@ mod tests {
         assert!(back.status.is_retryable());
         assert!(!Status::BadRequest.is_retryable());
         assert!(Status::ShuttingDown.is_retryable());
+    }
+
+    #[test]
+    fn message_dispatches_every_kind() {
+        // Each decoder takes exactly its own kind byte and refuses every
+        // other one as a BadTag on the kind: requests (1), responses (2)
+        // and the peer fetch (3) older nodes may still send.
+        let kind_of = |r: Result<(), WireError>| match r {
+            Err(WireError::BadTag {
+                what: "message kind",
+                value,
+            }) => Some(value),
+            _ => None,
+        };
+        let req = Request {
+            source: Source::Workload("mcf".into()),
+            scale: 5,
+            timings: false,
+            deadline_ms: 0,
+            relayed: true,
+        };
+        let req_bytes = req.encode();
+        assert_eq!(Request::decode(&req_bytes).unwrap(), req);
+        assert_eq!(kind_of(Response::decode(&req_bytes).map(drop)), Some(1));
+
+        let resp_bytes = Response::not_owner("10.0.0.3:21075").encode();
+        let redirect = Response::decode(&resp_bytes).unwrap();
+        assert_eq!(redirect.status, Status::NotOwner);
+        assert_eq!(redirect.owner_addr(), Some("10.0.0.3:21075"));
+        assert!(
+            !redirect.status.is_retryable(),
+            "NotOwner is a redirect, not a retry"
+        );
+        assert_eq!(kind_of(Request::decode(&resp_bytes).map(drop)), Some(2));
+
+        let fetch = PeerFetch {
+            class: "trace".into(),
+            key: 1,
+        }
+        .encode();
+        assert_eq!(kind_of(Request::decode(&fetch).map(drop)), Some(3));
+        assert_eq!(kind_of(Response::decode(&fetch).map(drop)), Some(3));
     }
 
     #[test]
@@ -757,207 +620,78 @@ mod tests {
     }
 
     #[test]
-    fn peer_messages_round_trip() {
-        let fetch = PeerFetch {
-            class: "trace".into(),
-            key: 0xDEAD_BEEF_CAFE_F00D,
-        };
-        assert_eq!(PeerFetch::decode(&fetch.encode()).unwrap(), fetch);
-
-        let hit = PeerArtifact {
-            class: "trace".into(),
-            key: 7,
-            container: vec![0x52, 0x50, 0x41, 0x53, 1, 2, 3],
-        };
-        assert!(hit.found());
-        assert_eq!(PeerArtifact::decode(&hit.encode()).unwrap(), hit);
-        let miss = PeerArtifact {
-            class: "frames".into(),
-            key: 7,
-            container: Vec::new(),
-        };
-        assert!(!miss.found());
-        assert_eq!(PeerArtifact::decode(&miss.encode()).unwrap(), miss);
-
-        let push = PeerPush {
-            class: "trace".into(),
-            key: 9,
-            container: vec![1; 128],
-        };
-        assert_eq!(PeerPush::decode(&push.encode()).unwrap(), push);
-    }
-
-    #[test]
-    fn message_dispatches_every_kind() {
-        let req = Request {
-            source: Source::Workload("mcf".into()),
-            scale: 5,
+    fn request_decode_rejects_oversized_scales() {
+        let mut req = Request {
+            source: Source::Workload("gzip".into()),
+            scale: MAX_SCALE,
             timings: false,
             deadline_ms: 0,
-            relayed: true,
+            relayed: false,
         };
-        assert_eq!(
-            Message::decode(&req.encode()).unwrap(),
-            Message::Request(req)
-        );
-        let resp = Response::not_owner("10.0.0.3:21075");
-        let back = Message::decode(&resp.encode()).unwrap();
-        match &back {
-            Message::Response(r) => {
-                assert_eq!(r.status, Status::NotOwner);
-                assert_eq!(r.owner_addr(), Some("10.0.0.3:21075"));
-                assert!(
-                    !r.status.is_retryable(),
-                    "NotOwner is a redirect, not a retry"
-                );
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
-        let fetch = PeerFetch {
-            class: "trace".into(),
-            key: 1,
-        };
-        assert_eq!(
-            Message::decode(&fetch.encode()).unwrap(),
-            Message::PeerFetch(fetch)
-        );
-        let art = PeerArtifact {
-            class: "trace".into(),
-            key: 1,
-            container: vec![9; 16],
-        };
-        assert_eq!(
-            Message::decode(&art.encode()).unwrap(),
-            Message::PeerArtifact(art)
-        );
-        let push = PeerPush {
-            class: "trace".into(),
-            key: 1,
-            container: vec![9; 16],
-        };
-        assert_eq!(
-            Message::decode(&push.encode()).unwrap(),
-            Message::PeerPush(push)
-        );
+        assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+        req.scale = MAX_SCALE + 1;
+        assert!(matches!(
+            Request::decode(&req.encode()),
+            Err(WireError::BadLength { what: "scale", len }) if len == MAX_SCALE + 1
+        ));
+        req.scale = u64::MAX;
+        assert!(Request::decode(&req.encode()).is_err());
     }
 
     #[test]
     fn peer_message_truncation_is_an_error_not_a_panic() {
-        let encoded: [Vec<u8>; 3] = [
-            PeerFetch {
-                class: "trace".into(),
-                key: 3,
-            }
-            .encode(),
-            PeerArtifact {
-                class: "trace".into(),
-                key: 3,
-                container: vec![5; 64],
-            }
-            .encode(),
-            PeerPush {
-                class: "trace".into(),
-                key: 3,
-                container: vec![5; 64],
-            }
-            .encode(),
-        ];
-        for good in &encoded {
-            for cut in 0..good.len() {
-                assert!(Message::decode(&good[..cut]).is_err(), "cut {cut}");
-            }
+        // Older nodes still send peer fetches; the server decodes every
+        // payload as a request, so whole or cut anywhere, one is an
+        // error, never a panic.
+        let good = PeerFetch {
+            class: "trace".into(),
+            key: 3,
+        }
+        .encode();
+        for cut in 0..=good.len() {
+            assert!(Request::decode(&good[..cut]).is_err(), "cut {cut}");
         }
     }
 
     #[test]
     fn peer_message_hostile_lengths_rejected() {
-        // A class-name length above MAX_CLASS_LEN is rejected even when
-        // the checksum is valid (a hostile peer can seal anything).
-        let mut w = Writer::new();
-        w.put_u32(MAGIC);
-        w.put_u16(VERSION);
-        w.put_u8(MSG_PEER_FETCH);
-        w.put_u32((MAX_CLASS_LEN + 1) as u32);
-        w.put_bytes(&[b'x'; MAX_CLASS_LEN + 1]);
-        w.put_u64(3);
-        let bytes = seal(w);
-        assert!(matches!(
-            PeerFetch::decode(&bytes),
-            Err(WireError::BadLength {
-                what: "artifact class",
-                ..
-            })
-        ));
-
-        // An empty class is no better.
-        let mut w = Writer::new();
-        w.put_u32(MAGIC);
-        w.put_u16(VERSION);
-        w.put_u8(MSG_PEER_FETCH);
-        w.put_u32(0);
-        w.put_u64(3);
-        let bytes = seal(w);
-        assert!(PeerFetch::decode(&bytes).is_err());
-
-        // A container length far past the buffer is rejected before any
-        // allocation it would size.
-        let mut w = Writer::new();
-        w.put_u32(MAGIC);
-        w.put_u16(VERSION);
-        w.put_u8(MSG_PEER_ARTIFACT);
-        put_str(&mut w, "trace");
-        w.put_u64(3);
-        w.put_u32(u32::MAX);
-        let bytes = seal(w);
-        assert!(matches!(
-            PeerArtifact::decode(&bytes),
-            Err(WireError::BadLength {
-                what: "container",
-                ..
-            })
-        ));
-
-        // An empty push container is hostile: pushes always carry bytes.
-        let mut w = Writer::new();
-        w.put_u32(MAGIC);
-        w.put_u16(VERSION);
-        w.put_u8(MSG_PEER_PUSH);
-        put_str(&mut w, "trace");
-        w.put_u64(3);
-        w.put_u32(0);
-        let bytes = seal(w);
-        assert!(matches!(
-            PeerPush::decode(&bytes),
-            Err(WireError::BadLength {
-                what: "container",
-                len: 0,
-            })
-        ));
-
-        // Non-UTF-8 class bytes are rejected.
-        let mut w = Writer::new();
-        w.put_u32(MAGIC);
-        w.put_u16(VERSION);
-        w.put_u8(MSG_PEER_FETCH);
-        w.put_u32(2);
-        w.put_bytes(&[0xFF, 0xFE]);
-        w.put_u64(3);
-        let bytes = seal(w);
-        assert!(PeerFetch::decode(&bytes).is_err());
-
-        // An unknown kind byte under a valid checksum is a BadTag.
-        let mut w = Writer::new();
-        w.put_u32(MAGIC);
-        w.put_u16(VERSION);
-        w.put_u8(200);
-        let bytes = seal(w);
-        assert!(matches!(
-            Message::decode(&bytes),
-            Err(WireError::BadTag {
-                what: "message kind",
-                value: 200,
-            })
-        ));
+        // Every peer kind an older node could send — fetch (3), artifact
+        // (4), push (5) — and any unknown kind is refused on the kind
+        // byte, even with hostile length fields under a valid checksum
+        // (a hostile peer can seal anything): no length is ever read.
+        let fetch = |class_len: u32| {
+            let mut w = header(MSG_PEER_FETCH);
+            w.put_u32(class_len);
+            w.put_bytes(&[b'x'; 65]);
+            w.put_u64(3);
+            seal(w)
+        };
+        let container = |kind: u8, len: u32| {
+            let mut w = header(kind);
+            put_str(&mut w, "trace");
+            w.put_u64(3);
+            w.put_u32(len);
+            seal(w)
+        };
+        for (kind, bytes) in [
+            (3, fetch(65)),
+            (3, fetch(u32::MAX)),
+            (4, container(4, u32::MAX)),
+            (5, container(5, 0)),
+            (200, seal(header(200))),
+        ] {
+            assert!(
+                matches!(
+                    Request::decode(&bytes),
+                    Err(WireError::BadTag {
+                        what: "message kind",
+                        value,
+                    }) if value == kind
+                ),
+                "kind {kind}"
+            );
+        }
+        assert!(Request::decode(&Response::ok(Vec::new()).encode()).is_err());
     }
 
     #[test]

@@ -40,13 +40,13 @@
 use crate::cluster::{ClusterConfig, ClusterState, RequestRoute};
 use crate::conn::{Conn, ConnState, ReadStep, WriteStep};
 use crate::poll;
-use crate::proto::{Message, Request, Response, Source, Status};
+use crate::proto::{Request, Response, Source, Status};
 use crate::queue::{Bounded, Pop, PushError};
 use crate::signal;
 use replay_obs::{Obs, Profile, Registry};
 use replay_sim::experiment::run_specs;
 use replay_sim::report::{render_report, specs_for_trace};
-use replay_sim::{Exchange, TraceStore};
+use replay_sim::TraceStore;
 use replay_trace::{read_trace, workloads, Trace};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -92,7 +92,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            jobs: replay_sim::parallel::job_count(),
+            jobs: replay_sim::parallel::available_jobs(),
             work_queue: 64,
             batch_max: 8,
             batch_linger: Duration::from_millis(2),
@@ -129,11 +129,6 @@ impl ServeStats {
     /// Cluster mode: requests answered [`Status::NotOwner`].
     pub fn redirected(&self) -> u64 {
         self.profile.counter("serve.ring.redirected")
-    }
-
-    /// Cluster mode: warm artifacts pulled from peers on local miss.
-    pub fn peer_artifact_pulls(&self) -> u64 {
-        self.profile.counter("serve.peer.artifact_pulls")
     }
 
     /// Requests shed with [`Status::Overloaded`] (connection ceiling and
@@ -203,7 +198,7 @@ pub struct Server {
     bell: poll::Doorbell,
     cfg: ServerConfig,
     stop: Arc<AtomicBool>,
-    cluster: Option<Arc<ClusterState>>,
+    cluster: Option<ClusterState>,
     trace_store: Option<Arc<TraceStore>>,
 }
 
@@ -241,38 +236,23 @@ impl Server {
 
     /// Serves from this private trace store instead of the process-wide
     /// [`TraceStore::global`]. This is how several in-process servers
-    /// (tests, embedders) keep genuinely separate caches — the global
-    /// store would let one node's warm cache satisfy another's lookups
-    /// through shared process state, hiding exactly the replication
-    /// behavior cluster tests exist to observe. Call *before*
-    /// [`Server::configure_cluster`], which wires the exchange hooks
-    /// into whichever store the server will use.
+    /// (tests, embedders) keep separate memoization and counters, so a
+    /// test can tell which node synthesized what.
     pub fn with_trace_store(mut self, trace_store: Arc<TraceStore>) -> Server {
         self.trace_store = Some(trace_store);
         self
     }
 
-    /// Enables cluster mode: builds the ring state and installs the peer
-    /// artifact-exchange hooks on this server's trace store. Call after
-    /// [`Server::bind`] (tests bind port 0 first, learn every node's real
-    /// address, then configure) and after [`Server::with_trace_store`]
-    /// when using a private store.
+    /// Enables cluster mode: builds the ring state requests are routed
+    /// by. Call after [`Server::bind`] (tests bind port 0 first, learn
+    /// every node's real address, then configure).
     pub fn configure_cluster(&mut self, cfg: ClusterConfig) {
-        let state = Arc::new(ClusterState::new(cfg, self.trace_store_ref().disk()));
-        self.trace_store_ref()
-            .set_exchange(Arc::clone(&state) as Arc<dyn Exchange>);
-        self.cluster = Some(state);
+        self.cluster = Some(ClusterState::new(cfg));
     }
 
     /// The cluster state [`Server::configure_cluster`] built, if any.
     pub fn cluster(&self) -> Option<&ClusterState> {
-        self.cluster.as_deref()
-    }
-
-    fn trace_store_ref(&self) -> &TraceStore {
-        self.trace_store
-            .as_deref()
-            .unwrap_or_else(|| TraceStore::global())
+        self.cluster.as_ref()
     }
 
     /// Serves until shutdown, then drains in-flight work and returns the
@@ -295,7 +275,7 @@ impl Server {
             .trace_store
             .as_deref()
             .unwrap_or_else(|| TraceStore::global());
-        let cluster = self.cluster.as_deref();
+        let cluster = self.cluster.as_ref();
         let work_q: Bounded<Job> = Bounded::new(cfg.work_queue);
         let completions: Bounded<Completion> = Bounded::new(usize::MAX);
         let bell = Arc::new(self.bell);
@@ -313,8 +293,7 @@ impl Server {
                     registry.submit(1, profile);
                 });
             }
-            let mut el =
-                event::EventLoop::new(cfg, &self.listener, self.poller, bell, &work_q, cluster);
+            let mut el = event::EventLoop::new(cfg, &self.listener, self.poller, bell, &work_q);
             let stop = &self.stop;
             let profile = el.serve(&completions, || {
                 stop.load(Ordering::SeqCst) || signal::triggered()
@@ -330,24 +309,6 @@ impl Server {
         ServeStats {
             profile: registry.finish(),
         }
-    }
-}
-
-/// Answers a peer-exchange message directly on the front: artifact
-/// fetches and pushes are cheap disk operations that must not wait behind
-/// simulation batches in the work queue. Returns the encoded reply frame.
-fn peer_message_reply(msg: &Message, cluster: Option<&ClusterState>, obs: &mut Obs) -> Vec<u8> {
-    let Some(cl) = cluster else {
-        return Response::reject(Status::BadRequest, "server is not in cluster mode").encode();
-    };
-    match msg {
-        Message::PeerFetch(f) => {
-            obs.counter("serve.peer.fetch_recv", 1);
-            cl.serve_fetch(f).encode()
-        }
-        Message::PeerPush(p) => cl.serve_push(p).encode(),
-        // Inbound Response/PeerArtifact frames make no sense server-side.
-        _ => Response::reject(Status::BadRequest, "unexpected message kind").encode(),
     }
 }
 
@@ -595,7 +556,6 @@ mod event {
         poller: Poller,
         bell: Arc<Doorbell>,
         work_q: &'a Bounded<Job>,
-        cluster: Option<&'a ClusterState>,
         conns: HashMap<u64, Conn<TcpStream>>,
         next_token: u64,
         /// Jobs handed to the dispatcher whose completions have not come
@@ -612,7 +572,6 @@ mod event {
             poller: Poller,
             bell: Arc<Doorbell>,
             work_q: &'a Bounded<Job>,
-            cluster: Option<&'a ClusterState>,
         ) -> EventLoop<'a> {
             EventLoop {
                 cfg,
@@ -620,7 +579,6 @@ mod event {
                 poller,
                 bell,
                 work_q,
-                cluster,
                 conns: HashMap::new(),
                 next_token: TOK_FIRST_CONN,
                 in_flight: 0,
@@ -788,12 +746,13 @@ mod event {
         }
 
         /// A complete frame arrived: decode, then dispatch or shed — all
-        /// without leaving this thread. Peer artifact messages (cluster
-        /// mode) are answered right here: they are cheap disk reads and
-        /// must not wait behind simulation batches in the work queue.
+        /// without leaving this thread. A payload that is not a valid
+        /// request (any other message kind, a bad checksum, a `scale`
+        /// over [`crate::proto::MAX_SCALE`]) is answered `BadRequest`
+        /// right here and never queued.
         fn frame_complete(&mut self, token: u64, payload: &[u8], now: Instant) {
-            match Message::decode(payload) {
-                Ok(Message::Request(req)) => {
+            match Request::decode(payload) {
+                Ok(req) => {
                     self.obs.counter("serve.requests.received", 1);
                     let job = Job {
                         req,
@@ -824,10 +783,6 @@ mod event {
                             self.queue_and_write(token, &resp.encode(), now);
                         }
                     }
-                }
-                Ok(other) => {
-                    let reply = peer_message_reply(&other, self.cluster, &mut self.obs);
-                    self.queue_and_write(token, &reply, now);
                 }
                 Err(e) => {
                     self.obs.counter("serve.requests.bad", 1);

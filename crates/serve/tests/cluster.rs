@@ -1,8 +1,6 @@
 //! Multi-node cluster tests: several real servers on loopback ports,
-//! each with its **own** disk store and trace store (sharing the
-//! process-global ones would let replication "work" through common
-//! memory and prove nothing), a real failover client, and real
-//! peer-to-peer artifact traffic.
+//! each with its **own** disk store and trace store (so each node's
+//! synthesis counter shows its own work), and a real failover client.
 //!
 //! The properties pinned here are the cluster-mode contract:
 //!
@@ -10,13 +8,14 @@
 //!   warm, and identical to a local `replay report --json`;
 //! * a non-owner answers `NotOwner` naming the owner and never forwards
 //!   the request itself;
-//! * after one node synthesizes a trace, other nodes answer the same
-//!   key from peer replication (pull-on-miss or gossip push) with zero
-//!   re-synthesis;
+//! * nodes exchange no artifacts: a node serving a key it has never seen
+//!   synthesizes it once, whoever else holds it;
+//! * a peer-artifact fetch from an older node is answered `BadRequest`
+//!   on the front, in and out of cluster mode;
 //! * killing a node mid-load loses no client request: the ring-aware
 //!   client rotates to the survivor that the reduced ring would elect.
 
-use replay_serve::proto::{read_frame, write_frame};
+use replay_serve::proto::{read_frame, write_frame, PeerFetch};
 use replay_serve::{
     Client, ClientConfig, ClusterConfig, Request, Response, Ring, ServeStats, Server, ServerConfig,
     Source, Status,
@@ -56,9 +55,8 @@ fn scratch_store(tag: &str) -> &'static Store {
 }
 
 /// Binds `n` servers on ephemeral ports, wires them into one ring, and
-/// runs each on a background thread. `tweak` edits each node's cluster
-/// config (gossip fanout) before it is applied.
-fn spawn_cluster(n: usize, tag: &str, tweak: impl Fn(&mut ClusterConfig)) -> Vec<Node> {
+/// runs each on a background thread.
+fn spawn_cluster(n: usize, tag: &str) -> Vec<Node> {
     // Bind everything first: every node needs the full member list, and
     // ephemeral ports are only known after bind.
     let mut pending = Vec::new();
@@ -83,9 +81,7 @@ fn spawn_cluster(n: usize, tag: &str, tweak: impl Fn(&mut ClusterConfig)) -> Vec
         .into_iter()
         .zip(&addrs)
         .map(|((mut server, trace_store), addr)| {
-            let mut ccfg = ClusterConfig::new(addr.clone(), addrs.clone());
-            tweak(&mut ccfg);
-            server.configure_cluster(ccfg);
+            server.configure_cluster(ClusterConfig::new(addr.clone(), addrs.clone()));
             let stop = server.shutdown_flag();
             let handle = std::thread::spawn(move || server.run());
             Node {
@@ -156,7 +152,7 @@ fn route_order(addrs: &[String], req: &Request) -> Vec<String> {
 
 #[test]
 fn every_node_answers_with_identical_bytes_cold_and_warm() {
-    let nodes = spawn_cluster(3, "bytes", |_| {});
+    let nodes = spawn_cluster(3, "bytes");
     let addrs: Vec<String> = nodes.iter().map(|n| n.addr.clone()).collect();
     let req = workload_request("gzip");
     let expected = local_report("gzip");
@@ -190,7 +186,7 @@ fn every_node_answers_with_identical_bytes_cold_and_warm() {
 
 #[test]
 fn non_owners_redirect_to_the_owner_and_the_client_follows_once() {
-    let nodes = spawn_cluster(3, "redirect", |_| {});
+    let nodes = spawn_cluster(3, "redirect");
     let addrs: Vec<String> = nodes.iter().map(|n| n.addr.clone()).collect();
     let req = workload_request("crafty");
     let route = route_order(&addrs, &req);
@@ -226,99 +222,83 @@ fn non_owners_redirect_to_the_owner_and_the_client_follows_once() {
 }
 
 #[test]
-fn a_cold_node_pulls_the_artifact_from_a_peer_instead_of_resynthesizing() {
-    // Fanout 0 disables gossip push, so the ONLY way a second node can
-    // avoid synthesis is the pull-on-miss path.
-    let nodes = spawn_cluster(3, "pull", |c| c.push_fanout = 0);
+fn the_route_successor_serves_a_relayed_request_by_synthesizing_once() {
+    let nodes = spawn_cluster(3, "successor");
     let addrs: Vec<String> = nodes.iter().map(|n| n.addr.clone()).collect();
     let req = workload_request("gzip");
     let route = route_order(&addrs, &req);
     let owner = nodes.iter().position(|n| n.addr == route[0]).unwrap();
-    let other = nodes.iter().position(|n| n.addr == route[1]).unwrap();
+    let successor = nodes.iter().position(|n| n.addr == route[1]).unwrap();
 
-    // Warm the owner (it synthesizes), then aim a relayed request at a
-    // different node: it must serve the same bytes WITHOUT synthesizing,
-    // by pulling the owner's artifact over the peer protocol.
+    // Warm the owner, then aim the same relayed request at the next node
+    // on the route, as a failover client would: it fills its own store
+    // by synthesis — no node asks another for the trace — and serves
+    // identical bytes.
     let mut relayed = req.clone();
     relayed.relayed = true;
     let from_owner = body_of(raw_submit(&route[0], &relayed));
+    assert_eq!(nodes[owner].trace_store.generations(), 1);
+    let from_successor = body_of(raw_submit(&route[1], &relayed));
+    assert_eq!(from_successor, from_owner, "node bytes must be identical");
+    assert_eq!(
+        nodes[successor].trace_store.generations(),
+        1,
+        "the successor synthesizes once"
+    );
     assert_eq!(
         nodes[owner].trace_store.generations(),
         1,
-        "owner synthesizes once"
-    );
-
-    let from_other = body_of(raw_submit(&route[1], &relayed));
-    assert_eq!(
-        from_other, from_owner,
-        "peer-filled bytes must be identical"
-    );
-    assert_eq!(
-        nodes[other].trace_store.generations(),
-        0,
-        "the second node must not re-synthesize"
-    );
-    assert!(
-        nodes[other].trace_store.peer_fills() >= 1,
-        "fill came from a peer"
+        "the owner is not asked again"
     );
 
     let stats: Vec<ServeStats> = nodes.into_iter().map(Node::finish).collect();
-    assert!(
-        stats[other].peer_artifact_pulls() >= 1,
-        "serve.peer.artifact_pulls must record the pull"
-    );
-    assert!(
-        stats[owner].profile.counter("serve.peer.fetch_served") >= 1,
-        "the owner must record serving the fetch"
-    );
+    assert_eq!(stats[successor].profile.counter("serve.requests.ok"), 1);
+    assert_eq!(stats[owner].profile.counter("serve.requests.received"), 1);
 }
 
 #[test]
-fn synthesis_gossips_the_artifact_to_the_next_peer_on_the_route() {
-    let nodes = spawn_cluster(3, "gossip", |c| c.push_fanout = 1);
-    let addrs: Vec<String> = nodes.iter().map(|n| n.addr.clone()).collect();
-    let req = workload_request("crafty");
-    let route = route_order(&addrs, &req);
-    let successor = nodes.iter().position(|n| n.addr == route[1]).unwrap();
-
-    let mut relayed = req.clone();
-    relayed.relayed = true;
-    let owner_body = body_of(raw_submit(&route[0], &relayed));
-
-    // Give the synchronous push a moment to land, then serve the same
-    // key from the successor: the gossiped artifact means no synthesis
-    // AND no pull.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while nodes[successor].trace_store.disk().unwrap().writes() == 0
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(10));
+fn a_peer_fetch_is_answered_bad_request_on_the_front_in_and_out_of_cluster_mode() {
+    // perfbench's `serve` workload times exactly this round trip as its
+    // wire probe, so the contract is: an inline BadRequest, never queued.
+    let probe = PeerFetch {
+        class: "trace".to_string(),
+        key: 0,
     }
-    let successor_body = body_of(raw_submit(&route[1], &relayed));
-    assert_eq!(successor_body, owner_body);
-    assert_eq!(
-        nodes[successor].trace_store.generations(),
-        0,
-        "no re-synthesis"
-    );
+    .encode();
+    let fetch = |addr: &str| {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        write_frame(&mut conn, &probe).expect("send");
+        Response::decode(&read_frame(&mut conn).expect("recv")).expect("decode")
+    };
 
-    let stats: Vec<ServeStats> = nodes.into_iter().map(Node::finish).collect();
-    let pushes: u64 = stats
-        .iter()
-        .map(|s| s.profile.counter("serve.peer.artifact_pushes"))
-        .sum();
-    let recv: u64 = stats
-        .iter()
-        .map(|s| s.profile.counter("serve.peer.push_recv"))
-        .sum();
-    assert!(pushes >= 1, "the owner must push after synthesis");
-    assert!(recv >= 1, "the successor must record the push");
+    let standalone = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = standalone.local_addr().expect("local addr").to_string();
+    let stop = standalone.shutdown_flag();
+    let handle = std::thread::spawn(move || standalone.run());
+    let nodes = spawn_cluster(2, "probe");
+
+    for addr in [addr.as_str(), nodes[0].addr.as_str()] {
+        for _ in 0..3 {
+            assert_eq!(fetch(addr).status, Status::BadRequest, "{addr}");
+        }
+    }
+
+    stop.store(true, Ordering::SeqCst);
+    let mut stats = vec![handle.join().expect("server thread")];
+    stats.extend(nodes.into_iter().map(Node::finish));
+    for (i, s) in stats.iter().enumerate() {
+        assert_eq!(s.profile.counter("serve.requests.received"), 0, "node {i}");
+        assert_eq!(s.profile.counter("serve.batches"), 0, "node {i}");
+    }
+    assert_eq!(stats[0].profile.counter("serve.requests.bad"), 3);
+    assert_eq!(stats[1].profile.counter("serve.requests.bad"), 3);
 }
 
 #[test]
 fn killing_a_node_mid_load_loses_no_client_request() {
-    let nodes = spawn_cluster(3, "failover", |_| {});
+    let nodes = spawn_cluster(3, "failover");
     let addrs: Vec<String> = nodes.iter().map(|n| n.addr.clone()).collect();
     let names = ["gzip", "crafty", "twolf", "parser", "vortex", "bzip2"];
     let mut c = cluster_client(&addrs, 11);
@@ -353,7 +333,7 @@ fn killing_a_node_mid_load_loses_no_client_request() {
 
 #[test]
 fn a_draining_server_does_not_let_a_lone_client_hot_loop() {
-    let nodes = spawn_cluster(1, "drain", |_| {});
+    let nodes = spawn_cluster(1, "drain");
     let addr = nodes[0].addr.clone();
     let stats = nodes.into_iter().next().unwrap().finish(); // fully drained: port now refuses
     assert_eq!(stats.write_failed(), 0);

@@ -6,14 +6,16 @@
 //! server in this test process. Real signal delivery is exercised by the
 //! CI smoke job, where the server is its own process.
 
-use replay_serve::proto::{read_frame, write_frame};
+use replay_serve::proto::{read_frame, write_frame, MAX_SCALE};
 use replay_serve::{
     Client, ClientConfig, ClientError, Request, Response, Server, ServerConfig, Source, Status,
 };
 use replay_sim::report::strip_store_section;
+use replay_sim::TraceStore;
 use replay_trace::{workloads, write_trace};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
 const SCALE: usize = 2_000;
@@ -161,6 +163,40 @@ fn unknown_workload_is_a_typed_terminal_rejection() {
     let stats = handle.join().expect("server thread");
     assert_eq!(stats.profile.counter("serve.requests.bad"), 2);
     assert_eq!(stats.served(), 0);
+}
+
+#[test]
+fn a_scale_over_the_limit_is_rejected_before_synthesis() {
+    let trace_store = Arc::new(TraceStore::new());
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default())
+        .expect("bind ephemeral port")
+        .with_trace_store(Arc::clone(&trace_store));
+    let addr = server.local_addr().expect("local addr").to_string();
+    let stop = server.shutdown_flag();
+    let handle = std::thread::spawn(move || server.run());
+
+    let mut huge = workload_request("gzip");
+    huge.scale = MAX_SCALE + 1;
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    write_frame(&mut conn, &huge.encode()).expect("send");
+    let resp = Response::decode(&read_frame(&mut conn).expect("recv")).expect("decode");
+    assert_eq!(resp.status, Status::BadRequest);
+    assert!(resp.message.contains("scale"), "{}", resp.message);
+    assert_eq!(trace_store.generations(), 0, "nothing was synthesized");
+
+    // The server is unharmed: the next valid request is served.
+    body_of(
+        client(&addr, 4)
+            .submit(&workload_request("gzip"))
+            .expect("valid submit"),
+    );
+    assert_eq!(trace_store.generations(), 1);
+
+    stop.store(true, Ordering::SeqCst);
+    let stats = handle.join().expect("server thread");
+    assert_eq!(stats.profile.counter("serve.requests.bad"), 1);
+    assert_eq!(stats.profile.counter("serve.requests.received"), 1);
+    assert_eq!(stats.served(), 1);
 }
 
 #[test]

@@ -59,4 +59,4 @@ pub use replay_timing::CoreModel;
 pub use result::SimResult;
 pub use runner::simulate;
 pub use tracecache::{TraceEntry, TraceFiller};
-pub use tracestore::{Exchange, TraceStore};
+pub use tracestore::TraceStore;

@@ -15,9 +15,10 @@
 //! milliseconds) and write results into dedicated slots.
 //!
 //! The default worker count comes from [`job_count`]: the `REPLAY_JOBS`
-//! environment variable when set, otherwise
-//! [`std::thread::available_parallelism`]. A value of `1` bypasses the pool
-//! entirely and runs on the calling thread — the legacy serial path.
+//! environment variable when set (a malformed value is an error),
+//! otherwise [`std::thread::available_parallelism`]. A value of `1`
+//! bypasses the pool entirely and runs on the calling thread — the legacy
+//! serial path.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -40,16 +41,18 @@ pub fn degraded(jobs: usize) -> bool {
 }
 
 /// The worker count the experiment drivers use by default: the
-/// `REPLAY_JOBS` environment variable if it parses to a positive integer,
-/// otherwise [`available_jobs`].
-pub fn job_count() -> usize {
-    match std::env::var("REPLAY_JOBS")
-        .ok()
+/// `REPLAY_JOBS` environment variable when set, otherwise
+/// [`available_jobs`]. A set value that is not a positive integer is an
+/// error, not a silent fallback, so a typo cannot change the worker count
+/// unnoticed.
+pub fn job_count() -> Result<usize, String> {
+    let Some(v) = std::env::var_os("REPLAY_JOBS") else {
+        return Ok(available_jobs());
+    };
+    v.to_str()
         .and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => available_jobs(),
-    }
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("bad REPLAY_JOBS value {v:?} (want a positive integer)"))
 }
 
 /// Applies `f` to every item on a scoped pool of `jobs` worker threads and

@@ -16,6 +16,13 @@
 //! [`TraceStore::generations`] counter records how many segments were
 //! actually synthesized — the integration tests assert it never exceeds
 //! the number of distinct keys requested.
+//!
+//! A store backed by a persistent [`Store`] looks each missing segment up
+//! on disk before synthesizing it, and persists what it synthesizes.
+//! Nothing else fills a cell: serving nodes never ship traces to each
+//! other, because a trace is a deterministic function of its workload
+//! spec and synthesizing it locally costs about half of fetching it from
+//! a peer over loopback.
 
 use crate::parallel;
 use replay_store::{digest_bytes, Digest64, Store};
@@ -47,25 +54,6 @@ fn trace_key(workload: &Workload, segment: usize, scale: usize) -> u64 {
 /// each other's traces.
 type Key = (u64, usize, usize);
 
-/// Cluster replication hooks a serving layer can install on a disk-backed
-/// [`TraceStore`].
-///
-/// The store stays network-agnostic: it only knows that *somewhere* there
-/// may be peers holding the artifact it is about to synthesize. `fetch`
-/// runs between the disk miss and synthesis (pull-on-miss) and returns
-/// raw RPAS container bytes, which are re-validated by
-/// [`replay_store::Store::import`] and the trace round-trip gate before
-/// anything trusts them — a hostile or damaged peer degrades to a local
-/// synthesis, never to a poisoned cache. `publish` runs after a freshly
-/// synthesized artifact is persisted (gossip-on-write).
-pub trait Exchange: Send + Sync {
-    /// Returns the raw `.rpa` container bytes for `(class, key)` from a
-    /// peer, or `None` when no peer holds it.
-    fn fetch(&self, class: &str, key: u64) -> Option<Vec<u8>>;
-    /// Announces a freshly persisted container to peers (best effort).
-    fn publish(&self, class: &str, key: u64, container: &[u8]);
-}
-
 /// A process-wide cache of synthesized traces, shared via [`Arc`].
 ///
 /// Most callers want the shared instance from [`TraceStore::global`],
@@ -80,9 +68,7 @@ pub struct TraceStore {
     generations: AtomicU64,
     requests: AtomicU64,
     disk_hits: AtomicU64,
-    peer_fills: AtomicU64,
     disk: Option<&'static Store>,
-    exchange: OnceLock<Arc<dyn Exchange>>,
 }
 
 impl std::fmt::Debug for TraceStore {
@@ -91,9 +77,7 @@ impl std::fmt::Debug for TraceStore {
             .field("requests", &self.requests())
             .field("generations", &self.generations())
             .field("disk_hits", &self.disk_hits())
-            .field("peer_fills", &self.peer_fills())
             .field("disk", &self.disk.map(|s| s.root().to_path_buf()))
-            .field("exchange", &self.exchange.get().is_some())
             .finish()
     }
 }
@@ -149,18 +133,6 @@ impl TraceStore {
             .clone()
     }
 
-    /// The persistent artifact store backing this trace store, if any.
-    pub fn disk(&self) -> Option<&'static Store> {
-        self.disk
-    }
-
-    /// Installs cluster replication hooks. First caller wins (the hooks
-    /// are resolved once, like the global store itself); returns `false`
-    /// if an exchange was already installed.
-    pub fn set_exchange(&self, exchange: Arc<dyn Exchange>) -> bool {
-        self.exchange.set(exchange).is_ok()
-    }
-
     /// Loads and fully validates the artifact for `key`: container decode
     /// plus the trace round-trip gate (the decoded trace must serialize
     /// back to the exact payload digest, or the artifact does not mean
@@ -180,9 +152,9 @@ impl TraceStore {
     }
 
     /// Fills one memoization cell: persistent store first (when backed),
-    /// then a peer fetch (when an [`Exchange`] is installed), synthesis
-    /// as the last resort. Only actual synthesis bumps the generation
-    /// counter; disk and peer hits are cached work, not new work.
+    /// synthesis — then persistence — otherwise. Only actual synthesis
+    /// bumps the generation counter; disk hits are cached work, not new
+    /// work.
     fn load_or_generate(&self, workload: &Workload, segment: usize, scale: usize) -> Trace {
         let key = trace_key(workload, segment, scale);
         if let Some(store) = self.disk {
@@ -190,33 +162,13 @@ impl TraceStore {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 return trace;
             }
-            // Disk missed: ask the peers before paying for synthesis.
-            // import() re-validates the container against (class, key)
-            // and validated_load() re-runs the round-trip gate, so a
-            // hostile peer can cost a fetch, never a wrong trace.
-            if let Some(ex) = self.exchange.get() {
-                if let Some(container) = ex.fetch(TRACE_CLASS, key) {
-                    if store.import(TRACE_CLASS, key, &container) {
-                        if let Some(trace) = Self::validated_load(store, key) {
-                            self.peer_fills.fetch_add(1, Ordering::Relaxed);
-                            return trace;
-                        }
-                    }
-                }
-            }
         }
         self.generations.fetch_add(1, Ordering::Relaxed);
         let trace = workload.segment_trace(segment, scale);
         if let Some(store) = self.disk {
             let mut bytes = Vec::new();
-            if write_trace(&mut bytes, &trace).is_ok() && store.save(TRACE_CLASS, key, &bytes) {
-                // Gossip the freshly persisted artifact so a failover
-                // later finds the successor nodes already warm.
-                if let Some(ex) = self.exchange.get() {
-                    if let Some(container) = store.export(TRACE_CLASS, key) {
-                        ex.publish(TRACE_CLASS, key, &container);
-                    }
-                }
+            if write_trace(&mut bytes, &trace).is_ok() {
+                store.save(TRACE_CLASS, key, &bytes);
             }
         }
         trace
@@ -264,13 +216,6 @@ impl TraceStore {
         self.disk_hits.load(Ordering::Relaxed)
     }
 
-    /// How many memoization-cell fills were served by a peer fetch (the
-    /// local disk missed, a cluster peer supplied the artifact, and it
-    /// passed every validation gate) instead of synthesis.
-    pub fn peer_fills(&self) -> u64 {
-        self.peer_fills.load(Ordering::Relaxed)
-    }
-
     /// Records the store's memoization counters into an
     /// [`replay_obs::Obs`] under `tracestore.*`.
     pub fn observe_into(&self, obs: &mut replay_obs::Obs) {
@@ -283,7 +228,6 @@ impl TraceStore {
         obs.counter("tracestore.generations", generations);
         obs.counter("tracestore.hits", requests.saturating_sub(generations));
         obs.counter("tracestore.disk_hits", self.disk_hits());
-        obs.counter("tracestore.peer_fills", self.peer_fills());
     }
 
     /// Number of distinct `(workload, segment, scale)` keys requested so
@@ -439,108 +383,6 @@ mod tests {
         let healed = TraceStore::with_disk(disk);
         healed.segment(&w, 0, 400);
         assert_eq!(healed.generations(), 0);
-    }
-
-    /// A test exchange wired directly to another node's disk store, with
-    /// published containers collected for inspection.
-    struct DiskExchange {
-        peer: &'static Store,
-        published: Mutex<Vec<(String, u64)>>,
-    }
-
-    impl Exchange for DiskExchange {
-        fn fetch(&self, class: &str, key: u64) -> Option<Vec<u8>> {
-            self.peer.export(class, key)
-        }
-        fn publish(&self, class: &str, key: u64, _container: &[u8]) {
-            self.published
-                .lock()
-                .unwrap()
-                .push((class.to_string(), key));
-        }
-    }
-
-    #[test]
-    fn peer_fetch_fills_a_cold_node_without_synthesis() {
-        let disk_a = scratch_store("peer-a");
-        let disk_b = scratch_store("peer-b");
-        let w = workloads::by_name("gzip").unwrap();
-
-        // Node A synthesizes and persists.
-        let a = TraceStore::with_disk(disk_a);
-        let warm = a.segment(&w, 0, 500);
-        assert_eq!(a.generations(), 1);
-
-        // Node B is cold on disk but wired to pull from A.
-        let b = TraceStore::with_disk(disk_b);
-        assert!(b.set_exchange(Arc::new(DiskExchange {
-            peer: disk_a,
-            published: Mutex::new(Vec::new()),
-        })));
-        let pulled = b.segment(&w, 0, 500);
-        assert_eq!(b.generations(), 0, "no re-synthesis on a peer hit");
-        assert_eq!(b.peer_fills(), 1);
-        assert_eq!(warm.records(), pulled.records(), "bit-identical trace");
-        // The pulled artifact landed on B's own disk: a fresh in-memory
-        // store over the same disk serves it without the peer.
-        let again = TraceStore::with_disk(disk_b);
-        again.segment(&w, 0, 500);
-        assert_eq!(again.generations(), 0);
-        assert_eq!(again.disk_hits(), 1);
-    }
-
-    #[test]
-    fn synthesis_publishes_and_hostile_peers_cannot_poison() {
-        struct HostileExchange {
-            calls: AtomicU64,
-        }
-        impl Exchange for HostileExchange {
-            fn fetch(&self, _class: &str, _key: u64) -> Option<Vec<u8>> {
-                self.calls.fetch_add(1, Ordering::Relaxed);
-                Some(vec![0xBA; 256]) // garbage container
-            }
-            fn publish(&self, _class: &str, _key: u64, _container: &[u8]) {}
-        }
-
-        let disk = scratch_store("peer-hostile");
-        let store = TraceStore::with_disk(disk);
-        let hostile = Arc::new(HostileExchange {
-            calls: AtomicU64::new(0),
-        });
-        assert!(store.set_exchange(hostile.clone()));
-        assert!(!store.set_exchange(hostile.clone()), "first exchange wins");
-
-        let w = workloads::by_name("gzip").unwrap();
-        let t = store.segment(&w, 0, 400);
-        assert_eq!(t.len(), 400);
-        assert_eq!(hostile.calls.load(Ordering::Relaxed), 1, "peer was asked");
-        assert_eq!(store.peer_fills(), 0, "garbage never counts as a fill");
-        assert_eq!(store.generations(), 1, "fell back to synthesis");
-    }
-
-    #[test]
-    fn fresh_synthesis_is_published_to_peers() {
-        let disk_a = scratch_store("pub-a");
-        let disk_b = scratch_store("pub-b");
-        let store = TraceStore::with_disk(disk_a);
-        let ex = Arc::new(DiskExchange {
-            peer: disk_b,
-            published: Mutex::new(Vec::new()),
-        });
-        store.set_exchange(ex.clone());
-
-        let w = workloads::by_name("gzip").unwrap();
-        store.segment(&w, 0, 500);
-        let published = ex.published.lock().unwrap();
-        assert_eq!(published.len(), 1, "one fresh artifact announced");
-        assert_eq!(published[0].0, TRACE_CLASS);
-
-        // A disk hit (same key, fresh memo) publishes nothing.
-        drop(published);
-        let warm = TraceStore::with_disk(disk_a);
-        warm.set_exchange(ex.clone());
-        warm.segment(&w, 0, 500);
-        assert_eq!(ex.published.lock().unwrap().len(), 1, "no re-announce");
     }
 
     #[test]

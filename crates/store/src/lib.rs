@@ -17,7 +17,11 @@
 //! * **Crash/concurrency safety** — writers stage to a unique temp file,
 //!   fsync, then atomically rename. A racer that loses simply renames
 //!   identical content over the winner; a crash leaves at most a stale
-//!   temp file, never a torn artifact under the final name.
+//!   temp file, never a torn artifact under the final name. Any number
+//!   of processes — CLI runs and co-located `replay serve` nodes alike —
+//!   can therefore share one cache directory. The store is local only:
+//!   artifacts never travel between nodes, since regenerating a trace
+//!   is cheaper than shipping it.
 //! * **Corruption tolerance** — every artifact carries a header with
 //!   magic, schema version, class digest, key echo, payload length, and
 //!   payload checksum. A truncated, bit-flipped, mislabeled, or

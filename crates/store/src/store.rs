@@ -158,54 +158,6 @@ impl Store {
         }
     }
 
-    /// Exports an artifact as raw container bytes for peer transport.
-    ///
-    /// The bytes are the on-disk `.rpa` container exactly — magic,
-    /// version, class digest, key echo, payload, checksum — validated
-    /// before export so a locally corrupted file is evicted here instead
-    /// of being shipped to a peer. Counts as a hit (the read served).
-    pub fn export(&self, class: &str, key: u64) -> Option<Vec<u8>> {
-        let path = self.path_for(class, key);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match artifact::decode(&bytes, class, key) {
-            Ok(payload) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.bytes_read
-                    .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                Some(bytes)
-            }
-            Err(e) => {
-                self.evict_corrupt(class, key, &e.to_string());
-                None
-            }
-        }
-    }
-
-    /// Imports raw container bytes received from a peer.
-    ///
-    /// The container is fully validated against the expected `(class,
-    /// key)` — wrong class digest, wrong key echo, truncation, or a bad
-    /// checksum is rejected without touching disk — then re-persisted
-    /// through the same atomic [`Store::save`] path. Returns `false` on
-    /// any validation or I/O failure; a hostile or damaged container can
-    /// never poison the local store.
-    pub fn import(&self, class: &str, key: u64, container: &[u8]) -> bool {
-        let payload = match artifact::decode(container, class, key) {
-            Ok(p) => p.to_vec(),
-            Err(e) => {
-                eprintln!("warning: replay-store: rejecting peer artifact {class}-{key:016x}: {e}");
-                return false;
-            }
-        };
-        self.save(class, key, &payload)
-    }
-
     /// Validated artifact loads served.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -354,55 +306,6 @@ mod tests {
 
         assert!(store.load("frames", 0x44).is_none());
         assert_eq!(store.corrupt_evictions(), 1);
-    }
-
-    #[test]
-    fn export_import_round_trips_between_stores() {
-        let a = Store::open(scratch("export-a")).unwrap();
-        let b = Store::open(scratch("export-b")).unwrap();
-        assert!(a.save("trace", 0x55, b"replicate me"));
-        let container = a.export("trace", 0x55).expect("export warm artifact");
-        assert!(a.export("trace", 0x99).is_none(), "cold export is a miss");
-        assert!(b.import("trace", 0x55, &container));
-        assert_eq!(b.load("trace", 0x55).unwrap(), b"replicate me");
-    }
-
-    #[test]
-    fn import_rejects_wrong_class_key_and_corruption() {
-        let a = Store::open(scratch("import-a")).unwrap();
-        let b = Store::open(scratch("import-b")).unwrap();
-        assert!(a.save("trace", 0x66, b"victim payload"));
-        let container = a.export("trace", 0x66).unwrap();
-
-        // Wrong class digest: a "trace" container cannot enter as "frames".
-        assert!(!b.import("frames", 0x66, &container));
-        // Wrong key echo.
-        assert!(!b.import("trace", 0x67, &container));
-        // Bit flip anywhere in the container.
-        let mut flipped = container.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x10;
-        assert!(!b.import("trace", 0x66, &flipped));
-        // Truncation at every cut must be rejected, never a panic.
-        for cut in 0..container.len() {
-            assert!(!b.import("trace", 0x66, &container[..cut]), "cut {cut}");
-        }
-        // Nothing hostile reached disk.
-        assert!(b.load("trace", 0x66).is_none());
-        assert!(b.load("frames", 0x66).is_none());
-    }
-
-    #[test]
-    fn export_evicts_locally_corrupt_artifact_instead_of_shipping_it() {
-        let store = Store::open(scratch("export-corrupt")).unwrap();
-        store.save("trace", 0x77, b"soon to be damaged");
-        let path = store.path_for("trace", 0x77);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[8] ^= 0xFF;
-        fs::write(&path, &bytes).unwrap();
-        assert!(store.export("trace", 0x77).is_none());
-        assert_eq!(store.corrupt_evictions(), 1);
-        assert!(!path.exists());
     }
 
     #[test]

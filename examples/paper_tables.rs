@@ -96,8 +96,7 @@ fn sweeps(scale: usize) {
 /// The dual-model seven-pass profit ranking (EXPERIMENTS.md "Pass profit
 /// by core model"): every pass's contribution in percentage points of RP
 /// IPC, under the generic and the port-accurate core, side by side.
-fn models(scale: usize) {
-    let jobs = parallel::job_count();
+fn models(scale: usize, jobs: usize) {
     outln!(
         "Pass profit by core model (scale {scale} x86/segment, {} apps)",
         ABLATION_APPS.len()
@@ -128,8 +127,7 @@ fn models(scale: usize) {
 /// Table 3 and Figures 6–10 under `model`, folded from two grids: the
 /// paper grid over every workload and the leave-one-out grid over the
 /// Figure 10 applications.
-fn tables(scale: usize, model: CoreModel) {
-    let jobs = parallel::job_count();
+fn tables(scale: usize, model: CoreModel, jobs: usize) {
     outln!(
         "Table 3 — micro-operations and loads removed (scale {scale} x86/segment, {} core)",
         model.label()
@@ -237,8 +235,9 @@ const USAGE: &str = "usage: paper_tables [SCALE] [--core-model generic|port]
 
 /// Parses the command line into a mode (`tables` unless `models` or
 /// `sweeps` is named), a scale (default 30 000) and the tables' core
-/// model, rejecting anything [`USAGE`] does not name.
-fn parse_args(args: &[String]) -> Result<(&str, usize, CoreModel), String> {
+/// model, rejecting anything [`USAGE`] does not name, and reads the worker
+/// count ([`parallel::job_count`]).
+fn parse_args(args: &[String]) -> Result<(&str, usize, CoreModel, usize), String> {
     let (mode, rest) = match args.first().map(String::as_str) {
         Some(mode @ ("models" | "sweeps")) => (mode, &args[1..]),
         _ => ("tables", args),
@@ -259,15 +258,15 @@ fn parse_args(args: &[String]) -> Result<(&str, usize, CoreModel), String> {
             s => return Err(format!("unexpected argument {s:?}\n{USAGE}")),
         }
     }
-    Ok((mode, scale.unwrap_or(30_000), model))
+    Ok((mode, scale.unwrap_or(30_000), model, parallel::job_count()?))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_args(&args) {
-        Ok(("models", scale, _)) => models(scale),
-        Ok(("sweeps", scale, _)) => sweeps(scale),
-        Ok((_, scale, model)) => tables(scale, model),
+        Ok(("models", scale, _, jobs)) => models(scale, jobs),
+        Ok(("sweeps", scale, _, _)) => sweeps(scale),
+        Ok((_, scale, model, jobs)) => tables(scale, model, jobs),
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;

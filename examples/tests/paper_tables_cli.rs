@@ -22,6 +22,24 @@ fn bad_arguments_exit_1_before_simulating() {
     }
 }
 
+#[test]
+fn malformed_replay_jobs_exits_1_before_simulating() {
+    for args in [&["4000"][..], &["models", "4000"], &["sweeps"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_paper_tables"))
+            .args(args)
+            .env("REPLAY_JOBS", "abc")
+            .output()
+            .expect("run paper_tables");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        assert_eq!(
+            stderr,
+            "error: bad REPLAY_JOBS value \"abc\" (want a positive integer)\n"
+        );
+    }
+}
+
 /// `paper_tables 4000 | head -1` must exit 0 with nothing on stderr, not
 /// panic on `EPIPE`.
 #[test]
