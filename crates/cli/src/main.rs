@@ -529,9 +529,14 @@ impl<'a> Opts<'a> {
         self.flags.iter().any(|(n, _)| *n == name)
     }
 
-    fn count(&self, name: &str, default: usize) -> Result<usize, String> {
+    /// The value of a numeric flag, parsed into its target type: a value
+    /// that is malformed or out of that type's range is an error, never
+    /// wrapped.
+    fn count<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.get(name) {
-            Some(v) => v.parse().map_err(|_| format!("bad -{name} value {v:?}")),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("bad {} value {v:?}", dashed(name))),
             None => Ok(default),
         }
     }
@@ -540,17 +545,13 @@ impl<'a> Opts<'a> {
     /// else the machine's available parallelism. `1` forces the legacy
     /// serial path (no worker threads at all).
     fn jobs(&self) -> Result<usize, String> {
-        for name in ["jobs", "threads", "j"] {
-            if let Some(v) = self.get(name) {
-                return match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => Ok(n),
-                    _ => Err(format!(
-                        "bad --{name} value {v:?} (want a positive integer)"
-                    )),
-                };
-            }
+        match self.get("jobs") {
+            Some(v) => match v.parse::<usize>() {
+                Ok(n) if n >= 1 => Ok(n),
+                _ => Err(format!("bad --jobs value {v:?} (want a positive integer)")),
+            },
+            None => parallel::job_count(),
         }
-        parallel::job_count()
     }
 }
 
@@ -641,8 +642,8 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let out = opts
         .get("o")
         .ok_or_else(|| format!("missing -o FILE ({})", SPEC_GEN.usage()))?;
-    let n = opts.count("n", 100_000)?;
-    let seg = opts.count("s", 0)?;
+    let n: usize = opts.count("n", 100_000)?;
+    let seg: usize = opts.count("s", 0)?;
     let w = workloads::by_name(name).ok_or_else(|| format!("unknown workload {name:?}"))?;
     check_segment(&w, seg)?;
     let trace = w.segment_trace(seg, n);
@@ -678,7 +679,7 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
     let [source] = opts.positional[..] else {
         return Err(SPEC_SIM.usage());
     };
-    let n = opts.count("n", 30_000)?;
+    let n: usize = opts.count("n", 30_000)?;
     let kind = config_by_label(opts.get("c").unwrap_or("RPO"))?;
     let model = core_model_opt(&opts)?;
     configure_store(&opts);
@@ -732,7 +733,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     let [source] = opts.positional[..] else {
         return Err(SPEC_COMPARE.usage());
     };
-    let n = opts.count("n", 30_000)?;
+    let n: usize = opts.count("n", 30_000)?;
     let jobs = opts.jobs()?;
     let model = core_model_opt(&opts)?;
     configure_store(&opts);
@@ -792,7 +793,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let [source] = opts.positional[..] else {
         return Err(SPEC_REPORT.usage());
     };
-    let n = opts.count("n", 30_000)?;
+    let n: usize = opts.count("n", 30_000)?;
     let jobs = opts.jobs()?;
     let timings = opts.has("timings");
     let model = core_model_opt(&opts)?;
@@ -837,6 +838,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let peers: Option<Vec<String>> = opts.get("peers").map(parse_addr_list);
     if matches!(&peers, Some(p) if p.is_empty()) {
         return Err("--peers needs at least one host:port".to_string());
+    }
+    if peers.is_none() && opts.has("cluster-addr") {
+        return Err("--cluster-addr needs --peers".to_string());
     }
     // The address this node advertises on the ring — what clients dial and
     // what NotOwner redirects name. Defaults to the listen address, which
@@ -905,7 +909,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     let [source] = opts.positional[..] else {
         return Err(SPEC_SUBMIT.usage());
     };
-    let n = opts.count("n", 30_000)?;
+    let scale: u64 = opts.count("n", 30_000)?;
     // A known workload name travels as a name (the server synthesizes the
     // trace through its warm TraceStore); anything else must be a trace
     // file, which travels inline.
@@ -918,9 +922,9 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     };
     let req = replay_serve::Request {
         source: req_source,
-        scale: n as u64,
+        scale,
         timings: opts.has("timings"),
-        deadline_ms: opts.count("deadline-ms", 0)? as u64,
+        deadline_ms: opts.count("deadline-ms", 0)?,
         relayed: false,
     };
     let addr = opts
@@ -938,8 +942,8 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         addrs,
         ..replay_serve::ClientConfig::default()
     };
-    cfg.retries = opts.count("retries", cfg.retries as usize)? as u32;
-    cfg.seed = opts.count("seed", cfg.seed as usize)? as u64;
+    cfg.retries = opts.count("retries", cfg.retries)?;
+    cfg.seed = opts.count("seed", cfg.seed)?;
     let mut client = replay_serve::Client::new(cfg);
     let resp = client.submit(&req).map_err(|e| e.to_string())?;
     let body = String::from_utf8(resp.body)
@@ -1005,7 +1009,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 
     let passes = PassSelection::parse(opts.get("passes").unwrap_or("all"))?;
     let corpus = std::path::PathBuf::from(opts.get("corpus").unwrap_or("tests/corpus"));
-    let entries_per_case = opts.count("entries", 4)? as u32;
+    let entries_per_case: u32 = opts.count("entries", 4)?;
     let jobs = opts.jobs()?;
 
     // Replay the persisted corpus first: previously-found bugs must stay
@@ -1063,7 +1067,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     let [source] = opts.positional[..] else {
         return Err(SPEC_INFO.usage());
     };
-    let n = opts.count("n", 30_000)?;
+    let n: usize = opts.count("n", 30_000)?;
     let trace = load_trace(source, n, 0)?;
     outln!("trace `{}`", trace.name);
     out!("{}", replay_trace::TraceStats::of(&trace).report());
@@ -1075,7 +1079,7 @@ fn cmd_disasm(args: &[String]) -> Result<(), String> {
     let [name] = opts.positional[..] else {
         return Err(SPEC_DISASM.usage());
     };
-    let seg = opts.count("s", 0)?;
+    let seg: usize = opts.count("s", 0)?;
     let w = workloads::by_name(name).ok_or_else(|| format!("unknown workload {name:?}"))?;
     check_segment(&w, seg)?;
     let (program, _) = w.segment_program(seg);
@@ -1093,8 +1097,8 @@ fn cmd_frames(args: &[String]) -> Result<(), String> {
     let [name] = opts.positional[..] else {
         return Err(SPEC_FRAMES.usage());
     };
-    let n = opts.count("n", 20_000)?;
-    let top = opts.count("top", 3)?;
+    let n: usize = opts.count("n", 20_000)?;
+    let top: usize = opts.count("top", 3)?;
     let w = workloads::by_name(name).ok_or_else(|| format!("unknown workload {name:?}"))?;
     let trace = w.segment_trace(0, n);
     let index = trace.static_index();
@@ -1147,13 +1151,13 @@ fn cmd_clone(args: &[String]) -> Result<(), String> {
     let source = opts
         .get("from-profile")
         .ok_or_else(|| format!("missing --from-profile SRC ({})", SPEC_CLONE.usage()))?;
-    let n = opts.count("n", 6_000)?;
+    let n: usize = opts.count("n", 6_000)?;
     let mut cfg = replay_clone::FitConfig {
         fit_scale: n,
         jobs: opts.jobs()?,
         ..Default::default()
     };
-    cfg.seed = opts.count("seed", cfg.seed as usize)? as u64;
+    cfg.seed = opts.count("seed", cfg.seed)?;
     cfg.max_iters = opts.count("iters", cfg.max_iters)?;
     cfg.candidates_per_iter = opts.count("candidates", cfg.candidates_per_iter)?;
     if let Some(t) = opts.get("tol") {
@@ -1215,7 +1219,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     };
     cfg.steps = opts.count("steps", cfg.steps)?;
     cfg.scale = opts.count("n", cfg.scale)?;
-    cfg.seed = opts.count("seed", cfg.seed as usize)? as u64;
+    cfg.seed = opts.count("seed", cfg.seed)?;
     if let Some(v) = opts.get("gain-floor") {
         cfg.gain_floor_pct = v
             .parse()
@@ -1327,19 +1331,7 @@ mod tests {
 
     #[test]
     fn every_command_rejects_unknown_options() {
-        for spec in [
-            &SPEC_WORKLOADS,
-            &SPEC_GEN,
-            &SPEC_SIM,
-            &SPEC_COMPARE,
-            &SPEC_FRAMES,
-            &SPEC_CHECK,
-            &SPEC_INFO,
-            &SPEC_DISASM,
-            &SPEC_REPORT,
-            &SPEC_SERVE,
-            &SPEC_SUBMIT,
-        ] {
+        for spec in ALL_SPECS {
             let args = argv(&["--definitely-not-a-flag"]);
             let err = Opts::parse(&args, spec).unwrap_err();
             assert!(

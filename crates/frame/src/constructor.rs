@@ -3,38 +3,35 @@
 //! Watches the retired micro-operation stream, converts dynamically biased
 //! branches into assertions, and merges the constituent basic blocks into
 //! atomic frames of 8–256 uops (the paper's configuration, §5.3).
+//!
+//! The frame-size floor ([`MIN_FRAME_UOPS`]) and the start-address warm-up
+//! ([`HOT_THRESHOLD`]) are constants; only the size ceiling and the branch
+//! bias threshold, which the sensitivity sweeps vary, are configurable.
 
 use crate::{BiasTable, BranchOutcome, ControlExpectation, Direction, Frame, FrameId};
 use replay_uop::{Cond, Opcode, Uop};
 use std::collections::HashMap;
 
+/// Frames smaller than this many uops are discarded (paper §5.3: 8).
+pub const MIN_FRAME_UOPS: usize = 8;
+
+/// Times a start address must be seen before a frame is built there.
+const HOT_THRESHOLD: u32 = 2;
+
 /// Configuration of the frame constructor.
 #[derive(Debug, Clone)]
 pub struct ConstructorConfig {
-    /// Frames smaller than this many uops are discarded (paper: 8).
-    pub min_uops: usize,
     /// Frames never grow beyond this many uops (paper: 256).
     pub max_uops: usize,
     /// Consecutive same-direction outcomes before a branch is biased.
     pub bias_threshold: u32,
-    /// Times a start address must be seen before a frame is built there.
-    pub hot_threshold: u32,
-    /// Only begin frames at control-flow targets (the instruction after a
-    /// taken branch, call, return, or serializing event). This keeps frame
-    /// entry points stable across loop iterations — without it, frames
-    /// that end at the size limit seed successors at drifting mid-block
-    /// addresses and the frame cache fills with near-duplicates.
-    pub align_to_control: bool,
 }
 
 impl Default for ConstructorConfig {
     fn default() -> ConstructorConfig {
         ConstructorConfig {
-            min_uops: 8,
             max_uops: 256,
             bias_threshold: 8,
-            hot_threshold: 2,
-            align_to_control: true,
         }
     }
 }
@@ -138,7 +135,10 @@ pub struct FrameConstructor {
     next_id: u64,
     stats: ConstructorStats,
     /// True when the next retired instruction is a control-flow target
-    /// (valid frame entry under `align_to_control`).
+    /// (the instruction after a taken branch, call, return, or serializing
+    /// event) and so may begin a frame. Without this, frames that end at
+    /// the size limit would seed successors at drifting mid-block
+    /// addresses and the frame cache would fill with near-duplicates.
     aligned: bool,
 }
 
@@ -179,7 +179,7 @@ impl FrameConstructor {
         }
 
         if self.pending.is_none() {
-            if self.cfg.align_to_control && !was_aligned {
+            if !was_aligned {
                 // Mid-block: wait for the next control-flow target so that
                 // frame entry points stay stable across iterations.
                 self.observe_bias(ev);
@@ -187,7 +187,7 @@ impl FrameConstructor {
             }
             let count = self.start_counts.entry(ev.addr).or_insert(0);
             *count = count.saturating_add(1);
-            if *count < self.cfg.hot_threshold {
+            if *count < HOT_THRESHOLD {
                 // Still warming up; keep feeding the bias table so branches
                 // become biased before construction begins.
                 self.observe_bias(ev);
@@ -196,9 +196,8 @@ impl FrameConstructor {
             self.pending = Some(Pending::new(ev.addr));
         }
 
-        // Would this instruction overflow the frame? Finish first; under
-        // aligned construction the next frame waits for a control target,
-        // otherwise the current instruction seeds it immediately.
+        // Would this instruction overflow the frame? Finish first; the next
+        // frame waits for a control target.
         let flow_len = ev.uops.len();
         let cur_len = self.pending.as_ref().map_or(0, |p| p.uops.len());
         if cur_len + flow_len > self.cfg.max_uops && cur_len > 0 {
@@ -206,12 +205,7 @@ impl FrameConstructor {
             if done.is_some() {
                 self.stats.ended_by_size += 1;
             }
-            if self.cfg.align_to_control {
-                self.observe_bias(ev);
-            } else {
-                self.pending = Some(Pending::new(ev.addr));
-                let _ = self.append(ev);
-            }
+            self.observe_bias(ev);
             return done;
         }
 
@@ -328,7 +322,7 @@ impl FrameConstructor {
     /// size.
     fn finish(&mut self, exit_next: u32, _fence: bool) -> Option<Frame> {
         let pending = self.pending.take()?;
-        if pending.uops.len() < self.cfg.min_uops {
+        if pending.uops.len() < MIN_FRAME_UOPS {
             self.stats.discarded += 1;
             return None;
         }
@@ -365,7 +359,14 @@ mod tests {
     use super::*;
     use replay_uop::ArchReg;
 
-    /// Builds a retire event for a single-uop ALU instruction.
+    /// An `n`-uop ALU instruction flow.
+    fn alu_flow(n: usize) -> Vec<Uop> {
+        let mut uops = vec![Uop::alu_imm(Opcode::Add, ArchReg::Eax, ArchReg::Eax, 1); n];
+        uops[n - 1] = uops[n - 1].clone().ending_x86();
+        uops
+    }
+
+    /// Builds a retire event for an instruction that falls through.
     fn alu_ev(addr: u32, uops: &[Uop]) -> RetireEvent<'_> {
         RetireEvent {
             addr,
@@ -375,41 +376,47 @@ mod tests {
         }
     }
 
-    fn cfg(min: usize, max: usize, bias: u32, hot: u32) -> ConstructorConfig {
+    /// Builds a retire event for an instruction that transfers control to
+    /// `target`, making `target` a valid frame start.
+    fn jump_ev(addr: u32, uops: &[Uop], target: u32) -> RetireEvent<'_> {
+        RetireEvent {
+            addr,
+            uops,
+            next_pc: target,
+            fallthrough: addr + 1,
+        }
+    }
+
+    fn cfg(max_uops: usize, bias_threshold: u32) -> ConstructorConfig {
         ConstructorConfig {
-            min_uops: min,
-            max_uops: max,
-            bias_threshold: bias,
-            hot_threshold: hot,
-            align_to_control: false,
+            max_uops,
+            bias_threshold,
         }
     }
 
     #[test]
     fn biased_branch_becomes_assert() {
-        let mut c = FrameConstructor::new(cfg(1, 64, 2, 1));
-        let add = [Uop::alu_imm(Opcode::Add, ArchReg::Eax, ArchReg::Eax, 1).ending_x86()];
+        let mut c = FrameConstructor::new(cfg(64, 3));
+        let body = alu_flow(8);
         let br = [Uop::br(Cond::Eq, 0x100).ending_x86()];
-        // Warm the bias table: two taken outcomes at PC 0x10.
-        for round in 0..3 {
-            c.retire(&alu_ev(0x0, &add));
-            let ev = RetireEvent {
-                addr: 0x10,
-                uops: &br,
-                next_pc: 0x100,
-                fallthrough: 0x16,
-            };
-            let frame = c.retire(&ev);
-            if round < 1 {
-                // Not yet biased: branch ends the frame, branch uop kept.
-                let f = frame.expect("frame completes at unbiased branch");
-                assert_eq!(f.uops.last().unwrap().op, Opcode::Br);
-                assert!(f.expectations.is_empty());
-            } else {
-                // Biased now: the frame continues; nothing returned yet.
-                assert!(frame.is_none(), "round {round}");
-            }
-            // Jump back to 0x0 happens implicitly in this synthetic stream.
+        let taken = jump_ev(0x10, &br, 0x100);
+        // First pass: 0x0 is seen once (not yet hot) and the branch,
+        // mid-block, only trains the bias table.
+        assert!(c.retire(&alu_ev(0x0, &body)).is_none());
+        assert!(c.retire(&taken).is_none());
+        // Second pass: a frame starts at 0x0. Not yet biased: the branch
+        // ends the frame, branch uop kept.
+        assert!(c.retire(&alu_ev(0x0, &body)).is_none());
+        let f = c
+            .retire(&taken)
+            .expect("frame completes at unbiased branch");
+        assert_eq!(f.uops.last().unwrap().op, Opcode::Br);
+        assert!(f.expectations.is_empty());
+        // Biased now: the frame continues; nothing returned yet. The jump
+        // back to 0x0 happens implicitly in this synthetic stream.
+        for pass in 0..2 {
+            assert!(c.retire(&alu_ev(0x0, &body)).is_none());
+            assert!(c.retire(&taken).is_none(), "pass {pass}");
         }
         // End the pending frame and inspect the assert.
         let f = c.flush().expect("pending frame with asserts");
@@ -427,120 +434,147 @@ mod tests {
 
     #[test]
     fn not_taken_bias_negates_condition() {
-        let mut c = FrameConstructor::new(cfg(1, 64, 1, 1));
+        let mut c = FrameConstructor::new(cfg(64, 1));
+        let body = alu_flow(8);
         let br = [Uop::br(Cond::Eq, 0x100).ending_x86()];
-        let ev = RetireEvent {
-            addr: 0x10,
-            uops: &br,
-            next_pc: 0x16, // fall through => not taken
-            fallthrough: 0x16,
-        };
-        assert!(c.retire(&ev).is_none(), "biased immediately at threshold 1");
+        let back = [Uop::jmp(0x0).ending_x86()];
+        // Fall through => not taken; the jump at 0x11 closes the loop.
+        let not_taken = alu_ev(0x10, &br);
+        c.retire(&alu_ev(0x0, &body));
+        c.retire(&not_taken);
+        c.retire(&jump_ev(0x11, &back, 0x0));
+        assert!(c.retire(&alu_ev(0x0, &body)).is_none());
+        assert!(c.retire(&not_taken).is_none(), "biased at threshold 1");
         let f = c.flush().unwrap();
-        assert_eq!(f.uops[0].op, Opcode::Assert);
-        assert_eq!(f.uops[0].cc, Some(Cond::Ne), "NOT-taken bias asserts !cc");
+        assert_eq!(f.uops[8].op, Opcode::Assert);
+        assert_eq!(f.uops[8].cc, Some(Cond::Ne), "NOT-taken bias asserts !cc");
     }
 
     #[test]
     fn biased_indirect_becomes_assert_cmp() {
-        let mut c = FrameConstructor::new(cfg(1, 64, 2, 1));
+        let mut c = FrameConstructor::new(cfg(64, 2));
+        let body = alu_flow(8);
         let jmp = [Uop::jmp_ind(ArchReg::Et2).ending_x86()];
-        let ev = RetireEvent {
-            addr: 0x20,
-            uops: &jmp,
-            next_pc: 0x400,
-            fallthrough: 0x21,
-        };
+        let ev = jump_ev(0x20, &jmp, 0x400);
         // Indirect conversion needs 2x the conditional threshold (4 runs).
-        // The first observations end frames with the jump as exit uop.
-        let f = c.retire(&ev).expect("unbiased indirect ends the frame");
-        assert_eq!(f.uops[0].op, Opcode::JmpInd);
+        // The first observation, mid-block, only trains the bias table; the
+        // next two end frames with the jump as exit uop.
+        c.retire(&alu_ev(0x18, &body));
+        assert!(c.retire(&ev).is_none());
         for _ in 0..2 {
-            let f = c.retire(&ev).expect("still below the indirect threshold");
-            assert_eq!(f.uops[0].op, Opcode::JmpInd);
+            assert!(c.retire(&alu_ev(0x18, &body)).is_none());
+            let f = c.retire(&ev).expect("unbiased indirect ends the frame");
+            assert_eq!(f.uops[8].op, Opcode::JmpInd);
         }
         // Fourth observation: run reaches 4 = 2x threshold; converted.
+        assert!(c.retire(&alu_ev(0x18, &body)).is_none());
         assert!(c.retire(&ev).is_none());
         let f = c.flush().unwrap();
-        assert_eq!(f.uops[0].op, Opcode::AssertCmp);
-        assert_eq!(f.uops[0].imm, 0x400);
-        assert_eq!(f.uops[0].src_a, Some(ArchReg::Et2));
+        assert_eq!(f.uops[8].op, Opcode::AssertCmp);
+        assert_eq!(f.uops[8].imm, 0x400);
+        assert_eq!(f.uops[8].src_a, Some(ArchReg::Et2));
         assert_eq!(c.stats().indirects_converted, 1);
     }
 
     #[test]
     fn size_limit_splits_frames() {
-        let mut c = FrameConstructor::new(cfg(1, 4, 8, 1));
-        let add = [
-            Uop::alu_imm(Opcode::Add, ArchReg::Eax, ArchReg::Eax, 1),
-            Uop::alu_imm(Opcode::Add, ArchReg::Ebx, ArchReg::Ebx, 1).ending_x86(),
-        ];
-        assert!(c.retire(&alu_ev(0, &add)).is_none());
-        assert!(c.retire(&alu_ev(1, &add)).is_none()); // frame now full (4)
-        let f = c
-            .retire(&alu_ev(2, &add))
-            .expect("overflow completes frame");
-        assert_eq!(f.uop_count(), 4);
+        let mut c = FrameConstructor::new(cfg(8, 8));
+        let quad = alu_flow(4);
+        let back = [Uop::jmp(0).ending_x86()];
+        // A loop of three four-uop instructions closed by a jump to 0.
+        let pass = |c: &mut FrameConstructor| -> Vec<Frame> {
+            [
+                alu_ev(0, &quad),
+                alu_ev(1, &quad),
+                alu_ev(2, &quad),
+                jump_ev(3, &back, 0),
+            ]
+            .iter()
+            .filter_map(|ev| c.retire(ev))
+            .collect()
+        };
+        assert!(pass(&mut c).is_empty(), "first pass only warms address 0");
+        let frames = pass(&mut c);
+        assert_eq!(frames.len(), 1);
+        let f = &frames[0];
+        assert_eq!(f.start_addr, 0);
+        assert_eq!(f.uop_count(), 8);
         assert_eq!(f.x86_count(), 2);
         assert_eq!(f.exit_next, 2, "exits to the instruction that overflowed");
-        // The overflowing instruction seeded the next frame.
-        let f2 = c.flush().unwrap();
-        assert_eq!(f2.start_addr, 2);
-        assert_eq!(c.stats().ended_by_size, 1);
+        // The overflowing instruction is mid-block, so it seeds no frame;
+        // the next one starts at the jump's target.
+        assert!(c.flush().is_none());
+        let frames = pass(&mut c);
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].start_addr, 0);
+        assert_eq!(c.stats().ended_by_size, 2);
     }
 
     #[test]
     fn fence_flushes_and_is_excluded() {
-        let mut c = FrameConstructor::new(cfg(1, 64, 8, 1));
-        let add = [Uop::alu_imm(Opcode::Add, ArchReg::Eax, ArchReg::Eax, 1).ending_x86()];
+        let mut c = FrameConstructor::default();
+        let body = alu_flow(8);
         let fence = [Uop::fence().ending_x86()];
-        c.retire(&alu_ev(0, &add));
-        let f = c.retire(&alu_ev(1, &fence)).expect("fence completes frame");
-        assert_eq!(f.uop_count(), 1);
+        // The first pass only warms address 0; the fence makes the next
+        // instruction a frame boundary.
+        c.retire(&alu_ev(0, &body));
+        assert!(c.retire(&alu_ev(8, &fence)).is_none());
+        c.retire(&alu_ev(0, &body));
+        let f = c.retire(&alu_ev(8, &fence)).expect("fence completes frame");
+        assert_eq!(f.uop_count(), 8);
         assert!(f.uops.iter().all(|u| u.op != Opcode::Fence));
         assert_eq!(c.stats().ended_by_fence, 1);
     }
 
     #[test]
     fn small_frames_discarded() {
-        let mut c = FrameConstructor::new(cfg(8, 64, 8, 1));
-        let add = [Uop::alu_imm(Opcode::Add, ArchReg::Eax, ArchReg::Eax, 1).ending_x86()];
-        c.retire(&alu_ev(0, &add));
-        assert!(c.flush().is_none());
-        assert_eq!(c.stats().discarded, 1);
+        let fence = [Uop::fence().ending_x86()];
+        for (n, kept) in [(MIN_FRAME_UOPS - 1, false), (MIN_FRAME_UOPS, true)] {
+            let mut c = FrameConstructor::default();
+            let body = alu_flow(n);
+            let mut frame = None;
+            for _ in 0..HOT_THRESHOLD {
+                c.retire(&alu_ev(0, &body));
+                frame = c.retire(&alu_ev(0x40, &fence));
+            }
+            assert_eq!(frame.is_some(), kept, "{n} uops");
+            assert_eq!(c.stats().discarded, u64::from(!kept), "{n} uops");
+        }
     }
 
     #[test]
     fn hot_threshold_delays_construction() {
-        let mut c = FrameConstructor::new(cfg(1, 64, 8, 3));
-        let add = [Uop::alu_imm(Opcode::Add, ArchReg::Eax, ArchReg::Eax, 1).ending_x86()];
-        // Address 0 must be seen 3 times before a frame starts there.
-        c.retire(&alu_ev(0, &add));
+        let mut c = FrameConstructor::default();
+        let body = alu_flow(8);
+        let back = [Uop::jmp(0).ending_x86()];
+        // Address 0 must be seen twice before a frame starts there.
+        c.retire(&alu_ev(0, &body));
         assert!(c.flush().is_none(), "no pending after first sight");
-        c.retire(&alu_ev(0, &add));
-        assert!(c.flush().is_none());
-        c.retire(&alu_ev(0, &add));
+        c.retire(&jump_ev(8, &back, 0));
+        c.retire(&alu_ev(0, &body));
         let f = c.flush();
-        assert!(f.is_some(), "third sight constructs");
+        assert_eq!(f.map(|f| f.start_addr), Some(0), "second sight constructs");
     }
 
     #[test]
     fn block_boundaries_after_converted_branches() {
-        let mut c = FrameConstructor::new(cfg(1, 64, 1, 1));
-        let add = [Uop::alu_imm(Opcode::Add, ArchReg::Eax, ArchReg::Eax, 1).ending_x86()];
+        let mut c = FrameConstructor::new(cfg(64, 1));
+        let body = alu_flow(8);
         let br = [Uop::br(Cond::Ne, 0x50).ending_x86()];
-        c.retire(&alu_ev(0, &add));
-        c.retire(&RetireEvent {
-            addr: 1,
-            uops: &br,
-            next_pc: 0x50,
-            fallthrough: 2,
-        });
-        c.retire(&alu_ev(0x50, &add));
+        let back = [Uop::jmp(0).ending_x86()];
+        // First pass warms address 0 and biases the branch.
+        c.retire(&alu_ev(0, &body));
+        c.retire(&jump_ev(8, &br, 0x50));
+        c.retire(&alu_ev(0x50, &body));
+        c.retire(&jump_ev(0x51, &back, 0));
+        // Second pass builds: body, assert, body.
+        c.retire(&alu_ev(0, &body));
+        c.retire(&jump_ev(8, &br, 0x50));
+        c.retire(&alu_ev(0x50, &body));
         let f = c.flush().unwrap();
-        assert_eq!(f.block_starts, vec![0, 2]);
+        assert_eq!(f.block_starts, vec![0, 9]);
         assert_eq!(f.block_count(), 2);
-        assert_eq!(f.block_of(1), 0);
-        assert_eq!(f.block_of(2), 1);
+        assert_eq!(f.block_of(8), 0);
+        assert_eq!(f.block_of(9), 1);
     }
 }

@@ -34,5 +34,7 @@ mod frame;
 
 pub use bias::{BiasTable, BranchOutcome, Direction};
 pub use cache::{CacheEntry, CacheStats, FrameCache};
-pub use constructor::{ConstructorConfig, ConstructorStats, FrameConstructor, RetireEvent};
+pub use constructor::{
+    ConstructorConfig, ConstructorStats, FrameConstructor, RetireEvent, MIN_FRAME_UOPS,
+};
 pub use frame::{ControlExpectation, Frame, FrameId};

@@ -22,7 +22,7 @@
 //!
 //! The front sheds instead of blocking: a full queue (or a connection
 //! over [`ServerConfig::max_conns`]) turns into a typed
-//! [`Status::Overloaded`] response with a retry hint, a *closed* queue
+//! [`Status::Overloaded`] response with a [`RETRY_AFTER`] hint, a *closed* queue
 //! (the server is draining) into [`Status::ShuttingDown`] — never a hung
 //! connection. The dispatcher collects jobs into batches (deduplicating
 //! identical requests batch-locally), runs each batch as one
@@ -36,6 +36,11 @@
 //! are simulated and answered; connections that never sent a complete
 //! request are closed (they may never speak), and only then does
 //! [`Server::run`] return.
+//!
+//! [`ServerConfig`] holds only what deployments or tests set: the worker
+//! count, the queue and batch bounds, the connection ceiling, and the
+//! timing windows tests shrink. The request deadline default, the overload
+//! retry hint and the inline-trace cache size are constants.
 
 use crate::cluster::{ClusterConfig, ClusterState, RequestRoute};
 use crate::conn::{Conn, ConnState, ReadStep, WriteStep};
@@ -72,10 +77,6 @@ pub struct ServerConfig {
     /// without moving a byte before being closed — a connection that has
     /// sent nothing at all is idle, not stalled, and is never timed out.
     pub io_timeout: Duration,
-    /// Deadline applied to requests that do not carry their own.
-    pub default_deadline: Duration,
-    /// Retry hint sent with overload-shed responses.
-    pub retry_after: Duration,
     /// Test hook: sleep this long before executing each batch, making
     /// overload and deadline windows deterministic under test. Zero in
     /// production.
@@ -83,11 +84,18 @@ pub struct ServerConfig {
     /// Concurrent-connection ceiling; the connection that would exceed
     /// it is answered [`Status::Overloaded`] immediately.
     pub max_conns: usize,
-    /// Decoded inline traces kept warm, keyed by content digest, evicted
-    /// least-recently-used. Bounded so sustained unique-trace traffic
-    /// cannot grow server memory without limit.
-    pub inline_cache_cap: usize,
 }
+
+/// Deadline applied to requests that do not carry their own.
+pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Retry hint sent with overload-shed responses.
+pub const RETRY_AFTER: Duration = Duration::from_millis(50);
+
+/// Decoded inline traces kept warm, keyed by content digest, evicted
+/// least-recently-used. Bounded so sustained unique-trace traffic cannot
+/// grow server memory without limit.
+const INLINE_CACHE_CAP: usize = 64;
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
@@ -97,11 +105,8 @@ impl Default for ServerConfig {
             batch_max: 8,
             batch_linger: Duration::from_millis(2),
             io_timeout: Duration::from_secs(10),
-            default_deadline: Duration::from_secs(30),
-            retry_after: Duration::from_millis(50),
             batch_hold: Duration::ZERO,
             max_conns: 20_000,
-            inline_cache_cap: 64,
         }
     }
 }
@@ -156,7 +161,7 @@ type Completion = (u64, Vec<u8>);
 /// queue means the server is draining, so the response says "shutting
 /// down" with a zero retry hint (retry immediately, elsewhere) and is
 /// counted separately.
-fn shed_outcome(cfg: &ServerConfig, closed: bool, stage: &'static str) -> (Response, &'static str) {
+fn shed_outcome(closed: bool, stage: &'static str) -> (Response, &'static str) {
     if closed {
         (
             Response::reject(Status::ShuttingDown, "server is draining; retry elsewhere")
@@ -171,7 +176,7 @@ fn shed_outcome(cfg: &ServerConfig, closed: bool, stage: &'static str) -> (Respo
         };
         (
             Response::reject(Status::Overloaded, format!("{stage} queue full"))
-                .with_retry_after(cfg.retry_after.as_millis() as u64),
+                .with_retry_after(RETRY_AFTER.as_millis() as u64),
             counter,
         )
     }
@@ -313,24 +318,16 @@ impl Server {
 }
 
 /// Decoded inline traces kept warm, keyed by content digest, with a
-/// hard capacity and deterministic least-recently-used eviction (the
-/// entry order is a pure function of the request sequence). Without the
-/// bound, sustained unique-inline-trace traffic grew the old map — and
-/// server memory — without limit.
+/// hard capacity of [`INLINE_CACHE_CAP`] and deterministic
+/// least-recently-used eviction (the entry order is a pure function of
+/// the request sequence).
+#[derive(Default)]
 struct InlineTraceCache {
-    cap: usize,
     /// LRU order: least recent at the front, most recent at the back.
     entries: Vec<(u64, Arc<Trace>)>,
 }
 
 impl InlineTraceCache {
-    fn new(cap: usize) -> InlineTraceCache {
-        InlineTraceCache {
-            cap,
-            entries: Vec::new(),
-        }
-    }
-
     fn get(&mut self, digest: u64) -> Option<Arc<Trace>> {
         let i = self.entries.iter().position(|(d, _)| *d == digest)?;
         let entry = self.entries.remove(i);
@@ -340,10 +337,7 @@ impl InlineTraceCache {
     }
 
     fn insert(&mut self, digest: u64, trace: Arc<Trace>, obs: &mut Obs) {
-        if self.cap == 0 {
-            return;
-        }
-        while self.entries.len() >= self.cap {
+        while self.entries.len() >= INLINE_CACHE_CAP {
             self.entries.remove(0);
             obs.counter("serve.inline_trace.evictions", 1);
         }
@@ -361,7 +355,7 @@ fn dispatcher_loop(
     cluster: Option<&ClusterState>,
 ) -> Profile {
     let mut obs = Obs::collecting();
-    let mut inline_traces = InlineTraceCache::new(cfg.inline_cache_cap);
+    let mut inline_traces = InlineTraceCache::default();
     loop {
         let first = match work_q.pop() {
             Pop::Item(j) => j,
@@ -418,7 +412,7 @@ fn process_batch(
         let limit = if job.req.deadline_ms > 0 {
             Duration::from_millis(job.req.deadline_ms)
         } else {
-            cfg.default_deadline
+            DEFAULT_DEADLINE
         };
         if job.received.elapsed() > limit {
             obs.counter("serve.requests.deadline", 1);
@@ -670,7 +664,7 @@ mod event {
                             // Over the ceiling: answer Overloaded through
                             // the same state machine (the write may need
                             // readiness too) and count it as a conn shed.
-                            let (resp, counter) = shed_outcome(self.cfg, false, "accept");
+                            let (resp, counter) = shed_outcome(false, "accept");
                             self.obs.counter(counter, 1);
                             conn.queue_response(&resp.encode());
                             self.obs.counter("serve.conns.writing", 1);
@@ -774,7 +768,7 @@ mod event {
                         Err(err) => {
                             let closed = matches!(err, PushError::Closed(_));
                             let (PushError::Full(job) | PushError::Closed(job)) = err;
-                            let (resp, counter) = shed_outcome(self.cfg, closed, "work");
+                            let (resp, counter) = shed_outcome(closed, "work");
                             self.obs.counter(counter, 1);
                             self.obs.hist(
                                 "serve.latency_ms",
@@ -861,18 +855,13 @@ mod event {
 mod tests {
     use super::*;
 
-    fn cfg() -> ServerConfig {
-        ServerConfig::default()
-    }
-
     #[test]
     fn full_queue_sheds_overloaded_with_retry_hint() {
-        let c = cfg();
-        let (resp, counter) = shed_outcome(&c, false, "accept");
+        let (resp, counter) = shed_outcome(false, "accept");
         assert_eq!(resp.status, Status::Overloaded);
-        assert_eq!(resp.retry_after_ms, c.retry_after.as_millis() as u64);
+        assert_eq!(resp.retry_after_ms, RETRY_AFTER.as_millis() as u64);
         assert_eq!(counter, "serve.shed.conn");
-        let (resp, counter) = shed_outcome(&c, false, "work");
+        let (resp, counter) = shed_outcome(false, "work");
         assert_eq!(resp.status, Status::Overloaded);
         assert_eq!(counter, "serve.shed.work");
     }
@@ -882,9 +871,8 @@ mod tests {
         // Regression: a closed queue used to be answered "Overloaded:
         // accept queue full", telling clients to retry a server that is
         // going away. Draining is its own status and its own counter.
-        let c = cfg();
         for stage in ["accept", "work"] {
-            let (resp, counter) = shed_outcome(&c, true, stage);
+            let (resp, counter) = shed_outcome(true, stage);
             assert_eq!(resp.status, Status::ShuttingDown, "{stage}");
             assert_eq!(resp.retry_after_ms, 0, "{stage}");
             assert!(resp.status.is_retryable());
@@ -896,31 +884,21 @@ mod tests {
     fn inline_trace_cache_bounds_and_evicts_lru() {
         let w = workloads::by_name("gzip").expect("workload");
         let trace = Arc::new(w.segment_trace(0, 50));
-        let mut cache = InlineTraceCache::new(2);
+        let mut cache = InlineTraceCache::default();
         let mut obs = Obs::collecting();
-        cache.insert(1, Arc::clone(&trace), &mut obs);
-        cache.insert(2, Arc::clone(&trace), &mut obs);
-        // Touch 1 so it becomes most-recent; inserting 3 must evict 2.
+        let cap = INLINE_CACHE_CAP as u64;
+        for digest in 1..=cap {
+            cache.insert(digest, Arc::clone(&trace), &mut obs);
+        }
+        // Touch 1 so it becomes most-recent; inserting one more must
+        // evict 2.
         assert!(cache.get(1).is_some());
-        cache.insert(3, Arc::clone(&trace), &mut obs);
+        cache.insert(cap + 1, Arc::clone(&trace), &mut obs);
+        assert_eq!(cache.entries.len(), INLINE_CACHE_CAP);
         assert!(cache.get(2).is_none(), "LRU entry must be evicted");
         assert!(cache.get(1).is_some());
-        assert!(cache.get(3).is_some());
+        assert!(cache.get(cap + 1).is_some());
         let profile = obs.into_profile();
         assert_eq!(profile.counter("serve.inline_trace.evictions"), 1);
-    }
-
-    #[test]
-    fn inline_trace_cache_zero_capacity_never_stores() {
-        let w = workloads::by_name("gzip").expect("workload");
-        let trace = Arc::new(w.segment_trace(0, 50));
-        let mut cache = InlineTraceCache::new(0);
-        let mut obs = Obs::collecting();
-        cache.insert(9, trace, &mut obs);
-        assert!(cache.get(9).is_none());
-        assert_eq!(
-            obs.into_profile().counter("serve.inline_trace.evictions"),
-            0
-        );
     }
 }

@@ -7,6 +7,7 @@
 //! CI smoke job, where the server is its own process.
 
 use replay_serve::proto::{read_frame, write_frame, MAX_SCALE};
+use replay_serve::server::RETRY_AFTER;
 use replay_serve::{
     Client, ClientConfig, ClientError, Request, Response, Server, ServerConfig, Source, Status,
 };
@@ -258,7 +259,6 @@ fn connection_ceiling_sheds_typed_overloaded_and_recovers() {
         max_conns: 1,
         ..ServerConfig::default()
     };
-    let retry_after = cfg.retry_after;
     let (addr, stop, handle) = spawn_server(cfg);
 
     let idle = TcpStream::connect(&addr).expect("idle connect");
@@ -267,7 +267,7 @@ fn connection_ceiling_sheds_typed_overloaded_and_recovers() {
         .expect("read timeout");
     let resp = Response::decode(&read_frame(&mut over).expect("shed frame")).expect("decode");
     assert_eq!(resp.status, Status::Overloaded, "{}", resp.message);
-    assert_eq!(resp.retry_after_ms, retry_after.as_millis() as u64);
+    assert_eq!(resp.retry_after_ms, RETRY_AFTER.as_millis() as u64);
 
     // Once the idle peer leaves, its slot frees and a well-behaved
     // request is served.

@@ -156,9 +156,9 @@ mod tests {
     #[test]
     fn icache_config_gets_big_icache() {
         let c = SimConfig::new(ConfigKind::ICache);
-        assert_eq!(c.timing.icache.size_bytes, 64 * 1024);
+        assert_eq!(c.timing.icache_bytes, 64 * 1024);
         let c = SimConfig::new(ConfigKind::ReplayOpt);
-        assert_eq!(c.timing.icache.size_bytes, 8 * 1024);
+        assert_eq!(c.timing.icache_bytes, 8 * 1024);
         assert_eq!(c.timing.frame_cache_uops, 16 * 1024);
     }
 

@@ -24,12 +24,18 @@ impl CacheEntry for TraceEntry {
     }
 }
 
+/// Conditional branches that end a trace (the paper's TC configuration,
+/// §5.3: three).
+const MAX_BRANCHES: usize = 3;
+
+/// Uops that end a trace: trace length is bounded like a wide cache line.
+const MAX_UOPS: usize = 32;
+
 /// The fill unit: continuously collects retired instructions into traces
-/// of at most `max_branches` conditional branches and `max_uops` uops.
-#[derive(Debug)]
+/// of at most three conditional branches and 32 uops (`MAX_BRANCHES`,
+/// `MAX_UOPS`).
+#[derive(Debug, Default)]
 pub struct TraceFiller {
-    max_branches: usize,
-    max_uops: usize,
     pending: Option<TraceEntry>,
     branches: usize,
     filled: u64,
@@ -40,23 +46,7 @@ impl TraceFiller {
     /// micro-operations per trace; trace length bounded like a wide cache
     /// line.
     pub fn new() -> TraceFiller {
-        TraceFiller::with_limits(3, 32)
-    }
-
-    /// Creates a fill unit with explicit limits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either limit is zero.
-    pub fn with_limits(max_branches: usize, max_uops: usize) -> TraceFiller {
-        assert!(max_branches > 0 && max_uops > 0, "limits must be positive");
-        TraceFiller {
-            max_branches,
-            max_uops,
-            pending: None,
-            branches: 0,
-            filled: 0,
-        }
+        TraceFiller::default()
     }
 
     /// Observes one retired instruction. Returns a completed trace when
@@ -81,7 +71,7 @@ impl TraceFiller {
         if is_cond_branch {
             self.branches += 1;
         }
-        if self.branches >= self.max_branches || pending.uop_count >= self.max_uops || ends_trace {
+        if self.branches >= MAX_BRANCHES || pending.uop_count >= MAX_UOPS || ends_trace {
             self.branches = 0;
             self.filled += 1;
             return self.pending.take();
@@ -92,12 +82,6 @@ impl TraceFiller {
     /// Traces completed so far.
     pub fn filled(&self) -> u64 {
         self.filled
-    }
-}
-
-impl Default for TraceFiller {
-    fn default() -> TraceFiller {
-        TraceFiller::new()
     }
 }
 
@@ -120,10 +104,11 @@ mod tests {
 
     #[test]
     fn uop_limit_completes_a_trace() {
-        let mut f = TraceFiller::with_limits(3, 8);
-        assert!(f.retire(0x10, 4, false, false).is_none());
-        let t = f.retire(0x11, 4, false, false).expect("uop limit");
-        assert_eq!(t.uop_count, 8);
+        let mut f = TraceFiller::new();
+        assert!(f.retire(0x10, 16, false, false).is_none());
+        assert!(f.retire(0x11, 15, false, false).is_none());
+        let t = f.retire(0x12, 1, false, false).expect("uop limit");
+        assert_eq!(t.uop_count, MAX_UOPS);
     }
 
     #[test]
@@ -135,16 +120,17 @@ mod tests {
 
     #[test]
     fn next_trace_starts_fresh() {
-        let mut f = TraceFiller::with_limits(1, 32);
-        let t1 = f.retire(0x10, 1, true, false).unwrap();
-        let t2 = f.retire(0x50, 1, true, false).unwrap();
+        let mut f = TraceFiller::new();
+        assert!(f.retire(0x10, 1, true, false).is_none());
+        assert!(f.retire(0x20, 1, true, false).is_none());
+        let t1 = f.retire(0x30, 1, true, false).unwrap();
+        // The branch count restarts with the new trace: it too ends at
+        // its own third branch.
+        assert!(f.retire(0x50, 1, true, false).is_none());
+        assert!(f.retire(0x60, 1, true, false).is_none());
+        let t2 = f.retire(0x70, 1, true, false).unwrap();
         assert_eq!(t1.start_addr, 0x10);
         assert_eq!(t2.start_addr, 0x50);
-    }
-
-    #[test]
-    #[should_panic(expected = "limits must be positive")]
-    fn zero_limits_rejected() {
-        TraceFiller::with_limits(0, 8);
+        assert_eq!(t2.x86_addrs, vec![0x50, 0x60, 0x70]);
     }
 }

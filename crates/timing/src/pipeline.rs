@@ -11,7 +11,10 @@
 
 use crate::accounting::{CycleBin, CycleBins};
 use crate::cache::Cache;
-use crate::config::TimingConfig;
+use crate::config::{
+    TimingConfig, BRANCH_RESOLUTION_DEPTH, CACHE_SWITCH_WAIT, FRONT_END_DEPTH, GSHARE_BITS, L1D,
+    L1D_LATENCY, L2, L2_LATENCY, MEMORY_LATENCY, WIDTH, WINDOW, X86_DECODE_WIDTH,
+};
 use crate::ports::{CoreModel, Scheduler};
 use crate::predictor::{Btb, Gshare};
 use replay_core::{FlagsSrc, OptFrame, Src};
@@ -119,7 +122,7 @@ impl PipelineStats {
 /// The timing pipeline.
 #[derive(Debug)]
 pub struct Pipeline {
-    cfg: TimingConfig,
+    core_model: CoreModel,
     cycle: u64,
     cycle_bin: Option<CycleBin>,
     slot_uops: usize,
@@ -143,9 +146,9 @@ pub struct Pipeline {
     /// machine's work.
     ///
     /// Bounded exactly: fetch cycles never decrease and a load issues no
-    /// earlier than `fetch + front_end_depth`, so an entry completing at or
-    /// before `cycle + front_end_depth` can never delay a load again. Once
-    /// the map passes `4 × window` entries, [`Pipeline::record_store`]
+    /// earlier than `fetch + FRONT_END_DEPTH`, so an entry completing at or
+    /// before `cycle + FRONT_END_DEPTH` can never delay a load again. Once
+    /// the map passes `4 × WINDOW` entries, [`Pipeline::record_store`]
     /// drops those. The std hasher stays: store addresses come from
     /// untrusted traces.
     store_ready: HashMap<u32, u64>,
@@ -183,10 +186,10 @@ impl Pipeline {
         let sched = Scheduler::new(cfg.core_model.table())
             .unwrap_or_else(|e| panic!("invalid timing configuration: {e}"));
         Pipeline {
-            icache: Cache::new(cfg.icache),
-            l1d: Cache::new(cfg.l1d),
-            l2: Cache::new(cfg.l2),
-            gshare: Gshare::new(cfg.gshare_bits),
+            icache: Cache::new(cfg.icache()),
+            l1d: Cache::new(L1D),
+            l2: Cache::new(L2),
+            gshare: Gshare::new(GSHARE_BITS),
             btb: Btb::new(12),
             sched,
             cycle: 0,
@@ -205,7 +208,7 @@ impl Pipeline {
             frame_slot_done: Vec::new(),
             frame_slot_flags_done: Vec::new(),
             frame_completions: Vec::new(),
-            cfg,
+            core_model: cfg.core_model,
         }
     }
 
@@ -272,9 +275,8 @@ impl Pipeline {
     /// Charges the frame-cache ↔ ICache turnaround when the path changes.
     fn switch_path(&mut self, path: FetchPath) {
         if let Some(last) = self.last_path {
-            if last != path && self.cfg.cache_switch_wait > 0 {
-                let target =
-                    self.cycle + self.cfg.cache_switch_wait + u64::from(self.cycle_bin.is_some());
+            if last != path {
+                let target = self.cycle + CACHE_SWITCH_WAIT + u64::from(self.cycle_bin.is_some());
                 self.stall_until(target, CycleBin::Wait);
             }
         }
@@ -284,11 +286,11 @@ impl Pipeline {
     /// Reserves one fetch slot on `path`, advancing the cycle when the
     /// group is full. Returns the fetch cycle of the slot.
     fn take_slot(&mut self, path: FetchPath) -> u64 {
-        let (bin, uop_cap) = match path {
-            FetchPath::Frame => (CycleBin::Frame, self.cfg.width),
-            FetchPath::ICache => (CycleBin::ICache, self.cfg.width),
+        let bin = match path {
+            FetchPath::Frame => CycleBin::Frame,
+            FetchPath::ICache => CycleBin::ICache,
         };
-        if self.slot_uops >= uop_cap {
+        if self.slot_uops >= WIDTH {
             self.next_cycle();
         }
         self.begin_cycle(bin);
@@ -299,7 +301,7 @@ impl Pipeline {
     /// Enforces the scheduling-window occupancy limit before inserting a
     /// uop, stalling fetch until the oldest in-flight uop retires.
     fn reserve_window_slot(&mut self) {
-        while self.retire_ring.len() >= self.cfg.window {
+        while self.retire_ring.len() >= WINDOW {
             let oldest = self.retire_ring.pop_front().expect("ring non-empty");
             self.stall_until(oldest, CycleBin::Stall);
         }
@@ -314,7 +316,7 @@ impl Pipeline {
         } else {
             t = self.retire_cycle;
         }
-        if self.retire_used >= self.cfg.width {
+        if self.retire_used >= WIDTH {
             self.retire_cycle += 1;
             self.retire_used = 0;
             t = self.retire_cycle;
@@ -327,11 +329,11 @@ impl Pipeline {
 
     fn dcache_latency(&mut self, addr: u32) -> u64 {
         if self.l1d.access(addr) {
-            self.cfg.l1d_latency
+            L1D_LATENCY
         } else if self.l2.access(addr) {
-            self.cfg.l1d_latency + self.cfg.l2_latency
+            L1D_LATENCY + L2_LATENCY
         } else {
-            self.cfg.l1d_latency + self.cfg.l2_latency + self.cfg.memory_latency
+            L1D_LATENCY + L2_LATENCY + MEMORY_LATENCY
         }
     }
 
@@ -339,9 +341,9 @@ impl Pipeline {
         if self.icache.access(addr) {
             None
         } else if self.l2.access(addr) {
-            Some(self.cfg.l2_latency)
+            Some(L2_LATENCY)
         } else {
-            Some(self.cfg.l2_latency + self.cfg.memory_latency)
+            Some(L2_LATENCY + MEMORY_LATENCY)
         }
     }
 
@@ -349,15 +351,15 @@ impl Pipeline {
     /// Returns its completion time.
     ///
     /// The pipeline-depth floor is split per the `config.rs` contract:
-    /// every uop waits at least `front_end_depth` cycles after fetch
+    /// every uop waits at least [`FRONT_END_DEPTH`] cycles after fetch
     /// (decode/rename/schedule), while branch and assert uops wait the
-    /// full `branch_resolution_depth` — the paper's "minimum cycles
+    /// full [`BRANCH_RESOLUTION_DEPTH`] — the paper's "minimum cycles
     /// between fetching a branch and its earliest possible execution".
     fn execute(&mut self, op: Opcode, fetch: u64, ready: u64, mem_addr: Option<u32>) -> u64 {
         let depth = if op.is_branch() || op.is_assert() {
-            self.cfg.branch_resolution_depth
+            BRANCH_RESOLUTION_DEPTH
         } else {
-            self.cfg.front_end_depth
+            FRONT_END_DEPTH
         };
         let earliest = ready.max(fetch + depth);
         let issue = self.sched.issue(op, earliest);
@@ -450,14 +452,14 @@ impl Pipeline {
             self.store_ready.insert(w1, complete);
         }
         if self.store_ready.len() > self.store_ready_bound() {
-            let horizon = self.cycle + self.cfg.front_end_depth;
+            let horizon = self.cycle + FRONT_END_DEPTH;
             self.store_ready.retain(|_, &mut done| done > horizon);
         }
     }
 
     /// Entries `store_ready` may hold before it is pruned.
     fn store_ready_bound(&self) -> usize {
-        4 * self.cfg.window
+        4 * WINDOW
     }
 
     /// Records the port model's per-port pressure counters
@@ -465,7 +467,7 @@ impl Pipeline {
     /// [`replay_obs::Obs`]. The generic model's Table 2 unit banks record
     /// nothing, so its profiles carry no `timing.port.*` key.
     pub fn observe_ports(&self, obs: &mut replay_obs::Obs) {
-        if self.cfg.core_model == CoreModel::PortAccurate {
+        if self.core_model == CoreModel::PortAccurate {
             self.sched.observe_into(obs);
         }
     }
@@ -483,7 +485,7 @@ impl Pipeline {
                 self.stall_until(target, CycleBin::Miss);
             }
             // Decoder bandwidth: at most 4 x86 instructions per cycle.
-            if self.slot_insts >= self.cfg.x86_decode_width {
+            if self.slot_insts >= X86_DECODE_WIDTH {
                 self.next_cycle();
             }
             self.slot_insts += 1;
@@ -727,7 +729,7 @@ mod tests {
         });
         assert_eq!(p.stats().mispredicts, 1);
         assert!(
-            p.bins().get(CycleBin::Mispredict) >= cfg().branch_resolution_depth,
+            p.bins().get(CycleBin::Mispredict) >= BRANCH_RESOLUTION_DEPTH,
             "resolution depth charged: {}",
             p.bins().get(CycleBin::Mispredict)
         );
@@ -749,7 +751,7 @@ mod tests {
         let warm = p.reg_ready[ArchReg::Eax.index()];
         assert!(cold > 0);
         assert!(
-            warm < cold + cfg().l1d_latency + 5,
+            warm < cold + L1D_LATENCY + 5,
             "warm load completed near cold one: {warm} vs {cold}"
         );
     }
@@ -807,7 +809,7 @@ mod tests {
         assert_eq!(p.stats().assert_events, 1);
         assert_eq!(p.stats().retired_x86, 0);
         assert!(
-            p.bins().get(CycleBin::Assert) >= cfg().branch_resolution_depth,
+            p.bins().get(CycleBin::Assert) >= BRANCH_RESOLUTION_DEPTH,
             "pessimistic recovery is at least the pipe depth"
         );
     }
@@ -849,19 +851,22 @@ mod tests {
 
     #[test]
     fn window_fills_under_a_long_dependence_chain() {
-        let mut small = cfg();
-        small.window = 16;
-        let mut p = Pipeline::new(small);
+        let mut p = Pipeline::new(cfg());
         // A long chain of dependent loads to distinct cold lines keeps
-        // completions slow while fetch runs ahead -> window stalls.
-        let mut flows = Vec::new();
-        for _ in 0..64u32 {
-            flows.push(vec![Uop::load(ArchReg::Eax, ArchReg::Eax, 0).ending_x86()]);
-        }
-        for (i, flow) in flows.iter().enumerate() {
-            let mut f = plain_fetch(0x1000 + i as u32, flow);
-            f.load_addr = Some(0x10_0000 + (i as u32) * 4096);
+        // completions slow while fetch runs ahead: twice the window's worth
+        // of uops is in flight long before the chain completes.
+        let flow = vec![Uop::load(ArchReg::Eax, ArchReg::Eax, 0).ending_x86()];
+        for i in 0..2 * WINDOW as u32 {
+            let mut f = plain_fetch(0x1000 + i, &flow);
+            f.load_addr = Some(0x10_0000 + i * 4096);
             p.fetch_x86(&f);
+            if i < WINDOW as u32 {
+                assert_eq!(
+                    p.bins().get(CycleBin::Stall),
+                    0,
+                    "no stall below the window"
+                );
+            }
         }
         assert!(
             p.bins().get(CycleBin::Stall) > 0,
@@ -916,17 +921,16 @@ mod tests {
         // to *every* uop, contradicting the config contract. A plain ALU
         // uop must now be schedulable after the shallower front-end depth,
         // while a branch still waits the full resolution depth.
-        let c = cfg();
-        let mut p = Pipeline::new(c.clone());
+        let mut p = Pipeline::new(cfg());
         let flow = alu_flow();
         p.fetch_x86(&plain_fetch(0x1000, &flow));
         let alu_done = p.reg_ready[ArchReg::Eax.index()];
         assert_eq!(
             alu_done,
-            p.cycle + c.front_end_depth + 1,
+            p.cycle + FRONT_END_DEPTH + 1,
             "ALU uop floored by front-end depth only"
         );
-        assert!(alu_done < p.cycle + c.branch_resolution_depth);
+        assert!(alu_done < p.cycle + BRANCH_RESOLUTION_DEPTH);
 
         // A correctly predicted not-taken branch: its resolution time is
         // recorded without any mispredict stall.
@@ -943,7 +947,7 @@ mod tests {
         });
         assert_eq!(p.stats().branches_resolved, 1);
         assert!(
-            p.stats().branch_resolution_cycles >= c.branch_resolution_depth,
+            p.stats().branch_resolution_cycles >= BRANCH_RESOLUTION_DEPTH,
             "branch still floored by resolution depth: {}",
             p.stats().branch_resolution_cycles
         );
@@ -1048,11 +1052,8 @@ mod tests {
         // L2-resident now? No: a cold miss fills both levels, so the next
         // access to the same line is an L1 hit.
         let warm = p.dcache_latency(0x50_0000);
-        assert_eq!(
-            cold,
-            cfg().l1d_latency + cfg().l2_latency + cfg().memory_latency
-        );
-        assert_eq!(warm, cfg().l1d_latency);
+        assert_eq!(cold, L1D_LATENCY + L2_LATENCY + MEMORY_LATENCY);
+        assert_eq!(warm, L1D_LATENCY);
         assert!(cold > warm);
     }
 

@@ -4,7 +4,9 @@
 //! when the original execution leaves the frame's path.
 
 use replay_core::{exec_frame, optimize, AliasProfile, FrameOutcome, OptConfig, OptFrame};
-use replay_frame::{ConstructorConfig, Frame, FrameCache, FrameConstructor, RetireEvent};
+use replay_frame::{
+    ConstructorConfig, Frame, FrameCache, FrameConstructor, RetireEvent, MIN_FRAME_UOPS,
+};
 use replay_sim::Injector;
 use replay_trace::workloads;
 use replay_verify::verify_against_records;
@@ -114,7 +116,7 @@ fn frames_respect_constructor_limits() {
         let (_, frames) = build_frames(name, 10_000);
         assert!(!frames.is_empty());
         for f in frames.values() {
-            assert!(f.uop_count() >= cfg.min_uops, "{name}: min size");
+            assert!(f.uop_count() >= MIN_FRAME_UOPS, "{name}: min size");
             assert!(f.uop_count() <= cfg.max_uops, "{name}: max size");
             assert_eq!(f.block_starts[0], 0);
             // Every expectation points at an assert uop.
