@@ -360,13 +360,11 @@ const SPEC_REPORT: CmdSpec = CmdSpec {
 const SPEC_SERVE: CmdSpec = CmdSpec {
     name: "serve",
     positional: "",
-    about: "run the TCP simulation service: batches submitted requests onto the \
-            shared worker pool and answers each with the replay-report/v3 bytes \
-            a local `replay report --json` would produce",
+    about: "run the TCP simulation service, one standalone process: batches \
+            submitted requests onto the shared worker pool and answers each with \
+            the replay-report/v3 bytes a local `replay report --json` would produce",
     flags: &[
         flag(&["addr"], "ADDR"),
-        flag(&["peers"], "ADDR,ADDR,..."),
-        flag(&["cluster-addr"], "ADDR"),
         JOBS_FLAG,
         flag(&["max-conns"], "N"),
         flag(&["work-queue"], "N"),
@@ -378,10 +376,11 @@ const SPEC_SERVE: CmdSpec = CmdSpec {
 const SPEC_SUBMIT: CmdSpec = CmdSpec {
     name: "submit",
     positional: "<workload|FILE>",
-    about: "submit a simulation request to a running `replay serve` and write \
-            the report it returns (retries overload with seeded backoff)",
+    about: "submit a simulation request to one running `replay serve` (--addr \
+            takes a single host:port) and write the report it returns (retries \
+            overload and drain answers with seeded backoff)",
     flags: &[
-        flag(&["addr"], "ADDR[,ADDR...]"),
+        flag(&["addr"], "ADDR"),
         flag(&["n"], "N"),
         flag(&["json"], "FILE"),
         flag(&["timings"], ""),
@@ -599,16 +598,6 @@ fn configure_store(opts: &Opts) {
         .or_else(|| std::env::var_os(replay_store::CACHE_DIR_ENV).map(std::path::PathBuf::from))
         .unwrap_or_else(|| std::path::PathBuf::from(".replay-cache"));
     replay_store::Store::configure(Some(dir));
-}
-
-/// Splits a comma-separated `host:port` list, trimming whitespace and
-/// dropping empty entries (`a:1,,b:2` and `a:1, b:2` both work).
-fn parse_addr_list(s: &str) -> Vec<String> {
-    s.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
 }
 
 /// Loads a trace by workload name or from a trace file. Workload traces
@@ -835,24 +824,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err(SPEC_SERVE.usage());
     }
     let addr = opts.get("addr").unwrap_or(replay_serve::DEFAULT_ADDR);
-    let peers: Option<Vec<String>> = opts.get("peers").map(parse_addr_list);
-    if matches!(&peers, Some(p) if p.is_empty()) {
-        return Err("--peers needs at least one host:port".to_string());
-    }
-    if peers.is_none() && opts.has("cluster-addr") {
-        return Err("--cluster-addr needs --peers".to_string());
-    }
-    // The address this node advertises on the ring — what clients dial and
-    // what NotOwner redirects name. Defaults to the listen address, which
-    // therefore must be concrete (no port 0) in cluster mode.
-    let self_addr = opts.get("cluster-addr").unwrap_or(addr).to_string();
-    if peers.is_some() && self_addr.ends_with(":0") {
-        return Err(
-            "cluster mode needs a concrete advertised address: pass --cluster-addr \
-             HOST:PORT (or bind a fixed --addr)"
-                .to_string(),
-        );
-    }
     configure_store(&opts);
     let mut cfg = replay_serve::ServerConfig {
         jobs: opts.jobs()?,
@@ -884,17 +855,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // headroom before the first accept rather than failing under load.
     let _ = replay_serve::poll::raise_nofile_limit(cfg.max_conns as u64 + 512);
     let jobs = cfg.jobs;
-    let mut server =
+    let server =
         replay_serve::Server::bind(addr, cfg).map_err(|e| format!("binding {addr:?}: {e}"))?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;
-    if let Some(peer_list) = peers {
-        server.configure_cluster(replay_serve::ClusterConfig::new(
-            self_addr.clone(),
-            peer_list,
-        ));
-        let members = server.cluster().map_or(0, |c| c.ring().len());
-        outln!("cluster mode: {self_addr} on a {members}-member ring (redirects misses)");
-    }
     outln!(
         "replay-serve listening on {bound} ({jobs} workers, event-loop front; SIGTERM/ctrl-c drains)"
     );
@@ -927,21 +890,13 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         deadline_ms: opts.count("deadline-ms", 0)?,
         relayed: false,
     };
-    let addr = opts
-        .get("addr")
-        .unwrap_or(replay_serve::DEFAULT_ADDR)
-        .to_string();
-    // `--addr a:1,b:2,c:3` enables ring-aware routing with failover: the
-    // client dials the request key's owner first and rotates on connect
-    // failure, Overloaded, or ShuttingDown.
-    let addrs = parse_addr_list(&addr);
-    if addrs.is_empty() {
-        return Err("--addr needs at least one host:port".to_string());
+    let addr = opts.get("addr").unwrap_or(replay_serve::DEFAULT_ADDR);
+    // No host name holds a comma: reject a list here rather than hand it
+    // to the resolver as one odd name.
+    if addr.is_empty() || addr.contains(',') {
+        return Err(format!("bad --addr value {addr:?} (want one host:port)"));
     }
-    let mut cfg = replay_serve::ClientConfig {
-        addrs,
-        ..replay_serve::ClientConfig::default()
-    };
+    let mut cfg = replay_serve::ClientConfig::for_addr(addr);
     cfg.retries = opts.count("retries", cfg.retries)?;
     cfg.seed = opts.count("seed", cfg.seed)?;
     let mut client = replay_serve::Client::new(cfg);
@@ -958,6 +913,9 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The most fault-planting attempts `check --faults` makes per fault kind.
+const MAX_FAULT_ATTEMPTS: u64 = 10_000;
+
 fn cmd_check(args: &[String]) -> Result<(), String> {
     use replay_check::{probe_fault_sensitivity, run_check, to_text, CheckConfig, PassSelection};
 
@@ -965,23 +923,20 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     if !opts.positional.is_empty() {
         return Err(SPEC_CHECK.usage());
     }
-    let cases = match opts.get("cases") {
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| format!("bad --cases value {v:?}"))?,
-        None => 1000,
-    };
-    let seed = match opts.get("seed") {
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| format!("bad --seed value {v:?}"))?,
-        None => 42,
-    };
+    let cases: u64 = opts.count("cases", 1000)?;
+    let seed: u64 = opts.count("seed", 42)?;
 
     if opts.has("faults") {
         // Sensitivity mode: plant every known bug species into optimized
         // frames and require that the differential oracle catches each one.
-        let attempts = cases.min(10_000) as u32;
+        if cases > MAX_FAULT_ATTEMPTS {
+            return Err(format!(
+                "bad --cases value {:?} (--faults makes at most {MAX_FAULT_ATTEMPTS} attempts \
+                 per fault kind)",
+                opts.get("cases").unwrap_or_default()
+            ));
+        }
+        let attempts = cases as u32;
         outln!("planting faults into optimized frames ({attempts} attempts per kind, seed {seed})");
         outln!("{:14} {:>9} {:>9}", "fault", "injected", "detected");
         let mut missed = Vec::new();
@@ -1010,6 +965,12 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     let passes = PassSelection::parse(opts.get("passes").unwrap_or("all"))?;
     let corpus = std::path::PathBuf::from(opts.get("corpus").unwrap_or("tests/corpus"));
     let entries_per_case: u32 = opts.count("entries", 4)?;
+    if entries_per_case == 0 {
+        return Err(format!(
+            "bad --entries value {:?} (want a positive integer)",
+            opts.get("entries").unwrap_or_default()
+        ));
+    }
     let jobs = opts.jobs()?;
 
     // Replay the persisted corpus first: previously-found bugs must stay
@@ -1025,7 +986,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         seed,
         passes,
         jobs,
-        entries_per_case: entries_per_case.max(1),
+        entries_per_case,
         shrink: !opts.has("no-shrink"),
     };
     let t = Instant::now();

@@ -1,7 +1,7 @@
 //! Flags that cannot take effect fail loudly: an out-of-range number is
-//! rejected instead of wrapping into another value, and a cluster-only
-//! flag without cluster mode is an error instead of being ignored. Each
-//! case exits 1 with `error: ...` on stderr and nothing on stdout.
+//! rejected instead of wrapping into another value or being replaced by
+//! one the command can use. Each case exits 1 with `error: ...` on stderr
+//! and nothing on stdout.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -56,15 +56,27 @@ fn out_of_range_integer_flags_are_rejected_not_wrapped() {
 }
 
 #[test]
-fn cluster_addr_without_peers_is_an_error() {
+fn check_values_it_cannot_honor_are_rejected_not_replaced() {
+    // `--entries 0` used to run 1 entry state per case, and `--faults
+    // --cases 20000` used to make 10,000 attempts per kind, both silently.
     assert_rejected(
-        &[
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--cluster-addr",
-            "10.9.9.9:1",
-        ],
-        "--cluster-addr needs --peers",
+        &["check", "--cases", "1", "--entries", "0"],
+        "bad --entries value \"0\" (want a positive integer)",
     );
+    assert_rejected(
+        &["check", "--faults", "--cases", "20000"],
+        "bad --cases value \"20000\" (--faults makes at most 10000 attempts per fault kind)",
+    );
+}
+
+#[test]
+fn submit_takes_one_address_not_a_list() {
+    // The client is single-address; a list (or nothing) fails before any
+    // connect, so nothing is retried.
+    for bad in ["127.0.0.1:1,127.0.0.1:2", ""] {
+        assert_rejected(
+            &["submit", "gzip", "-n", "1000", "--addr", bad],
+            &format!("bad --addr value {bad:?} (want one host:port)"),
+        );
+    }
 }

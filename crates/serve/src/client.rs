@@ -1,6 +1,5 @@
-//! The submitting client: one request, retried with seeded-jitter
-//! exponential backoff on *retryable* outcomes only — and, given several
-//! addresses, ring-aware routing with failover that can't hot-loop.
+//! The submitting client: one request to one server, retried with
+//! seeded-jitter exponential backoff on *retryable* outcomes only.
 //!
 //! Retryable means the server said so ([`Status::is_retryable`]:
 //! overloaded or draining) or the connection itself failed in a way that
@@ -9,25 +8,12 @@
 //! returned immediately; retrying a request the server *answered*
 //! negatively only adds load.
 //!
-//! With more than one address, the client builds the same deterministic
-//! [`Ring`] the servers build and dials the request key's *owner* first,
-//! so a well-configured cluster answers most requests with zero
-//! redirects. Every retryable failure — connect refused, `ShuttingDown`,
-//! `Overloaded` — rotates to the next node on the key's ring route,
-//! which is exactly the node that would own the key if the failed one
-//! left the ring. A [`Status::NotOwner`] redirect (the servers' member
-//! list knows better than ours) is followed immediately, once, with the
-//! request marked [`Request::relayed`] — and a relayed request is never
-//! redirected again, so client↔cluster disagreement degrades to one
-//! extra hop, never a loop.
-//!
-//! Two anti-hot-loop guarantees are pinned by tests here:
+//! Two anti-hot-loop guarantees are pinned by tests:
 //! every backoff delay is at least [`MIN_BACKOFF_MS`] even with a zero
 //! `base_backoff` (the old `nanos/2 + rng % (nanos/2+1)` collapsed to a
-//! zero-length sleep and a busy reconnect loop), and a single-address
-//! client that hits a *draining* server waits at least
-//! [`DRAIN_FLOOR_MS`] instead of hammering it with its own
-//! `retry_after 0` hint.
+//! zero-length sleep and a busy reconnect loop), and a client that hits
+//! a *draining* server waits at least [`DRAIN_FLOOR_MS`] instead of
+//! hammering it with its own `retry_after 0` hint.
 //!
 //! The jitter stream comes from [`replay_rng::SmallRng`] seeded by
 //! [`ClientConfig::seed`], so a test (or a reproduction) observes the
@@ -35,7 +21,6 @@
 //! nondeterministic tests.
 
 use crate::proto::{read_frame, write_frame, Request, Response, Status};
-use crate::ring::Ring;
 use replay_rng::SmallRng;
 use std::io::{self};
 use std::net::TcpStream;
@@ -45,10 +30,8 @@ use std::time::Duration;
 /// 8 retries starting at 25 ms.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Server addresses, `host:port` each. One address is plain
-    /// single-server mode; several enable ring-aware routing (dial the
-    /// key's owner first) and failover rotation.
-    pub addrs: Vec<String>,
+    /// The server address, `host:port`.
+    pub addr: String,
     /// Retry attempts after the first try (0 = try exactly once).
     pub retries: u32,
     /// First backoff delay; doubles each retry.
@@ -70,10 +53,10 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:21075";
 /// overloaded.
 pub const MIN_BACKOFF_MS: u64 = 1;
 
-/// Minimum wait before re-dialing the *same* server that answered
+/// Minimum wait before re-dialing a server that answered
 /// [`Status::ShuttingDown`]. Drain responses carry `retry_after 0`
-/// ("retry immediately, elsewhere"); a client with nowhere else to go
-/// must not turn that hint into a tight loop against the draining
+/// ("retry immediately, elsewhere"); the client has nowhere else to go,
+/// so it must not turn that hint into a tight loop against the draining
 /// process.
 pub const DRAIN_FLOOR_MS: u64 = 10;
 
@@ -81,7 +64,7 @@ impl ClientConfig {
     /// A config for one server address with default tuning.
     pub fn for_addr(addr: impl Into<String>) -> ClientConfig {
         ClientConfig {
-            addrs: vec![addr.into()],
+            addr: addr.into(),
             ..ClientConfig::default()
         }
     }
@@ -90,7 +73,7 @@ impl ClientConfig {
 impl Default for ClientConfig {
     fn default() -> ClientConfig {
         ClientConfig {
-            addrs: vec![DEFAULT_ADDR.to_string()],
+            addr: DEFAULT_ADDR.to_string(),
             retries: 8,
             base_backoff: Duration::from_millis(25),
             max_backoff: Duration::from_secs(2),
@@ -140,20 +123,10 @@ impl std::error::Error for ClientError {}
 /// What one attempt produced, before retry policy is applied.
 enum Attempt {
     Done(Response),
-    /// The node said another member owns the key: re-send there, marked
-    /// relayed, without sleeping — a redirect is information, not
-    /// congestion. Consumes an attempt, so redirects are bounded by the
-    /// retry budget even against a confused cluster.
-    Redirect {
-        owner: String,
-        why: String,
-    },
-    /// Retryable; `floor_ms` is the server's retry-after hint (0 = none)
-    /// and `drain` marks a [`Status::ShuttingDown`] answer.
+    /// Retryable; `floor_ms` lower-bounds the next delay (0 = none).
     Retry {
         why: String,
         floor_ms: u64,
-        drain: bool,
     },
     Fatal(ClientError),
 }
@@ -163,86 +136,29 @@ enum Attempt {
 pub struct Client {
     cfg: ClientConfig,
     rng: SmallRng,
-    /// The same deterministic ring the servers build — present only with
-    /// more than one address.
-    ring: Option<Ring>,
 }
 
 impl Client {
     /// A client with the given tuning; the backoff jitter stream is
     /// deterministic in `cfg.seed`.
-    pub fn new(mut cfg: ClientConfig) -> Client {
-        if cfg.addrs.is_empty() {
-            cfg.addrs.push(DEFAULT_ADDR.to_string());
-        }
-        let ring = if cfg.addrs.len() > 1 {
-            Some(Ring::new(cfg.addrs.clone()))
-        } else {
-            None
-        };
+    pub fn new(cfg: ClientConfig) -> Client {
         let rng = SmallRng::seed_from_u64(cfg.seed ^ 0x7265_706c_6179_7376); // "replaysv"
-        Client { cfg, rng, ring }
-    }
-
-    /// The node order this client will try for `req`: the request key's
-    /// ring route (owner first) with several addresses, the single
-    /// configured address otherwise.
-    fn route_for(&self, req: &Request) -> Vec<String> {
-        match &self.ring {
-            Some(ring) => ring
-                .route(req.key())
-                .into_iter()
-                .map(str::to_string)
-                .collect(),
-            None => self.cfg.addrs.clone(),
-        }
+        Client { cfg, rng }
     }
 
     /// Submits one request, retrying retryable failures with seeded
-    /// exponential backoff — rotating through the key's ring route on
-    /// failure, following at most bounded `NotOwner` redirects — and
-    /// returns the server's Ok response.
+    /// exponential backoff, and returns the server's Ok response.
     pub fn submit(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let route = self.route_for(req);
-        let multi = route.len() > 1;
-        let mut cursor = 0usize;
-        let mut redirect: Option<String> = None;
+        let payload = req.encode();
         let mut last_failure = String::new();
         for attempt in 0..=self.cfg.retries {
-            // A redirect target is dialed with `relayed` set; so is any
-            // node after a rotation (it may not be the owner, and must
-            // serve rather than bounce us onward). The first dial of the
-            // ring owner goes un-relayed so a server with a *better*
-            // member list can still redirect us once.
-            let (target, relayed) = match redirect.take() {
-                Some(owner) => (owner, true),
-                None => (route[cursor % route.len()].clone(), multi && cursor > 0),
-            };
-            let mut wire = req.clone();
-            wire.relayed = relayed;
-            match self.try_once(&target, &wire.encode(), relayed) {
+            match self.try_once(&payload) {
                 Attempt::Done(resp) => return Ok(resp),
                 Attempt::Fatal(e) => return Err(e),
-                Attempt::Redirect { owner, why } => {
+                Attempt::Retry { why, floor_ms } => {
                     last_failure = why;
-                    redirect = Some(owner);
-                }
-                Attempt::Retry {
-                    why,
-                    floor_ms,
-                    drain,
-                } => {
-                    last_failure = why;
-                    cursor += 1; // failover: next node on the ring route
-                                 // A draining server's hint is "elsewhere, now"; with
-                                 // nowhere else to rotate to, wait it out instead.
-                    let floor = if drain && !multi {
-                        floor_ms.max(DRAIN_FLOOR_MS)
-                    } else {
-                        floor_ms
-                    };
                     if attempt < self.cfg.retries {
-                        std::thread::sleep(self.backoff_delay(attempt, floor));
+                        std::thread::sleep(self.backoff_delay(attempt, floor_ms));
                     }
                 }
             }
@@ -253,15 +169,15 @@ impl Client {
         })
     }
 
-    /// One wire round trip against `target`.
-    fn try_once(&mut self, target: &str, payload: &[u8], sent_relayed: bool) -> Attempt {
+    /// One wire round trip against the configured server.
+    fn try_once(&mut self, payload: &[u8]) -> Attempt {
+        let target = self.cfg.addr.as_str();
         let mut conn = match TcpStream::connect(target) {
             Ok(c) => c,
             Err(e) if connect_is_retryable(&e) => {
                 return Attempt::Retry {
                     why: format!("connect {target}: {e}"),
                     floor_ms: 0,
-                    drain: false,
                 };
             }
             Err(e) => return Attempt::Fatal(ClientError::Io(format!("connect {target}: {e}"))),
@@ -273,7 +189,6 @@ impl Client {
             return Attempt::Retry {
                 why: format!("send: {e}"),
                 floor_ms: 0,
-                drain: false,
             };
         }
         let frame = match read_frame(&mut conn) {
@@ -284,7 +199,6 @@ impl Client {
                 return Attempt::Retry {
                     why: format!("recv: {e}"),
                     floor_ms: 0,
-                    drain: false,
                 }
             }
         };
@@ -294,26 +208,16 @@ impl Client {
         };
         match resp.status {
             Status::Ok => Attempt::Done(resp),
-            Status::NotOwner => match resp.owner_addr() {
-                // A server must never redirect a relayed request; if one
-                // does anyway (mixed versions, misconfiguration), treat
-                // it as congestion — rotate with backoff — rather than
-                // following redirects in a circle.
-                Some(owner) if !sent_relayed => Attempt::Redirect {
-                    owner: owner.to_string(),
-                    why: format!("redirected to {owner}"),
-                },
-                _ => Attempt::Retry {
-                    why: "unfollowable NotOwner redirect".to_string(),
-                    floor_ms: DRAIN_FLOOR_MS,
-                    drain: false,
-                },
-            },
             s if s.is_retryable() => Attempt::Retry {
                 why: format!("{s}: {}", resp.message),
-                // The server's hint becomes the floor of the next delay.
-                floor_ms: resp.retry_after_ms,
-                drain: s == Status::ShuttingDown,
+                // The server's hint becomes the floor of the next delay. A
+                // draining server's hint is "elsewhere, now"; with nowhere
+                // else to go, wait it out instead.
+                floor_ms: if s == Status::ShuttingDown {
+                    resp.retry_after_ms.max(DRAIN_FLOOR_MS)
+                } else {
+                    resp.retry_after_ms
+                },
             },
             status => Attempt::Fatal(ClientError::Rejected {
                 status,
@@ -427,54 +331,11 @@ mod tests {
     #[test]
     fn drain_floor_constant_is_nonzero() {
         // The ShuttingDown hint is retry_after 0; DRAIN_FLOOR_MS is what
-        // keeps a single-address client from hammering a draining server.
-        // (The end-to-end behavior is pinned in tests/cluster.rs.)
+        // keeps a client from hammering a draining server. (The end-to-end
+        // behavior is pinned in tests/service.rs.)
         const { assert!(DRAIN_FLOOR_MS >= 1) };
         let mut c = Client::new(ClientConfig::default());
         let d = c.backoff_delay(0, DRAIN_FLOOR_MS);
         assert!(d >= Duration::from_millis(DRAIN_FLOOR_MS));
-    }
-
-    #[test]
-    fn multi_address_client_builds_the_server_ring() {
-        let addrs = vec![
-            "10.0.0.1:1".to_string(),
-            "10.0.0.2:1".to_string(),
-            "10.0.0.3:1".to_string(),
-        ];
-        let c = Client::new(ClientConfig {
-            addrs: addrs.clone(),
-            ..ClientConfig::default()
-        });
-        let ring = Ring::new(addrs);
-        let req = Request {
-            source: crate::proto::Source::Workload("gzip".into()),
-            scale: 1000,
-            timings: false,
-            deadline_ms: 0,
-            relayed: false,
-        };
-        let route = c.route_for(&req);
-        let expect: Vec<String> = ring
-            .route(req.key())
-            .into_iter()
-            .map(String::from)
-            .collect();
-        assert_eq!(route, expect, "client route == server ring route");
-        assert_eq!(
-            route[0],
-            ring.owner(req.key()).unwrap(),
-            "owner dialed first"
-        );
-    }
-
-    #[test]
-    fn empty_address_list_falls_back_to_default() {
-        let c = Client::new(ClientConfig {
-            addrs: Vec::new(),
-            ..ClientConfig::default()
-        });
-        assert_eq!(c.cfg.addrs, vec![DEFAULT_ADDR.to_string()]);
-        assert!(c.ring.is_none());
     }
 }

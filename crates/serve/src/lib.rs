@@ -43,12 +43,11 @@
 //! - **Observability** — queue depths, batch sizes, shed/deadline/retry
 //!   counts, and per-request latency land in a [`replay_obs::Profile`]
 //!   returned from [`Server::run`].
-//! - **Cluster mode** — `--peers` shards the request key space over a
-//!   deterministic consistent-hash ring ([`ring`]); non-owners answer
-//!   `NotOwner` naming the owner ([`cluster`]), and the multi-address
-//!   client fails over along the same ring without ever hot-looping.
-//!   Nodes exchange no artifacts: each loads or synthesizes its own
-//!   traces, and co-located nodes may share one cache directory.
+//!
+//! One process is the whole service; there is no cluster mode. Several
+//! standalone `replay serve` processes share nothing but, optionally, a
+//! cache directory, and all render through the same deterministic path,
+//! so behind any TCP balancer they answer byte-identically.
 //!
 //! The wire format ([`proto`]) reuses `replay-store`'s little-endian
 //! codec and FNV-1a [`replay_store::Digest64`] for request keys and
@@ -59,17 +58,13 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod cluster;
 pub mod conn;
 pub mod poll;
 pub mod proto;
 pub mod queue;
-pub mod ring;
 pub mod server;
 pub mod signal;
 
 pub use client::{Client, ClientConfig, ClientError, DEFAULT_ADDR, DRAIN_FLOOR_MS, MIN_BACKOFF_MS};
-pub use cluster::{ClusterConfig, ClusterState};
 pub use proto::{Request, Response, Source, Status};
-pub use ring::Ring;
 pub use server::{ServeStats, Server, ServerConfig};

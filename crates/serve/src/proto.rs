@@ -19,13 +19,9 @@
 //! typed [`Status`] — overload and shutdown are *data*, not dropped
 //! connections — plus the exact `replay report --json` bytes on success.
 //!
-//! Cluster mode adds no message kinds, only the [`Status::NotOwner`]
-//! redirect and the [`Request::relayed`] flag, which together make
-//! redirect loops impossible: a server only ever answers `NotOwner` to a
-//! *non-relayed* request, and a failover client only ever re-targets a
-//! non-owner with `relayed` set. A server decodes every inbound payload
-//! as a [`Request`]; any other kind — including [`PeerFetch`], the one
-//! peer message still encodable — is answered [`Status::BadRequest`].
+//! A server decodes every inbound payload as a [`Request`]; any other
+//! kind — including [`PeerFetch`], the one peer message still encodable
+//! — is answered [`Status::BadRequest`].
 
 use replay_store::{digest_bytes, Digest64, Reader, WireError, Writer};
 use std::io::{self, Read, Write};
@@ -34,9 +30,10 @@ use std::io::{self, Read, Write};
 pub const MAGIC: u32 = u32::from_le_bytes(*b"RSV1");
 
 /// Protocol version. Bump on any incompatible payload change.
-/// v2: requests carry the cluster `relayed` flag and the `NotOwner`
-/// status exists.
-pub const VERSION: u16 = 2;
+/// v2: requests carry the `relayed` flag.
+/// v3: the cluster's owner-redirect status (wire code 6) is gone; a v3
+/// peer refuses code 6 as a bad status tag.
+pub const VERSION: u16 = 3;
 
 /// Hard ceiling on a request's `scale`, in records. Synthesis length and
 /// memory follow scale with no other bound (about 166 bytes a record),
@@ -102,12 +99,10 @@ pub struct Request {
     /// A request older than its deadline when dispatch begins is answered
     /// with [`Status::DeadlineExceeded`] instead of being simulated.
     pub deadline_ms: u64,
-    /// Cluster routing flag: set when the client has already routed this
-    /// request (it followed a [`Status::NotOwner`] redirect or rotated off
-    /// the ring owner). A server must serve a relayed request locally — never
-    /// answer [`Status::NotOwner`] — which is what bounds every request
-    /// to at most one redirect and makes redirect loops impossible.
-    /// Excluded from [`Request::key`]: routing does not change identity.
+    /// Encoded and decoded, but ignored by the server: it marked a request
+    /// already routed once by the removed cluster mode. It stays on the
+    /// wire because the benchmark's `serve` workload builds `Request`
+    /// literals with it. Excluded from [`Request::key`].
     pub relayed: bool,
 }
 
@@ -221,18 +216,10 @@ pub enum Status {
     ShuttingDown,
     /// The server failed internally; the message says how.
     Internal,
-    /// Cluster redirect: this node does not own the request's ring slot.
-    /// The owner's address travels in [`Response::message`]; the client
-    /// should resend there (with [`Request::relayed`] set, so the owner —
-    /// or any fallback node — serves it rather than redirecting again).
-    /// Not retryable in the backoff sense: the redirect is immediate.
-    NotOwner,
 }
 
 impl Status {
     /// Whether a client should retry (with backoff) on this status.
-    /// `NotOwner` is excluded: it is an immediate redirect, not a
-    /// transient failure to wait out.
     pub fn is_retryable(self) -> bool {
         matches!(self, Status::Overloaded | Status::ShuttingDown)
     }
@@ -245,7 +232,6 @@ impl Status {
             Status::DeadlineExceeded => 3,
             Status::ShuttingDown => 4,
             Status::Internal => 5,
-            Status::NotOwner => 6,
         }
     }
 
@@ -257,7 +243,6 @@ impl Status {
             3 => Status::DeadlineExceeded,
             4 => Status::ShuttingDown,
             5 => Status::Internal,
-            6 => Status::NotOwner,
             t => {
                 return Err(WireError::BadTag {
                     what: "status",
@@ -277,7 +262,6 @@ impl std::fmt::Display for Status {
             Status::DeadlineExceeded => "deadline exceeded",
             Status::ShuttingDown => "shutting down",
             Status::Internal => "internal error",
-            Status::NotOwner => "not owner",
         })
     }
 }
@@ -323,20 +307,6 @@ impl Response {
         self
     }
 
-    /// A cluster redirect naming the ring owner's address.
-    pub fn not_owner(owner: impl Into<String>) -> Response {
-        Response::reject(Status::NotOwner, owner)
-    }
-
-    /// The owner address carried by a [`Status::NotOwner`] redirect.
-    pub fn owner_addr(&self) -> Option<&str> {
-        if self.status == Status::NotOwner && !self.message.is_empty() {
-            Some(&self.message)
-        } else {
-            None
-        }
-    }
-
     /// Encodes the response payload (checksummed; framing is separate).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = header(MSG_RESPONSE);
@@ -375,10 +345,10 @@ impl Response {
 }
 
 /// A peer-artifact fetch, as older cluster nodes sent it: "do you hold
-/// `{class}-{key:016x}.rpa`?" Nodes no longer exchange artifacts, so a
-/// server answers this [`Status::BadRequest`] on its front without
-/// queueing anything — which makes it a cheap round-trip probe of the
-/// front alone. Only the encoder remains.
+/// `{class}-{key:016x}.rpa`?" A server answers this [`Status::BadRequest`]
+/// on its front without queueing anything, which makes it a cheap
+/// round-trip probe of the front alone; the benchmark's `serve` workload
+/// sends it as its wire probe. Only the encoder remains.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerFetch {
     /// Artifact class name ("trace").
@@ -511,6 +481,24 @@ mod tests {
     }
 
     #[test]
+    fn the_removed_redirect_status_code_is_refused() {
+        // v3 dropped status code 6; a sealed response carrying it decodes
+        // to a bad status tag, never to some other status.
+        let mut bytes = Response::ok(Vec::new()).encode();
+        let body_len = bytes.len() - 8;
+        bytes[7] = 6; // after magic (4), version (2) and kind (1)
+        let fixed = digest_bytes(&bytes[..body_len]).to_le_bytes();
+        bytes[body_len..].copy_from_slice(&fixed);
+        assert!(matches!(
+            Response::decode(&bytes),
+            Err(WireError::BadTag {
+                what: "status",
+                value: 6
+            })
+        ));
+    }
+
+    #[test]
     fn message_dispatches_every_kind() {
         // Each decoder takes exactly its own kind byte and refuses every
         // other one as a BadTag on the kind: requests (1), responses (2)
@@ -533,14 +521,9 @@ mod tests {
         assert_eq!(Request::decode(&req_bytes).unwrap(), req);
         assert_eq!(kind_of(Response::decode(&req_bytes).map(drop)), Some(1));
 
-        let resp_bytes = Response::not_owner("10.0.0.3:21075").encode();
-        let redirect = Response::decode(&resp_bytes).unwrap();
-        assert_eq!(redirect.status, Status::NotOwner);
-        assert_eq!(redirect.owner_addr(), Some("10.0.0.3:21075"));
-        assert!(
-            !redirect.status.is_retryable(),
-            "NotOwner is a redirect, not a retry"
-        );
+        let resp = Response::reject(Status::Internal, "boom");
+        let resp_bytes = resp.encode();
+        assert_eq!(Response::decode(&resp_bytes).unwrap(), resp);
         assert_eq!(kind_of(Request::decode(&resp_bytes).map(drop)), Some(2));
 
         let fetch = PeerFetch {
@@ -610,7 +593,7 @@ mod tests {
         assert_eq!(base.key(), other.key());
         other.deadline_ms = 99; // deadlines do not affect identity
         assert_eq!(base.key(), other.key());
-        other.relayed = true; // routing does not affect identity
+        other.relayed = true; // an ignored flag does not affect identity
         assert_eq!(base.key(), other.key());
         other.scale = 2000;
         assert_ne!(base.key(), other.key());

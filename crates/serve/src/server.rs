@@ -42,7 +42,6 @@
 //! timing windows tests shrink. The request deadline default, the overload
 //! retry hint and the inline-trace cache size are constants.
 
-use crate::cluster::{ClusterConfig, ClusterState, RequestRoute};
 use crate::conn::{Conn, ConnState, ReadStep, WriteStep};
 use crate::poll;
 use crate::proto::{Request, Response, Source, Status};
@@ -131,11 +130,6 @@ impl ServeStats {
         self.profile.counter("serve.responses.write_failed")
     }
 
-    /// Cluster mode: requests answered [`Status::NotOwner`].
-    pub fn redirected(&self) -> u64 {
-        self.profile.counter("serve.ring.redirected")
-    }
-
     /// Requests shed with [`Status::Overloaded`] (connection ceiling and
     /// work queue).
     pub fn shed(&self) -> u64 {
@@ -203,7 +197,6 @@ pub struct Server {
     bell: poll::Doorbell,
     cfg: ServerConfig,
     stop: Arc<AtomicBool>,
-    cluster: Option<ClusterState>,
     trace_store: Option<Arc<TraceStore>>,
 }
 
@@ -223,7 +216,6 @@ impl Server {
             bell,
             cfg,
             stop: Arc::new(AtomicBool::new(false)),
-            cluster: None,
             trace_store: None,
         })
     }
@@ -240,24 +232,12 @@ impl Server {
     }
 
     /// Serves from this private trace store instead of the process-wide
-    /// [`TraceStore::global`]. This is how several in-process servers
-    /// (tests, embedders) keep separate memoization and counters, so a
-    /// test can tell which node synthesized what.
+    /// [`TraceStore::global`]. This is how an in-process server (tests,
+    /// embedders) keeps its own memoization and counters, so a test can
+    /// count what this server synthesized.
     pub fn with_trace_store(mut self, trace_store: Arc<TraceStore>) -> Server {
         self.trace_store = Some(trace_store);
         self
-    }
-
-    /// Enables cluster mode: builds the ring state requests are routed
-    /// by. Call after [`Server::bind`] (tests bind port 0 first, learn
-    /// every node's real address, then configure).
-    pub fn configure_cluster(&mut self, cfg: ClusterConfig) {
-        self.cluster = Some(ClusterState::new(cfg));
-    }
-
-    /// The cluster state [`Server::configure_cluster`] built, if any.
-    pub fn cluster(&self) -> Option<&ClusterState> {
-        self.cluster.as_ref()
     }
 
     /// Serves until shutdown, then drains in-flight work and returns the
@@ -280,7 +260,6 @@ impl Server {
             .trace_store
             .as_deref()
             .unwrap_or_else(|| TraceStore::global());
-        let cluster = self.cluster.as_ref();
         let work_q: Bounded<Job> = Bounded::new(cfg.work_queue);
         let completions: Bounded<Completion> = Bounded::new(usize::MAX);
         let bell = Arc::new(self.bell);
@@ -294,7 +273,7 @@ impl Server {
             {
                 let (work_q, completions, registry) = (&work_q, &completions, &registry);
                 scope.spawn(move || {
-                    let profile = dispatcher_loop(cfg, work_q, completions, trace_store, cluster);
+                    let profile = dispatcher_loop(cfg, work_q, completions, trace_store);
                     registry.submit(1, profile);
                 });
             }
@@ -306,11 +285,6 @@ impl Server {
             registry.submit(0, profile);
         });
 
-        if let Some(cl) = cluster {
-            let mut obs = Obs::collecting();
-            cl.observe_into(&mut obs);
-            registry.submit(usize::MAX, obs.into_profile());
-        }
         ServeStats {
             profile: registry.finish(),
         }
@@ -352,7 +326,6 @@ fn dispatcher_loop(
     work_q: &Bounded<Job>,
     completions: &Bounded<Completion>,
     trace_store: &TraceStore,
-    cluster: Option<&ClusterState>,
 ) -> Profile {
     let mut obs = Obs::collecting();
     let mut inline_traces = InlineTraceCache::default();
@@ -386,28 +359,24 @@ fn dispatcher_loop(
             &mut inline_traces,
             completions,
             trace_store,
-            cluster,
             &mut obs,
         );
     }
     obs.into_profile()
 }
 
-/// Deadline check → ring routing → trace resolution → one `run_specs`
-/// call → responses.
-#[allow(clippy::too_many_arguments)]
+/// Deadline check → trace resolution → one `run_specs` call → responses.
 fn process_batch(
     cfg: &ServerConfig,
     batch: Vec<Job>,
     inline_traces: &mut InlineTraceCache,
     completions: &Bounded<Completion>,
     trace_store: &TraceStore,
-    cluster: Option<&ClusterState>,
     obs: &mut Obs,
 ) {
     // Shed expired jobs first: simulating a request nobody is waiting on
     // wastes the pool.
-    let mut routed: Vec<Job> = Vec::with_capacity(batch.len());
+    let mut live: Vec<Job> = Vec::with_capacity(batch.len());
     for job in batch {
         let limit = if job.req.deadline_ms > 0 {
             Duration::from_millis(job.req.deadline_ms)
@@ -422,24 +391,7 @@ fn process_batch(
             );
             finish_job(job, &resp, completions, obs);
         } else {
-            routed.push(job);
-        }
-    }
-
-    // Ring routing: redirect requests another node owns. A relayed
-    // request is always Local — see `ClusterState::route_request` for the
-    // anti-loop invariant.
-    let mut live: Vec<Job> = Vec::with_capacity(routed.len());
-    for job in routed {
-        let Some(cl) = cluster else {
             live.push(job);
-            continue;
-        };
-        match cl.route_request(&job.req) {
-            RequestRoute::Local => live.push(job),
-            RequestRoute::Redirect(owner) => {
-                finish_job(job, &Response::not_owner(owner), completions, obs);
-            }
         }
     }
 

@@ -37,7 +37,7 @@ fn spawn_server(
 
 fn client(addr: &str, seed: u64) -> Client {
     Client::new(ClientConfig {
-        addrs: vec![addr.to_string()],
+        addr: addr.to_string(),
         seed,
         retries: 10,
         base_backoff: Duration::from_millis(5),

@@ -6,10 +6,11 @@
 //! server in this test process. Real signal delivery is exercised by the
 //! CI smoke job, where the server is its own process.
 
-use replay_serve::proto::{read_frame, write_frame, MAX_SCALE};
+use replay_serve::proto::{read_frame, write_frame, PeerFetch, MAX_SCALE};
 use replay_serve::server::RETRY_AFTER;
 use replay_serve::{
     Client, ClientConfig, ClientError, Request, Response, Server, ServerConfig, Source, Status,
+    MIN_BACKOFF_MS,
 };
 use replay_sim::report::strip_store_section;
 use replay_sim::TraceStore;
@@ -39,7 +40,7 @@ fn spawn_server(
 
 fn client(addr: &str, seed: u64) -> Client {
     Client::new(ClientConfig {
-        addrs: vec![addr.to_string()],
+        addr: addr.to_string(),
         seed,
         // Tests that expect success give the client room to outlast any
         // transient overload window.
@@ -221,7 +222,7 @@ fn overload_sheds_typed_and_seeded_backoff_converges() {
         for seed in 0..n_clients {
             scope.spawn(move || {
                 let mut c = Client::new(ClientConfig {
-                    addrs: vec![addr.to_string()],
+                    addr: addr.to_string(),
                     seed,
                     retries: 40,
                     base_backoff: Duration::from_millis(10),
@@ -382,4 +383,61 @@ fn shutdown_drains_in_flight_work_before_returning() {
     std::thread::sleep(Duration::from_millis(20));
     let refused = std::net::TcpStream::connect(&addr);
     assert!(refused.is_err(), "listener must be closed after drain");
+}
+
+#[test]
+fn a_peer_fetch_is_answered_bad_request_on_the_front() {
+    // perfbench's `serve` workload times exactly this round trip as its
+    // wire probe, so the contract is: an inline BadRequest, never queued.
+    let (addr, stop, handle) = spawn_server(ServerConfig::default());
+    let probe = PeerFetch {
+        class: "trace".to_string(),
+        key: 0,
+    }
+    .encode();
+    for _ in 0..3 {
+        let mut conn = TcpStream::connect(&addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        write_frame(&mut conn, &probe).expect("send");
+        let resp = Response::decode(&read_frame(&mut conn).expect("recv")).expect("decode");
+        assert_eq!(resp.status, Status::BadRequest);
+    }
+
+    stop.store(true, Ordering::SeqCst);
+    let stats = handle.join().expect("server thread");
+    assert_eq!(stats.profile.counter("serve.requests.received"), 0);
+    assert_eq!(stats.profile.counter("serve.batches"), 0);
+    assert_eq!(stats.profile.counter("serve.requests.bad"), 3);
+}
+
+#[test]
+fn a_draining_server_does_not_let_a_lone_client_hot_loop() {
+    let (addr, stop, handle) = spawn_server(ServerConfig::default());
+    stop.store(true, Ordering::SeqCst);
+    let stats = handle.join().expect("server thread"); // fully drained: port now refuses
+    assert_eq!(stats.write_failed(), 0);
+
+    // A zero-base-backoff client with only this dead address used to
+    // spin through its retries in microseconds. The MIN_BACKOFF_MS
+    // clamp makes every retry wait at least 1 ms.
+    let retries = 20u32;
+    let mut c = Client::new(ClientConfig {
+        addr,
+        retries,
+        base_backoff: Duration::ZERO,
+        max_backoff: Duration::ZERO,
+        seed: 5,
+        ..ClientConfig::default()
+    });
+    let start = std::time::Instant::now();
+    let err = c
+        .submit(&workload_request("gzip"))
+        .expect_err("server is gone");
+    let elapsed = start.elapsed();
+    assert!(matches!(err, ClientError::Exhausted { .. }), "{err}");
+    assert!(
+        elapsed >= Duration::from_millis(u64::from(retries) * MIN_BACKOFF_MS),
+        "retries burned in {elapsed:?}: the backoff floor is not being applied"
+    );
 }

@@ -19,10 +19,10 @@
 //!
 //! A store backed by a persistent [`Store`] looks each missing segment up
 //! on disk before synthesizing it, and persists what it synthesizes.
-//! Nothing else fills a cell: serving nodes never ship traces to each
-//! other, because a trace is a deterministic function of its workload
-//! spec and synthesizing it locally costs about half of fetching it from
-//! a peer over loopback.
+//! Nothing else fills a cell: separate processes share traces only
+//! through that disk store, because a trace is a deterministic function
+//! of its workload spec and synthesizing it locally costs about half of
+//! fetching it from another process over loopback.
 
 use crate::parallel;
 use replay_store::{digest_bytes, Digest64, Store};

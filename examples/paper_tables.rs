@@ -36,12 +36,17 @@ fn ablation_apps() -> Vec<Workload> {
         .collect()
 }
 
+/// The scale of every `sweeps` data point, in x86 instructions per
+/// segment: the sweeps take no SCALE argument.
+const SWEEP_SCALE: usize = 20_000;
+
 /// The design-choice sweep data points quoted in EXPERIMENTS.md's
 /// "Design-choice sweeps" section, then the §5.1.1 uop/x86 expansion
 /// ratio over every workload.
-fn sweeps(scale: usize) {
-    let n = scale.min(20_000);
-    let trace = workloads::by_name("bzip2").unwrap().segment_trace(0, n);
+fn sweeps() {
+    let trace = workloads::by_name("bzip2")
+        .unwrap()
+        .segment_trace(0, SWEEP_SCALE);
     // One sweep point: RPO with one parameter edited.
     let point = |edit: &dyn Fn(&mut SimConfig)| {
         let mut cfg = SimConfig::new(ConfigKind::ReplayOpt).without_verify();
@@ -55,7 +60,7 @@ fn sweeps(scale: usize) {
         }
         outln!();
     };
-    outln!("Design-choice sweeps, bzip2 RPO (scale {n} x86/segment)");
+    outln!("Design-choice sweeps, bzip2 RPO (scale {SWEEP_SCALE} x86/segment)");
     let latency = [1, 10, 40].map(|v| point(&|c| c.datapath.cycles_per_uop = v));
     line("optimizer latency (cycles/uop 1, 10, 40)", &latency);
     let frame_size = [32, 256].map(|v| point(&|c| c.constructor.max_uops = v));
@@ -76,7 +81,7 @@ fn sweeps(scale: usize) {
             for (addr, bytes) in &data {
                 interp.machine.mem.write_bytes(*addr, bytes);
             }
-            interp.run(n).expect("workload runs");
+            interp.run(SWEEP_SCALE).expect("workload runs");
             let t = interp.translator();
             (t.x86_count(), t.uop_count())
         })
@@ -265,7 +270,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_args(&args) {
         Ok(("models", scale, _, jobs)) => models(scale, jobs),
-        Ok(("sweeps", scale, _, _)) => sweeps(scale),
+        Ok(("sweeps", ..)) => sweeps(),
         Ok((_, scale, model, jobs)) => tables(scale, model, jobs),
         Err(e) => {
             eprintln!("error: {e}");
