@@ -8,8 +8,8 @@
 //!                                           simulate one configuration
 //! replay compare <workload|FILE> [-n N]     all four configurations side by side
 //! replay report <workload|FILE> --json FILE emit the structured profile artifact
-//! replay serve [--addr ADDR] [-j N]         TCP simulation service (batching,
-//!                                           backpressure, graceful drain)
+//! replay serve [--addr ADDR] [-j N]         TCP simulation service (bounded
+//!                                           queue, shedding, graceful drain)
 //! replay submit <workload|FILE> [--addr ADDR]
 //!                                           send a request to a running server
 //! replay frames <workload> [-n N] [--top K] inspect the most-optimized frames
@@ -360,15 +360,14 @@ const SPEC_REPORT: CmdSpec = CmdSpec {
 const SPEC_SERVE: CmdSpec = CmdSpec {
     name: "serve",
     positional: "",
-    about: "run the TCP simulation service, one standalone process: batches \
-            submitted requests onto the shared worker pool and answers each with \
-            the replay-report/v3 bytes a local `replay report --json` would produce",
+    about: "run the TCP simulation service, one standalone process: runs each \
+            submitted request on the shared worker pool and answers it with the \
+            replay-report/v3 bytes a local `replay report --json` would produce",
     flags: &[
         flag(&["addr"], "ADDR"),
         JOBS_FLAG,
         flag(&["max-conns"], "N"),
         flag(&["work-queue"], "N"),
-        flag(&["batch-max"], "N"),
         CACHE_DIR_FLAG,
         NO_STORE_FLAG,
     ],
@@ -544,13 +543,25 @@ impl<'a> Opts<'a> {
     /// else the machine's available parallelism. `1` forces the legacy
     /// serial path (no worker threads at all).
     fn jobs(&self) -> Result<usize, String> {
-        match self.get("jobs") {
-            Some(v) => match v.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(format!("bad --jobs value {v:?} (want a positive integer)")),
-            },
+        match self.positive("jobs")? {
+            Some(n) => Ok(n),
             None => parallel::job_count(),
         }
+    }
+
+    /// The value of a flag that must be a positive integer, if given: zero
+    /// and a malformed or out-of-range value are errors.
+    fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+        &self,
+        name: &str,
+    ) -> Result<Option<T>, String> {
+        self.get(name)
+            .map(|v| {
+                v.parse().ok().filter(|n| *n >= T::from(1)).ok_or_else(|| {
+                    format!("bad {} value {v:?} (want a positive integer)", dashed(name))
+                })
+            })
+            .transpose()
     }
 }
 
@@ -829,26 +840,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         jobs: opts.jobs()?,
         ..replay_serve::ServerConfig::default()
     };
-    if let Some(n) = opts.get("work-queue") {
-        cfg.work_queue = n
-            .parse()
-            .ok()
-            .filter(|n| *n >= 1)
-            .ok_or_else(|| format!("bad --work-queue value {n:?}"))?;
+    if let Some(n) = opts.positive("work-queue")? {
+        cfg.work_queue = n;
     }
-    if let Some(n) = opts.get("batch-max") {
-        cfg.batch_max = n
-            .parse()
-            .ok()
-            .filter(|n| *n >= 1)
-            .ok_or_else(|| format!("bad --batch-max value {n:?}"))?;
-    }
-    if let Some(n) = opts.get("max-conns") {
-        cfg.max_conns = n
-            .parse()
-            .ok()
-            .filter(|n| *n >= 1)
-            .ok_or_else(|| format!("bad --max-conns value {n:?}"))?;
+    if let Some(n) = opts.positive("max-conns")? {
+        cfg.max_conns = n;
     }
     replay_serve::signal::install();
     // Every held connection is a file descriptor; give the ceiling
@@ -929,6 +925,17 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     if opts.has("faults") {
         // Sensitivity mode: plant every known bug species into optimized
         // frames and require that the differential oracle catches each one.
+        // It reads no other flag, so any other one is an error, not a no-op.
+        if let Some((name, _)) = opts
+            .flags
+            .iter()
+            .find(|(n, _)| !matches!(*n, "faults" | "cases" | "seed"))
+        {
+            return Err(format!(
+                "{} does not apply to --faults (it takes only --cases and --seed)",
+                dashed(name)
+            ));
+        }
         if cases > MAX_FAULT_ATTEMPTS {
             return Err(format!(
                 "bad --cases value {:?} (--faults makes at most {MAX_FAULT_ATTEMPTS} attempts \
@@ -964,13 +971,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 
     let passes = PassSelection::parse(opts.get("passes").unwrap_or("all"))?;
     let corpus = std::path::PathBuf::from(opts.get("corpus").unwrap_or("tests/corpus"));
-    let entries_per_case: u32 = opts.count("entries", 4)?;
-    if entries_per_case == 0 {
-        return Err(format!(
-            "bad --entries value {:?} (want a positive integer)",
-            opts.get("entries").unwrap_or_default()
-        ));
-    }
+    let entries_per_case: u32 = opts.positive("entries")?.unwrap_or(4);
     let jobs = opts.jobs()?;
 
     // Replay the persisted corpus first: previously-found bugs must stay

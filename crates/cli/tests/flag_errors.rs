@@ -51,7 +51,7 @@ fn out_of_range_integer_flags_are_rejected_not_wrapped() {
     }
     assert_rejected(
         &["check", "--cases", "1", "--entries", "4294967296"],
-        "bad --entries value \"4294967296\"",
+        "bad --entries value \"4294967296\" (want a positive integer)",
     );
 }
 
@@ -67,6 +67,54 @@ fn check_values_it_cannot_honor_are_rejected_not_replaced() {
         &["check", "--faults", "--cases", "20000"],
         "bad --cases value \"20000\" (--faults makes at most 10000 attempts per fault kind)",
     );
+}
+
+#[test]
+fn check_faults_rejects_the_flags_it_does_not_read() {
+    // `--faults` reads only `--cases` and `--seed`; every other flag used
+    // to be dropped silently, and the run still passed.
+    let message = |flag: &str| {
+        format!("{flag} does not apply to --faults (it takes only --cases and --seed)")
+    };
+    assert_rejected(
+        &[
+            "check",
+            "--faults",
+            "--cases",
+            "5",
+            "--entries",
+            "0",
+            "--passes",
+            "nonsense",
+            "--corpus",
+            "/nonexistent",
+            "--no-shrink",
+            "--jobs",
+            "0",
+        ],
+        &message("--entries"),
+    );
+    for extra in [
+        &["--passes", "all"][..],
+        &["--corpus", "tests/corpus"],
+        &["--entries", "4"],
+        &["--no-shrink"],
+        &["--jobs", "1"],
+    ] {
+        let mut args = vec!["check", "--faults", "--cases", "5", "--seed", "1"];
+        args.extend_from_slice(extra);
+        assert_rejected(&args, &message(extra[0]));
+    }
+}
+
+#[test]
+fn serve_bounds_must_be_positive() {
+    for flag in ["--work-queue", "--max-conns"] {
+        assert_rejected(
+            &["serve", "--addr", "127.0.0.1:0", "--no-store", flag, "0"],
+            &format!("bad {flag} value \"0\" (want a positive integer)"),
+        );
+    }
 }
 
 #[test]

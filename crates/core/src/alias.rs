@@ -37,7 +37,7 @@ impl AliasProfile {
         AliasProfile::default()
     }
 
-    fn key(a: u32, b: u32) -> (u32, u32) {
+    fn ordered(a: u32, b: u32) -> (u32, u32) {
         if a <= b {
             (a, b)
         } else {
@@ -48,7 +48,7 @@ impl AliasProfile {
     /// Records that the memory instructions at `a` and `b` touched the same
     /// address in some dynamic instance.
     pub fn record(&mut self, a: u32, b: u32) {
-        let key = Self::key(a, b);
+        let key = Self::ordered(a, b);
         if self.pairs.insert(key) {
             self.log.push(key);
         }
@@ -72,7 +72,7 @@ impl AliasProfile {
 
     /// True if an aliasing event between `a` and `b` was ever observed.
     pub fn aliased(&self, a: u32, b: u32) -> bool {
-        self.pairs.contains(&Self::key(a, b))
+        self.pairs.contains(&Self::ordered(a, b))
     }
 
     /// Number of recorded aliasing pairs.

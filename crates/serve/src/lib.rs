@@ -6,9 +6,9 @@
 //!
 //! A request — a workload name or an inline trace file, plus a scale —
 //! is answered with the exact bytes `replay report --json` would produce
-//! locally: the server dispatches every batch through the same
-//! [`replay_sim::report`] renderer and the same deterministic worker
-//! pool, so the response is byte-identical to a local run at any
+//! locally: the server answers every request with the same
+//! [`replay_sim::report::run_report`] call and the same deterministic
+//! worker pool, so the response is byte-identical to a local run at any
 //! `--jobs` count, cold or warm (after stripping the intentionally
 //! non-reproducible `store` section — see
 //! [`replay_sim::report::strip_store_section`]).
@@ -26,10 +26,8 @@
 //!   queue is answered [`proto::Status::Overloaded`] with a retry hint,
 //!   and a *draining* server answers [`proto::Status::ShuttingDown`],
 //!   instead of hanging the connection ([`queue`]).
-//! - **Batching with deduplication** — the dispatcher collects requests
-//!   into batches, deduplicates identical ones (one simulation, many
-//!   responses), and submits each batch as a single worker-pool run
-//!   ([`server`]).
+//! - **One request per dispatch** — the dispatcher pops one job and
+//!   answers it alone with one worker-pool run ([`server`]).
 //! - **Deadlines** — a request that sat queued past its deadline is
 //!   answered [`proto::Status::DeadlineExceeded`], not simulated for
 //!   nobody.
@@ -40,9 +38,9 @@
 //! - **Graceful drain** — SIGTERM/ctrl-c ([`signal`]) or the programmatic
 //!   flag stops accepting immediately, then every parsed request is
 //!   simulated and answered before [`Server::run`] returns.
-//! - **Observability** — queue depths, batch sizes, shed/deadline/retry
-//!   counts, and per-request latency land in a [`replay_obs::Profile`]
-//!   returned from [`Server::run`].
+//! - **Observability** — queue depths, shed/deadline/retry counts, and
+//!   per-request latency land in a [`replay_obs::Profile`] returned from
+//!   [`Server::run`].
 //!
 //! One process is the whole service; there is no cluster mode. Several
 //! standalone `replay serve` processes share nothing but, optionally, a
@@ -50,8 +48,8 @@
 //! so behind any TCP balancer they answer byte-identically.
 //!
 //! The wire format ([`proto`]) reuses `replay-store`'s little-endian
-//! codec and FNV-1a [`replay_store::Digest64`] for request keys and
-//! payload checksums: length-prefixed frames, magic + version header,
+//! codec and FNV-1a [`replay_store::Digest64`] for payload and
+//! inline-trace checksums: length-prefixed frames, magic + version header,
 //! checksum trailer, total (panic-free) decoding.
 
 #![deny(unsafe_code)]

@@ -8,10 +8,11 @@
 //!
 //! and every payload reuses `replay-store`'s little-endian [`Writer`] /
 //! [`Reader`] codec, opens with a magic + version header, and closes with
-//! a trailing FNV-1a checksum of everything before it ([`Digest64`], the
-//! same digest the artifact store keys on). The reader side is total:
-//! any malformed input — truncation, a bad tag, a checksum mismatch — is
-//! a [`WireError`], never a panic, because peers may send anything.
+//! a trailing FNV-1a checksum of everything before it
+//! ([`Digest64`](replay_store::Digest64), the same digest the artifact
+//! store keys on). The reader side is total: any malformed input —
+//! truncation, a bad tag, a checksum mismatch — is a [`WireError`],
+//! never a panic, because peers may send anything.
 //!
 //! A request names either a synthetic workload (by name) or ships a
 //! trace file's bytes inline (with their own content digest, which the
@@ -23,7 +24,7 @@
 //! kind — including [`PeerFetch`], the one peer message still encodable
 //! — is answered [`Status::BadRequest`].
 
-use replay_store::{digest_bytes, Digest64, Reader, WireError, Writer};
+use replay_store::{digest_bytes, Reader, WireError, Writer};
 use std::io::{self, Read, Write};
 
 /// Frame/payload magic: `b"RSV1"` little-endian.
@@ -102,33 +103,11 @@ pub struct Request {
     /// Encoded and decoded, but ignored by the server: it marked a request
     /// already routed once by the removed cluster mode. It stays on the
     /// wire because the benchmark's `serve` workload builds `Request`
-    /// literals with it. Excluded from [`Request::key`].
+    /// literals with it.
     pub relayed: bool,
 }
 
 impl Request {
-    /// The request's content key: identical requests digest identically,
-    /// which is what batch-local deduplication and the server's inline-
-    /// trace cache key on. Inline traces contribute their content digest,
-    /// not their bytes, so the key is cheap to compare.
-    pub fn key(&self) -> u64 {
-        let mut d = Digest64::new();
-        d.write_str("replay-serve/request");
-        match &self.source {
-            Source::Workload(name) => {
-                d.write_u8(0);
-                d.write_str(name);
-            }
-            Source::TraceBytes(bytes) => {
-                d.write_u8(1);
-                d.write_u64(digest_bytes(bytes));
-            }
-        }
-        d.write_u64(self.scale);
-        d.write_bool(self.timings);
-        d.finish()
-    }
-
     /// Encodes the request payload (checksummed; framing is separate).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = header(MSG_REQUEST);
@@ -578,28 +557,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn request_key_distinguishes_what_matters() {
-        let base = Request {
-            source: Source::Workload("gzip".into()),
-            scale: 1000,
-            timings: false,
-            deadline_ms: 0,
-            relayed: false,
-        };
-        let mut other = base.clone();
-        assert_eq!(base.key(), other.key());
-        other.deadline_ms = 99; // deadlines do not affect identity
-        assert_eq!(base.key(), other.key());
-        other.relayed = true; // an ignored flag does not affect identity
-        assert_eq!(base.key(), other.key());
-        other.scale = 2000;
-        assert_ne!(base.key(), other.key());
-        let mut named = base.clone();
-        named.source = Source::Workload("eon".into());
-        assert_ne!(base.key(), named.key());
     }
 
     #[test]

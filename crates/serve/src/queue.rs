@@ -17,7 +17,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -29,12 +28,13 @@ pub enum PushError<T> {
     Closed(T),
 }
 
-/// Outcome of a potentially-waiting pop.
+/// Outcome of a pop.
 #[derive(Debug)]
 pub enum Pop<T> {
     /// An item.
     Item(T),
-    /// The wait elapsed with nothing available (queue still open).
+    /// Nothing queued yet (queue still open); only [`Bounded::try_pop`]
+    /// answers this.
     Empty,
     /// Closed *and* drained — the consumer is done.
     Closed,
@@ -140,36 +140,13 @@ impl<T> Bounded<T> {
             s = self.available.wait(s).expect("queue poisoned");
         }
     }
-
-    /// Pop with a wait bounded by `timeout`: [`Pop::Empty`] if nothing
-    /// arrived in time.
-    pub fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
-        let deadline = Instant::now() + timeout;
-        let mut s = self.state.lock().expect("queue poisoned");
-        loop {
-            if let Some(item) = s.items.pop_front() {
-                return Pop::Item(item);
-            }
-            if s.closed {
-                return Pop::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Pop::Empty;
-            }
-            let (guard, _) = self
-                .available
-                .wait_timeout(s, deadline - now)
-                .expect("queue poisoned");
-            s = guard;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn full_queue_sheds_instead_of_blocking() {
@@ -190,15 +167,6 @@ mod tests {
         assert!(matches!(q.pop(), Pop::Item(1)));
         assert!(matches!(q.pop(), Pop::Item(2)));
         assert!(matches!(q.pop(), Pop::Closed));
-    }
-
-    #[test]
-    fn pop_timeout_reports_empty_on_an_open_queue() {
-        let q: Bounded<u32> = Bounded::new(1);
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(5)),
-            Pop::Empty
-        ));
     }
 
     #[test]

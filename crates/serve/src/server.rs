@@ -10,7 +10,7 @@
 //!   work queue (bounded)           │
 //!     │                            │
 //!     ▼                            │
-//!   dispatcher: batch → dedupe → run_specs → respond
+//!   dispatcher: one job → run_report → respond
 //! ```
 //!
 //! The front is one thread ([`crate::poll`] + [`crate::conn`]) that holds
@@ -24,12 +24,10 @@
 //! over [`ServerConfig::max_conns`]) turns into a typed
 //! [`Status::Overloaded`] response with a [`RETRY_AFTER`] hint, a *closed* queue
 //! (the server is draining) into [`Status::ShuttingDown`] — never a hung
-//! connection. The dispatcher collects jobs into batches (deduplicating
-//! identical requests batch-locally), runs each batch as one
-//! [`run_specs`] call on the shared worker pool, and renders responses
-//! through the same [`replay_sim::report`] code path the CLI uses — which
-//! is what makes a served body byte-identical to a local
-//! `replay report --json`.
+//! connection. The dispatcher pops one job at a time and answers it with
+//! one [`run_report`] call on the shared worker pool — the function a
+//! local `replay report --json` reaches with the generic core model,
+//! which is what makes a served body byte-identical to a local one.
 //!
 //! Shutdown (programmatic flag or SIGTERM via [`crate::signal`]) stops
 //! the accept path immediately, then *drains*: requests already parsed
@@ -38,9 +36,9 @@
 //! [`Server::run`] return.
 //!
 //! [`ServerConfig`] holds only what deployments or tests set: the worker
-//! count, the queue and batch bounds, the connection ceiling, and the
-//! timing windows tests shrink. The request deadline default, the overload
-//! retry hint and the inline-trace cache size are constants.
+//! count, the queue bound, the connection ceiling, and the timing windows
+//! tests shrink. The request deadline default, the overload retry hint
+//! and the inline-trace cache size are constants.
 
 use crate::conn::{Conn, ConnState, ReadStep, WriteStep};
 use crate::poll;
@@ -48,8 +46,7 @@ use crate::proto::{Request, Response, Source, Status};
 use crate::queue::{Bounded, Pop, PushError};
 use crate::signal;
 use replay_obs::{Obs, Profile, Registry};
-use replay_sim::experiment::run_specs;
-use replay_sim::report::{render_report, specs_for_trace};
+use replay_sim::report::run_report;
 use replay_sim::TraceStore;
 use replay_trace::{read_trace, workloads, Trace};
 use std::io;
@@ -59,27 +56,22 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tuning for one [`Server`]. `Default` is sized for a small shared box;
-/// tests shrink the queues to force shedding and set `batch_hold` to
+/// tests shrink the queues to force shedding and set `dispatch_hold` to
 /// make races deterministic.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Simulation worker threads per batch (the CLI's `--jobs`).
+    /// Simulation worker threads per request (the CLI's `--jobs`).
     pub jobs: usize,
     /// Parsed requests awaiting dispatch before shedding starts.
     pub work_queue: usize,
-    /// Most requests dispatched as one simulation batch.
-    pub batch_max: usize,
-    /// How long the dispatcher lingers for stragglers after the first
-    /// job of a batch arrives.
-    pub batch_linger: Duration,
     /// How long a connection may sit *mid-frame* (or mid-response)
     /// without moving a byte before being closed — a connection that has
     /// sent nothing at all is idle, not stalled, and is never timed out.
     pub io_timeout: Duration,
-    /// Test hook: sleep this long before executing each batch, making
+    /// Test hook: sleep this long before executing each job, making
     /// overload and deadline windows deterministic under test. Zero in
     /// production.
-    pub batch_hold: Duration,
+    pub dispatch_hold: Duration,
     /// Concurrent-connection ceiling; the connection that would exceed
     /// it is answered [`Status::Overloaded`] immediately.
     pub max_conns: usize,
@@ -101,18 +93,16 @@ impl Default for ServerConfig {
         ServerConfig {
             jobs: replay_sim::parallel::available_jobs(),
             work_queue: 64,
-            batch_max: 8,
-            batch_linger: Duration::from_millis(2),
             io_timeout: Duration::from_secs(10),
-            batch_hold: Duration::ZERO,
+            dispatch_hold: Duration::ZERO,
             max_conns: 20_000,
         }
     }
 }
 
 /// What [`Server::run`] returns after draining: the serve-side metrics
-/// profile (queue depths, batch sizes, shed/latency accounting, and the
-/// per-state connection counters).
+/// profile (queue depths, shed/latency accounting, and the per-state
+/// connection counters).
 #[derive(Debug)]
 pub struct ServeStats {
     /// Merged metrics from every serving thread, deterministic order.
@@ -319,8 +309,7 @@ impl InlineTraceCache {
     }
 }
 
-/// Collects jobs into batches, deduplicates identical requests, runs each
-/// batch as one pool submission, and answers every job.
+/// Pops one job at a time and answers it alone.
 fn dispatcher_loop(
     cfg: &ServerConfig,
     work_q: &Bounded<Job>,
@@ -330,32 +319,18 @@ fn dispatcher_loop(
     let mut obs = Obs::collecting();
     let mut inline_traces = InlineTraceCache::default();
     loop {
-        let first = match work_q.pop() {
+        let job = match work_q.pop() {
             Pop::Item(j) => j,
             Pop::Closed => break,
             Pop::Empty => continue,
         };
-        let mut batch = vec![first];
-        let linger_until = Instant::now() + cfg.batch_linger;
-        while batch.len() < cfg.batch_max.max(1) {
-            let now = Instant::now();
-            if now >= linger_until {
-                break;
-            }
-            match work_q.pop_timeout(linger_until - now) {
-                Pop::Item(j) => batch.push(j),
-                Pop::Empty | Pop::Closed => break,
-            }
-        }
-        obs.counter("serve.batches", 1);
-        obs.hist("serve.batch_size", batch.len() as u64);
         obs.hist("serve.queue_depth", work_q.len() as u64);
-        if !cfg.batch_hold.is_zero() {
-            std::thread::sleep(cfg.batch_hold);
+        if !cfg.dispatch_hold.is_zero() {
+            std::thread::sleep(cfg.dispatch_hold);
         }
-        process_batch(
+        process_job(
             cfg,
-            batch,
+            job,
             &mut inline_traces,
             completions,
             trace_store,
@@ -365,120 +340,69 @@ fn dispatcher_loop(
     obs.into_profile()
 }
 
-/// Deadline check → trace resolution → one `run_specs` call → responses.
-fn process_batch(
+/// Deadline check → trace resolution → [`run_report`] → response.
+fn process_job(
     cfg: &ServerConfig,
-    batch: Vec<Job>,
+    job: Job,
     inline_traces: &mut InlineTraceCache,
     completions: &Bounded<Completion>,
     trace_store: &TraceStore,
     obs: &mut Obs,
 ) {
-    // Shed expired jobs first: simulating a request nobody is waiting on
-    // wastes the pool.
-    let mut live: Vec<Job> = Vec::with_capacity(batch.len());
-    for job in batch {
-        let limit = if job.req.deadline_ms > 0 {
-            Duration::from_millis(job.req.deadline_ms)
-        } else {
-            DEFAULT_DEADLINE
-        };
-        if job.received.elapsed() > limit {
-            obs.counter("serve.requests.deadline", 1);
-            let resp = Response::reject(
-                Status::DeadlineExceeded,
-                format!("queued longer than {limit:?}"),
-            );
-            finish_job(job, &resp, completions, obs);
-        } else {
-            live.push(job);
-        }
-    }
-
-    // Group identical requests: one simulation, many responses. Groups
-    // keep first-arrival order so results map back deterministically.
-    let mut groups: Vec<(u64, Vec<Job>)> = Vec::new();
-    for job in live {
-        let key = job.req.key();
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, jobs)) => {
-                obs.counter("serve.requests.deduped", 1);
-                jobs.push(job);
-            }
-            None => groups.push((key, vec![job])),
-        }
-    }
-
-    // Resolve traces, turning failures into BadRequest for every waiter
-    // of that group.
-    let mut runnable: Vec<(Arc<Trace>, bool, Vec<Job>)> = Vec::new();
-    for (_key, jobs) in groups {
-        let req = &jobs[0].req;
-        let scale = req.scale as usize;
-        let resolved: Result<Arc<Trace>, String> = match &req.source {
-            Source::Workload(name) => match workloads::by_name(name) {
-                Some(w) => Ok(trace_store.segment(&w, 0, scale)),
-                None => Err(format!("unknown workload {name:?}")),
-            },
-            Source::TraceBytes(bytes) => {
-                let digest = replay_store::digest_bytes(bytes);
-                match inline_traces.get(digest) {
-                    Some(t) => {
-                        obs.counter("serve.inline_trace.hits", 1);
-                        Ok(t)
-                    }
-                    None => match read_trace(&bytes[..]) {
-                        Ok(t) => {
-                            let t = Arc::new(t);
-                            inline_traces.insert(digest, Arc::clone(&t), obs);
-                            Ok(t)
-                        }
-                        Err(e) => Err(format!("undecodable trace payload: {e}")),
-                    },
-                }
-            }
-        };
-        match resolved {
-            Ok(trace) => runnable.push((trace, req.timings, jobs)),
-            Err(msg) => {
-                let resp = Response::reject(Status::BadRequest, &msg);
-                for job in jobs {
-                    obs.counter("serve.requests.bad", 1);
-                    finish_job(job, &resp, completions, obs);
-                }
-            }
-        }
-    }
-    if runnable.is_empty() {
+    // Shed an expired job first: simulating a request nobody is waiting
+    // on wastes the pool.
+    let limit = if job.req.deadline_ms > 0 {
+        Duration::from_millis(job.req.deadline_ms)
+    } else {
+        DEFAULT_DEADLINE
+    };
+    if job.received.elapsed() > limit {
+        obs.counter("serve.requests.deadline", 1);
+        let resp = Response::reject(
+            Status::DeadlineExceeded,
+            format!("queued longer than {limit:?}"),
+        );
+        finish_job(job, &resp, completions, obs);
         return;
     }
 
-    // One pool submission for the whole batch: four specs per unique
-    // request, results in submission order, bit-identical at any `jobs`.
-    let specs: Vec<_> = runnable
-        .iter()
-        .flat_map(|(trace, _, _)| specs_for_trace(trace))
-        .collect();
-    let results = run_specs(&specs, cfg.jobs);
-    for (chunk, (trace, timings, jobs)) in results
-        .chunks_exact(replay_sim::ConfigKind::ALL.len())
-        .zip(runnable)
-    {
-        // The service always simulates the generic core model, matching a
-        // local `replay report --json` with no `--core-model` override.
-        let json = render_report(
-            &trace.name,
-            trace.len(),
-            replay_sim::CoreModel::Generic,
-            chunk,
-            timings,
-        );
-        let resp = Response::ok(json.into_bytes());
-        for job in jobs {
-            obs.counter("serve.requests.ok", 1);
-            finish_job(job, &resp, completions, obs);
+    let resolved: Result<Arc<Trace>, String> = match &job.req.source {
+        Source::Workload(name) => match workloads::by_name(name) {
+            Some(w) => Ok(trace_store.segment(&w, 0, job.req.scale as usize)),
+            None => Err(format!("unknown workload {name:?}")),
+        },
+        Source::TraceBytes(bytes) => {
+            let digest = replay_store::digest_bytes(bytes);
+            match inline_traces.get(digest) {
+                Some(t) => {
+                    obs.counter("serve.inline_trace.hits", 1);
+                    Ok(t)
+                }
+                None => match read_trace(&bytes[..]) {
+                    Ok(t) => {
+                        let t = Arc::new(t);
+                        inline_traces.insert(digest, Arc::clone(&t), obs);
+                        Ok(t)
+                    }
+                    Err(e) => Err(format!("undecodable trace payload: {e}")),
+                },
+            }
         }
-    }
+    };
+    let resp = match resolved {
+        // The function `replay report` reaches with the generic core
+        // model, so a served body equals a local one by construction.
+        Ok(trace) => {
+            let (_, json) = run_report(&trace, cfg.jobs, job.req.timings);
+            obs.counter("serve.requests.ok", 1);
+            Response::ok(json.into_bytes())
+        }
+        Err(msg) => {
+            obs.counter("serve.requests.bad", 1);
+            Response::reject(Status::BadRequest, &msg)
+        }
+    };
+    finish_job(job, &resp, completions, obs);
 }
 
 #[cfg(unix)]

@@ -227,7 +227,7 @@ fn hang_up_while_dispatched(
 ) -> (replay_serve::ServeStats, Option<Vec<u8>>) {
     let (addr, stop, handle) = spawn_server(ServerConfig {
         jobs: 1,
-        batch_hold: Duration::from_millis(500),
+        dispatch_hold: Duration::from_millis(500),
         ..ServerConfig::default()
     });
     let mut conn = TcpStream::connect(&addr).expect("connect");
@@ -236,7 +236,7 @@ fn hang_up_while_dispatched(
         .expect("send request");
     let reply = after_send(conn);
     // Let the server read the frame before the drain starts; the drain
-    // then waits for the held batch.
+    // then waits for the held job.
     std::thread::sleep(Duration::from_millis(100));
     stop.store(true, Ordering::SeqCst);
     (handle.join().expect("server thread"), reply)
@@ -245,7 +245,7 @@ fn hang_up_while_dispatched(
 #[test]
 fn a_peer_hanging_up_while_dispatched_does_not_spin_the_poll_loop() {
     // Hang-up reports are level-triggered: one left armed on a dispatched
-    // connection wakes every poll wait for the whole 500 ms batch hold,
+    // connection wakes every poll wait for the whole 500 ms dispatch hold,
     // hundreds of thousands of times, stealing CPU from the simulation
     // worker. A quiet server wakes a handful of times.
     const MAX_WAKEUPS: u64 = 20;
@@ -287,7 +287,7 @@ fn deadline_responses_land_in_the_latency_histogram() {
     // used to bypass latency accounting entirely.
     let (addr, stop, handle) = spawn_server(ServerConfig {
         jobs: 1,
-        batch_hold: Duration::from_millis(120),
+        dispatch_hold: Duration::from_millis(120),
         ..ServerConfig::default()
     });
     let mut c = client(&addr, 15);

@@ -203,7 +203,7 @@ fn a_scale_over_the_limit_is_rejected_before_synthesis() {
 
 #[test]
 fn overload_sheds_typed_and_seeded_backoff_converges() {
-    // A one-slot work queue and a dispatcher that holds each batch long
+    // A one-slot work queue and a dispatcher that holds each job long
     // enough for concurrent submitters to pile up: some requests must be
     // shed with a typed Overloaded (not a hang, not a dropped connection),
     // and a client retrying on its seeded backoff schedule must still land
@@ -211,8 +211,7 @@ fn overload_sheds_typed_and_seeded_backoff_converges() {
     let (addr, stop, handle) = spawn_server(ServerConfig {
         jobs: 1,
         work_queue: 1,
-        batch_max: 1,
-        batch_hold: Duration::from_millis(150),
+        dispatch_hold: Duration::from_millis(150),
         ..ServerConfig::default()
     });
 
@@ -239,9 +238,8 @@ fn overload_sheds_typed_and_seeded_backoff_converges() {
 
     stop.store(true, Ordering::SeqCst);
     let stats = handle.join().expect("server thread");
-    // Every client got an Ok; the dedupe counter plus ok counter accounts
-    // for all successful submissions.
-    assert!(stats.served() >= 1);
+    // Every client got an Ok, and each Ok is one simulation.
+    assert_eq!(stats.served(), n_clients);
     assert!(
         stats.shed() > 0,
         "six concurrent clients against a one-slot work queue must shed at least once; stats: served={} shed={}",
@@ -287,10 +285,10 @@ fn connection_ceiling_sheds_typed_overloaded_and_recovers() {
 
 #[test]
 fn expired_deadline_is_deadline_exceeded_not_a_stale_report() {
-    // The dispatcher holds every batch for 120 ms; a 10 ms deadline is
+    // The dispatcher holds every job for 120 ms; a 10 ms deadline is
     // guaranteed to have lapsed by execution time.
     let (addr, stop, handle) = spawn_server(ServerConfig {
-        batch_hold: Duration::from_millis(120),
+        dispatch_hold: Duration::from_millis(120),
         ..ServerConfig::default()
     });
     let mut c = client(&addr, 5);
@@ -308,13 +306,12 @@ fn expired_deadline_is_deadline_exceeded_not_a_stale_report() {
 }
 
 #[test]
-fn batching_dedupes_identical_requests_into_one_simulation() {
-    // A long linger plus a held dispatcher guarantees the concurrent
-    // identical requests land in the same batch, so they must collapse to
-    // one simulation answered many times.
+fn concurrent_identical_requests_each_get_the_local_report() {
+    // Four identical requests in flight at once, queued behind a held
+    // dispatcher: each is simulated on its own, and every one gets the
+    // bytes a local `replay report --json` prints.
     let (addr, stop, handle) = spawn_server(ServerConfig {
-        batch_linger: Duration::from_millis(300),
-        batch_hold: Duration::from_millis(100),
+        dispatch_hold: Duration::from_millis(100),
         work_queue: 32,
         ..ServerConfig::default()
     });
@@ -332,28 +329,24 @@ fn batching_dedupes_identical_requests_into_one_simulation() {
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    for b in &bodies[1..] {
-        assert_eq!(b, &bodies[0], "deduped waiters must all get the same bytes");
+    let local = strip_store_section(&local_report("vortex", 1));
+    for b in &bodies {
+        assert_eq!(b, &local, "served bytes differ from a local report");
     }
 
     stop.store(true, Ordering::SeqCst);
     let stats = handle.join().expect("server thread");
-    assert_eq!(stats.served(), n);
-    assert!(
-        stats.profile.counter("serve.requests.deduped") > 0,
-        "identical concurrent requests in one batch must dedupe; profile:\n{}",
-        stats.profile.render_table(false)
-    );
+    assert_eq!(stats.profile.counter("serve.requests.ok"), n);
 }
 
 #[test]
 fn shutdown_drains_in_flight_work_before_returning() {
-    // Submit while the dispatcher is holding the batch, flip the shutdown
+    // Submit while the dispatcher is holding the job, flip the shutdown
     // flag mid-flight, and require (a) the in-flight request still gets
     // its full Ok response and (b) run() has returned — i.e. drain, not
     // abort and not linger.
     let (addr, stop, handle) = spawn_server(ServerConfig {
-        batch_hold: Duration::from_millis(200),
+        dispatch_hold: Duration::from_millis(200),
         ..ServerConfig::default()
     });
 
@@ -365,7 +358,7 @@ fn shutdown_drains_in_flight_work_before_returning() {
         })
     };
     // Give the request time to be accepted and parsed, then pull the plug
-    // while the dispatcher is still holding the batch.
+    // while the dispatcher is still holding the job.
     std::thread::sleep(Duration::from_millis(80));
     stop.store(true, Ordering::SeqCst);
 
@@ -407,7 +400,7 @@ fn a_peer_fetch_is_answered_bad_request_on_the_front() {
     stop.store(true, Ordering::SeqCst);
     let stats = handle.join().expect("server thread");
     assert_eq!(stats.profile.counter("serve.requests.received"), 0);
-    assert_eq!(stats.profile.counter("serve.batches"), 0);
+    assert_eq!(stats.served(), 0);
     assert_eq!(stats.profile.counter("serve.requests.bad"), 3);
 }
 
