@@ -1,6 +1,6 @@
 //! The regression corpus: shrunk counterexamples persisted as text files.
 //!
-//! Every failure the harness finds is reduced ([`crate::shrink`]) and
+//! Every failure the harness finds is reduced ([`crate::shrink()`]) and
 //! written as a `.case` file under `tests/corpus/`, and CI replays the
 //! whole directory on every run — a bug found once by fuzzing is guarded
 //! forever by a deterministic test.

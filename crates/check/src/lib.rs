@@ -15,7 +15,7 @@
 //!   preserve semantics from every entry state, with
 //!   [`replay_core::OptFrame::validate`] guarding structure after every
 //!   pass and [`replay_verify::verify_differential`] guarding semantics;
-//! * [`shrink`] — delta-debugging reduction of failures to minimal frames;
+//! * [`shrink`](mod@shrink) — delta-debugging reduction of failures to minimal frames;
 //! * [`corpus`] — a line-oriented text format persisting shrunk
 //!   counterexamples under `tests/corpus/`, replayed by CI forever after;
 //! * [`fault`] — mutation-style fault injection (drop a store, swap

@@ -22,7 +22,7 @@
 
 use crate::gen::entry_state;
 use replay_core::{
-    exec_frame, run_pass, AliasProfile, ExecPlan, FrameOutcome, OptFrame, OptStats, PassCtx,
+    exec_frame, run_pass, AliasProfile, ExecPlan, FrameOutcome, OptConfig, OptFrame, OptStats,
     PassId, PlanScratch,
 };
 use replay_frame::Frame;
@@ -96,11 +96,11 @@ pub fn raw_frame(frame: &Frame) -> OptFrame {
 /// Returns [`CheckError::Invariant`] naming the offending pass.
 pub fn apply_passes(frame: &Frame, passes: &[PassId]) -> Result<OptFrame, CheckError> {
     let profile = AliasProfile::empty();
-    let ctx = PassCtx::full(&profile);
+    let cfg = OptConfig::default();
     let mut stats = OptStats::default();
     let mut f = OptFrame::from_frame(frame);
     for &pass in passes {
-        run_pass(&mut f, pass, &ctx, &mut stats);
+        run_pass(&mut f, pass, &cfg, &profile, &mut stats);
         if let Err(detail) = f.validate() {
             return Err(CheckError::Invariant { pass, detail });
         }

@@ -919,7 +919,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     if !opts.positional.is_empty() {
         return Err(SPEC_CHECK.usage());
     }
-    let cases: u64 = opts.count("cases", 1000)?;
+    let cases: u64 = opts.positive("cases")?.unwrap_or(1000);
     let seed: u64 = opts.count("seed", 42)?;
 
     if opts.has("faults") {

@@ -70,6 +70,17 @@ fn check_values_it_cannot_honor_are_rejected_not_replaced() {
 }
 
 #[test]
+fn check_cases_must_be_positive() {
+    // `--cases 0` used to check nothing and pass, and under `--faults` to
+    // blame the oracle for every fault kind it was never shown.
+    for mode in [&[][..], &["--faults"]] {
+        let mut args = vec!["check", "--cases", "0"];
+        args.extend_from_slice(mode);
+        assert_rejected(&args, "bad --cases value \"0\" (want a positive integer)");
+    }
+}
+
+#[test]
 fn check_faults_rejects_the_flags_it_does_not_read() {
     // `--faults` reads only `--cases` and `--seed`; every other flag used
     // to be dropped silently, and the run still passed.

@@ -80,7 +80,7 @@ pub use datapath::{DatapathConfig, OptimizerDatapath};
 pub use exec::{exec_frame, probe_frame, ExecScratch, FrameOutcome, MemTransaction, ProbeOutcome};
 pub use frame_ir::OptFrame;
 pub use ir::{FlagsSrc, Operand, OptUop, Slot, Src};
-pub use passid::{run_pass, PassCtx, PassId};
+pub use passid::{run_pass, PassId};
 pub use pipeline::{observe_opt_totals, optimize, optimize_timed, OptConfig, OptScope, OptTimings};
 pub use plan::{ExecPlan, PlanScratch};
 pub use schedule::reschedule;

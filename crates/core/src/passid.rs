@@ -9,7 +9,7 @@
 
 use crate::alias::AliasProfile;
 use crate::passes;
-use crate::pipeline::OptScope;
+use crate::pipeline::OptConfig;
 use crate::{OptFrame, OptStats};
 use std::fmt;
 
@@ -77,43 +77,18 @@ impl fmt::Display for PassId {
     }
 }
 
-/// Everything a single pass invocation needs beyond the frame itself.
-///
-/// Mirrors the knobs of [`crate::OptConfig`] that individual passes consume;
-/// the permutation harness constructs one directly, the pipeline driver
-/// derives one from its `OptConfig`.
-#[derive(Debug, Clone, Copy)]
-pub struct PassCtx<'a> {
-    /// Optimization scope (frame / block / inter-block).
-    pub scope: OptScope,
-    /// The alias profile consulted by speculative memory optimization.
-    pub profile: &'a AliasProfile,
-    /// Allow speculative memory optimization across may-alias stores.
-    pub speculative: bool,
-    /// Enable the store-forwarding half of the memory pass.
-    pub store_fwd: bool,
-    /// Enable the redundant-load-elimination half of the memory pass.
-    pub redundant_loads: bool,
-}
-
-impl<'a> PassCtx<'a> {
-    /// A context with everything enabled at frame scope over the given
-    /// profile — the RPO configuration's view of a single pass.
-    pub fn full(profile: &'a AliasProfile) -> PassCtx<'a> {
-        PassCtx {
-            scope: OptScope::Frame,
-            profile,
-            speculative: true,
-            store_fwd: true,
-            redundant_loads: true,
-        }
-    }
-}
-
-/// Runs one pass over a frame, accumulating its counters into `stats`.
-/// Returns the number of changes the pass made (the pipeline's quiescence
-/// measure: rewrites + removals + fusions + folds).
-pub fn run_pass(f: &mut OptFrame, pass: PassId, ctx: &PassCtx<'_>, stats: &mut OptStats) -> u64 {
+/// Runs one pass over a frame under `cfg`'s scope and memory settings,
+/// accumulating its counters into `stats`. Returns the number of changes
+/// the pass made (the pipeline's quiescence measure: rewrites + removals +
+/// fusions + folds). The pass runs whether or not `cfg` enables it (the
+/// caller decides, see [`OptConfig::enables`]).
+pub fn run_pass(
+    f: &mut OptFrame,
+    pass: PassId,
+    cfg: &OptConfig,
+    profile: &AliasProfile,
+    stats: &mut OptStats,
+) -> u64 {
     match pass {
         PassId::NopRemoval => {
             let n = passes::nop_removal(f);
@@ -121,29 +96,29 @@ pub fn run_pass(f: &mut OptFrame, pass: PassId, ctx: &PassCtx<'_>, stats: &mut O
             n
         }
         PassId::ConstProp => {
-            let r = passes::const_prop(f, ctx.scope);
+            let r = passes::const_prop(f, cfg.scope);
             stats.const_folded += r.folded;
             stats.asserts_removed += r.asserts_removed;
             r.folded + r.operands_folded + r.asserts_removed
         }
         PassId::Reassociate => {
-            let n = passes::reassociate(f, ctx.scope);
+            let n = passes::reassociate(f, cfg.scope);
             stats.reassociations += n;
             n
         }
         PassId::AssertFuse => {
-            let n = passes::assert_fuse(f, ctx.scope);
+            let n = passes::assert_fuse(f, cfg.scope);
             stats.assert_fusions += n;
             n
         }
         PassId::MemoryOpt => {
             let r = passes::memory_opt(
                 f,
-                ctx.scope,
-                ctx.profile,
-                ctx.speculative,
-                ctx.store_fwd,
-                ctx.redundant_loads,
+                cfg.scope,
+                profile,
+                cfg.speculative_memory,
+                cfg.store_fwd,
+                cfg.cse,
             );
             stats.store_forwards += r.store_forwards;
             stats.cse_loads += r.redundant_loads;
@@ -151,12 +126,12 @@ pub fn run_pass(f: &mut OptFrame, pass: PassId, ctx: &PassCtx<'_>, stats: &mut O
             r.store_forwards + r.redundant_loads
         }
         PassId::CseAlu => {
-            let n = passes::cse_alu(f, ctx.scope);
+            let n = passes::cse_alu(f, cfg.scope);
             stats.cse_alu += n;
             n
         }
         PassId::Dce => {
-            let n = passes::dce(f, ctx.scope);
+            let n = passes::dce(f, cfg.scope);
             stats.dce_removed += n;
             n
         }

@@ -1,9 +1,9 @@
 //! The optimization pipeline: configuration and the pass driver.
 
-use crate::passid::{run_pass, PassCtx, PassId};
+use crate::passid::{run_pass, PassId};
 use crate::{AliasProfile, OptFrame, OptStats};
 use replay_frame::Frame;
-use replay_obs::{Hist, Obs};
+use replay_obs::{Hist, Profile};
 use std::time::Instant;
 
 /// The scope at which optimizations are applied (§3, §6.3).
@@ -152,17 +152,6 @@ impl OptConfig {
             PassId::Dce => true,
         }
     }
-
-    /// The per-pass context this configuration induces over a profile.
-    pub fn pass_ctx<'a>(&self, profile: &'a AliasProfile) -> PassCtx<'a> {
-        PassCtx {
-            scope: self.scope,
-            profile,
-            speculative: self.speculative_memory,
-            store_fwd: self.store_fwd,
-            redundant_loads: self.cse,
-        }
-    }
 }
 
 /// Optimizes a frame: remap → pass pipeline → cleanup/compaction.
@@ -244,14 +233,13 @@ fn run_pipeline(
         ..OptStats::default()
     };
 
-    let ctx = cfg.pass_ctx(profile);
     for _ in 0..cfg.max_iterations.max(1) {
         let mut changed = 0u64;
         for (pi, pass) in PassId::ALL.into_iter().enumerate() {
             if cfg.enables(pass) {
                 let pass_start = timings.is_some().then(Instant::now);
                 let valid_before = f.uop_count();
-                let rewrites = run_pass(&mut f, pass, &ctx, &mut stats);
+                let rewrites = run_pass(&mut f, pass, cfg, profile, &mut stats);
                 changed += rewrites;
                 stats.rewrites_by_pass[pi] += rewrites;
                 // Valid-slot delta: which pass actually invalidated uops.
@@ -300,28 +288,25 @@ fn run_pipeline(
 /// identical one counts exactly as a freshly optimized one while adding no
 /// time.
 pub fn observe_opt_totals(
-    obs: &mut Obs,
+    profile: &mut Profile,
     cfg: &OptConfig,
     stats: &OptStats,
     removed: &Hist,
     timings: &OptTimings,
 ) {
-    if !obs.enabled() {
-        return;
-    }
     if removed.count() > 0 {
-        obs.counter("opt.frames", removed.count());
-        obs.counter("opt.iterations", stats.iterations);
-        obs.hist_merge("opt.frame_removed_uops", removed);
+        profile.counter_add("opt.frames", removed.count());
+        profile.counter_add("opt.iterations", stats.iterations);
+        profile.hist_merge("opt.frame_removed_uops", removed);
         for (pi, pass) in PassId::ALL.into_iter().enumerate() {
             if cfg.enables(pass) {
-                obs.counter(
+                profile.counter_add(
                     &format!("opt.pass.{}.rewrites", pass.name()),
                     stats.rewrites_by_pass[pi],
                 );
             }
             if stats.removed_by_pass[pi] != 0 {
-                obs.counter(
+                profile.counter_add(
                     &format!("opt.pass.{}.removed_uops", pass.name()),
                     stats.removed_by_pass[pi],
                 );
@@ -329,10 +314,10 @@ pub fn observe_opt_totals(
         }
     }
     if timings.frames > 0 {
-        obs.duration_ns("opt.time_ns", timings.total_ns);
+        profile.duration_add_ns("opt.time_ns", timings.total_ns);
         for (pi, pass) in PassId::ALL.into_iter().enumerate() {
             if cfg.enables(pass) {
-                obs.duration_ns(
+                profile.duration_add_ns(
                     &format!("opt.pass.{}.time_ns", pass.name()),
                     timings.pass_ns[pi],
                 );

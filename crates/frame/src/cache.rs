@@ -1,7 +1,7 @@
 //! The frame cache.
 
 use crate::Frame;
-use replay_obs::Obs;
+use replay_obs::Profile;
 
 /// Hit/miss counters for the frame cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,17 +33,14 @@ impl CacheStats {
         }
     }
 
-    /// Records every counter under `<prefix>.<counter>` into an [`Obs`].
-    pub fn observe_into(&self, prefix: &str, obs: &mut Obs) {
-        if !obs.enabled() {
-            return;
-        }
-        obs.counter(&format!("{prefix}.hits"), self.hits);
-        obs.counter(&format!("{prefix}.misses"), self.misses);
-        obs.counter(&format!("{prefix}.evictions"), self.evictions);
-        obs.counter(&format!("{prefix}.inserts"), self.inserts);
-        obs.counter(&format!("{prefix}.replacements"), self.replacements);
-        obs.counter(&format!("{prefix}.invalidations"), self.invalidations);
+    /// Records every counter under `<prefix>.<counter>` into a [`Profile`].
+    pub fn observe_into(&self, prefix: &str, profile: &mut Profile) {
+        profile.counter_add(&format!("{prefix}.hits"), self.hits);
+        profile.counter_add(&format!("{prefix}.misses"), self.misses);
+        profile.counter_add(&format!("{prefix}.evictions"), self.evictions);
+        profile.counter_add(&format!("{prefix}.inserts"), self.inserts);
+        profile.counter_add(&format!("{prefix}.replacements"), self.replacements);
+        profile.counter_add(&format!("{prefix}.invalidations"), self.invalidations);
     }
 }
 

@@ -72,29 +72,26 @@ pub struct ConstructorStats {
 }
 
 impl ConstructorStats {
-    /// Records every counter under `<prefix>.<counter>` into an
-    /// [`replay_obs::Obs`].
-    pub fn observe_into(&self, prefix: &str, obs: &mut replay_obs::Obs) {
-        if !obs.enabled() {
-            return;
-        }
-        obs.counter(&format!("{prefix}.completed"), self.completed);
-        obs.counter(&format!("{prefix}.discarded"), self.discarded);
-        obs.counter(
+    /// Records every counter under `<prefix>.<counter>` into a
+    /// [`replay_obs::Profile`].
+    pub fn observe_into(&self, prefix: &str, profile: &mut replay_obs::Profile) {
+        profile.counter_add(&format!("{prefix}.completed"), self.completed);
+        profile.counter_add(&format!("{prefix}.discarded"), self.discarded);
+        profile.counter_add(
             &format!("{prefix}.branches_converted"),
             self.branches_converted,
         );
-        obs.counter(
+        profile.counter_add(
             &format!("{prefix}.indirects_converted"),
             self.indirects_converted,
         );
-        obs.counter(&format!("{prefix}.ended_by_branch"), self.ended_by_branch);
-        obs.counter(
+        profile.counter_add(&format!("{prefix}.ended_by_branch"), self.ended_by_branch);
+        profile.counter_add(
             &format!("{prefix}.ended_by_indirect"),
             self.ended_by_indirect,
         );
-        obs.counter(&format!("{prefix}.ended_by_size"), self.ended_by_size);
-        obs.counter(&format!("{prefix}.ended_by_fence"), self.ended_by_fence);
+        profile.counter_add(&format!("{prefix}.ended_by_size"), self.ended_by_size);
+        profile.counter_add(&format!("{prefix}.ended_by_fence"), self.ended_by_fence);
     }
 }
 

@@ -2,13 +2,13 @@
 //!
 //! Every figure in the paper is an *attribution* story — which pass removed
 //! which uops, where the cycles went — so the simulator needs more than
-//! end-of-run aggregates. This crate provides the plumbing: typed metrics
-//! ([`Metric`]: monotonic counters, log2-bucketed histograms, and wall-time
-//! spans) collected into a [`Profile`], recorded through a cheap [`Obs`]
-//! handle that compiles down to almost nothing when disabled, and merged
-//! across parallel workers by a [`Registry`] that combines per-worker shards
-//! **in submission order** so the merged profile is bit-identical at any
-//! `--jobs` count.
+//! end-of-run aggregates. This crate provides one type for them: a
+//! [`Profile`] of typed metrics ([`Metric`]: monotonic counters,
+//! log2-bucketed histograms, and accumulated wall time). Each simulation run
+//! and each serving thread records straight into a profile it owns, and
+//! [`Profile::merge`] folds them together; because merging is integer
+//! addition, the merged profile is bit-identical at any `--jobs` count and
+//! in any merge order.
 //!
 //! Determinism contract: every metric payload is integer (`u64`), merging is
 //! addition, and [`Profile`] iteration order is the key's lexicographic
@@ -21,8 +21,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// A log2-bucketed histogram of `u64` samples.
 ///
@@ -383,127 +381,6 @@ fn format_ns(ns: u64) -> String {
     }
 }
 
-/// Recording handle threaded through the engine.
-///
-/// A disabled `Obs` (the default) skips all work including name formatting —
-/// callers guard allocation-heavy label construction on [`Obs::enabled`].
-/// An enabled one accumulates into an owned [`Profile`] that is harvested
-/// with [`Obs::into_profile`] and merged across workers by a [`Registry`].
-#[derive(Debug, Default)]
-pub struct Obs {
-    profile: Option<Profile>,
-}
-
-impl Obs {
-    /// A disabled handle: every record call is a no-op.
-    pub fn disabled() -> Obs {
-        Obs { profile: None }
-    }
-
-    /// An enabled handle collecting into a fresh profile.
-    pub fn collecting() -> Obs {
-        Obs {
-            profile: Some(Profile::new()),
-        }
-    }
-
-    /// Whether recording is active. Guard `format!`-built metric names on
-    /// this to keep the disabled path allocation-free.
-    pub fn enabled(&self) -> bool {
-        self.profile.is_some()
-    }
-
-    /// Adds `v` to counter `name`.
-    pub fn counter(&mut self, name: &str, v: u64) {
-        if let Some(p) = &mut self.profile {
-            p.counter_add(name, v);
-        }
-    }
-
-    /// Records a histogram sample.
-    pub fn hist(&mut self, name: &str, v: u64) {
-        if let Some(p) = &mut self.profile {
-            p.hist_record(name, v);
-        }
-    }
-
-    /// Merges a histogram recorded elsewhere into histogram `name`.
-    pub fn hist_merge(&mut self, name: &str, hist: &Hist) {
-        if let Some(p) = &mut self.profile {
-            p.hist_merge(name, hist);
-        }
-    }
-
-    /// Adds elapsed nanoseconds to duration `name`.
-    pub fn duration_ns(&mut self, name: &str, ns: u64) {
-        if let Some(p) = &mut self.profile {
-            p.duration_add_ns(name, ns);
-        }
-    }
-
-    /// Starts a span timer; resolve it with [`Obs::end_span`]. Returns
-    /// `None` (and costs nothing) when disabled.
-    pub fn start_span(&self) -> Option<Instant> {
-        if self.enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Accumulates the elapsed time of a span started with
-    /// [`Obs::start_span`] into duration `name`.
-    pub fn end_span(&mut self, name: &str, span: Option<Instant>) {
-        if let (Some(p), Some(start)) = (&mut self.profile, span) {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            p.duration_add_ns(name, ns);
-        }
-    }
-
-    /// Consumes the handle, returning the collected profile (empty if the
-    /// handle was disabled).
-    pub fn into_profile(self) -> Profile {
-        self.profile.unwrap_or_default()
-    }
-}
-
-/// Thread-safe collection point for per-worker profile shards.
-///
-/// Workers submit `(submission_index, shard)` pairs in whatever order they
-/// finish; [`Registry::finish`] sorts by submission index and merges in that
-/// order. Metric merging is commutative integer addition, so this ordering
-/// is belt-and-braces — but it guarantees the merged profile is the *same
-/// object* (not merely an equal one) no matter how the scheduler interleaved
-/// the workers, which is what makes `--profile` output byte-identical at any
-/// `--jobs` count.
-#[derive(Debug, Default)]
-pub struct Registry {
-    shards: Mutex<Vec<(usize, Profile)>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Submits one worker's shard under its submission index.
-    pub fn submit(&self, index: usize, shard: Profile) {
-        self.shards.lock().unwrap().push((index, shard));
-    }
-
-    /// Merges all submitted shards in ascending submission-index order.
-    pub fn finish(self) -> Profile {
-        let mut shards = self.shards.into_inner().unwrap();
-        shards.sort_by_key(|(i, _)| *i);
-        let mut merged = Profile::new();
-        for (_, shard) in &shards {
-            merged.merge(shard);
-        }
-        merged
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,56 +443,37 @@ mod tests {
     }
 
     #[test]
-    fn registry_merge_is_order_independent() {
-        let make = |n: u64| {
-            let mut p = Profile::new();
-            p.counter_add("c", n);
-            p.hist_record("h", n);
-            p
-        };
-        let r1 = Registry::new();
-        r1.submit(0, make(1));
-        r1.submit(1, make(2));
-        r1.submit(2, make(3));
-        let r2 = Registry::new();
-        r2.submit(2, make(3));
-        r2.submit(0, make(1));
-        r2.submit(1, make(2));
-        let p1 = r1.finish();
-        let p2 = r2.finish();
-        assert_eq!(p1, p2);
-        assert_eq!(p1.to_json(false), p2.to_json(false));
-        assert_eq!(p1.render_table(false), p2.render_table(false));
-        assert_eq!(p1.counter("c"), 6);
-    }
-
-    #[test]
-    fn disabled_obs_is_a_noop() {
-        let mut o = Obs::disabled();
-        o.counter("x", 1);
-        o.hist("h", 2);
-        let span = o.start_span();
-        assert!(span.is_none());
-        o.end_span("t", span);
-        assert!(o.into_profile().is_empty());
-    }
-
-    #[test]
-    fn enabled_obs_collects() {
-        let mut o = Obs::collecting();
-        o.counter("x", 1);
-        o.counter("x", 2);
-        o.hist("h", 7);
-        let span = o.start_span();
-        o.end_span("t.ns", span);
-        let p = o.into_profile();
-        assert_eq!(p.counter("x"), 3);
-        assert!(matches!(p.get("t.ns"), Some(Metric::DurationNs(_))));
-        // Timings excluded from default renderings.
-        assert!(!p.to_json(false).contains("t.ns"));
-        assert!(p.to_json(true).contains("t.ns"));
-        assert!(!p.render_table(false).contains("t.ns"));
-        assert!(p.render_table(true).contains("t.ns"));
+    fn merge_is_order_independent() {
+        let shards: Vec<Profile> = (1..=3)
+            .map(|n| {
+                let mut p = Profile::new();
+                p.counter_add("c", n);
+                p.hist_record("h", n);
+                p.duration_add_ns("t", n);
+                p
+            })
+            .collect();
+        let mut forward = Profile::new();
+        for p in &shards {
+            forward.merge(p);
+        }
+        let mut reversed = Profile::new();
+        for p in shards.iter().rev() {
+            reversed.merge(p);
+        }
+        assert_eq!(forward, reversed);
+        for timings in [false, true] {
+            assert_eq!(forward.to_json(timings), reversed.to_json(timings));
+            assert_eq!(
+                forward.render_table(timings),
+                reversed.render_table(timings)
+            );
+        }
+        assert_eq!(forward.counter("c"), 6);
+        match forward.get("h") {
+            Some(Metric::Hist(h)) => assert_eq!((h.min(), h.max()), (1, 3)),
+            m => panic!("unexpected {m:?}"),
+        }
     }
 
     #[test]

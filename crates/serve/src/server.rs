@@ -43,15 +43,16 @@
 use crate::conn::{Conn, ConnState, ReadStep, WriteStep};
 use crate::poll;
 use crate::proto::{Request, Response, Source, Status};
-use crate::queue::{Bounded, Pop, PushError};
+use crate::queue::{Bounded, PushError};
 use crate::signal;
-use replay_obs::{Obs, Profile, Registry};
+use replay_obs::Profile;
 use replay_sim::report::run_report;
 use replay_sim::TraceStore;
 use replay_trace::{read_trace, workloads, Trace};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -105,7 +106,7 @@ impl Default for ServerConfig {
 /// connection counters).
 #[derive(Debug)]
 pub struct ServeStats {
-    /// Merged metrics from every serving thread, deterministic order.
+    /// The event loop's and the dispatcher's metrics, merged.
     pub profile: Profile,
 }
 
@@ -128,7 +129,7 @@ impl ServeStats {
 }
 
 /// One parsed request awaiting dispatch. Its response goes back to the
-/// event loop under `token` (via the completion queue + doorbell).
+/// event loop under `token` (via the completion channel + doorbell).
 struct Job {
     req: Request,
     token: u64,
@@ -171,12 +172,21 @@ fn shed_outcome(closed: bool, stage: &'static str) -> (Response, &'static str) {
 /// `serve.latency_ms` histogram (tail latency is most interesting
 /// exactly when requests are being shed, which is when the old per-path
 /// responders used to skip it).
-fn finish_job(job: Job, resp: &Response, completions: &Bounded<Completion>, obs: &mut Obs) {
-    obs.hist(
+fn finish_job(job: Job, resp: &Response, done: &Done<'_>, profile: &mut Profile) {
+    profile.hist_record(
         "serve.latency_ms",
         job.received.elapsed().as_millis() as u64,
     );
-    let _ = completions.try_push((job.token, resp.encode()));
+    // The event loop outlives the dispatcher, so the send cannot fail.
+    let _ = done.tx.send((job.token, resp.encode()));
+    done.bell.ring();
+}
+
+/// The dispatcher's way back to the event loop: a completion goes on the
+/// channel, then the doorbell wakes the loop to drain it.
+struct Done<'a> {
+    tx: Sender<Completion>,
+    bell: &'a poll::Doorbell,
 }
 
 /// A TCP simulation server. [`Server::bind`] claims the address;
@@ -232,10 +242,11 @@ impl Server {
 
     /// Serves until shutdown, then drains in-flight work and returns the
     /// metrics profile. One thread owns every connection's state machine;
-    /// the dispatcher runs on a scoped thread that answers through the
-    /// completion queue, whose doorbell wakes the poll loop, and is
-    /// joined before return — so when this returns every parsed request
-    /// has been answered.
+    /// the dispatcher runs on a scoped thread that sends each answer on the
+    /// completion channel and rings the doorbell that wakes the poll loop.
+    /// It is joined before return — so when this returns every parsed
+    /// request has been answered. The returned profile is the event loop's
+    /// metrics followed by the dispatcher's, folded with [`Profile::merge`].
     pub fn run(self) -> ServeStats {
         #[cfg(not(unix))]
         unreachable!("Server::bind fails where readiness polling is unsupported");
@@ -251,33 +262,24 @@ impl Server {
             .as_deref()
             .unwrap_or_else(|| TraceStore::global());
         let work_q: Bounded<Job> = Bounded::new(cfg.work_queue);
-        let completions: Bounded<Completion> = Bounded::new(usize::MAX);
-        let bell = Arc::new(self.bell);
-        {
-            let bell = Arc::clone(&bell);
-            completions.set_waker(Box::new(move || bell.ring()));
-        }
-        let registry = Registry::new();
+        let (tx, completions) = mpsc::channel();
+        let bell = &self.bell;
 
-        std::thread::scope(|scope| {
-            {
-                let (work_q, completions, registry) = (&work_q, &completions, &registry);
-                scope.spawn(move || {
-                    let profile = dispatcher_loop(cfg, work_q, completions, trace_store);
-                    registry.submit(1, profile);
-                });
-            }
-            let mut el = event::EventLoop::new(cfg, &self.listener, self.poller, bell, &work_q);
+        let profile = std::thread::scope(|scope| {
+            let dispatcher = {
+                let (work_q, done) = (&work_q, Done { tx, bell });
+                scope.spawn(move || dispatcher_loop(cfg, work_q, &done, trace_store))
+            };
+            let el = event::EventLoop::new(cfg, &self.listener, self.poller, bell, &work_q);
             let stop = &self.stop;
-            let profile = el.serve(&completions, || {
+            let mut profile = el.serve(&completions, || {
                 stop.load(Ordering::SeqCst) || signal::triggered()
             });
-            registry.submit(0, profile);
+            profile.merge(&dispatcher.join().expect("dispatcher panicked"));
+            profile
         });
 
-        ServeStats {
-            profile: registry.finish(),
-        }
+        ServeStats { profile }
     }
 }
 
@@ -300,10 +302,10 @@ impl InlineTraceCache {
         Some(trace)
     }
 
-    fn insert(&mut self, digest: u64, trace: Arc<Trace>, obs: &mut Obs) {
+    fn insert(&mut self, digest: u64, trace: Arc<Trace>, profile: &mut Profile) {
         while self.entries.len() >= INLINE_CACHE_CAP {
             self.entries.remove(0);
-            obs.counter("serve.inline_trace.evictions", 1);
+            profile.counter_add("serve.inline_trace.evictions", 1);
         }
         self.entries.push((digest, trace));
     }
@@ -313,18 +315,13 @@ impl InlineTraceCache {
 fn dispatcher_loop(
     cfg: &ServerConfig,
     work_q: &Bounded<Job>,
-    completions: &Bounded<Completion>,
+    done: &Done<'_>,
     trace_store: &TraceStore,
 ) -> Profile {
-    let mut obs = Obs::collecting();
+    let mut profile = Profile::new();
     let mut inline_traces = InlineTraceCache::default();
-    loop {
-        let job = match work_q.pop() {
-            Pop::Item(j) => j,
-            Pop::Closed => break,
-            Pop::Empty => continue,
-        };
-        obs.hist("serve.queue_depth", work_q.len() as u64);
+    while let Some(job) = work_q.pop() {
+        profile.hist_record("serve.queue_depth", work_q.len() as u64);
         if !cfg.dispatch_hold.is_zero() {
             std::thread::sleep(cfg.dispatch_hold);
         }
@@ -332,12 +329,12 @@ fn dispatcher_loop(
             cfg,
             job,
             &mut inline_traces,
-            completions,
+            done,
             trace_store,
-            &mut obs,
+            &mut profile,
         );
     }
-    obs.into_profile()
+    profile
 }
 
 /// Deadline check → trace resolution → [`run_report`] → response.
@@ -345,9 +342,9 @@ fn process_job(
     cfg: &ServerConfig,
     job: Job,
     inline_traces: &mut InlineTraceCache,
-    completions: &Bounded<Completion>,
+    done: &Done<'_>,
     trace_store: &TraceStore,
-    obs: &mut Obs,
+    profile: &mut Profile,
 ) {
     // Shed an expired job first: simulating a request nobody is waiting
     // on wastes the pool.
@@ -357,12 +354,12 @@ fn process_job(
         DEFAULT_DEADLINE
     };
     if job.received.elapsed() > limit {
-        obs.counter("serve.requests.deadline", 1);
+        profile.counter_add("serve.requests.deadline", 1);
         let resp = Response::reject(
             Status::DeadlineExceeded,
             format!("queued longer than {limit:?}"),
         );
-        finish_job(job, &resp, completions, obs);
+        finish_job(job, &resp, done, profile);
         return;
     }
 
@@ -375,13 +372,13 @@ fn process_job(
             let digest = replay_store::digest_bytes(bytes);
             match inline_traces.get(digest) {
                 Some(t) => {
-                    obs.counter("serve.inline_trace.hits", 1);
+                    profile.counter_add("serve.inline_trace.hits", 1);
                     Ok(t)
                 }
                 None => match read_trace(&bytes[..]) {
                     Ok(t) => {
                         let t = Arc::new(t);
-                        inline_traces.insert(digest, Arc::clone(&t), obs);
+                        inline_traces.insert(digest, Arc::clone(&t), profile);
                         Ok(t)
                     }
                     Err(e) => Err(format!("undecodable trace payload: {e}")),
@@ -394,15 +391,15 @@ fn process_job(
         // model, so a served body equals a local one by construction.
         Ok(trace) => {
             let (_, json) = run_report(&trace, cfg.jobs, job.req.timings);
-            obs.counter("serve.requests.ok", 1);
+            profile.counter_add("serve.requests.ok", 1);
             Response::ok(json.into_bytes())
         }
         Err(msg) => {
-            obs.counter("serve.requests.bad", 1);
+            profile.counter_add("serve.requests.bad", 1);
             Response::reject(Status::BadRequest, &msg)
         }
     };
-    finish_job(job, &resp, completions, obs);
+    finish_job(job, &resp, done, profile);
 }
 
 #[cfg(unix)]
@@ -424,7 +421,7 @@ mod event {
         cfg: &'a ServerConfig,
         listener: &'a TcpListener,
         poller: Poller,
-        bell: Arc<Doorbell>,
+        bell: &'a Doorbell,
         work_q: &'a Bounded<Job>,
         conns: HashMap<u64, Conn<TcpStream>>,
         next_token: u64,
@@ -432,7 +429,7 @@ mod event {
         /// back yet — the drain-exit condition.
         in_flight: usize,
         draining: bool,
-        obs: Obs,
+        profile: Profile,
     }
 
     impl<'a> EventLoop<'a> {
@@ -440,7 +437,7 @@ mod event {
             cfg: &'a ServerConfig,
             listener: &'a TcpListener,
             poller: Poller,
-            bell: Arc<Doorbell>,
+            bell: &'a Doorbell,
             work_q: &'a Bounded<Job>,
         ) -> EventLoop<'a> {
             EventLoop {
@@ -453,15 +450,15 @@ mod event {
                 next_token: TOK_FIRST_CONN,
                 in_flight: 0,
                 draining: false,
-                obs: Obs::collecting(),
+                profile: Profile::new(),
             }
         }
 
         /// Runs until `stopping` and the subsequent drain complete;
         /// returns this thread's metrics.
         pub(super) fn serve(
-            &mut self,
-            completions: &Bounded<Completion>,
+            mut self,
+            completions: &Receiver<Completion>,
             stopping: impl Fn() -> bool,
         ) -> Profile {
             self.poller
@@ -488,7 +485,7 @@ mod event {
                 }
                 let n = self.poller.wait(&mut events, 20).unwrap_or(0);
                 if n > 0 {
-                    self.obs.counter("serve.poll.wakeups", 1);
+                    self.profile.counter_add("serve.poll.wakeups", 1);
                 }
                 let now = Instant::now();
                 for &ev in &events {
@@ -501,7 +498,7 @@ mod event {
                 // Always drain completions — cheap when empty, and doing
                 // it unconditionally means a doorbell ring can never be
                 // lost between the drain and the next wait.
-                while let Pop::Item((token, payload)) = completions.try_pop() {
+                while let Ok((token, payload)) = completions.try_recv() {
                     self.in_flight -= 1;
                     self.deliver(token, &payload, now);
                 }
@@ -510,7 +507,7 @@ mod event {
                     self.sweep(now);
                 }
             }
-            std::mem::replace(&mut self.obs, Obs::disabled()).into_profile()
+            self.profile
         }
 
         /// Stop accepting; close connections that never completed a
@@ -529,7 +526,7 @@ mod event {
             loop {
                 match self.listener.accept() {
                     Ok((stream, _peer)) => {
-                        self.obs.counter("serve.accepted", 1);
+                        self.profile.counter_add("serve.accepted", 1);
                         let _ = stream.set_nonblocking(true);
                         let _ = stream.set_nodelay(true);
                         let token = self.next_token;
@@ -541,15 +538,15 @@ mod event {
                             // the same state machine (the write may need
                             // readiness too) and count it as a conn shed.
                             let (resp, counter) = shed_outcome(false, "accept");
-                            self.obs.counter(counter, 1);
+                            self.profile.counter_add(counter, 1);
                             conn.queue_response(&resp.encode());
-                            self.obs.counter("serve.conns.writing", 1);
+                            self.profile.counter_add("serve.conns.writing", 1);
                             if self.poller.add(fd, token, Interest::WRITE).is_ok() {
                                 self.conns.insert(token, conn);
                                 self.drive_write(token, now);
                             }
                         } else if self.poller.add(fd, token, Interest::READ).is_ok() {
-                            self.obs.counter("serve.conns.idle", 1);
+                            self.profile.counter_add("serve.conns.idle", 1);
                             self.conns.insert(token, conn);
                         }
                     }
@@ -574,17 +571,18 @@ mod event {
                 let was_idle = conn.state() == ConnState::Accepted;
                 let step = conn.on_readable(now);
                 if was_idle && conn.state() != ConnState::Accepted {
-                    self.obs.counter("serve.conns.reading", 1);
+                    self.profile.counter_add("serve.conns.reading", 1);
                 }
                 match step {
                     ReadStep::Frame(payload) => self.frame_complete(token, &payload, now),
                     ReadStep::NeedMore { bytes } => {
                         if bytes > 0 {
-                            self.obs.hist("serve.read.partial_bytes", bytes as u64);
+                            self.profile
+                                .hist_record("serve.read.partial_bytes", bytes as u64);
                         }
                     }
                     ReadStep::TooLarge(len) => {
-                        self.obs.counter("serve.requests.bad", 1);
+                        self.profile.counter_add("serve.requests.bad", 1);
                         let resp = Response::reject(
                             Status::BadRequest,
                             format!("frame length {len} exceeds {}", crate::proto::MAX_FRAME),
@@ -592,7 +590,7 @@ mod event {
                         self.queue_and_write(token, &resp.encode(), now);
                     }
                     ReadStep::Disconnected => {
-                        self.obs.counter("serve.conns.disconnected", 1);
+                        self.profile.counter_add("serve.conns.disconnected", 1);
                         self.conns.remove(&token);
                         return;
                     }
@@ -602,7 +600,7 @@ mod event {
                 // owed to it. Dropping the connection also ends the
                 // level-triggered report; a dispatched job's completion
                 // then counts `serve.responses.conn_gone`.
-                self.obs.counter("serve.conns.disconnected", 1);
+                self.profile.counter_add("serve.conns.disconnected", 1);
                 self.conns.remove(&token);
                 return;
             }
@@ -623,7 +621,7 @@ mod event {
         fn frame_complete(&mut self, token: u64, payload: &[u8], now: Instant) {
             match Request::decode(payload) {
                 Ok(req) => {
-                    self.obs.counter("serve.requests.received", 1);
+                    self.profile.counter_add("serve.requests.received", 1);
                     let job = Job {
                         req,
                         token,
@@ -645,8 +643,8 @@ mod event {
                             let closed = matches!(err, PushError::Closed(_));
                             let (PushError::Full(job) | PushError::Closed(job)) = err;
                             let (resp, counter) = shed_outcome(closed, "work");
-                            self.obs.counter(counter, 1);
-                            self.obs.hist(
+                            self.profile.counter_add(counter, 1);
+                            self.profile.hist_record(
                                 "serve.latency_ms",
                                 job.received.elapsed().as_millis() as u64,
                             );
@@ -655,7 +653,7 @@ mod event {
                     }
                 }
                 Err(e) => {
-                    self.obs.counter("serve.requests.bad", 1);
+                    self.profile.counter_add("serve.requests.bad", 1);
                     let resp = Response::reject(Status::BadRequest, e.to_string());
                     self.queue_and_write(token, &resp.encode(), now);
                 }
@@ -668,7 +666,7 @@ mod event {
                 self.queue_and_write(token, payload, now);
             } else {
                 // The peer hung up while its request was being simulated.
-                self.obs.counter("serve.responses.conn_gone", 1);
+                self.profile.counter_add("serve.responses.conn_gone", 1);
             }
         }
 
@@ -677,7 +675,7 @@ mod event {
         fn queue_and_write(&mut self, token: u64, payload: &[u8], now: Instant) {
             if let Some(conn) = self.conns.get_mut(&token) {
                 conn.queue_response(payload);
-                self.obs.counter("serve.conns.writing", 1);
+                self.profile.counter_add("serve.conns.writing", 1);
                 self.drive_write(token, now);
             }
         }
@@ -693,12 +691,13 @@ mod event {
                 }
                 WriteStep::NeedMore { bytes } => {
                     if bytes > 0 {
-                        self.obs.hist("serve.write.partial_bytes", bytes as u64);
+                        self.profile
+                            .hist_record("serve.write.partial_bytes", bytes as u64);
                     }
                     let _ = self.poller.modify(fd, token, Interest::WRITE);
                 }
                 WriteStep::Disconnected => {
-                    self.obs.counter("serve.responses.write_failed", 1);
+                    self.profile.counter_add("serve.responses.write_failed", 1);
                     self.conns.remove(&token);
                 }
             }
@@ -719,10 +718,11 @@ mod event {
                 .map(|(t, _)| *t)
                 .collect();
             for token in stale {
-                self.obs.counter("serve.conns.timed_out", 1);
+                self.profile.counter_add("serve.conns.timed_out", 1);
                 self.conns.remove(&token);
             }
-            self.obs.hist("serve.conns.open", self.conns.len() as u64);
+            self.profile
+                .hist_record("serve.conns.open", self.conns.len() as u64);
         }
     }
 }
@@ -761,20 +761,19 @@ mod tests {
         let w = workloads::by_name("gzip").expect("workload");
         let trace = Arc::new(w.segment_trace(0, 50));
         let mut cache = InlineTraceCache::default();
-        let mut obs = Obs::collecting();
+        let mut profile = Profile::new();
         let cap = INLINE_CACHE_CAP as u64;
         for digest in 1..=cap {
-            cache.insert(digest, Arc::clone(&trace), &mut obs);
+            cache.insert(digest, Arc::clone(&trace), &mut profile);
         }
         // Touch 1 so it becomes most-recent; inserting one more must
         // evict 2.
         assert!(cache.get(1).is_some());
-        cache.insert(cap + 1, Arc::clone(&trace), &mut obs);
+        cache.insert(cap + 1, Arc::clone(&trace), &mut profile);
         assert_eq!(cache.entries.len(), INLINE_CACHE_CAP);
         assert!(cache.get(2).is_none(), "LRU entry must be evicted");
         assert!(cache.get(1).is_some());
         assert!(cache.get(cap + 1).is_some());
-        let profile = obs.into_profile();
         assert_eq!(profile.counter("serve.inline_trace.evictions"), 1);
     }
 }

@@ -54,19 +54,19 @@ pub fn specs_for_trace_model(trace: &Arc<Trace>, model: CoreModel) -> Vec<SimSpe
         .collect()
 }
 
-/// Builds the merged cross-configuration profile for a report run: the
-/// per-spec profiles are submitted to a [`replay_obs::Registry`] in
-/// submission (spec) order and merged deterministically. Cache-layer
+/// Builds the merged cross-configuration profile for a report run: the sum
+/// of the per-spec profiles (every payload is an integer, so the merge
+/// order cannot change the result). Cache-layer
 /// counters live in the separate `store` section ([`store_profile`]) —
 /// they describe *this process's* cache luck, not the simulated machines,
 /// and folding them in here would break the cold-vs-warm byte identity of
 /// `combined`.
 pub fn combined_profile(results: &[SimResult]) -> replay_obs::Profile {
-    let registry = replay_obs::Registry::new();
-    for (i, r) in results.iter().enumerate() {
-        registry.submit(i, r.profile.clone());
+    let mut merged = replay_obs::Profile::new();
+    for r in results {
+        merged.merge(&r.profile);
     }
-    registry.finish()
+    merged
 }
 
 /// The cache-effectiveness profile of this process: in-memory trace
@@ -75,12 +75,12 @@ pub fn combined_profile(results: &[SimResult]) -> replay_obs::Profile {
 /// from the simulation profiles — these counters differ between cold and
 /// warm runs by design.
 pub fn store_profile() -> replay_obs::Profile {
-    let mut obs = replay_obs::Obs::collecting();
-    TraceStore::global().observe_into(&mut obs);
+    let mut profile = replay_obs::Profile::new();
+    TraceStore::global().observe_into(&mut profile);
     if let Some(store) = replay_store::Store::global() {
-        store.observe_into(&mut obs);
+        store.observe_into(&mut profile);
     }
-    obs.into_profile()
+    profile
 }
 
 /// Renders the `replay-report/v3` JSON document from the four

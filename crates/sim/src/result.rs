@@ -52,8 +52,8 @@ pub struct SimResult {
     pub uop_ratio: f64,
     /// The run's structured observability profile (`replay-obs`): per-pass
     /// optimizer attribution, cache/constructor/predictor counters, cycle
-    /// bins, and (nondeterministic, hidden by default renderers) span
-    /// timings. Merging results merges profiles metric-wise.
+    /// bins, and (nondeterministic, hidden by default renderers) optimizer
+    /// wall time. Merging results merges profiles metric-wise.
     pub profile: Profile,
 }
 

@@ -16,7 +16,7 @@ use replay_core::{
     OptStats, OptTimings, OptimizerDatapath, PassId, PlanScratch, ProbeOutcome,
 };
 use replay_frame::{CacheEntry, Frame, FrameCache, FrameConstructor, RetireEvent};
-use replay_obs::{Hist, Obs};
+use replay_obs::{Hist, Profile};
 use replay_timing::{FetchPath, FrameFetch, Pipeline, X86Fetch};
 use replay_trace::{StaticIndex, Trace, TraceRecord};
 use replay_verify::Verifier;
@@ -67,8 +67,7 @@ impl CacheEntry for CachedFrame {
 /// How many recent records feed the alias profiler.
 const ALIAS_WINDOW: usize = 512;
 
-/// Trace records per streaming chunk, counted in `sim.chunks` with a
-/// `sim.chunk.fill` span at each boundary.
+/// Trace records per streaming chunk, counted in `sim.chunks`.
 const CHUNK_RECORDS: usize = 1024;
 
 /// Per-address toucher set for [`Runner::profile_span`]: at most 16
@@ -178,7 +177,6 @@ struct Runner<'a> {
     /// Dynamic uops saved, attributed to the pass that removed them
     /// (`PassId::ALL` order). Sums exactly to `dyn_uops_removed`.
     dyn_removed_by_pass: [u64; 7],
-    obs: Obs,
     recent_mem: AliasWindow,
     /// Reusable buffers for the frame-fetch hot path.
     scratch: ExecScratch,
@@ -225,7 +223,6 @@ impl<'a> Runner<'a> {
             dyn_uops_removed: 0,
             dyn_loads_removed: 0,
             dyn_removed_by_pass: [0; 7],
-            obs: Obs::collecting(),
             recent_mem: AliasWindow::new(ALIAS_WINDOW),
             scratch: ExecScratch::new(),
             mem_addrs: Vec::new(),
@@ -242,9 +239,7 @@ impl<'a> Runner<'a> {
 
     /// Opens the next chunk of the streaming loop at record `start`.
     fn next_chunk(&mut self, start: usize) {
-        let span = self.obs.start_span();
         self.chunk_end = start.saturating_add(CHUNK_RECORDS).min(self.records.len());
-        self.obs.end_span("sim.chunk.fill", span);
         self.chunks += 1;
     }
 
@@ -614,8 +609,9 @@ impl<'a> Runner<'a> {
         };
 
         // Final harvest: everything the run observed, under stable names.
+        let mut metrics = Profile::new();
         observe_opt_totals(
-            &mut self.obs,
+            &mut metrics,
             &self.cfg.opt,
             &self.opt_stats,
             &self.opt_removed,
@@ -623,52 +619,43 @@ impl<'a> Runner<'a> {
         );
         self.frame_cache
             .stats()
-            .observe_into("frame_cache", &mut self.obs);
+            .observe_into("frame_cache", &mut metrics);
         self.tc_cache
             .stats()
-            .observe_into("trace_cache", &mut self.obs);
+            .observe_into("trace_cache", &mut metrics);
         self.constructor
             .stats()
-            .observe_into("constructor", &mut self.obs);
-        pstats.observe_into("pipeline", &mut self.obs);
-        self.pipeline.bins().observe_into("cycles", &mut self.obs);
+            .observe_into("constructor", &mut metrics);
+        pstats.observe_into("pipeline", &mut metrics);
+        self.pipeline.bins().observe_into("cycles", &mut metrics);
         // Per-port pressure (`timing.port.*`): recorded only by the
         // port-accurate core model, so generic-model profiles are
         // unchanged by the model's existence.
-        self.pipeline.observe_ports(&mut self.obs);
+        self.pipeline.observe_ports(&mut metrics);
         let vstats = self.verifier.stats();
-        self.obs.counter("verify.checked", vstats.checked);
-        self.obs.counter("verify.passed", vstats.passed);
-        self.obs.counter("verify.failed", vstats.failed);
-        self.obs.counter("verify.skipped", vstats.skipped);
-        self.obs
-            .counter("sim.dyn_uops_total", self.injector.uops_seen());
-        self.obs
-            .counter("sim.dyn_uops_removed", self.dyn_uops_removed);
-        self.obs
-            .counter("sim.dyn_loads_total", self.injector.loads_seen());
-        self.obs
-            .counter("sim.dyn_loads_removed", self.dyn_loads_removed);
-        self.obs.counter("sim.frames_x86", self.frames_x86);
-        self.obs
-            .counter("sim.path_mismatches", self.path_mismatch_completions);
-        self.obs
-            .counter("sim.exec.specialized_hits", self.specialized_hits);
-        self.obs.counter("sim.exec.fallbacks", self.spec_fallbacks);
-        self.obs
-            .counter("sim.exec.plans_compiled", self.plans_compiled);
-        self.obs.counter("sim.chunks", self.chunks);
+        metrics.counter_add("verify.checked", vstats.checked);
+        metrics.counter_add("verify.passed", vstats.passed);
+        metrics.counter_add("verify.failed", vstats.failed);
+        metrics.counter_add("verify.skipped", vstats.skipped);
+        metrics.counter_add("sim.dyn_uops_total", self.injector.uops_seen());
+        metrics.counter_add("sim.dyn_uops_removed", self.dyn_uops_removed);
+        metrics.counter_add("sim.dyn_loads_total", self.injector.loads_seen());
+        metrics.counter_add("sim.dyn_loads_removed", self.dyn_loads_removed);
+        metrics.counter_add("sim.frames_x86", self.frames_x86);
+        metrics.counter_add("sim.path_mismatches", self.path_mismatch_completions);
+        metrics.counter_add("sim.exec.specialized_hits", self.specialized_hits);
+        metrics.counter_add("sim.exec.fallbacks", self.spec_fallbacks);
+        metrics.counter_add("sim.exec.plans_compiled", self.plans_compiled);
+        metrics.counter_add("sim.chunks", self.chunks);
         for (pi, pass) in PassId::ALL.into_iter().enumerate() {
-            if self.obs.enabled() {
-                self.obs.counter(
-                    &format!("sim.pass.{}.dyn_removed_uops", pass.name()),
-                    self.dyn_removed_by_pass[pi],
-                );
-                self.obs.counter(
-                    &format!("sim.pass.{}.dyn_removed_uops_specialized", pass.name()),
-                    self.dyn_removed_by_pass_spec[pi],
-                );
-            }
+            metrics.counter_add(
+                &format!("sim.pass.{}.dyn_removed_uops", pass.name()),
+                self.dyn_removed_by_pass[pi],
+            );
+            metrics.counter_add(
+                &format!("sim.pass.{}.dyn_removed_uops_specialized", pass.name()),
+                self.dyn_removed_by_pass_spec[pi],
+            );
         }
 
         SimResult {
@@ -689,7 +676,7 @@ impl<'a> Runner<'a> {
             path_mismatches: self.path_mismatch_completions,
             verify: self.verifier.stats(),
             uop_ratio: self.injector.uop_ratio(),
-            profile: self.obs.into_profile(),
+            profile: metrics,
         }
     }
 }

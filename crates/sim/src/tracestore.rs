@@ -216,18 +216,15 @@ impl TraceStore {
         self.disk_hits.load(Ordering::Relaxed)
     }
 
-    /// Records the store's memoization counters into an
-    /// [`replay_obs::Obs`] under `tracestore.*`.
-    pub fn observe_into(&self, obs: &mut replay_obs::Obs) {
-        if !obs.enabled() {
-            return;
-        }
+    /// Records the store's memoization counters into a
+    /// [`replay_obs::Profile`] under `tracestore.*`.
+    pub fn observe_into(&self, profile: &mut replay_obs::Profile) {
         let requests = self.requests();
         let generations = self.generations();
-        obs.counter("tracestore.requests", requests);
-        obs.counter("tracestore.generations", generations);
-        obs.counter("tracestore.hits", requests.saturating_sub(generations));
-        obs.counter("tracestore.disk_hits", self.disk_hits());
+        profile.counter_add("tracestore.requests", requests);
+        profile.counter_add("tracestore.generations", generations);
+        profile.counter_add("tracestore.hits", requests.saturating_sub(generations));
+        profile.counter_add("tracestore.disk_hits", self.disk_hits());
     }
 
     /// Number of distinct `(workload, segment, scale)` keys requested so
@@ -274,9 +271,8 @@ mod tests {
         store.segment(&w, 0, 500);
         assert_eq!(store.requests(), 3);
         assert_eq!(store.generations(), 1);
-        let mut obs = replay_obs::Obs::collecting();
-        store.observe_into(&mut obs);
-        let p = obs.into_profile();
+        let mut p = replay_obs::Profile::new();
+        store.observe_into(&mut p);
         assert_eq!(p.counter("tracestore.requests"), 3);
         assert_eq!(p.counter("tracestore.generations"), 1);
         assert_eq!(p.counter("tracestore.hits"), 2);

@@ -30,7 +30,7 @@
 //!   panic on any file content and never return unvalidated bytes.
 //! * **Observability** — hits, misses, writes, byte volumes, and corrupt
 //!   evictions are process-lifetime counters surfaced through
-//!   [`replay_obs`](replay_obs) under `store.*`.
+//!   [`replay_obs`] under `store.*`.
 //!
 //! Digests are FNV-1a 64 over explicitly little-endian field encodings
 //! ([`Digest64`]), stable across processes and platforms. A 64-bit digest

@@ -188,18 +188,15 @@ impl Store {
         self.corrupt_evictions.load(Ordering::Relaxed)
     }
 
-    /// Records the store counters into an [`replay_obs::Obs`] under
+    /// Records the store counters into a [`replay_obs::Profile`] under
     /// `store.*`.
-    pub fn observe_into(&self, obs: &mut replay_obs::Obs) {
-        if !obs.enabled() {
-            return;
-        }
-        obs.counter("store.hits", self.hits());
-        obs.counter("store.misses", self.misses());
-        obs.counter("store.writes", self.writes());
-        obs.counter("store.bytes_read", self.bytes_read());
-        obs.counter("store.bytes_written", self.bytes_written());
-        obs.counter("store.corrupt_evictions", self.corrupt_evictions());
+    pub fn observe_into(&self, profile: &mut replay_obs::Profile) {
+        profile.counter_add("store.hits", self.hits());
+        profile.counter_add("store.misses", self.misses());
+        profile.counter_add("store.writes", self.writes());
+        profile.counter_add("store.bytes_read", self.bytes_read());
+        profile.counter_add("store.bytes_written", self.bytes_written());
+        profile.counter_add("store.corrupt_evictions", self.corrupt_evictions());
     }
 
     /// Configures the process-wide store before first use.

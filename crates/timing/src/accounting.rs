@@ -101,16 +101,13 @@ impl CycleBins {
             .expect("bin in ALL")
     }
 
-    /// Records every bin under `<prefix>.<label>` into an
-    /// [`replay_obs::Obs`], plus `<prefix>.total`.
-    pub fn observe_into(&self, prefix: &str, obs: &mut replay_obs::Obs) {
-        if !obs.enabled() {
-            return;
-        }
+    /// Records every bin under `<prefix>.<label>` into a
+    /// [`replay_obs::Profile`], plus `<prefix>.total`.
+    pub fn observe_into(&self, prefix: &str, profile: &mut replay_obs::Profile) {
         for bin in CycleBin::ALL {
-            obs.counter(&format!("{prefix}.{}", bin.label()), self.get(bin));
+            profile.counter_add(&format!("{prefix}.{}", bin.label()), self.get(bin));
         }
-        obs.counter(&format!("{prefix}.total"), self.total());
+        profile.counter_add(&format!("{prefix}.total"), self.total());
     }
 }
 

@@ -95,24 +95,21 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// Records every counter under `<prefix>.<counter>` into an
-    /// [`replay_obs::Obs`] — the predictor/fetch counters behind the
+    /// Records every counter under `<prefix>.<counter>` into a
+    /// [`replay_obs::Profile`] — the predictor/fetch counters behind the
     /// paper's Figures 7–8.
-    pub fn observe_into(&self, prefix: &str, obs: &mut replay_obs::Obs) {
-        if !obs.enabled() {
-            return;
-        }
-        obs.counter(&format!("{prefix}.retired_x86"), self.retired_x86);
-        obs.counter(&format!("{prefix}.retired_uops"), self.retired_uops);
-        obs.counter(&format!("{prefix}.mispredicts"), self.mispredicts);
-        obs.counter(&format!("{prefix}.btb_misses"), self.btb_misses);
-        obs.counter(&format!("{prefix}.assert_events"), self.assert_events);
-        obs.counter(&format!("{prefix}.frames_fetched"), self.frames_fetched);
-        obs.counter(
+    pub fn observe_into(&self, prefix: &str, profile: &mut replay_obs::Profile) {
+        profile.counter_add(&format!("{prefix}.retired_x86"), self.retired_x86);
+        profile.counter_add(&format!("{prefix}.retired_uops"), self.retired_uops);
+        profile.counter_add(&format!("{prefix}.mispredicts"), self.mispredicts);
+        profile.counter_add(&format!("{prefix}.btb_misses"), self.btb_misses);
+        profile.counter_add(&format!("{prefix}.assert_events"), self.assert_events);
+        profile.counter_add(&format!("{prefix}.frames_fetched"), self.frames_fetched);
+        profile.counter_add(
             &format!("{prefix}.branch_resolution_cycles"),
             self.branch_resolution_cycles,
         );
-        obs.counter(
+        profile.counter_add(
             &format!("{prefix}.branches_resolved"),
             self.branches_resolved,
         );
@@ -463,12 +460,12 @@ impl Pipeline {
     }
 
     /// Records the port model's per-port pressure counters
-    /// (`timing.port.*.issued` / `.contention_cycles`) into an
-    /// [`replay_obs::Obs`]. The generic model's Table 2 unit banks record
+    /// (`timing.port.*.issued` / `.contention_cycles`) into a
+    /// [`replay_obs::Profile`]. The generic model's Table 2 unit banks record
     /// nothing, so its profiles carry no `timing.port.*` key.
-    pub fn observe_ports(&self, obs: &mut replay_obs::Obs) {
+    pub fn observe_ports(&self, profile: &mut replay_obs::Profile) {
         if self.core_model == CoreModel::PortAccurate {
-            self.sched.observe_into(obs);
+            self.sched.observe_into(profile);
         }
     }
 
@@ -1021,9 +1018,8 @@ mod tests {
         p.finish();
         assert_eq!(p.stats().retired_x86, 32);
         assert_eq!(p.cycles(), p.bins().total());
-        let mut obs = replay_obs::Obs::collecting();
-        p.observe_ports(&mut obs);
-        let profile = obs.into_profile();
+        let mut profile = replay_obs::Profile::new();
+        p.observe_ports(&mut profile);
         let issued: u64 = ["p0", "p1", "p23", "p5"]
             .iter()
             .map(|l| profile.counter(&format!("timing.port.{l}.issued")))
@@ -1036,10 +1032,10 @@ mod tests {
         let mut p = Pipeline::new(cfg());
         let flow = alu_flow();
         p.fetch_x86(&plain_fetch(0x1000, &flow));
-        let mut obs = replay_obs::Obs::collecting();
-        p.observe_ports(&mut obs);
+        let mut profile = replay_obs::Profile::new();
+        p.observe_ports(&mut profile);
         assert!(
-            obs.into_profile().is_empty(),
+            profile.is_empty(),
             "generic model emits no timing.port.* keys"
         );
     }

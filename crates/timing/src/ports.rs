@@ -430,14 +430,11 @@ impl Scheduler {
 
     /// Records per-port pressure counters,
     /// `timing.port.<label>.{issued,contention_cycles}`.
-    pub(crate) fn observe_into(&self, obs: &mut replay_obs::Obs) {
-        if !obs.enabled() {
-            return;
-        }
+    pub(crate) fn observe_into(&self, profile: &mut replay_obs::Profile) {
         for (i, port) in self.table.ports().iter().enumerate() {
             let label = port.label;
-            obs.counter(&format!("timing.port.{label}.issued"), self.issued[i]);
-            obs.counter(
+            profile.counter_add(&format!("timing.port.{label}.issued"), self.issued[i]);
+            profile.counter_add(
                 &format!("timing.port.{label}.contention_cycles"),
                 self.contention[i],
             );

@@ -129,7 +129,7 @@ pub const PHRASE_NAMES: [&str; 13] = [
 ];
 
 /// Version of the synthetic-workload generator. Bump whenever
-/// [`build_program`] or the phrase vocabulary changes the traces a given
+/// `build_program` or the phrase vocabulary changes the traces a given
 /// [`Workload`] produces: the version participates in every persisted
 /// trace artifact's key, so bumping it invalidates stale cache entries
 /// without touching the artifact container format.

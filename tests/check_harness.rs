@@ -7,7 +7,9 @@ use replay_check::{
     arb_frame, probe_fault_sensitivity, replay_dir, run_check, CheckConfig, FaultKind,
     PassSelection,
 };
-use replay_core::{passes, run_pass, AliasProfile, OptFrame, OptScope, OptStats, PassCtx, PassId};
+use replay_core::{
+    passes, run_pass, AliasProfile, OptConfig, OptFrame, OptScope, OptStats, PassId,
+};
 use replay_rng::SmallRng;
 use replay_sim::experiment::{self, Column};
 use replay_sim::{ConfigKind, CoreModel};
@@ -71,15 +73,15 @@ fn dce_is_idempotent_after_any_pipeline_prefix() {
     for case in 0..300 {
         let frame = arb_frame(&mut rng);
         for scope in [OptScope::Frame, OptScope::Block, OptScope::InterBlock] {
-            let ctx = PassCtx {
+            let cfg = OptConfig {
                 scope,
-                ..PassCtx::full(&profile)
+                ..OptConfig::default()
             };
             for k in 0..PassId::ALL.len() {
                 let mut f = OptFrame::from_frame(&frame);
                 let mut stats = OptStats::default();
                 for &pass in PassId::ALL[..k].iter().chain(&[PassId::Dce]) {
-                    run_pass(&mut f, pass, &ctx, &mut stats);
+                    run_pass(&mut f, pass, &cfg, &profile, &mut stats);
                     f.validate()
                         .unwrap_or_else(|e| panic!("case {case} {scope:?} after {pass}: {e}"));
                 }

@@ -3,7 +3,7 @@
 //! dynamic-removal attribution sums exactly to the engine's own removal
 //! counter, and the JSON rendering is stable and self-consistent.
 
-use replay_obs::{Metric, Profile, Registry};
+use replay_obs::{Metric, Profile};
 use replay_sim::experiment::{run_specs, SimSpec};
 use replay_sim::{ConfigKind, SimConfig, SimResult, TraceStore};
 use replay_trace::workloads;
@@ -73,26 +73,29 @@ fn per_pass_attribution_sums_to_total_removal() {
     }
 }
 
-/// The registry merges worker shards in submission order, so a combined
-/// profile is independent of the (arbitrary) order shards finish in.
+/// Folding per-configuration profiles with [`Profile::merge`] gives the
+/// same profile in any order, so a combined profile cannot depend on the
+/// order workers finish in.
 #[test]
-fn registry_merge_is_submission_ordered() {
+fn profile_merge_is_order_independent() {
     let results = profiled_results("gzip", 2);
-    let forward = {
-        let reg = Registry::new();
-        for (i, r) in results.iter().enumerate() {
-            reg.submit(i, r.profile.clone());
+    let fold = |order: Vec<&SimResult>| {
+        let mut merged = Profile::new();
+        for r in order {
+            merged.merge(&r.profile);
         }
-        reg.finish()
+        merged
     };
-    let scrambled = {
-        let reg = Registry::new();
-        for (i, r) in results.iter().enumerate().rev() {
-            reg.submit(i, r.profile.clone());
-        }
-        reg.finish()
-    };
-    assert_eq!(forward.to_json(false), scrambled.to_json(false));
+    let forward = fold(results.iter().collect());
+    let reversed = fold(results.iter().rev().collect());
+    assert_eq!(forward.to_json(false), reversed.to_json(false));
+    assert_eq!(forward.render_table(false), reversed.render_table(false));
+    assert!(
+        forward
+            .to_json(false)
+            .contains("\"opt.frame_removed_uops\":{\"type\":\"hist\""),
+        "the merge covers a histogram's min and max"
+    );
     // The merged total equals the sum of the per-config totals.
     let sum: u64 = results
         .iter()
