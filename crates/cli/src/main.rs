@@ -642,7 +642,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let out = opts
         .get("o")
         .ok_or_else(|| format!("missing -o FILE ({})", SPEC_GEN.usage()))?;
-    let n: usize = opts.count("n", 100_000)?;
+    let n: usize = opts.positive("n")?.unwrap_or(100_000);
     let seg: usize = opts.count("s", 0)?;
     let w = workloads::by_name(name).ok_or_else(|| format!("unknown workload {name:?}"))?;
     check_segment(&w, seg)?;
@@ -679,7 +679,7 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
     let [source] = opts.positional[..] else {
         return Err(SPEC_SIM.usage());
     };
-    let n: usize = opts.count("n", 30_000)?;
+    let n: usize = opts.positive("n")?.unwrap_or(30_000);
     let kind = config_by_label(opts.get("c").unwrap_or("RPO"))?;
     let model = core_model_opt(&opts)?;
     configure_store(&opts);
@@ -733,7 +733,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     let [source] = opts.positional[..] else {
         return Err(SPEC_COMPARE.usage());
     };
-    let n: usize = opts.count("n", 30_000)?;
+    let n: usize = opts.positive("n")?.unwrap_or(30_000);
     let jobs = opts.jobs()?;
     let model = core_model_opt(&opts)?;
     configure_store(&opts);
@@ -793,7 +793,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let [source] = opts.positional[..] else {
         return Err(SPEC_REPORT.usage());
     };
-    let n: usize = opts.count("n", 30_000)?;
+    let n: usize = opts.positive("n")?.unwrap_or(30_000);
     let jobs = opts.jobs()?;
     let timings = opts.has("timings");
     let model = core_model_opt(&opts)?;
@@ -847,9 +847,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         cfg.max_conns = n;
     }
     replay_serve::signal::install();
-    // Every held connection is a file descriptor; give the ceiling
-    // headroom before the first accept rather than failing under load.
-    let _ = replay_serve::poll::raise_nofile_limit(cfg.max_conns as u64 + 512);
     let jobs = cfg.jobs;
     let server =
         replay_serve::Server::bind(addr, cfg).map_err(|e| format!("binding {addr:?}: {e}"))?;
@@ -868,7 +865,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     let [source] = opts.positional[..] else {
         return Err(SPEC_SUBMIT.usage());
     };
-    let scale: u64 = opts.count("n", 30_000)?;
+    let scale: u64 = opts.positive("n")?.unwrap_or(30_000);
     // A known workload name travels as a name (the server synthesizes the
     // trace through its warm TraceStore); anything else must be a trace
     // file, which travels inline.
@@ -1029,7 +1026,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     let [source] = opts.positional[..] else {
         return Err(SPEC_INFO.usage());
     };
-    let n: usize = opts.count("n", 30_000)?;
+    let n: usize = opts.positive("n")?.unwrap_or(30_000);
     let trace = load_trace(source, n, 0)?;
     outln!("trace `{}`", trace.name);
     out!("{}", replay_trace::TraceStats::of(&trace).report());
@@ -1059,7 +1056,7 @@ fn cmd_frames(args: &[String]) -> Result<(), String> {
     let [name] = opts.positional[..] else {
         return Err(SPEC_FRAMES.usage());
     };
-    let n: usize = opts.count("n", 20_000)?;
+    let n: usize = opts.positive("n")?.unwrap_or(20_000);
     let top: usize = opts.count("top", 3)?;
     let w = workloads::by_name(name).ok_or_else(|| format!("unknown workload {name:?}"))?;
     let trace = w.segment_trace(0, n);
@@ -1113,7 +1110,7 @@ fn cmd_clone(args: &[String]) -> Result<(), String> {
     let source = opts
         .get("from-profile")
         .ok_or_else(|| format!("missing --from-profile SRC ({})", SPEC_CLONE.usage()))?;
-    let n: usize = opts.count("n", 6_000)?;
+    let n: usize = opts.positive("n")?.unwrap_or(6_000);
     let mut cfg = replay_clone::FitConfig {
         fit_scale: n,
         jobs: opts.jobs()?,
@@ -1180,7 +1177,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         ..Default::default()
     };
     cfg.steps = opts.count("steps", cfg.steps)?;
-    cfg.scale = opts.count("n", cfg.scale)?;
+    cfg.scale = opts.positive("n")?.unwrap_or(cfg.scale);
     cfg.seed = opts.count("seed", cfg.seed)?;
     if let Some(v) = opts.get("gain-floor") {
         cfg.gain_floor_pct = v

@@ -129,6 +129,28 @@ fn serve_bounds_must_be_positive() {
 }
 
 #[test]
+fn trace_length_must_be_positive() {
+    // `-n 0` used to run every command on an empty trace and exit 0:
+    // `sim` printed IPC 0.000, `clone` "converged" after 0 iterations.
+    let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/empty.trace");
+    for cmd in [
+        &["sim", "gzip", "--no-store"][..],
+        &["compare", "gzip", "--no-store"],
+        &["report", "gzip", "--no-store"],
+        &["info", "gzip"],
+        &["frames", "gzip"],
+        &["gen", "gzip", "-o", out],
+        &["submit", "gzip", "--addr", "127.0.0.1:1", "--retries", "0"],
+        &["clone", "--from-profile", "gzip", "--no-store"],
+        &["sweep", "--no-store"],
+    ] {
+        let mut args = cmd.to_vec();
+        args.extend_from_slice(&["-n", "0"]);
+        assert_rejected(&args, "bad -n value \"0\" (want a positive integer)");
+    }
+}
+
+#[test]
 fn submit_takes_one_address_not_a_list() {
     // The client is single-address; a list (or nothing) fails before any
     // connect, so nothing is retried.

@@ -17,16 +17,18 @@
 //!
 //! - **Event-driven serve core** — one thread holds every connection as
 //!   a small state machine ([`conn`]) over a readiness poller ([`poll`]:
-//!   a zero-dep raw-syscall `epoll` shim), so tens of thousands of idle
+//!   libc's `epoll`, declared `extern "C"`), so tens of thousands of idle
 //!   or byte-dribbling clients cost file descriptors, not blocked OS
-//!   threads. Targets without the shim get a typed
+//!   threads. Targets without `epoll` get a typed
 //!   [`std::io::ErrorKind::Unsupported`] from [`Server::bind`].
-//! - **Bounded intake, typed shedding** — the connection count and the
-//!   work queue are bounded; a connection over the ceiling or a full
-//!   queue is answered [`proto::Status::Overloaded`] with a retry hint,
-//!   and a *draining* server answers [`proto::Status::ShuttingDown`],
-//!   instead of hanging the connection ([`queue`]).
-//! - **One request per dispatch** — the dispatcher pops one job and
+//! - **Bounded intake, typed shedding** — the connection count (clamped
+//!   below the open-file limit) and the work queue (a std
+//!   [`sync_channel`](std::sync::mpsc::sync_channel)) are bounded; a
+//!   connection over the ceiling or a full queue is answered
+//!   [`proto::Status::Overloaded`] with a retry hint, and a *draining*
+//!   server answers [`proto::Status::ShuttingDown`], instead of hanging
+//!   the connection ([`server`]).
+//! - **One request per dispatch** — the dispatcher receives one job and
 //!   answers it alone with one worker-pool run ([`server`]).
 //! - **Deadlines** — a request that sat queued past its deadline is
 //!   answered [`proto::Status::DeadlineExceeded`], not simulated for
@@ -53,13 +55,13 @@
 //! checksum trailer, total (panic-free) decoding.
 
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod conn;
 pub mod poll;
 pub mod proto;
-pub mod queue;
 pub mod server;
 pub mod signal;
 

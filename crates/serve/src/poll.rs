@@ -1,15 +1,15 @@
-//! A zero-dependency readiness-polling shim: `epoll` + `eventfd` via raw
-//! syscalls.
+//! Readiness polling for the event loop: libc's `epoll` and a
+//! socket-pair doorbell.
 //!
-//! `std` exposes no readiness API and the workspace bans external crates,
-//! so this module talks to the kernel directly — `syscall`/`svc`
-//! instructions through `std::arch::asm!`, no `libc`. Like
-//! [`crate::signal`], it is a narrowly-scoped opt-out from the crate's
-//! `deny(unsafe_code)`: all `unsafe` lives in the private `sys` module,
-//! which wraps exactly five syscalls (`epoll_create1`, `epoll_ctl`,
-//! `epoll_pwait`, `eventfd2`, `prlimit64`) plus `read`/`write`/`close`
-//! on the eventfd, and every wrapper converts a negative return into a
-//! typed [`io::Error`].
+//! `std` exposes no readiness API and the workspace takes no external
+//! crates, so, as [`crate::signal`] does for `signal`, this module
+//! declares the libc functions it needs in one `extern "C"` block:
+//! `epoll_create1`, `epoll_ctl`, `epoll_wait`, `getrlimit` and
+//! `setrlimit` (std already links libc on every Unix target). All
+//! `unsafe` lives in the private `sys` module, a narrowly-scoped opt-out
+//! from the crate's `deny(unsafe_code)`: each wrapper turns libc's `-1`
+//! into [`io::Error::last_os_error`], and the epoll instance is held as
+//! an [`OwnedFd`](std::os::fd::OwnedFd), so it closes on drop.
 //!
 //! The public surface is safe and minimal:
 //!
@@ -17,23 +17,28 @@
 //!   caller-chosen `u64` token and an [`Interest`]; [`Poller::wait`]
 //!   fills a buffer of [`Event`]s (level-triggered, so a handler that
 //!   reads until `WouldBlock` never loses data).
-//! - [`Doorbell`] — a nonblocking `eventfd` used to wake the poll loop
-//!   from another thread ([`Doorbell::ring`] is async-signal-safe and
-//!   cheap; the loop registers [`Doorbell::fd`] and calls
-//!   [`Doorbell::drain`] on wakeup).
-//! - [`supported`] — whether this target has the shim at all. On
-//!   unsupported targets every constructor returns
-//!   [`io::ErrorKind::Unsupported`], which is the error
-//!   [`crate::Server::bind`] reports there: the server has no other
-//!   front.
+//! - [`Doorbell`] — a nonblocking Unix socket pair that wakes the poll
+//!   loop from another thread: [`Doorbell::ring`] writes a byte; the loop
+//!   registers [`Doorbell::fd`] and calls [`Doorbell::drain`] on wakeup.
+//! - [`supported`] — whether this target can poll at all. Elsewhere
+//!   every constructor returns [`io::ErrorKind::Unsupported`], which is
+//!   the error [`crate::Server::bind`] reports there: the server has no
+//!   other front.
 //!
 //! Tokens, not pointers, ride in `epoll_data`: the loop owns a map from
 //! token to connection, so there is no aliasing to get wrong and a stale
 //! event for a closed connection is just a failed map lookup.
 
 use std::io;
+#[cfg(unix)]
+use std::{
+    io::{Read, Write},
+    os::{fd::AsRawFd, unix::net::UnixStream},
+};
+#[cfg(not(unix))]
+use sys::UnixStream;
 
-/// True when the readiness shim works on this target (Linux on x86_64 or
+/// True when readiness polling works on this target (Linux on x86_64 or
 /// aarch64). Everywhere else the server cannot run and [`Poller::new`]
 /// returns [`io::ErrorKind::Unsupported`].
 pub const fn supported() -> bool {
@@ -93,371 +98,104 @@ pub struct Event {
     pub hung_up: bool,
 }
 
+/// The kernel's `struct epoll_event`. Packed on x86_64 only — that is
+/// the one ABI where the struct is unaligned; everywhere else it has
+/// natural alignment.
+#[derive(Clone, Copy, Default)]
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
+
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLLRDHUP: u32 = 0x2000;
+
+const EPOLL_CTL_ADD: i32 = 1;
+const EPOLL_CTL_DEL: i32 = 2;
+const EPOLL_CTL_MOD: i32 = 3;
+
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 #[allow(unsafe_code)]
 mod sys {
-    //! The unsafe core: raw syscalls and the kernel ABI structs. Nothing
-    //! here is public outside [`super`].
+    //! The libc calls. Nothing here is public outside [`super`].
 
-    use std::arch::asm;
+    use super::EpollEvent;
     use std::io;
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 
-    #[cfg(target_arch = "x86_64")]
-    pub mod nr {
-        pub const READ: usize = 0;
-        pub const WRITE: usize = 1;
-        pub const CLOSE: usize = 3;
-        pub const EPOLL_CTL: usize = 233;
-        pub const EPOLL_PWAIT: usize = 281;
-        pub const EVENTFD2: usize = 290;
-        pub const EPOLL_CREATE1: usize = 291;
-        pub const PRLIMIT64: usize = 302;
-    }
-    #[cfg(target_arch = "aarch64")]
-    pub mod nr {
-        pub const READ: usize = 63;
-        pub const WRITE: usize = 64;
-        pub const CLOSE: usize = 57;
-        pub const EPOLL_CTL: usize = 21;
-        pub const EPOLL_PWAIT: usize = 22;
-        pub const EVENTFD2: usize = 19;
-        pub const EPOLL_CREATE1: usize = 20;
-        pub const PRLIMIT64: usize = 261;
-    }
+    /// An epoll instance; dropping it closes the descriptor.
+    pub type Epoll = OwnedFd;
 
-    /// One raw syscall. The kernel never unwinds and the wrappers below
-    /// only pass pointers to memory they own for the duration of the
-    /// call, which is what makes the `asm!` blocks sound.
-    #[cfg(target_arch = "x86_64")]
-    fn syscall6(n: usize, a: usize, b: usize, c: usize, d: usize, e: usize, f: usize) -> isize {
-        let ret: isize;
-        unsafe {
-            asm!(
-                "syscall",
-                inlateout("rax") n as isize => ret,
-                in("rdi") a,
-                in("rsi") b,
-                in("rdx") c,
-                in("r10") d,
-                in("r8") e,
-                in("r9") f,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    /// One raw syscall (aarch64 `svc 0` convention).
-    #[cfg(target_arch = "aarch64")]
-    fn syscall6(n: usize, a: usize, b: usize, c: usize, d: usize, e: usize, f: usize) -> isize {
-        let ret: isize;
-        unsafe {
-            asm!(
-                "svc 0",
-                in("x8") n,
-                inlateout("x0") a as isize => ret,
-                in("x1") b,
-                in("x2") c,
-                in("x3") d,
-                in("x4") e,
-                in("x5") f,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    /// Negative returns are `-errno`; map them to `io::Error`.
-    fn check(ret: isize) -> io::Result<usize> {
-        if ret < 0 {
-            Err(io::Error::from_raw_os_error(-ret as i32))
-        } else {
-            Ok(ret as usize)
-        }
-    }
-
-    /// The kernel's `struct epoll_event`. Packed on x86_64 only — that is
-    /// the one ABI where the struct is unaligned; everywhere else it has
-    /// natural alignment.
-    #[derive(Clone, Copy, Default)]
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
-
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
-
-    const EPOLL_CLOEXEC: usize = 0x80000;
-    const EFD_CLOEXEC: usize = 0x80000;
-    const EFD_NONBLOCK: usize = 0x800;
-
-    pub fn epoll_create1() -> io::Result<i32> {
-        check(syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0)).map(|fd| fd as i32)
-    }
-
-    pub fn epoll_ctl(
-        epfd: i32,
-        op: i32,
-        fd: i32,
-        event: Option<&mut EpollEvent>,
-    ) -> io::Result<()> {
-        let ptr = event.map_or(0usize, |e| e as *mut EpollEvent as usize);
-        check(syscall6(
-            nr::EPOLL_CTL,
-            epfd as usize,
-            op as usize,
-            fd as usize,
-            ptr,
-            0,
-            0,
-        ))
-        .map(|_| ())
-    }
-
-    /// `epoll_pwait` with a null sigmask — identical to `epoll_wait`,
-    /// but the syscall number exists on every architecture (aarch64
-    /// never had plain `epoll_wait`).
-    pub fn epoll_wait(epfd: i32, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
-        check(syscall6(
-            nr::EPOLL_PWAIT,
-            epfd as usize,
-            events.as_mut_ptr() as usize,
-            events.len(),
-            timeout_ms as usize,
-            0,
-            0,
-        ))
-    }
-
-    pub fn eventfd() -> io::Result<i32> {
-        check(syscall6(
-            nr::EVENTFD2,
-            0,
-            EFD_CLOEXEC | EFD_NONBLOCK,
-            0,
-            0,
-            0,
-            0,
-        ))
-        .map(|fd| fd as i32)
-    }
-
-    pub fn write_u64(fd: i32, v: u64) -> io::Result<usize> {
-        let buf = v.to_ne_bytes();
-        check(syscall6(
-            nr::WRITE,
-            fd as usize,
-            buf.as_ptr() as usize,
-            buf.len(),
-            0,
-            0,
-            0,
-        ))
-    }
-
-    pub fn read_u64(fd: i32) -> io::Result<u64> {
-        let mut buf = [0u8; 8];
-        check(syscall6(
-            nr::READ,
-            fd as usize,
-            buf.as_mut_ptr() as usize,
-            buf.len(),
-            0,
-            0,
-            0,
-        ))?;
-        Ok(u64::from_ne_bytes(buf))
-    }
-
-    pub fn close(fd: i32) {
-        let _ = syscall6(nr::CLOSE, fd as usize, 0, 0, 0, 0, 0);
-    }
-
+    /// `struct rlimit`: `rlim_t` is 64 bits on both supported targets.
     #[repr(C)]
-    struct RLimit64 {
+    struct RLimit {
         cur: u64,
         max: u64,
     }
 
-    const RLIMIT_NOFILE: usize = 7;
+    const EPOLL_CLOEXEC: i32 = 0x80000;
+    const RLIMIT_NOFILE: i32 = 7;
 
-    /// Reads the (soft, hard) open-file limits of this process.
+    extern "C" {
+        fn epoll_create1(flags: i32) -> i32;
+        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+        fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
+        fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
+    }
+
+    /// libc's convention: `-1` is failure, with the cause in `errno`.
+    fn check(ret: i32) -> io::Result<i32> {
+        if ret == -1 {
+            Err(io::Error::last_os_error())
+        } else {
+            Ok(ret)
+        }
+    }
+
+    pub fn create() -> io::Result<Epoll> {
+        // SAFETY: no pointers cross the call; it only allocates a fd.
+        let fd = check(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+        // SAFETY: `fd` was just opened by the kernel and nothing else
+        // owns it.
+        Ok(unsafe { OwnedFd::from_raw_fd(fd) })
+    }
+
+    pub fn ctl(ep: &Epoll, op: i32, fd: i32, event: Option<&mut EpollEvent>) -> io::Result<()> {
+        let ptr = event.map_or(std::ptr::null_mut(), |e| e as *mut EpollEvent);
+        // SAFETY: `ptr` is null (which `EPOLL_CTL_DEL` allows) or points
+        // at an event borrowed for the duration of the call.
+        check(unsafe { epoll_ctl(ep.as_raw_fd(), op, fd, ptr) }).map(drop)
+    }
+
+    pub fn wait(ep: &Epoll, buf: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+        let max = i32::try_from(buf.len()).unwrap_or(i32::MAX);
+        // SAFETY: the kernel writes at most `max` events, and `buf` holds
+        // at least that many.
+        let n = check(unsafe { epoll_wait(ep.as_raw_fd(), buf.as_mut_ptr(), max, timeout_ms) })?;
+        Ok(n as usize)
+    }
+
+    /// The process's (soft, hard) open-file limits.
     pub fn nofile_limits() -> io::Result<(u64, u64)> {
-        let mut old = RLimit64 { cur: 0, max: 0 };
-        check(syscall6(
-            nr::PRLIMIT64,
-            0,
-            RLIMIT_NOFILE,
-            0,
-            &mut old as *mut RLimit64 as usize,
-            0,
-            0,
-        ))?;
-        Ok((old.cur, old.max))
+        let mut lim = RLimit { cur: 0, max: 0 };
+        // SAFETY: `lim` is a valid `struct rlimit` the call writes into.
+        check(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) })?;
+        Ok((lim.cur, lim.max))
     }
 
-    /// Raises the soft open-file limit to `min(want, hard)`.
-    pub fn raise_nofile(want: u64) -> io::Result<u64> {
-        let (cur, max) = nofile_limits()?;
-        let target = want.min(max);
-        if target <= cur {
-            return Ok(cur);
-        }
-        let new = RLimit64 { cur: target, max };
-        check(syscall6(
-            nr::PRLIMIT64,
-            0,
-            RLIMIT_NOFILE,
-            &new as *const RLimit64 as usize,
-            0,
-            0,
-            0,
-        ))?;
-        Ok(target)
-    }
-}
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod imp {
-    use super::{sys, Event, Interest};
-    use std::io;
-
-    /// `EPOLLERR | EPOLLHUP` are implicit in every registration. The
-    /// half-close bit rides with read interest only: it is level-triggered,
-    /// so watching it on a connection that no longer reads would wake
-    /// every wait until the connection closes.
-    fn mask(interest: Interest) -> u32 {
-        let mut m = 0;
-        if interest.readable {
-            m |= sys::EPOLLIN | sys::EPOLLRDHUP;
-        }
-        if interest.writable {
-            m |= sys::EPOLLOUT;
-        }
-        m
-    }
-
-    /// An epoll instance plus its reusable kernel-event buffer.
-    pub struct Poller {
-        epfd: i32,
-        buf: Vec<sys::EpollEvent>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                epfd: sys::epoll_create1()?,
-                buf: vec![sys::EpollEvent::default(); 1024],
-            })
-        }
-
-        pub fn add(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            let mut ev = sys::EpollEvent {
-                events: mask(interest),
-                data: token,
-            };
-            sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_ADD, fd, Some(&mut ev))
-        }
-
-        pub fn modify(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            let mut ev = sys::EpollEvent {
-                events: mask(interest),
-                data: token,
-            };
-            sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_MOD, fd, Some(&mut ev))
-        }
-
-        pub fn remove(&mut self, fd: i32) -> io::Result<()> {
-            sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, None)
-        }
-
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
-            out.clear();
-            let n = match sys::epoll_wait(self.epfd, &mut self.buf, timeout_ms) {
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
-                Err(e) => return Err(e),
-            };
-            for raw in &self.buf[..n] {
-                // Copy packed fields out by value; references into a
-                // packed struct would be unaligned.
-                let events = { raw.events };
-                let data = { raw.data };
-                out.push(Event {
-                    token: data,
-                    readable: events & sys::EPOLLIN != 0,
-                    writable: events & sys::EPOLLOUT != 0,
-                    closed: events & (sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0,
-                    hung_up: events & (sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                });
-            }
-            Ok(n)
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            sys::close(self.epfd);
-        }
-    }
-
-    /// A nonblocking eventfd.
-    pub struct Doorbell {
-        fd: i32,
-    }
-
-    impl Doorbell {
-        pub fn new() -> io::Result<Doorbell> {
-            Ok(Doorbell {
-                fd: sys::eventfd()?,
-            })
-        }
-
-        pub fn fd(&self) -> i32 {
-            self.fd
-        }
-
-        pub fn ring(&self) {
-            // EAGAIN means the counter is already saturated — the loop is
-            // guaranteed to wake, which is all a ring promises.
-            let _ = sys::write_u64(self.fd, 1);
-        }
-
-        pub fn drain(&self) {
-            while sys::read_u64(self.fd).is_ok() {}
-        }
-    }
-
-    impl Drop for Doorbell {
-        fn drop(&mut self) {
-            sys::close(self.fd);
-        }
-    }
-
-    pub fn nofile_limits() -> io::Result<(u64, u64)> {
-        sys::nofile_limits()
-    }
-
-    pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-        sys::raise_nofile(want)
+    pub fn set_nofile_limits(cur: u64, max: u64) -> io::Result<()> {
+        let lim = RLimit { cur, max };
+        // SAFETY: `lim` is a valid `struct rlimit` the call only reads.
+        check(unsafe { setrlimit(RLIMIT_NOFILE, &lim) }).map(drop)
     }
 }
 
@@ -465,9 +203,15 @@ mod imp {
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
-mod imp {
-    use super::{Event, Interest};
+mod sys {
+    //! Unsupported targets: every entry point fails, and no epoll
+    //! instance can exist.
+
+    use super::EpollEvent;
     use std::io;
+
+    /// Uninhabited: nothing can create one here.
+    pub enum Epoll {}
 
     fn unsupported<T>() -> io::Result<T> {
         Err(io::Error::new(
@@ -476,52 +220,76 @@ mod imp {
         ))
     }
 
-    pub struct Poller {}
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            unsupported()
-        }
-        pub fn add(&mut self, _fd: i32, _token: u64, _interest: Interest) -> io::Result<()> {
-            unsupported()
-        }
-        pub fn modify(&mut self, _fd: i32, _token: u64, _interest: Interest) -> io::Result<()> {
-            unsupported()
-        }
-        pub fn remove(&mut self, _fd: i32) -> io::Result<()> {
-            unsupported()
-        }
-        pub fn wait(&mut self, _out: &mut Vec<Event>, _timeout_ms: i32) -> io::Result<usize> {
-            unsupported()
-        }
+    pub fn create() -> io::Result<Epoll> {
+        unsupported()
     }
 
-    pub struct Doorbell {}
-
-    impl Doorbell {
-        pub fn new() -> io::Result<Doorbell> {
-            unsupported()
-        }
-        pub fn fd(&self) -> i32 {
-            -1
-        }
-        pub fn ring(&self) {}
-        pub fn drain(&self) {}
+    pub fn ctl(ep: &Epoll, _op: i32, _fd: i32, _ev: Option<&mut EpollEvent>) -> io::Result<()> {
+        match *ep {}
     }
 
+    pub fn wait(ep: &Epoll, _buf: &mut [EpollEvent], _timeout_ms: i32) -> io::Result<usize> {
+        match *ep {}
+    }
+
+    /// The process's (soft, hard) open-file limits.
     pub fn nofile_limits() -> io::Result<(u64, u64)> {
         unsupported()
     }
 
-    pub fn raise_nofile_limit(_want: u64) -> io::Result<u64> {
+    pub fn set_nofile_limits(_cur: u64, _max: u64) -> io::Result<()> {
         unsupported()
+    }
+
+    /// Non-Unix targets have no socket pair either; uninhabited, like
+    /// [`Epoll`], with the calls [`super::Doorbell`] makes.
+    #[cfg(not(unix))]
+    pub enum UnixStream {}
+
+    #[cfg(not(unix))]
+    impl UnixStream {
+        pub fn pair() -> io::Result<(UnixStream, UnixStream)> {
+            unsupported()
+        }
+        pub fn set_nonblocking(&self, _on: bool) -> io::Result<()> {
+            match *self {}
+        }
+        pub fn as_raw_fd(&self) -> i32 {
+            match *self {}
+        }
+        pub fn read(&self, _buf: &mut [u8]) -> io::Result<usize> {
+            match *self {}
+        }
+        pub fn write(&self, _buf: &[u8]) -> io::Result<usize> {
+            match *self {}
+        }
+    }
+}
+
+/// The registration for `token` with `interest`. `EPOLLERR | EPOLLHUP`
+/// are implicit in every registration. The half-close bit rides with
+/// read interest only: it is level-triggered, so watching it on a
+/// connection that no longer reads would wake every wait until the
+/// connection closes.
+fn registration(token: u64, interest: Interest) -> EpollEvent {
+    let mut events = 0;
+    if interest.readable {
+        events |= EPOLLIN | EPOLLRDHUP;
+    }
+    if interest.writable {
+        events |= EPOLLOUT;
+    }
+    EpollEvent {
+        events,
+        data: token,
     }
 }
 
 /// A readiness poller (one epoll instance). Level-triggered: an fd that
 /// still has unread data re-reports readable on the next [`Poller::wait`].
 pub struct Poller {
-    inner: imp::Poller,
+    epfd: sys::Epoll,
+    buf: Vec<EpollEvent>,
 }
 
 impl Poller {
@@ -529,86 +297,113 @@ impl Poller {
     /// [`supported`] is false).
     pub fn new() -> io::Result<Poller> {
         Ok(Poller {
-            inner: imp::Poller::new()?,
+            epfd: sys::create()?,
+            buf: vec![EpollEvent::default(); 1024],
         })
     }
 
     /// Registers `fd` under `token` with the given interest. Full hangup
     /// and error conditions are always reported.
     pub fn add(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        self.inner.add(fd, token, interest)
+        let mut ev = registration(token, interest);
+        sys::ctl(&self.epfd, EPOLL_CTL_ADD, fd, Some(&mut ev))
     }
 
     /// Changes the interest (and token) of an already-registered fd.
     pub fn modify(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        self.inner.modify(fd, token, interest)
+        let mut ev = registration(token, interest);
+        sys::ctl(&self.epfd, EPOLL_CTL_MOD, fd, Some(&mut ev))
     }
 
     /// Deregisters `fd`. Closing the fd deregisters it implicitly; this
     /// exists for fds that outlive their registration.
     pub fn remove(&mut self, fd: i32) -> io::Result<()> {
-        self.inner.remove(fd)
+        sys::ctl(&self.epfd, EPOLL_CTL_DEL, fd, None)
     }
 
     /// Waits up to `timeout_ms` (`-1` = forever, `0` = poll) and fills
     /// `out` with ready events. Returns the event count; `EINTR` is
     /// absorbed and reported as zero events.
     pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
-        self.inner.wait(out, timeout_ms)
+        out.clear();
+        let n = match sys::wait(&self.epfd, &mut self.buf, timeout_ms) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+            Err(e) => return Err(e),
+        };
+        for raw in &self.buf[..n] {
+            // Copy packed fields out by value; references into a packed
+            // struct would be unaligned.
+            let events = { raw.events };
+            out.push(Event {
+                token: { raw.data },
+                readable: events & EPOLLIN != 0,
+                writable: events & EPOLLOUT != 0,
+                closed: events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
+                hung_up: events & (EPOLLERR | EPOLLHUP) != 0,
+            });
+        }
+        Ok(n)
     }
 }
 
 /// A cross-thread wakeup for the poll loop: any thread may
 /// [`Doorbell::ring`]; the loop registers [`Doorbell::fd`] readable and
-/// [`Doorbell::drain`]s on wakeup. Backed by a nonblocking `eventfd`.
+/// [`Doorbell::drain`]s on wakeup. Backed by a nonblocking
+/// [`UnixStream::pair`].
 pub struct Doorbell {
-    inner: imp::Doorbell,
+    rx: UnixStream,
+    tx: UnixStream,
 }
 
 impl Doorbell {
-    /// Creates the eventfd ([`io::ErrorKind::Unsupported`] when
-    /// [`supported`] is false).
+    /// Creates the socket pair.
     pub fn new() -> io::Result<Doorbell> {
-        Ok(Doorbell {
-            inner: imp::Doorbell::new()?,
-        })
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Doorbell { rx, tx })
     }
 
     /// The fd to register with a [`Poller`].
     pub fn fd(&self) -> i32 {
-        self.inner.fd()
+        self.rx.as_raw_fd()
     }
 
     /// Wakes the poll loop. Never blocks; safe from any thread.
     pub fn ring(&self) {
-        self.inner.ring()
+        // `WouldBlock` means the socket is full of unread rings: the loop
+        // is bound to wake, which is all a ring promises.
+        let _ = (&self.tx).write(&[1]);
     }
 
     /// Consumes pending rings so the fd stops reporting readable.
     pub fn drain(&self) {
-        self.inner.drain()
+        let mut buf = [0u8; 64];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
-/// The process's (soft, hard) open-file limits.
-pub fn nofile_limits() -> io::Result<(u64, u64)> {
-    imp::nofile_limits()
-}
+pub use sys::nofile_limits;
 
 /// Raises the soft open-file limit toward `want` (clamped to the hard
-/// limit) and returns the resulting soft limit. High-connection-count
-/// serving and the load tests call this so a conservative inherited
-/// `ulimit -n` does not masquerade as a server defect.
+/// limit) and returns the resulting soft limit. [`crate::Server::bind`]
+/// calls this so a conservative inherited `ulimit -n` does not cap the
+/// connection ceiling below what the hard limit allows.
 pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-    imp::raise_nofile_limit(want)
+    let (cur, max) = nofile_limits()?;
+    let target = want.min(max);
+    if target <= cur {
+        return Ok(cur);
+    }
+    sys::set_nofile_limits(target, max)?;
+    Ok(target)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
     use std::net::{Shutdown, TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
     use std::time::Duration;
 
     #[test]
@@ -617,7 +412,7 @@ mod tests {
             return;
         }
         let mut poller = Poller::new().expect("epoll");
-        let bell = Doorbell::new().expect("eventfd");
+        let bell = Doorbell::new().expect("socket pair");
         poller.add(bell.fd(), 7, Interest::READ).expect("add bell");
         let mut events = Vec::new();
         // Nothing rung: a zero-timeout wait sees nothing.
@@ -632,6 +427,16 @@ mod tests {
         bell.drain();
         poller.wait(&mut events, 0).expect("wait");
         assert!(events.is_empty(), "drained doorbell must go quiet");
+        // More rings than the socket buffer holds never block, and one
+        // drain still empties it.
+        for _ in 0..10_000 {
+            bell.ring();
+        }
+        poller.wait(&mut events, 1000).expect("wait");
+        assert_eq!(events.len(), 1, "a full doorbell still wakes the loop");
+        bell.drain();
+        poller.wait(&mut events, 0).expect("wait");
+        assert!(events.is_empty(), "drain empties a full doorbell");
     }
 
     #[test]
@@ -736,6 +541,19 @@ mod tests {
         let (cur, max) = nofile_limits().expect("limits");
         assert!(cur >= 1 && max >= cur);
         // Re-raising to the current soft limit is a no-op that succeeds.
-        assert_eq!(raise_nofile_limit(cur).expect("raise"), cur.max(cur));
+        assert_eq!(raise_nofile_limit(cur).expect("raise"), cur);
+    }
+
+    #[test]
+    fn errors_carry_errno() {
+        if !supported() {
+            return;
+        }
+        // Removing an fd that was never registered fails ENOENT, read
+        // from errno.
+        let mut poller = Poller::new().expect("epoll");
+        let bell = Doorbell::new().expect("socket pair");
+        let err = poller.remove(bell.fd()).expect_err("not registered");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
     }
 }

@@ -17,14 +17,15 @@
 //! every connection as a small state machine: tens of thousands of idle
 //! or byte-dribbling clients cost file descriptors, not blocked OS
 //! threads, and a slow peer can only ever starve itself. Targets without
-//! the epoll shim cannot serve: [`Server::bind`] returns the shim's
+//! `epoll` cannot serve: [`Server::bind`] returns the poller's
 //! [`io::ErrorKind::Unsupported`] error.
 //!
-//! The front sheds instead of blocking: a full queue (or a connection
-//! over [`ServerConfig::max_conns`]) turns into a typed
+//! The front sheds instead of blocking: a full work queue (a std
+//! [`mpsc::sync_channel`]) or a connection over the ceiling (see
+//! [`ServerConfig::max_conns`]) turns into a typed
 //! [`Status::Overloaded`] response with a [`RETRY_AFTER`] hint, a *closed* queue
 //! (the server is draining) into [`Status::ShuttingDown`] — never a hung
-//! connection. The dispatcher pops one job at a time and answers it with
+//! connection. The dispatcher receives one job at a time and answers it with
 //! one [`run_report`] call on the shared worker pool — the function a
 //! local `replay report --json` reaches with the generic core model,
 //! which is what makes a served body byte-identical to a local one.
@@ -43,7 +44,6 @@
 use crate::conn::{Conn, ConnState, ReadStep, WriteStep};
 use crate::poll;
 use crate::proto::{Request, Response, Source, Status};
-use crate::queue::{Bounded, PushError};
 use crate::signal;
 use replay_obs::Profile;
 use replay_sim::report::run_report;
@@ -52,7 +52,7 @@ use replay_trace::{read_trace, workloads, Trace};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -74,7 +74,8 @@ pub struct ServerConfig {
     /// production.
     pub dispatch_hold: Duration,
     /// Concurrent-connection ceiling; the connection that would exceed
-    /// it is answered [`Status::Overloaded`] immediately.
+    /// it is answered [`Status::Overloaded`] immediately. [`Server::bind`]
+    /// lowers it to fit the open-file limit.
     pub max_conns: usize,
 }
 
@@ -83,6 +84,11 @@ pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Retry hint sent with overload-shed responses.
 pub const RETRY_AFTER: Duration = Duration::from_millis(50);
+
+/// File descriptors the connection ceiling leaves for the server's own
+/// files: stdio, the listener, the poller, the doorbell pair, the store
+/// artifacts being read or written, and the connection being shed.
+const FD_RESERVE: u64 = 32;
 
 /// Decoded inline traces kept warm, keyed by content digest, evicted
 /// least-recently-used. Bounded so sustained unique-trace traffic cannot
@@ -205,9 +211,18 @@ impl Server {
     /// and creates the readiness poller the server runs on. Where
     /// [`poll::supported`] is false this fails with
     /// [`io::ErrorKind::Unsupported`].
-    pub fn bind(addr: &str, cfg: ServerConfig) -> io::Result<Server> {
+    ///
+    /// It raises the soft open-file limit toward the connection ceiling
+    /// and lowers the ceiling to fit it, so that an extra connection is
+    /// shed rather than failing `accept`.
+    pub fn bind(addr: &str, mut cfg: ServerConfig) -> io::Result<Server> {
         let poller = poll::Poller::new()?;
         let bell = poll::Doorbell::new()?;
+        let soft = poll::raise_nofile_limit((cfg.max_conns as u64).saturating_add(FD_RESERVE))?;
+        let room = soft.saturating_sub(FD_RESERVE).max(1);
+        cfg.max_conns = cfg
+            .max_conns
+            .min(usize::try_from(room).unwrap_or(usize::MAX));
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         Ok(Server {
@@ -261,16 +276,16 @@ impl Server {
             .trace_store
             .as_deref()
             .unwrap_or_else(|| TraceStore::global());
-        let work_q: Bounded<Job> = Bounded::new(cfg.work_queue);
+        let (work, jobs) = mpsc::sync_channel(cfg.work_queue.max(1));
         let (tx, completions) = mpsc::channel();
         let bell = &self.bell;
 
         let profile = std::thread::scope(|scope| {
             let dispatcher = {
-                let (work_q, done) = (&work_q, Done { tx, bell });
-                scope.spawn(move || dispatcher_loop(cfg, work_q, &done, trace_store))
+                let done = Done { tx, bell };
+                scope.spawn(move || dispatcher_loop(cfg, &jobs, &done, trace_store))
             };
-            let el = event::EventLoop::new(cfg, &self.listener, self.poller, bell, &work_q);
+            let el = event::EventLoop::new(cfg, &self.listener, self.poller, bell, work);
             let stop = &self.stop;
             let mut profile = el.serve(&completions, || {
                 stop.load(Ordering::SeqCst) || signal::triggered()
@@ -311,17 +326,18 @@ impl InlineTraceCache {
     }
 }
 
-/// Pops one job at a time and answers it alone.
+/// Receives one job at a time and answers it alone. Once the event loop
+/// drops its sender (the drain), `recv` hands over what is still queued
+/// and then ends the loop.
 fn dispatcher_loop(
     cfg: &ServerConfig,
-    work_q: &Bounded<Job>,
+    jobs: &Receiver<Job>,
     done: &Done<'_>,
     trace_store: &TraceStore,
 ) -> Profile {
     let mut profile = Profile::new();
     let mut inline_traces = InlineTraceCache::default();
-    while let Some(job) = work_q.pop() {
-        profile.hist_record("serve.queue_depth", work_q.len() as u64);
+    while let Ok(job) = jobs.recv() {
         if !cfg.dispatch_hold.is_zero() {
             std::thread::sleep(cfg.dispatch_hold);
         }
@@ -422,13 +438,18 @@ mod event {
         listener: &'a TcpListener,
         poller: Poller,
         bell: &'a Doorbell,
-        work_q: &'a Bounded<Job>,
+        /// The work queue's sending side; `None` once draining, which
+        /// closes the queue.
+        work: Option<SyncSender<Job>>,
         conns: HashMap<u64, Conn<TcpStream>>,
         next_token: u64,
         /// Jobs handed to the dispatcher whose completions have not come
         /// back yet — the drain-exit condition.
         in_flight: usize,
         draining: bool,
+        /// The listener is unwatched until the next sweep: `accept`
+        /// failed for want of a descriptor.
+        accept_paused: bool,
         profile: Profile,
     }
 
@@ -438,18 +459,19 @@ mod event {
             listener: &'a TcpListener,
             poller: Poller,
             bell: &'a Doorbell,
-            work_q: &'a Bounded<Job>,
+            work: SyncSender<Job>,
         ) -> EventLoop<'a> {
             EventLoop {
                 cfg,
                 listener,
                 poller,
                 bell,
-                work_q,
+                work: Some(work),
                 conns: HashMap::new(),
                 next_token: TOK_FIRST_CONN,
                 in_flight: 0,
                 draining: false,
+                accept_paused: false,
                 profile: Profile::new(),
             }
         }
@@ -512,14 +534,14 @@ mod event {
 
         /// Stop accepting; close connections that never completed a
         /// request (they may never speak, and waiting on them would hold
-        /// the drain hostage); close the work queue so the dispatcher
-        /// drains what was parsed and exits.
+        /// the drain hostage); drop the work queue's sender so the
+        /// dispatcher drains what was parsed and exits.
         fn begin_drain(&mut self) {
             self.draining = true;
             let _ = self.poller.remove(self.listener.as_raw_fd());
             self.conns
                 .retain(|_, c| matches!(c.state(), ConnState::Dispatched) || c.writing());
-            self.work_q.close();
+            self.work = None;
         }
 
         fn accept_ready(&mut self, now: Instant) {
@@ -551,7 +573,17 @@ mod event {
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
+                    Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
+                    Err(_) => {
+                        // Out of descriptors or kernel memory: the
+                        // connection stays queued, and the level-triggered
+                        // listener would report it on every wait. Stop
+                        // watching until the next sweep.
+                        let fd = self.listener.as_raw_fd();
+                        let _ = self.poller.modify(fd, TOK_LISTENER, Interest::NONE);
+                        self.accept_paused = true;
+                        break;
+                    }
                 }
             }
         }
@@ -627,8 +659,16 @@ mod event {
                         token,
                         received: now,
                     };
-                    match self.work_q.try_push(job) {
+                    let sent = match &self.work {
+                        Some(work) => work.try_send(job),
+                        None => Err(TrySendError::Disconnected(job)),
+                    };
+                    match sent {
                         Ok(()) => {
+                            // The admitted requests not yet answered are
+                            // the ones ahead of this one.
+                            self.profile
+                                .hist_record("serve.queue_depth", self.in_flight as u64);
                             self.in_flight += 1;
                             // Nothing to read or write until the
                             // completion comes back. Without read
@@ -640,8 +680,8 @@ mod event {
                             }
                         }
                         Err(err) => {
-                            let closed = matches!(err, PushError::Closed(_));
-                            let (PushError::Full(job) | PushError::Closed(job)) = err;
+                            let closed = matches!(err, TrySendError::Disconnected(_));
+                            let (TrySendError::Full(job) | TrySendError::Disconnected(job)) = err;
                             let (resp, counter) = shed_outcome(closed, "work");
                             self.profile.counter_add(counter, 1);
                             self.profile.hist_record(
@@ -705,8 +745,13 @@ mod event {
 
         /// Closes connections stalled mid-frame or mid-response past
         /// `io_timeout` (a slow-loris peer evaporates here); connections
-        /// that never sent a byte are idle, not stalled, and stay.
+        /// that never sent a byte are idle, not stalled, and stay. Also
+        /// retries a paused `accept`.
         fn sweep(&mut self, now: Instant) {
+            if std::mem::take(&mut self.accept_paused) && !self.draining {
+                let fd = self.listener.as_raw_fd();
+                let _ = self.poller.modify(fd, TOK_LISTENER, Interest::READ);
+            }
             let timeout = self.cfg.io_timeout;
             let stale: Vec<u64> = self
                 .conns

@@ -344,36 +344,48 @@ fn concurrent_identical_requests_each_get_the_local_report() {
 
 #[test]
 fn shutdown_drains_in_flight_work_before_returning() {
-    // Submit while the dispatcher is holding the job, flip the shutdown
-    // flag mid-flight, and require (a) the in-flight request still gets
-    // its full Ok response and (b) run() has returned — i.e. drain, not
-    // abort and not linger.
+    // Submit while the dispatcher is holding one job and a second sits
+    // queued behind it, flip the shutdown flag mid-flight, and require
+    // (a) both requests still get their full Ok response — closing the
+    // queue drains what it holds — and (b) run() has returned — i.e.
+    // drain, not abort and not linger.
     let (addr, stop, handle) = spawn_server(ServerConfig {
-        dispatch_hold: Duration::from_millis(200),
+        dispatch_hold: Duration::from_millis(300),
         ..ServerConfig::default()
     });
 
-    let submit = {
+    let submit = |seed: u64| {
         let addr = addr.clone();
         std::thread::spawn(move || {
-            let mut c = client(&addr, 7);
+            let mut c = client(&addr, seed);
             c.submit(&workload_request("gzip"))
         })
     };
-    // Give the request time to be accepted and parsed, then pull the plug
-    // while the dispatcher is still holding the job.
+    // Give each request time to be accepted and parsed, then pull the
+    // plug while the dispatcher is still holding the first job.
+    let held = submit(7);
+    std::thread::sleep(Duration::from_millis(40));
+    let queued = submit(8);
     std::thread::sleep(Duration::from_millis(80));
     stop.store(true, Ordering::SeqCst);
 
-    let resp = submit
-        .join()
-        .expect("client thread")
-        .expect("in-flight request must be answered during drain");
-    assert_eq!(resp.status, Status::Ok);
-    assert!(!resp.body.is_empty());
+    for submitted in [held, queued] {
+        let resp = submitted
+            .join()
+            .expect("client thread")
+            .expect("in-flight request must be answered during drain");
+        assert_eq!(resp.status, Status::Ok);
+        assert!(!resp.body.is_empty());
+    }
 
     let stats = handle.join().expect("run() must return after the drain");
-    assert_eq!(stats.served(), 1);
+    assert_eq!(stats.served(), 2);
+    assert_eq!(stats.profile.counter("serve.shed.shutdown"), 0);
+    // The second request was admitted with the first still unanswered.
+    match stats.profile.get("serve.queue_depth") {
+        Some(replay_obs::Metric::Hist(h)) => assert_eq!((h.count(), h.max()), (2, 1)),
+        other => panic!("serve.queue_depth: {other:?}"),
+    }
 
     // The listener is gone: a fresh connection must not reach a server.
     std::thread::sleep(Duration::from_millis(20));
