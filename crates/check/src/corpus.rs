@@ -286,6 +286,20 @@ pub fn replay(case: &CorpusCase) -> Result<(), CheckError> {
     check_frame(&case.frame, &case.passes, &case.entry_seeds).map(|_| ())
 }
 
+/// Writes `case` into `dir` (created if missing) as
+/// `seed{S}-case{I}.case`, a file [`replay_dir`] replays, and returns its
+/// path.
+///
+/// # Errors
+///
+/// The directory cannot be created or the file cannot be written.
+pub fn save(dir: &Path, case: &CorpusCase) -> Result<PathBuf, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    let path = dir.join(format!("seed{}-case{}.case", case.seed, case.case_index));
+    std::fs::write(&path, to_text(case)).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    Ok(path)
+}
+
 /// Replays every `.case` file in a directory (sorted by file name, so
 /// output order is stable). Returns the number of cases replayed.
 ///
@@ -357,6 +371,26 @@ mod tests {
             // And the reconstruction is checkable end to end.
             replay(&back).expect("sound pipeline on roundtripped frame");
         }
+    }
+
+    #[test]
+    fn saved_cases_replay_from_their_directory() {
+        let dir = std::env::temp_dir().join(format!("replay-corpus-save-{}", std::process::id()));
+        let mut rng = SmallRng::seed_from_u64(0xC1);
+        for i in [3u64, 11] {
+            let case = CorpusCase {
+                note: "saved case".into(),
+                seed: 7,
+                case_index: i,
+                passes: PassId::ALL.to_vec(),
+                entry_seeds: vec![1],
+                frame: arb_frame(&mut rng),
+            };
+            let path = save(&dir, &case).expect("saves");
+            assert_eq!(path, dir.join(format!("seed7-case{i}.case")));
+        }
+        assert_eq!(replay_dir(&dir), Ok(2));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

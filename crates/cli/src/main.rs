@@ -6,8 +6,9 @@
 //!                                           generate a trace file
 //! replay sim <workload|FILE> [-c CFG] [-n N] [--verify]
 //!                                           simulate one configuration
-//! replay compare <workload|FILE> [-n N]     all four configurations side by side
-//! replay report <workload|FILE> --json FILE emit the structured profile artifact
+//! replay report <workload|FILE> [-n N] [--json FILE|-]
+//!                                           all four configurations side by side;
+//!                                           --json writes the profile artifact
 //! replay serve [--addr ADDR] [-j N]         TCP simulation service (bounded
 //!                                           queue, shedding, graceful drain)
 //! replay submit <workload|FILE> [--addr ADDR]
@@ -37,7 +38,6 @@ fn main() -> ExitCode {
         Some("workloads") => cmd_workloads(&args[1..]),
         Some("gen") => cmd_gen(&args[1..]),
         Some("sim") => cmd_sim(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
         Some("frames") => cmd_frames(&args[1..]),
         Some("check") => cmd_check(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
@@ -116,7 +116,7 @@ Parallelism: --jobs/--threads N (or the REPLAY_JOBS environment variable)
 sets the worker count; the default is the machine's available parallelism
 and 1 forces the legacy serial path. Results are identical at any count.
 
-Persistent store: sim, compare, report, serve, clone, and sweep cache
+Persistent store: sim, report, serve, clone, and sweep cache
 synthesized traces under .replay-cache/ so warm reruns skip synthesis
 with bit-identical results. --cache-dir DIR (or REPLAY_CACHE_DIR) moves
 the cache; --no-store (or REPLAY_NO_STORE) disables it. Corrupt cache
@@ -292,20 +292,6 @@ const SPEC_SIM: CmdSpec = CmdSpec {
         NO_STORE_FLAG,
     ],
 };
-const SPEC_COMPARE: CmdSpec = CmdSpec {
-    name: "compare",
-    positional: "<workload|FILE>",
-    about: "all four configurations side by side",
-    flags: &[
-        flag(&["n"], "N"),
-        JOBS_FLAG,
-        CORE_MODEL_FLAG,
-        flag(&["profile"], ""),
-        flag(&["timings"], ""),
-        CACHE_DIR_FLAG,
-        NO_STORE_FLAG,
-    ],
-};
 const SPEC_FRAMES: CmdSpec = CmdSpec {
     name: "frames",
     positional: "<workload>",
@@ -344,13 +330,15 @@ const SPEC_DISASM: CmdSpec = CmdSpec {
 const SPEC_REPORT: CmdSpec = CmdSpec {
     name: "report",
     positional: "<workload|FILE>",
-    about: "run all four configurations and emit the structured observability \
-            profile (replay-report/v3 JSON; stdout or FILE)",
+    about: "all four configurations side by side (IC, TC, RP, RPO); --json FILE \
+            also writes the structured observability profile (replay-report/v3 \
+            JSON), --json - writes only that artifact to stdout",
     flags: &[
         flag(&["n"], "N"),
         JOBS_FLAG,
         CORE_MODEL_FLAG,
         flag(&["json"], "FILE"),
+        flag(&["profile"], ""),
         flag(&["timings"], ""),
         CACHE_DIR_FLAG,
         NO_STORE_FLAG,
@@ -436,7 +424,6 @@ const ALL_SPECS: &[&CmdSpec] = &[
     &SPEC_WORKLOADS,
     &SPEC_GEN,
     &SPEC_SIM,
-    &SPEC_COMPARE,
     &SPEC_REPORT,
     &SPEC_SERVE,
     &SPEC_SUBMIT,
@@ -513,6 +500,18 @@ impl<'a> Opts<'a> {
                 i += 1;
             }
         }
+        if let Some(f) = spec
+            .flags
+            .iter()
+            .find(|f| f.required && !flags.iter().any(|(n, _)| *n == f.names[0]))
+        {
+            return Err(format!(
+                "missing {} {} ({})",
+                f.dashed(),
+                f.value,
+                spec.usage()
+            ));
+        }
         Ok(Opts { positional, flags })
     }
 
@@ -521,6 +520,12 @@ impl<'a> Opts<'a> {
             .iter()
             .find(|(n, _)| *n == name)
             .and_then(|(_, v)| *v)
+    }
+
+    /// The value of a flag its spec marks required: [`Opts::parse`] has
+    /// already rejected a command line without it.
+    fn required(&self, name: &str) -> &str {
+        self.get(name).expect("Opts::parse enforces required flags")
     }
 
     fn has(&self, name: &str) -> bool {
@@ -611,19 +616,34 @@ fn configure_store(opts: &Opts) {
     replay_store::Store::configure(Some(dir));
 }
 
-/// Loads a trace by workload name or from a trace file. Workload traces
-/// come from the process-wide [`TraceStore`], so repeated requests (e.g.
-/// the four configurations of `compare`) synthesize the trace only once.
-fn load_trace(source: &str, n: usize, segment: usize) -> Result<Arc<Trace>, String> {
-    if let Some(w) = workloads::by_name(source) {
-        check_segment(&w, segment)?;
-        return Ok(TraceStore::global().segment(&w, segment, n));
+/// A `<workload|FILE>` argument: the suite workload of that name, else
+/// the bytes of the trace file at that path.
+enum TraceSource {
+    Workload(Workload),
+    File(Vec<u8>),
+}
+
+impl TraceSource {
+    fn resolve(arg: &str) -> Result<TraceSource, String> {
+        match workloads::by_name(arg) {
+            Some(w) => Ok(TraceSource::Workload(w)),
+            None => std::fs::read(arg)
+                .map(TraceSource::File)
+                .map_err(|e| format!("no workload or trace file {arg:?}: {e}")),
+        }
     }
-    let file =
-        std::fs::File::open(source).map_err(|e| format!("no workload or file {source:?}: {e}"))?;
-    read_trace(std::io::BufReader::new(file))
-        .map(Arc::new)
-        .map_err(|e| format!("reading {source:?}: {e}"))
+}
+
+/// Loads the trace a `<workload|FILE>` argument names. Workload traces
+/// come from the process-wide [`TraceStore`], so repeated requests (e.g.
+/// the four configurations of `report`) synthesize the trace only once.
+fn load_trace(arg: &str, n: usize) -> Result<Arc<Trace>, String> {
+    match TraceSource::resolve(arg)? {
+        TraceSource::Workload(w) => Ok(TraceStore::global().segment(&w, 0, n)),
+        TraceSource::File(bytes) => read_trace(&bytes[..])
+            .map(Arc::new)
+            .map_err(|e| format!("reading {arg:?}: {e}")),
+    }
 }
 
 /// Rejects a segment index past the workload's last segment.
@@ -639,9 +659,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let [name] = opts.positional[..] else {
         return Err(SPEC_GEN.usage());
     };
-    let out = opts
-        .get("o")
-        .ok_or_else(|| format!("missing -o FILE ({})", SPEC_GEN.usage()))?;
+    let out = opts.required("o");
     let n: usize = opts.positive("n")?.unwrap_or(100_000);
     let seg: usize = opts.count("s", 0)?;
     let w = workloads::by_name(name).ok_or_else(|| format!("unknown workload {name:?}"))?;
@@ -683,7 +701,7 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
     let kind = config_by_label(opts.get("c").unwrap_or("RPO"))?;
     let model = core_model_opt(&opts)?;
     configure_store(&opts);
-    let trace = load_trace(source, n, 0)?;
+    let trace = load_trace(source, n)?;
     let mut cfg = SimConfig::new(kind).with_core_model(model);
     if !opts.has("verify") {
         cfg = cfg.without_verify();
@@ -702,7 +720,7 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
             r.coverage * 100.0,
             r.uop_removal() * 100.0,
             r.load_removal() * 100.0,
-            r.assert_events
+            r.pipeline.assert_events
         );
         if r.verify.checked > 0 {
             outln!(
@@ -728,16 +746,31 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &SPEC_COMPARE)?;
+fn cmd_report(args: &[String]) -> Result<(), String> {
+    let opts = Opts::parse(args, &SPEC_REPORT)?;
     let [source] = opts.positional[..] else {
-        return Err(SPEC_COMPARE.usage());
+        return Err(SPEC_REPORT.usage());
     };
     let n: usize = opts.positive("n")?.unwrap_or(30_000);
     let jobs = opts.jobs()?;
+    let timings = opts.has("timings");
     let model = core_model_opt(&opts)?;
+    let json_path = opts.get("json");
+    if json_path == Some("-") && opts.has("profile") {
+        return Err(
+            "--profile does not apply to --json - (stdout carries only the artifact)".into(),
+        );
+    }
     configure_store(&opts);
-    let trace = load_trace(source, n, 0)?;
+    let trace = load_trace(source, n)?;
+    // The four simulations and the artifact renderer are shared with
+    // `replay serve` (replay-sim's report module): a served response is
+    // byte-identical to this local run because both are this one call.
+    let (results, json) = replay_sim::report::run_report_model(&trace, jobs, timings, model);
+    if json_path == Some("-") {
+        out!("{json}");
+        return Ok(());
+    }
     outln!(
         "trace `{}`: {} x86 instructions ({} worker{}, {} core)",
         trace.name,
@@ -746,10 +779,6 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         if jobs == 1 { "" } else { "s" },
         model.label()
     );
-    // One spec per configuration over the shared trace: the four
-    // simulations run concurrently and print in ConfigKind::ALL order.
-    let specs = replay_sim::report::specs_for_trace_model(&trace, model);
-    let results = experiment::run_specs(&specs, jobs);
     outln!(
         "{:5} {:>9} {:>7} {:>7} {:>9} {:>8}",
         "cfg",
@@ -767,7 +796,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             r.ipc(),
             r.coverage * 100.0,
             r.uop_removal() * 100.0,
-            r.assert_events
+            r.pipeline.assert_events
         );
     }
     // RP and RPO, in ConfigKind::ALL order.
@@ -779,52 +808,14 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         // The profile section is deterministic: counters only (timings are
         // wall clock and stay hidden unless --timings), merged shards in
         // submission order — byte-identical at any --jobs count.
-        let timings = opts.has("timings");
         for (kind, r) in ConfigKind::ALL.into_iter().zip(&results) {
             outln!("profile [{}]:", kind.label());
             out!("{}", r.profile.render_table(timings));
         }
     }
-    Ok(())
-}
-
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &SPEC_REPORT)?;
-    let [source] = opts.positional[..] else {
-        return Err(SPEC_REPORT.usage());
-    };
-    let n: usize = opts.positive("n")?.unwrap_or(30_000);
-    let jobs = opts.jobs()?;
-    let timings = opts.has("timings");
-    let model = core_model_opt(&opts)?;
-    configure_store(&opts);
-    let trace = load_trace(source, n, 0)?;
-    // The artifact renderer is shared with `replay serve` (replay-sim's
-    // report module) — a served response is byte-identical to this local
-    // run because both are this one code path.
-    let (results, json) = replay_sim::report::run_report_model(&trace, jobs, timings, model);
-
-    match opts.get("json") {
-        Some(path) => {
-            std::fs::write(path, &json).map_err(|e| format!("writing {path:?}: {e}"))?;
-            outln!(
-                "trace `{}`: {} x86 instructions ({} worker{})",
-                trace.name,
-                trace.len(),
-                jobs,
-                if jobs == 1 { "" } else { "s" }
-            );
-            for (kind, r) in ConfigKind::ALL.into_iter().zip(&results) {
-                outln!(
-                    "  {:4} dyn uops removed {:>9} / {:>9}",
-                    kind.label(),
-                    r.dyn_uops_removed,
-                    r.dyn_uops_total
-                );
-            }
-            outln!("wrote {path}");
-        }
-        None => out!("{json}"),
+    if let Some(path) = json_path {
+        std::fs::write(path, &json).map_err(|e| format!("writing {path:?}: {e}"))?;
+        outln!("wrote {path}");
     }
     Ok(())
 }
@@ -866,15 +857,11 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         return Err(SPEC_SUBMIT.usage());
     };
     let scale: u64 = opts.positive("n")?.unwrap_or(30_000);
-    // A known workload name travels as a name (the server synthesizes the
-    // trace through its warm TraceStore); anything else must be a trace
-    // file, which travels inline.
-    let req_source = if workloads::by_name(source).is_some() {
-        replay_serve::Source::Workload(source.to_string())
-    } else {
-        let bytes = std::fs::read(source)
-            .map_err(|e| format!("no workload or trace file {source:?}: {e}"))?;
-        replay_serve::Source::TraceBytes(bytes)
+    // A workload travels as its name (the server synthesizes the trace
+    // through its warm TraceStore); a trace file travels inline.
+    let req_source = match TraceSource::resolve(source)? {
+        TraceSource::Workload(w) => replay_serve::Source::Workload(w.name),
+        TraceSource::File(bytes) => replay_serve::Source::TraceBytes(bytes),
     };
     let req = replay_serve::Request {
         source: req_source,
@@ -910,7 +897,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
 const MAX_FAULT_ATTEMPTS: u64 = 10_000;
 
 fn cmd_check(args: &[String]) -> Result<(), String> {
-    use replay_check::{probe_fault_sensitivity, run_check, to_text, CheckConfig, PassSelection};
+    use replay_check::{probe_fault_sensitivity, run_check, CheckConfig, PassSelection};
 
     let opts = Opts::parse(args, &SPEC_CHECK)?;
     if !opts.positional.is_empty() {
@@ -999,14 +986,8 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     }
     // Persist every shrunk counterexample so the corpus replay above
     // guards the bug from now on.
-    std::fs::create_dir_all(&corpus).map_err(|e| format!("creating {}: {e}", corpus.display()))?;
     for cex in &report.failures {
-        let path = corpus.join(format!(
-            "seed{}-case{}.case",
-            cex.case.seed, cex.case.case_index
-        ));
-        std::fs::write(&path, to_text(&cex.case))
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        let path = replay_check::corpus::save(&corpus, &cex.case)?;
         outln!(
             "  {} ({} uops): {}",
             path.display(),
@@ -1027,7 +1008,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         return Err(SPEC_INFO.usage());
     };
     let n: usize = opts.positive("n")?.unwrap_or(30_000);
-    let trace = load_trace(source, n, 0)?;
+    let trace = load_trace(source, n)?;
     outln!("trace `{}`", trace.name);
     out!("{}", replay_trace::TraceStats::of(&trace).report());
     Ok(())
@@ -1062,7 +1043,7 @@ fn cmd_frames(args: &[String]) -> Result<(), String> {
     let trace = w.segment_trace(0, n);
     let index = trace.static_index();
     let mut constructor = FrameConstructor::new(ConstructorConfig::default());
-    let mut best: Vec<(u64, replay_frame::Frame)> = Vec::new();
+    let mut best = Vec::new();
     let mut seen = std::collections::HashSet::new();
     for (i, r) in trace.records().iter().enumerate() {
         let ev = RetireEvent {
@@ -1073,26 +1054,26 @@ fn cmd_frames(args: &[String]) -> Result<(), String> {
         };
         if let Some(frame) = constructor.retire(&ev) {
             if seen.insert(frame.start_addr) {
-                let (_, stats) = optimize(&frame, &AliasProfile::empty(), &OptConfig::default());
-                best.push((stats.removed_uops(), frame));
+                let (opt, stats) = optimize(&frame, &AliasProfile::empty(), &OptConfig::default());
+                best.push((frame, opt, stats));
             }
         }
     }
-    best.sort_by_key(|(removed, _)| std::cmp::Reverse(*removed));
+    best.sort_by_key(|(_, _, stats)| std::cmp::Reverse(stats.removed_uops()));
     outln!(
         "{} distinct frames constructed from {} instructions of `{}`",
         best.len(),
         trace.len(),
         name
     );
-    for (removed, frame) in best.into_iter().take(top) {
-        let (opt, stats) = optimize(&frame, &AliasProfile::empty(), &OptConfig::default());
+    for (frame, opt, stats) in best.into_iter().take(top) {
         outln!(
-            "\n=== frame at {:#x}: {} x86 instrs, {} -> {} uops ({removed} removed, {} loads) ===",
+            "\n=== frame at {:#x}: {} x86 instrs, {} -> {} uops ({} removed, {} loads) ===",
             frame.start_addr,
             frame.x86_count(),
             stats.uops_before,
             stats.uops_after,
+            stats.removed_uops(),
             stats.removed_loads()
         );
         outln!("--- before ---\n{}", frame.listing());
@@ -1107,9 +1088,7 @@ fn cmd_clone(args: &[String]) -> Result<(), String> {
         return Err(SPEC_CLONE.usage());
     }
     configure_store(&opts);
-    let source = opts
-        .get("from-profile")
-        .ok_or_else(|| format!("missing --from-profile SRC ({})", SPEC_CLONE.usage()))?;
+    let source = opts.required("from-profile");
     let n: usize = opts.positive("n")?.unwrap_or(6_000);
     let mut cfg = replay_clone::FitConfig {
         fit_scale: n,
@@ -1128,7 +1107,7 @@ fn cmd_clone(args: &[String]) -> Result<(), String> {
     }
     // The target profile is measured at the fit scale, so a target drawn
     // from a suite workload is reachable exactly.
-    let target_trace = load_trace(source, n, 0)?;
+    let target_trace = load_trace(source, n)?;
     let target = replay_trace::StatProfile::measure(&target_trace);
     outln!(
         "target `{}`: {} x86 instructions; fitting at scale {} (tolerance {}, seed {:#x})",
@@ -1248,7 +1227,7 @@ mod tests {
     #[test]
     fn known_flags_parse() {
         let args = argv(&["gzip", "-n", "4000", "--jobs=8", "--profile"]);
-        let opts = Opts::parse(&args, &SPEC_COMPARE).unwrap();
+        let opts = Opts::parse(&args, &SPEC_REPORT).unwrap();
         assert_eq!(opts.positional, vec!["gzip"]);
         assert_eq!(opts.count("n", 0).unwrap(), 4000);
         assert_eq!(opts.jobs().unwrap(), 8);
@@ -1259,7 +1238,7 @@ mod tests {
     #[test]
     fn aliases_normalize_to_canonical() {
         let args = argv(&["--threads", "3"]);
-        let opts = Opts::parse(&args, &SPEC_COMPARE).unwrap();
+        let opts = Opts::parse(&args, &SPEC_REPORT).unwrap();
         assert_eq!(opts.jobs().unwrap(), 3);
         let args = argv(&["x", "--out", "f.bin"]);
         let opts = Opts::parse(&args, &SPEC_GEN).unwrap();
@@ -1284,7 +1263,7 @@ mod tests {
     #[test]
     fn unknown_short_flag_rejected() {
         let args = argv(&["gzip", "-x", "1"]);
-        let err = Opts::parse(&args, &SPEC_COMPARE).unwrap_err();
+        let err = Opts::parse(&args, &SPEC_REPORT).unwrap_err();
         assert!(err.contains("unknown option \"-x\""), "{err}");
     }
 
@@ -1305,8 +1284,8 @@ mod tests {
     fn usage_lines_advertise_every_spec_flag() {
         // Usage text is generated from the same spec the parser validates
         // against, so every flag the parser accepts must be advertised —
-        // the drift where `replay compare` errors omitted --profile/
-        // --timings/--cache-dir/--no-store cannot recur.
+        // the drift where a usage error omitted --profile/--timings/
+        // --cache-dir/--no-store cannot recur.
         for spec in ALL_SPECS {
             let usage = spec.usage();
             assert!(
@@ -1342,7 +1321,6 @@ mod tests {
             "workloads",
             "gen",
             "sim",
-            "compare",
             "report",
             "serve",
             "submit",
@@ -1358,11 +1336,17 @@ mod tests {
     }
 
     #[test]
-    fn compare_usage_advertises_store_and_profile_flags() {
-        // The specific drift this guards against: the hand-written compare
-        // usage string said only `[-n N] [--jobs N]`.
-        let u = SPEC_COMPARE.usage();
-        for want in ["--profile", "--timings", "--cache-dir DIR", "--no-store"] {
+    fn report_usage_advertises_store_and_profile_flags() {
+        // The specific drift this guards against: the hand-written usage
+        // string of the side-by-side table said only `[-n N] [--jobs N]`.
+        let u = SPEC_REPORT.usage();
+        for want in [
+            "--profile",
+            "--timings",
+            "--cache-dir DIR",
+            "--no-store",
+            "--json FILE",
+        ] {
             assert!(u.contains(want), "{want} not in {u:?}");
         }
     }
@@ -1370,12 +1354,12 @@ mod tests {
     #[test]
     fn value_flag_requires_a_value() {
         let args = argv(&["gzip", "--jobs"]);
-        let err = Opts::parse(&args, &SPEC_COMPARE).unwrap_err();
+        let err = Opts::parse(&args, &SPEC_REPORT).unwrap_err();
         assert!(err.contains("--jobs requires a value"), "{err}");
-        // Previously `compare gzip -n` at end of args silently fell back to
-        // the default scale; now it is an error.
+        // A trailing `-n` used to fall back silently to the default scale;
+        // now it is an error.
         let args = argv(&["gzip", "-n"]);
-        let err = Opts::parse(&args, &SPEC_COMPARE).unwrap_err();
+        let err = Opts::parse(&args, &SPEC_REPORT).unwrap_err();
         assert!(err.contains("-n requires a value"), "{err}");
     }
 
@@ -1401,7 +1385,7 @@ mod tests {
     #[test]
     fn boolean_flag_rejects_inline_value() {
         let args = argv(&["gzip", "--profile=yes"]);
-        let err = Opts::parse(&args, &SPEC_COMPARE).unwrap_err();
+        let err = Opts::parse(&args, &SPEC_REPORT).unwrap_err();
         assert!(err.contains("--profile does not take a value"), "{err}");
     }
 }

@@ -135,7 +135,6 @@ fn trace_length_must_be_positive() {
     let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/empty.trace");
     for cmd in [
         &["sim", "gzip", "--no-store"][..],
-        &["compare", "gzip", "--no-store"],
         &["report", "gzip", "--no-store"],
         &["info", "gzip"],
         &["frames", "gzip"],
@@ -160,4 +159,35 @@ fn submit_takes_one_address_not_a_list() {
             &format!("bad --addr value {bad:?} (want one host:port)"),
         );
     }
+}
+
+#[test]
+fn required_flags_are_enforced_by_the_parser() {
+    assert_rejected(
+        &["gen", "gzip"],
+        "missing -o FILE (usage: replay gen <workload> -o FILE [-n N] [-s SEG])",
+    );
+    assert_rejected(
+        &["clone", "-n", "1000", "--no-store"],
+        "missing --from-profile SRC (usage: replay clone --from-profile SRC [-n N] \
+         [--seed S] [--tol T] [--iters K] [--candidates K] [-o FILE] [--json FILE] \
+         [--jobs N] [--cache-dir DIR] [--no-store])",
+    );
+}
+
+#[test]
+fn compare_is_an_unknown_command() {
+    // `report` prints the four-configuration table that `compare` did.
+    assert_rejected(
+        &["compare", "gzip"],
+        "unknown command \"compare\" (try `replay help`)",
+    );
+}
+
+#[test]
+fn report_profile_does_not_apply_to_a_stdout_artifact() {
+    assert_rejected(
+        &["report", "gzip", "--no-store", "--json", "-", "--profile"],
+        "--profile does not apply to --json - (stdout carries only the artifact)",
+    );
 }

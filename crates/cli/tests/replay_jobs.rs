@@ -4,9 +4,9 @@
 
 use std::process::Command;
 
-fn compare(jobs_env: &str) -> std::process::Output {
+fn report(jobs_env: &str) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_replay"))
-        .args(["compare", "gzip", "-n", "300", "--no-store"])
+        .args(["report", "gzip", "-n", "300", "--no-store"])
         .env("REPLAY_JOBS", jobs_env)
         .output()
         .expect("run replay")
@@ -15,7 +15,7 @@ fn compare(jobs_env: &str) -> std::process::Output {
 #[test]
 fn malformed_replay_jobs_exits_1() {
     for bad in ["abc", "0", "-2", "1.5"] {
-        let out = compare(bad);
+        let out = report(bad);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{bad:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{bad:?} printed to stdout");
@@ -28,7 +28,7 @@ fn malformed_replay_jobs_exits_1() {
 
 #[test]
 fn valid_replay_jobs_sets_the_worker_count() {
-    let out = compare("3");
+    let out = report("3");
     assert!(
         out.status.success(),
         "{}",

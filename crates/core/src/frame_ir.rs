@@ -2,7 +2,7 @@
 
 use crate::ir::{FlagsSrc, Operand, OptUop, Slot, Src};
 use replay_frame::{ControlExpectation, Frame, FrameId};
-use replay_uop::{ArchReg, Opcode, RegSet};
+use replay_uop::{ArchReg, Opcode};
 
 /// A frame in the optimizer's renamed representation (§4 of the paper).
 ///
@@ -246,28 +246,6 @@ impl OptFrame {
     /// The control expectations (assert slots) of the frame.
     pub fn expectations(&self) -> &[ControlExpectation] {
         &self.expectations
-    }
-
-    /// The set of architectural registers the frame reads as live-ins.
-    pub fn live_in_regs(&self) -> RegSet {
-        let mut set = RegSet::new();
-        for u in self.slots.iter().filter(|u| u.valid) {
-            for src in [u.src_a, u.src_b].into_iter().flatten() {
-                if let Src::LiveIn(r) = src {
-                    set.insert(r);
-                }
-            }
-        }
-        for &(r, src) in &self.live_out {
-            if src == Src::LiveIn(r) {
-                // Identity pass-through: not a read.
-                continue;
-            }
-            if let Src::LiveIn(other) = src {
-                set.insert(other);
-            }
-        }
-        set
     }
 
     /// Finds the valid uops that consume slot `s`'s value, with the operand
@@ -799,17 +777,6 @@ mod tests {
         assert_eq!(f.flags_uses(6), 2);
         // Store produces nothing.
         assert_eq!(f.value_uses(0), 0);
-    }
-
-    #[test]
-    fn live_in_regs_excludes_pass_through() {
-        let f = OptFrame::from_frame(&paper_frame());
-        let li = f.live_in_regs();
-        assert!(li.contains(ArchReg::Esp));
-        assert!(li.contains(ArchReg::Ebp));
-        assert!(li.contains(ArchReg::Ebx));
-        // EDI is only an identity live-out, not a read.
-        assert!(!li.contains(ArchReg::Edi));
     }
 
     #[test]

@@ -62,24 +62,6 @@ impl OptStats {
     pub fn removed_loads(&self) -> u64 {
         self.loads_before.saturating_sub(self.loads_after)
     }
-
-    /// Fraction of uops removed, in `[0, 1]`.
-    pub fn uop_removal_fraction(&self) -> f64 {
-        if self.uops_before == 0 {
-            0.0
-        } else {
-            self.removed_uops() as f64 / self.uops_before as f64
-        }
-    }
-
-    /// Fraction of loads removed, in `[0, 1]`.
-    pub fn load_removal_fraction(&self) -> f64 {
-        if self.loads_before == 0 {
-            0.0
-        } else {
-            self.removed_loads() as f64 / self.loads_before as f64
-        }
-    }
 }
 
 impl AddAssign for OptStats {
@@ -125,15 +107,6 @@ mod tests {
         };
         assert_eq!(s.removed_uops(), 21);
         assert_eq!(s.removed_loads(), 11);
-        assert!((s.uop_removal_fraction() - 0.21).abs() < 1e-12);
-        assert!((s.load_removal_fraction() - 0.22).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_denominators() {
-        let s = OptStats::default();
-        assert_eq!(s.uop_removal_fraction(), 0.0);
-        assert_eq!(s.load_removal_fraction(), 0.0);
     }
 
     #[test]

@@ -23,16 +23,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Hit rate in `[0, 1]`; zero when no lookups have occurred.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Records every counter under `<prefix>.<counter>` into a [`Profile`].
     pub fn observe_into(&self, prefix: &str, profile: &mut Profile) {
         profile.counter_add(&format!("{prefix}.hits"), self.hits);
@@ -358,17 +348,6 @@ mod tests {
         assert_eq!(c.invalidate(1).map(|f| f.start_addr), Some(1));
         assert_eq!(c.used_uops(), 0);
         assert!(c.invalidate(1).is_none());
-    }
-
-    #[test]
-    fn hit_rate() {
-        let mut c = FrameCache::new(100);
-        c.insert(1, frame(1, 1));
-        c.lookup(1);
-        c.lookup(2);
-        c.lookup(1);
-        assert!((c.stats().hit_rate() - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(FrameCache::<Frame>::new(1).stats().hit_rate(), 0.0);
     }
 
     /// A reference LRU: resident `(key, size, last_use)` triples.

@@ -526,7 +526,6 @@ mod tests {
             dyn_loads_removed: 0,
             constructor: replay_frame::ConstructorStats::default(),
             coverage: 0.0,
-            assert_events: 0,
             path_mismatches: 0,
             verify: replay_verify::VerifyStats::default(),
             uop_ratio: 0.0,

@@ -40,8 +40,6 @@ pub struct SimResult {
     pub constructor: ConstructorStats,
     /// Fraction of retired x86 instructions delivered from frames.
     pub coverage: f64,
-    /// Frames aborted by assertion fire or unsafe-store conflict.
-    pub assert_events: u64,
     /// Frame instances that executed to completion but did not match the
     /// traced path (possible only when an assertion was optimized away by
     /// constant propagation; treated as aborts). Should be ~zero.
@@ -98,7 +96,6 @@ impl SimResult {
         self.dyn_uops_removed += other.dyn_uops_removed;
         self.dyn_loads_total += other.dyn_loads_total;
         self.dyn_loads_removed += other.dyn_loads_removed;
-        self.assert_events += other.assert_events;
         self.path_mismatches += other.path_mismatches;
         self.pipeline.retired_x86 += other.pipeline.retired_x86;
         self.pipeline.retired_uops += other.pipeline.retired_uops;
@@ -149,7 +146,6 @@ mod tests {
             dyn_loads_removed: 0,
             constructor: ConstructorStats::default(),
             coverage,
-            assert_events: 0,
             path_mismatches: 0,
             verify: VerifyStats::default(),
             uop_ratio: 1.4,
@@ -209,17 +205,17 @@ mod tests {
         a.dyn_uops_removed = 100;
         a.dyn_loads_total = 200;
         a.dyn_loads_removed = 20;
-        a.assert_events = 3;
+        a.pipeline.assert_events = 3;
         let mut b = blank(100, 100, 0.0);
         b.dyn_uops_total = 3000;
         b.dyn_uops_removed = 900;
         b.dyn_loads_total = 600;
         b.dyn_loads_removed = 160;
-        b.assert_events = 4;
+        b.pipeline.assert_events = 4;
         a.merge(&b);
         assert_eq!(a.dyn_uops_total, 4000);
         assert_eq!(a.dyn_uops_removed, 1000);
-        assert_eq!(a.assert_events, 7);
+        assert_eq!(a.pipeline.assert_events, 7);
         assert!((a.uop_removal() - 0.25).abs() < 1e-12, "from summed counts");
         assert!((a.load_removal() - 180.0 / 800.0).abs() < 1e-12);
     }

@@ -672,7 +672,6 @@ impl<'a> Runner<'a> {
             dyn_loads_removed: self.dyn_loads_removed,
             constructor: self.constructor.stats(),
             coverage,
-            assert_events: pstats.assert_events,
             path_mismatches: self.path_mismatch_completions,
             verify: self.verifier.stats(),
             uop_ratio: self.injector.uop_ratio(),
@@ -771,7 +770,7 @@ mod tests {
         let trace = short_trace("excel", 12_000);
         let r = simulate(&trace, &SimConfig::new(ConfigKind::ReplayOpt));
         assert!(
-            r.assert_events > 0,
+            r.pipeline.assert_events > 0,
             "speculative memory optimization must abort sometimes"
         );
     }
@@ -794,7 +793,7 @@ mod tests {
             assert_eq!(a.cycles, b.cycles, "{kind}");
             assert_eq!(a.x86_retired, b.x86_retired, "{kind}");
             assert_eq!(a.coverage.to_bits(), b.coverage.to_bits(), "{kind}");
-            assert_eq!(a.assert_events, b.assert_events, "{kind}");
+            assert_eq!(a.pipeline.assert_events, b.pipeline.assert_events, "{kind}");
         }
     }
 
@@ -831,7 +830,7 @@ mod tests {
                     "{kind} variant {vi}: coverage"
                 );
                 assert_eq!(
-                    base.assert_events, r.assert_events,
+                    base.pipeline.assert_events, r.pipeline.assert_events,
                     "{kind} variant {vi}: aborts"
                 );
                 assert_eq!(

@@ -9,8 +9,6 @@ pub struct Gshare {
     table: Vec<u8>,
     history: u32,
     mask: u32,
-    lookups: u64,
-    mispredicts: u64,
 }
 
 impl Gshare {
@@ -26,8 +24,6 @@ impl Gshare {
             table: vec![1u8; 1 << bits], // weakly not-taken
             history: 0,
             mask: (1u32 << bits) - 1,
-            lookups: 0,
-            mispredicts: 0,
         }
     }
 
@@ -47,7 +43,6 @@ impl Gshare {
     /// Predicts, updates the counter and history with the actual outcome,
     /// and returns `true` if the prediction was correct.
     pub fn predict_and_update(&mut self, pc: u32, taken: bool) -> bool {
-        self.lookups += 1;
         let idx = self.index(pc);
         let predicted = self.table[idx] >= 2;
         let ctr = &mut self.table[idx];
@@ -57,24 +52,7 @@ impl Gshare {
             *ctr = ctr.saturating_sub(1);
         }
         self.history = ((self.history << 1) | taken as u32) & self.mask;
-        if predicted != taken {
-            self.mispredicts += 1;
-        }
         predicted == taken
-    }
-
-    /// Fraction of mispredicted lookups (zero before any lookup).
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.lookups as f64
-        }
-    }
-
-    /// Total predictions made.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
     }
 }
 
@@ -158,14 +136,6 @@ mod tests {
             }
         }
         assert!(correct_late >= 95, "late accuracy {correct_late}/100");
-    }
-
-    #[test]
-    fn mispredict_rate_counts() {
-        let mut g = Gshare::new(8);
-        g.predict_and_update(0, true);
-        assert!(g.mispredict_rate() > 0.0, "cold predictor misses");
-        assert_eq!(g.lookups(), 1);
     }
 
     #[test]

@@ -148,8 +148,10 @@ pub fn write_trace<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoError
         w.write_all(&r.addr.to_le_bytes())?;
         w.write_all(&r.next_pc.to_le_bytes())?;
         w.write_all(&[r.flags_after])?;
+        // The canonical encoding: `r.len` may be longer when `read_trace`
+        // accepted a non-canonical one, which is why the trace store
+        // round-trips what it loads.
         let bytes = encode(&r.inst, r.addr);
-        debug_assert_eq!(bytes.len(), r.len as usize);
         w.write_all(&[bytes.len() as u8])?;
         w.write_all(&bytes)?;
         w.write_all(&[r.reg_writes.len() as u8])?;

@@ -65,4 +65,4 @@ pub use memory::{AddrSet, SparseMemory};
 pub use opcode::{Opcode, OpcodeClass};
 pub use reg::{ArchReg, RegSet, NUM_ARCH_REGS};
 pub use semantics::{eval_alu, eval_alu_with_flags, AluError, AluResult};
-pub use uop::{MemRef, Uop};
+pub use uop::Uop;

@@ -244,26 +244,6 @@ impl MachineState {
             op => Err(ExecError::Malformed(op)),
         }
     }
-
-    /// Executes a straight-line sequence of uops, stopping at the first
-    /// control transfer or fired assertion.
-    ///
-    /// Returns the index of the uop that ended execution and its effect, or
-    /// `None` if the whole sequence fell through.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`ExecError`].
-    pub fn exec_block(&mut self, uops: &[Uop]) -> Result<Option<(usize, UopEffect)>, ExecError> {
-        for (i, u) in uops.iter().enumerate() {
-            let eff = self.exec(u)?;
-            match eff.control {
-                ControlEffect::Next | ControlEffect::NotTaken => {}
-                _ => return Ok(Some((i, eff))),
-            }
-        }
-        Ok(None)
-    }
 }
 
 fn map_alu_err(e: AluError) -> ExecError {
@@ -375,19 +355,6 @@ mod tests {
         m.set_reg(ArchReg::Ebx, 0);
         let u = Uop::alu(Opcode::Div, ArchReg::Eax, ArchReg::Eax, ArchReg::Ebx);
         assert_eq!(m.exec(&u).unwrap_err(), ExecError::DivideByZero);
-    }
-
-    #[test]
-    fn exec_block_stops_at_transfer() {
-        let mut m = MachineState::new();
-        let uops = vec![
-            Uop::mov_imm(ArchReg::Eax, 1),
-            Uop::jmp(0x99),
-            Uop::mov_imm(ArchReg::Eax, 2), // never executed
-        ];
-        let stop = m.exec_block(&uops).unwrap();
-        assert_eq!(stop.map(|(i, _)| i), Some(1));
-        assert_eq!(m.reg(ArchReg::Eax), 1);
     }
 
     #[test]

@@ -105,15 +105,6 @@ impl ArchReg {
         (self as u8) < 8
     }
 
-    /// True if this register is a uop-level temporary (`ET0`–`ET7`).
-    ///
-    /// Temporaries are dead at x86 instruction boundaries, and therefore dead
-    /// at frame boundaries; the optimizer never treats them as live-out.
-    #[inline]
-    pub fn is_temp(self) -> bool {
-        !self.is_gpr()
-    }
-
     /// Short uppercase name as used in the paper's listings (e.g. `"ESP"`).
     pub fn name(self) -> &'static str {
         match self {
@@ -197,16 +188,6 @@ impl RegSet {
         self.0 == 0
     }
 
-    /// Set union.
-    pub fn union(self, other: RegSet) -> RegSet {
-        RegSet(self.0 | other.0)
-    }
-
-    /// Set intersection.
-    pub fn intersection(self, other: RegSet) -> RegSet {
-        RegSet(self.0 & other.0)
-    }
-
     /// Registers in `self` but not in `other`.
     pub fn difference(self, other: RegSet) -> RegSet {
         RegSet(self.0 & !other.0)
@@ -266,11 +247,9 @@ mod tests {
     #[test]
     fn gpr_and_temp_partition() {
         let gprs: Vec<_> = ArchReg::ALL.iter().filter(|r| r.is_gpr()).collect();
-        let temps: Vec<_> = ArchReg::ALL.iter().filter(|r| r.is_temp()).collect();
         assert_eq!(gprs.len(), 8);
-        assert_eq!(temps.len(), 8);
         assert!(ArchReg::Esp.is_gpr());
-        assert!(ArchReg::Et2.is_temp());
+        assert!(!ArchReg::Et2.is_gpr());
     }
 
     #[test]
@@ -292,9 +271,6 @@ mod tests {
     fn regset_algebra() {
         let a: RegSet = [ArchReg::Eax, ArchReg::Ebx].into_iter().collect();
         let b: RegSet = [ArchReg::Ebx, ArchReg::Ecx].into_iter().collect();
-        assert_eq!(a.union(b).len(), 3);
-        assert_eq!(a.intersection(b).len(), 1);
-        assert!(a.intersection(b).contains(ArchReg::Ebx));
         assert!(a.difference(b).contains(ArchReg::Eax));
         assert!(!a.difference(b).contains(ArchReg::Ebx));
     }

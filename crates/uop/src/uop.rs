@@ -2,45 +2,6 @@
 
 use crate::{ArchReg, Cond, Opcode};
 
-/// A symbolic memory reference: `base + index*scale + disp`.
-///
-/// The optimizer compares memory references *symbolically*: two references
-/// are equivalent only if their base (and index) registers are the same and
-/// their displacements and scales are literally equal (§6.4 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MemRef {
-    /// Base register, if any.
-    pub base: Option<ArchReg>,
-    /// Scaled index register, if any.
-    pub index: Option<ArchReg>,
-    /// Scale applied to the index (1, 2, 4, or 8).
-    pub scale: u8,
-    /// Constant displacement.
-    pub disp: i32,
-}
-
-impl MemRef {
-    /// A reference with only a base register and displacement.
-    pub fn base_disp(base: ArchReg, disp: i32) -> MemRef {
-        MemRef {
-            base: Some(base),
-            index: None,
-            scale: 1,
-            disp,
-        }
-    }
-
-    /// An absolute reference to a constant address.
-    pub fn absolute(addr: i32) -> MemRef {
-        MemRef {
-            base: None,
-            index: None,
-            scale: 1,
-            disp: addr,
-        }
-    }
-}
-
 /// A micro-operation.
 ///
 /// The format follows Figure 4 of the paper: an opcode, up to two register
@@ -334,36 +295,12 @@ impl Uop {
         self.is_store() || self.op.is_branch() || self.op.is_assert() || self.op == Opcode::Fence
     }
 
-    /// The symbolic memory reference of a `Load` or `Store`, if any.
-    pub fn mem_ref(&self) -> Option<MemRef> {
-        match self.op {
-            Opcode::Load => Some(MemRef {
-                base: self.src_a,
-                index: self.src_b,
-                scale: self.scale,
-                disp: self.imm,
-            }),
-            Opcode::Store => Some(MemRef {
-                base: self.src_a,
-                index: None,
-                scale: 1,
-                disp: self.imm,
-            }),
-            _ => None,
-        }
-    }
-
     /// Iterates over the register sources the uop actually reads.
     ///
     /// For stores this includes both the base (address) and the data
     /// register.
     pub fn sources(&self) -> impl Iterator<Item = ArchReg> + '_ {
         self.src_a.into_iter().chain(self.src_b)
-    }
-
-    /// The register this uop defines, if any.
-    pub fn def(&self) -> Option<ArchReg> {
-        self.dst
     }
 }
 
@@ -387,24 +324,6 @@ mod tests {
         let u = Uop::cmp_imm(ArchReg::Eax, 5);
         assert!(u.writes_flags);
         assert_eq!(u.dst, None);
-    }
-
-    #[test]
-    fn mem_ref_extraction() {
-        let ld = Uop::load_indexed(ArchReg::Eax, ArchReg::Ebx, ArchReg::Ecx, 4, 16);
-        let r = ld.mem_ref().unwrap();
-        assert_eq!(r.base, Some(ArchReg::Ebx));
-        assert_eq!(r.index, Some(ArchReg::Ecx));
-        assert_eq!(r.scale, 4);
-        assert_eq!(r.disp, 16);
-
-        let st = Uop::store(ArchReg::Esp, -4, ArchReg::Ebp);
-        let r = st.mem_ref().unwrap();
-        assert_eq!(r.base, Some(ArchReg::Esp));
-        assert_eq!(r.index, None);
-        assert_eq!(r.disp, -4);
-
-        assert!(Uop::nop().mem_ref().is_none());
     }
 
     #[test]
@@ -432,10 +351,10 @@ mod tests {
         let st = Uop::store(ArchReg::Esp, -4, ArchReg::Ebp);
         let srcs: Vec<_> = st.sources().collect();
         assert_eq!(srcs, vec![ArchReg::Esp, ArchReg::Ebp]);
-        assert_eq!(st.def(), None);
+        assert_eq!(st.dst, None);
 
         let ld = Uop::load(ArchReg::Eax, ArchReg::Esp, 8);
-        assert_eq!(ld.def(), Some(ArchReg::Eax));
+        assert_eq!(ld.dst, Some(ArchReg::Eax));
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl MemoryMaps {
         self.initial.get(&addr).copied()
     }
 
-    /// The value `addr` must hold at the frame boundary, if touched.
-    pub fn final_value(&self, addr: u32) -> Option<u32> {
-        self.finals.get(&addr).copied()
-    }
-
     /// Addresses with a defined final value.
     pub fn final_addrs(&self) -> impl Iterator<Item = u32> + '_ {
         self.finals.keys().copied()
@@ -89,7 +84,7 @@ mod tests {
         ];
         let m = MemoryMaps::from_records(&records);
         assert_eq!(m.initial(0x100), Some(7), "first read wins");
-        assert_eq!(m.final_value(0x100), Some(9), "last store wins");
+        assert_eq!(m.finals.get(&0x100).copied(), Some(9), "last store wins");
     }
 
     #[test]
@@ -97,14 +92,14 @@ mod tests {
         let records = vec![rec(vec![], vec![(0x200, 1)]), rec(vec![], vec![(0x200, 2)])];
         let m = MemoryMaps::from_records(&records);
         assert_eq!(m.initial(0x200), Some(1));
-        assert_eq!(m.final_value(0x200), Some(2));
+        assert_eq!(m.finals.get(&0x200).copied(), Some(2));
     }
 
     #[test]
     fn untouched_is_absent() {
         let m = MemoryMaps::from_records(&[rec(vec![(0x300, 5)], vec![])]);
         assert_eq!(m.initial(0x400), None);
-        assert_eq!(m.final_value(0x300), Some(5));
+        assert_eq!(m.finals.get(&0x300).copied(), Some(5));
         assert_eq!(m.len(), 1);
         assert!(!m.is_empty());
         assert!(MemoryMaps::default().is_empty());

@@ -83,7 +83,6 @@ struct Fixup {
 #[derive(Debug)]
 pub struct Assembler {
     base: u32,
-    entry: u32,
     image: Vec<u8>,
     labels: HashMap<Label, u32>,
     fixups: Vec<Fixup>,
@@ -91,12 +90,11 @@ pub struct Assembler {
 }
 
 impl Assembler {
-    /// Creates an assembler that will place code starting at `base`; the
-    /// entry point defaults to `base`.
+    /// Creates an assembler that will place code starting at `base`, which
+    /// is also the program's entry point.
     pub fn new(base: u32) -> Assembler {
         Assembler {
             base,
-            entry: base,
             image: Vec::new(),
             labels: HashMap::new(),
             fixups: Vec::new(),
@@ -107,11 +105,6 @@ impl Assembler {
     /// The address the next emitted instruction will occupy.
     pub fn here(&self) -> u32 {
         self.base + self.image.len() as u32
-    }
-
-    /// Sets the program entry point to the current position.
-    pub fn mark_entry(&mut self) {
-        self.entry = self.here();
     }
 
     /// Allocates a fresh, unbound label.
@@ -189,7 +182,7 @@ impl Assembler {
         Program {
             base: self.base,
             image: self.image,
-            entry: self.entry,
+            entry: self.base,
         }
     }
 }
@@ -245,15 +238,14 @@ mod tests {
     }
 
     #[test]
-    fn entry_defaults_to_base_and_can_move() {
+    fn entry_is_the_base() {
         let mut asm = Assembler::new(0x2000);
         asm.push(Inst::Nop);
         assert_eq!(asm.here(), 0x2001);
-        asm.mark_entry();
         asm.push(Inst::Ret);
         let p = asm.finish();
         assert_eq!(p.base, 0x2000);
-        assert_eq!(p.entry, 0x2001);
+        assert_eq!(p.entry, 0x2000);
         assert!(p.contains(0x2001));
         assert!(!p.contains(0x2002));
     }

@@ -507,18 +507,6 @@ pub enum Inst {
 }
 
 impl Inst {
-    /// True for control-transfer instructions.
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Inst::Jmp { .. }
-                | Inst::Jcc { .. }
-                | Inst::JmpInd { .. }
-                | Inst::Call { .. }
-                | Inst::Ret
-        )
-    }
-
     /// True for conditional branches.
     pub fn is_cond_branch(&self) -> bool {
         matches!(self, Inst::Jcc { .. })
@@ -621,9 +609,6 @@ mod tests {
 
     #[test]
     fn control_classification() {
-        assert!(Inst::Ret.is_control());
-        assert!(Inst::Jmp { target: 0 }.is_control());
-        assert!(!Inst::Nop.is_control());
         assert!(Inst::Jcc {
             cc: CondX86::Z,
             target: 4

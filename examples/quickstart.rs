@@ -66,7 +66,7 @@ fn main() {
     );
     println!(
         "frames aborted (assertions / unsafe stores): {} ({:.2}% of cycles)",
-        rpo.assert_events,
+        rpo.pipeline.assert_events,
         rpo.bins.fraction(CycleBin::Assert) * 100.0
     );
     println!(

@@ -1,11 +1,16 @@
 //! Randomized tests for the byte-level x86 codec and the trace file format:
 //! everything the encoder emits must decode back to itself, and trace files
 //! must round-trip exactly. Fixed-seed random streams replace the former
-//! proptest strategies.
+//! proptest strategies. The decoders of untrusted bytes (trace files and
+//! the RSV1 wire messages) are also mutation-tested: corrupted input must
+//! come back as a typed error or a value, never a panic.
 
 use replay_rng::SmallRng;
-use replay_trace::{read_trace, write_trace, Trace, TraceRecord};
+use replay_serve::{Request, Response, Source, Status};
+use replay_sim::{report::specs_for_trace, simulate};
+use replay_trace::{read_trace, workloads, write_trace, Trace, TraceRecord};
 use replay_x86::{decode, encode, AluOp, CondX86, Gpr, Inst, MemOperand, ShiftOp};
+use std::sync::Arc;
 
 fn arb_gpr(rng: &mut SmallRng) -> Gpr {
     *rng.choose(&Gpr::ALL)
@@ -231,5 +236,111 @@ fn decode_encode_agree() {
             assert_eq!(inst2, inst, "case {case}");
             assert_eq!(len2 as usize, re.len(), "case {case}");
         }
+    }
+}
+
+/// One corrupted copy of `base`: a few bit flips, a truncation, a splice
+/// of `base`'s prefix onto a suffix of `donor`, or a run of overwritten
+/// bytes.
+fn mutate(rng: &mut SmallRng, base: &[u8], donor: &[u8]) -> Vec<u8> {
+    let mut b = base.to_vec();
+    match rng.random_range(0..4u32) {
+        0 if !b.is_empty() => {
+            for _ in 0..rng.random_range(1..=4u32) {
+                let i = rng.random_range(0..b.len());
+                b[i] ^= 1 << rng.random_range(0..8u32);
+            }
+        }
+        1 => b.truncate(rng.random_range(0..=b.len())),
+        2 => {
+            b.truncate(rng.random_range(0..=b.len()));
+            b.extend_from_slice(&donor[rng.random_range(0..=donor.len())..]);
+        }
+        _ if !b.is_empty() => {
+            let i = rng.random_range(0..b.len());
+            let n = rng.random_range(1..=8usize).min(b.len() - i);
+            for x in &mut b[i..i + n] {
+                *x = rng.random_range(0u8..=255);
+            }
+        }
+        _ => {}
+    }
+    b
+}
+
+/// Corrupted trace files decode to a typed error or a trace, never a
+/// panic, and a sample of the traces that decode simulates under RPO, as
+/// the server does with inline trace bytes. `read_trace` accepts some
+/// encodings `write_trace` never produces (they re-encode to other
+/// bytes), which is why the trace store round-trips what it loads.
+#[test]
+fn trace_decoder_survives_mutation() {
+    let files: Vec<Vec<u8>> = ["gzip", "excel", "vortex"]
+        .iter()
+        .map(|name| {
+            let trace = workloads::by_name(name).unwrap().segment_trace(0, 300);
+            let mut buf = Vec::new();
+            write_trace(&mut buf, &trace).unwrap();
+            buf
+        })
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(0xc0de_0005);
+    let (mut accepted, mut noncanonical, mut simulated) = (0, 0, 0);
+    for _ in 0..3000 {
+        let base = rng.random_range(0..files.len());
+        let donor = &files[(base + 1) % files.len()];
+        let bytes = mutate(&mut rng, &files[base], donor);
+        let Ok(trace) = read_trace(&bytes[..]) else {
+            continue;
+        };
+        accepted += 1;
+        let mut again = Vec::new();
+        write_trace(&mut again, &trace).unwrap();
+        noncanonical += usize::from(again != bytes);
+        if accepted % 25 == 0 {
+            // The server's RPO configuration: the last of the report specs.
+            let rpo = specs_for_trace(&Arc::new(trace)).pop().unwrap();
+            simulate(&rpo.traces[0], &rpo.cfg);
+            simulated += 1;
+        }
+    }
+    assert!(simulated > 0, "{accepted} mutants decoded, none simulated");
+    eprintln!(
+        "trace mutants: {accepted} of 3000 decoded, {noncanonical} non-canonical, \
+         {simulated} simulated"
+    );
+}
+
+/// Corrupted RSV1 request and response payloads decode to a typed error
+/// or a value, never a panic.
+#[test]
+fn wire_decoders_survive_mutation() {
+    let requests: Vec<Vec<u8>> = [
+        Source::Workload("gzip".into()),
+        Source::TraceBytes((0..200u8).collect()),
+    ]
+    .into_iter()
+    .map(|source| {
+        Request {
+            source,
+            scale: 4_000,
+            timings: false,
+            deadline_ms: 250,
+            relayed: false,
+        }
+        .encode()
+    })
+    .collect();
+    let responses = [
+        Response::ok(b"{\"schema\": \"replay-report/v3\"}\n".to_vec()).encode(),
+        Response::reject(Status::Overloaded, "queue full")
+            .with_retry_after(40)
+            .encode(),
+    ];
+    let mut rng = SmallRng::seed_from_u64(0xc0de_0006);
+    for _ in 0..4000 {
+        let i = rng.random_range(0..2usize);
+        let _ = Request::decode(&mutate(&mut rng, &requests[i], &responses[i]));
+        let _ = Response::decode(&mutate(&mut rng, &responses[i], &requests[i]));
     }
 }

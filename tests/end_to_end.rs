@@ -116,7 +116,7 @@ fn excel_store_forwarding_backfires() {
         &trace,
         &SimConfig::new(ConfigKind::ReplayOpt).without_verify(),
     );
-    assert!(full.assert_events > 0, "excel aborts frames");
+    assert!(full.pipeline.assert_events > 0, "excel aborts frames");
     let no_sf = simulate(
         &trace,
         &SimConfig::new(ConfigKind::ReplayOpt)
@@ -124,7 +124,7 @@ fn excel_store_forwarding_backfires() {
             .without_verify(),
     );
     assert!(
-        no_sf.assert_events <= full.assert_events,
+        no_sf.pipeline.assert_events <= full.pipeline.assert_events,
         "disabling SF cannot increase aborts"
     );
 }

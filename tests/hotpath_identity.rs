@@ -25,7 +25,10 @@ const SCALE: usize = 3_000;
 fn assert_simulated_identical(a: &SimResult, b: &SimResult, what: &str) {
     assert_eq!(a.cycles, b.cycles, "{what}: cycles");
     assert_eq!(a.x86_retired, b.x86_retired, "{what}: x86_retired");
-    assert_eq!(a.assert_events, b.assert_events, "{what}: assert_events");
+    assert_eq!(
+        a.pipeline.assert_events, b.pipeline.assert_events,
+        "{what}: assert_events"
+    );
     assert_eq!(a.dyn_uops_total, b.dyn_uops_total, "{what}: dyn_uops_total");
     assert_eq!(
         a.dyn_uops_removed, b.dyn_uops_removed,

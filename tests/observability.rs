@@ -26,7 +26,7 @@ fn profiled_results(workload: &str, jobs: usize) -> Vec<SimResult> {
 
 /// The deterministic profile rendering (timings excluded) is byte-identical
 /// between a serial run and a heavily threaded one — the acceptance bar for
-/// `replay compare --profile --jobs N`.
+/// `replay report --profile --jobs N`.
 #[test]
 fn profiles_byte_identical_across_worker_counts() {
     let serial = profiled_results("gzip", 1);
