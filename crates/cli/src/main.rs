@@ -16,15 +16,13 @@
 //! replay frames <workload> [-n N] [--top K] inspect the most-optimized frames
 //! replay check [--cases N] [--seed S] [--passes all|pipeline|<list>]
 //!                                           property-check the optimizer
-//! replay clone --from-profile SRC [-n N]    synthesize a workload matching a
-//!                                           target statistical profile
 //! replay sweep [--corner NAME] [--out FILE] stress-sweep generator corners,
 //!                                           record where the RPO gain collapses
 //! ```
 
 use replay_core::{optimize, AliasProfile, OptConfig};
 use replay_frame::{ConstructorConfig, FrameConstructor, RetireEvent};
-use replay_sim::experiment;
+use replay_sim::{experiment, sweep};
 use replay_sim::{out, outln, parallel, simulate, ConfigKind, CoreModel, SimConfig, TraceStore};
 use replay_timing::CycleBin;
 use replay_trace::{read_trace, workloads, write_trace, Trace, Workload};
@@ -45,7 +43,6 @@ fn main() -> ExitCode {
         Some("submit") => cmd_submit(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("disasm") => cmd_disasm(&args[1..]),
-        Some("clone") => cmd_clone(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print_usage();
@@ -116,10 +113,10 @@ Parallelism: --jobs/--threads N (or the REPLAY_JOBS environment variable)
 sets the worker count; the default is the machine's available parallelism
 and 1 forces the legacy serial path. Results are identical at any count.
 
-Persistent store: sim, report, serve, clone, and sweep cache
-synthesized traces under .replay-cache/ so warm reruns skip synthesis
-with bit-identical results. --cache-dir DIR (or REPLAY_CACHE_DIR) moves
-the cache; --no-store (or REPLAY_NO_STORE) disables it. Corrupt cache
+Persistent store: sim, report, serve, and sweep cache synthesized
+traces under .replay-cache/ so warm reruns skip synthesis with
+bit-identical results. --cache-dir DIR (or REPLAY_CACHE_DIR) moves the
+cache; --no-store (or REPLAY_NO_STORE) disables it. Corrupt cache
 artifacts are evicted and regenerated."
     );
 }
@@ -377,34 +374,13 @@ const SPEC_SUBMIT: CmdSpec = CmdSpec {
     ],
 };
 
-const SPEC_CLONE: CmdSpec = CmdSpec {
-    name: "clone",
-    positional: "",
-    about: "synthesize a workload whose measured profile matches a target drawn \
-            from SRC (a workload name or trace file) within tolerance — \
-            deterministic seeded hill-climb, bit-identical at any --jobs \
-            (emits a replay-clone/v1 JSON artifact with --json)",
-    flags: &[
-        req_flag(&["from-profile"], "SRC"),
-        flag(&["n"], "N"),
-        flag(&["seed"], "S"),
-        flag(&["tol"], "T"),
-        flag(&["iters"], "K"),
-        flag(&["candidates"], "K"),
-        flag(&["o", "out"], "FILE"),
-        flag(&["json"], "FILE"),
-        JOBS_FLAG,
-        CACHE_DIR_FLAG,
-        NO_STORE_FLAG,
-    ],
-};
 const SPEC_SWEEP: CmdSpec = CmdSpec {
     name: "sweep",
     positional: "",
     about: "walk generator parameters toward pathological corners (CORNER: \
             assert-storm, alias-heavy, predictor-hostile, all) and record \
             where the RPO IPC gain collapses below the floor (replay-clone/v1 \
-            JSON artifact with --out)",
+            JSON artifact with --out; --steps K samples each corner, K >= 2)",
     flags: &[
         flag(&["corner"], "CORNER"),
         flag(&["steps"], "K"),
@@ -431,7 +407,6 @@ const ALL_SPECS: &[&CmdSpec] = &[
     &SPEC_INFO,
     &SPEC_DISASM,
     &SPEC_CHECK,
-    &SPEC_CLONE,
     &SPEC_SWEEP,
 ];
 
@@ -1082,80 +1057,23 @@ fn cmd_frames(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_clone(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &SPEC_CLONE)?;
-    if !opts.positional.is_empty() {
-        return Err(SPEC_CLONE.usage());
-    }
-    configure_store(&opts);
-    let source = opts.required("from-profile");
-    let n: usize = opts.positive("n")?.unwrap_or(6_000);
-    let mut cfg = replay_clone::FitConfig {
-        fit_scale: n,
-        jobs: opts.jobs()?,
-        ..Default::default()
-    };
-    cfg.seed = opts.count("seed", cfg.seed)?;
-    cfg.max_iters = opts.count("iters", cfg.max_iters)?;
-    cfg.candidates_per_iter = opts.count("candidates", cfg.candidates_per_iter)?;
-    if let Some(t) = opts.get("tol") {
-        cfg.tolerance = t
-            .parse()
-            .ok()
-            .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-            .ok_or_else(|| format!("bad --tol value {t:?}"))?;
-    }
-    // The target profile is measured at the fit scale, so a target drawn
-    // from a suite workload is reachable exactly.
-    let target_trace = load_trace(source, n)?;
-    let target = replay_trace::StatProfile::measure(&target_trace);
-    outln!(
-        "target `{}`: {} x86 instructions; fitting at scale {} (tolerance {}, seed {:#x})",
-        source,
-        target_trace.len(),
-        cfg.fit_scale,
-        cfg.tolerance,
-        cfg.seed
-    );
-    let fit = replay_clone::fit(&target, &cfg).map_err(|e| e.to_string())?;
-    outln!(
-        "converged: `{}` at distance {:.4} after {} iterations ({} evaluations)",
-        fit.workload.name,
-        fit.distance,
-        fit.iterations,
-        fit.evaluations
-    );
-    let (axis, delta) = fit.measured.worst_component(&target);
-    outln!("worst dimension: {axis} (|delta| = {delta:.4})");
-    if let Some(path) = opts.get("json") {
-        let json = replay_clone::clone_json(&cfg, &target, &fit);
-        std::fs::write(path, &json).map_err(|e| format!("writing {path:?}: {e}"))?;
-        outln!("wrote {path}");
-    }
-    if let Some(out) = opts.get("o") {
-        let trace = TraceStore::global().segment(&fit.workload, 0, cfg.fit_scale);
-        let file = std::fs::File::create(out).map_err(|e| format!("creating {out:?}: {e}"))?;
-        write_trace(std::io::BufWriter::new(file), &trace).map_err(|e| e.to_string())?;
-        outln!(
-            "wrote {} records of `{}` to {out}",
-            trace.len(),
-            fit.workload.name
-        );
-    }
-    Ok(())
-}
-
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(args, &SPEC_SWEEP)?;
     if !opts.positional.is_empty() {
         return Err(SPEC_SWEEP.usage());
     }
     configure_store(&opts);
-    let mut cfg = replay_clone::SweepConfig {
+    let mut cfg = sweep::SweepConfig {
         jobs: opts.jobs()?,
         ..Default::default()
     };
-    cfg.steps = opts.count("steps", cfg.steps)?;
+    if let Some(v) = opts.get("steps") {
+        cfg.steps = v
+            .parse()
+            .ok()
+            .filter(|k| *k >= 2)
+            .ok_or_else(|| format!("bad --steps value {v:?} (want at least 2)"))?;
+    }
     cfg.scale = opts.positive("n")?.unwrap_or(cfg.scale);
     cfg.seed = opts.count("seed", cfg.seed)?;
     if let Some(v) = opts.get("gain-floor") {
@@ -1167,7 +1085,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     }
     if let Some(name) = opts.get("corner") {
         if name != "all" {
-            let corner = replay_clone::Corner::parse(name).ok_or_else(|| {
+            let corner = sweep::Corner::parse(name).ok_or_else(|| {
                 format!(
                     "unknown corner {name:?} (valid: assert-storm, alias-heavy, \
                      predictor-hostile, all)"
@@ -1176,7 +1094,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             cfg.corners = vec![corner];
         }
     }
-    let result = replay_clone::run_sweep(&cfg);
+    let result = sweep::run_sweep(&cfg);
     for corner in &result.corners {
         outln!("corner {}:", corner.corner);
         outln!(
@@ -1328,7 +1246,6 @@ mod tests {
             "info",
             "disasm",
             "check",
-            "clone",
             "sweep",
         ] {
             assert!(names.contains(&expect), "{expect} missing from ALL_SPECS");

@@ -131,7 +131,7 @@ fn serve_bounds_must_be_positive() {
 #[test]
 fn trace_length_must_be_positive() {
     // `-n 0` used to run every command on an empty trace and exit 0:
-    // `sim` printed IPC 0.000, `clone` "converged" after 0 iterations.
+    // `sim` printed IPC 0.000.
     let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/empty.trace");
     for cmd in [
         &["sim", "gzip", "--no-store"][..],
@@ -140,7 +140,6 @@ fn trace_length_must_be_positive() {
         &["frames", "gzip"],
         &["gen", "gzip", "-o", out],
         &["submit", "gzip", "--addr", "127.0.0.1:1", "--retries", "0"],
-        &["clone", "--from-profile", "gzip", "--no-store"],
         &["sweep", "--no-store"],
     ] {
         let mut args = cmd.to_vec();
@@ -167,21 +166,29 @@ fn required_flags_are_enforced_by_the_parser() {
         &["gen", "gzip"],
         "missing -o FILE (usage: replay gen <workload> -o FILE [-n N] [-s SEG])",
     );
-    assert_rejected(
-        &["clone", "-n", "1000", "--no-store"],
-        "missing --from-profile SRC (usage: replay clone --from-profile SRC [-n N] \
-         [--seed S] [--tol T] [--iters K] [--candidates K] [-o FILE] [--json FILE] \
-         [--jobs N] [--cache-dir DIR] [--no-store])",
-    );
+}
+
+#[test]
+fn sweep_steps_must_cover_both_endpoints() {
+    // `--steps 0` and `--steps 1` used to run 2 steps and exit 0.
+    for bad in ["0", "1"] {
+        assert_rejected(
+            &["sweep", "--steps", bad, "-n", "1000", "--no-store"],
+            &format!("bad --steps value {bad:?} (want at least 2)"),
+        );
+    }
 }
 
 #[test]
 fn compare_is_an_unknown_command() {
-    // `report` prints the four-configuration table that `compare` did.
-    assert_rejected(
-        &["compare", "gzip"],
-        "unknown command \"compare\" (try `replay help`)",
-    );
+    // `report` prints the four-configuration table that `compare` did;
+    // `clone` went with the profile fit.
+    for cmd in ["compare", "clone"] {
+        assert_rejected(
+            &[cmd, "gzip"],
+            &format!("unknown command {cmd:?} (try `replay help`)"),
+        );
+    }
 }
 
 #[test]

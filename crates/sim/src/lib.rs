@@ -17,7 +17,8 @@
 //! [`experiment`] contains the multi-workload drivers that regenerate
 //! every table and figure of the paper's evaluation (see `EXPERIMENTS.md`
 //! at the repository root), each a fold over one shared grid of
-//! workloads × configurations. The grid fans its independent `(workload,
+//! workloads × configurations; [`sweep`] runs the adversarial stress
+//! sweep over the same grid. The grid fans its independent `(workload,
 //! segment, configuration)` jobs across a scoped worker pool
 //! ([`parallel`], sized by the caller, e.g. with [`parallel::job_count`]:
 //! `REPLAY_JOBS` or the core count) and shares synthesized traces through
@@ -50,6 +51,7 @@ pub mod parallel;
 pub mod report;
 mod result;
 mod runner;
+pub mod sweep;
 mod tracecache;
 mod tracestore;
 

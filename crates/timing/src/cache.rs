@@ -107,16 +107,6 @@ impl Cache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Miss rate in `[0, 1]` (zero before any access).
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -166,15 +156,6 @@ mod tests {
         assert!(!c.probe(0x40));
         assert!(!c.access(0x40));
         assert!(c.probe(0x40));
-    }
-
-    #[test]
-    fn miss_rate() {
-        let mut c = small();
-        assert_eq!(c.miss_rate(), 0.0);
-        c.access(0);
-        c.access(0);
-        assert!((c.miss_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -61,8 +61,6 @@ impl Gshare {
 pub struct Btb {
     entries: Vec<Option<(u32, u32)>>, // (pc, target)
     mask: u32,
-    lookups: u64,
-    misses: u64,
 }
 
 impl Btb {
@@ -76,33 +74,18 @@ impl Btb {
         Btb {
             entries: vec![None; 1 << bits],
             mask: (1u32 << bits) - 1,
-            lookups: 0,
-            misses: 0,
         }
     }
 
     /// Looks up the predicted target for `pc`, then installs `actual`.
     /// Returns `true` if the prediction matched `actual`.
     pub fn predict_and_update(&mut self, pc: u32, actual: u32) -> bool {
-        self.lookups += 1;
         // Byte-granular indexing, as for the gshare table: x86 branches
         // need their low address bits (see `Gshare::index`).
         let idx = (pc & self.mask) as usize;
         let hit = matches!(self.entries[idx], Some((p, t)) if p == pc && t == actual);
-        if !hit {
-            self.misses += 1;
-        }
         self.entries[idx] = Some((pc, actual));
         hit
-    }
-
-    /// Fraction of lookups whose target was wrong or absent.
-    pub fn miss_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.lookups as f64
-        }
     }
 }
 
@@ -146,7 +129,6 @@ mod tests {
         // Target change mispredicts once.
         assert!(!b.predict_and_update(0x10, 0x200));
         assert!(b.predict_and_update(0x10, 0x200));
-        assert!(b.miss_rate() < 0.6);
     }
 
     #[test]

@@ -1,17 +1,13 @@
-//! Statistical workload profiles — the fitting target of `replay-clone`.
+//! Statistical workload profiles.
 //!
 //! A [`StatProfile`] condenses a trace into a small fixed vector of
 //! behavioral dimensions: the nine-class instruction mix, branch bias,
 //! load redundancy, store aliasing, and call depth. Two traces with close
 //! profiles exercise the rePLay pipeline similarly — the same
 //! assertion-conversion rate, the same CSE opportunity, the same
-//! speculative-store risk — which is what makes the profile a usable
-//! *fitting target*: the cloning subsystem searches generator-parameter
-//! space until the synthesized trace's profile lands within tolerance of
-//! the target's (MicroGrad-style workload cloning).
-//!
-//! Every dimension is normalized to roughly `[0, 1]` so the unweighted
-//! Euclidean [`StatProfile::distance`] treats them comparably.
+//! speculative-store risk — so the stress sweep reports the profile of
+//! every point it synthesizes. Every dimension is normalized to roughly
+//! `[0, 1]`.
 
 use crate::stats::{InstClass, TraceStats};
 use crate::Trace;
@@ -34,8 +30,7 @@ const CALL_DEPTH_SCALE: f64 = 4.0;
 /// rates).
 pub const PROFILE_DIMS: usize = 13;
 
-/// A workload's statistical profile: the target vector `replay-clone`
-/// fits against.
+/// A workload's statistical profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatProfile {
     /// Instruction-mix fractions, in [`InstClass::ALL`] order.
@@ -195,30 +190,6 @@ impl StatProfile {
             ("call_depth", self.call_depth),
         ]
     }
-
-    /// Euclidean distance between two profiles over all
-    /// [`PROFILE_DIMS`] dimensions. Dimensions are pre-normalized to
-    /// `[0, 1]`, so no per-dimension weighting is applied.
-    pub fn distance(&self, other: &StatProfile) -> f64 {
-        self.components()
-            .iter()
-            .zip(other.components().iter())
-            .map(|((_, a), (_, b))| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
-    }
-
-    /// The dimension with the largest absolute difference from `other` —
-    /// the axis a fitter should push on next, and the most useful thing
-    /// to print when a fit fails.
-    pub fn worst_component(&self, other: &StatProfile) -> (&'static str, f64) {
-        self.components()
-            .iter()
-            .zip(other.components().iter())
-            .map(|((name, a), (_, b))| (*name, (a - b).abs()))
-            .max_by(|x, y| x.1.total_cmp(&y.1))
-            .expect("profile has dimensions")
-    }
 }
 
 #[cfg(test)]
@@ -251,17 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn distance_is_a_metric_on_examples() {
-        let ta = workloads::by_name("gzip").unwrap().segment_trace(0, 6_000);
-        let tb = workloads::by_name("power").unwrap().segment_trace(0, 6_000);
-        let a = StatProfile::measure(&ta);
-        let b = StatProfile::measure(&tb);
-        assert_eq!(a.distance(&a), 0.0);
-        assert!((a.distance(&b) - b.distance(&a)).abs() < 1e-12);
-        assert!(a.distance(&b) > 0.01, "gzip and power differ");
-    }
-
-    #[test]
     fn alias_heavy_workload_scores_higher_alias_rate() {
         let excel = workloads::by_name("excel")
             .unwrap()
@@ -275,16 +235,5 @@ mod tests {
             pe.alias_rate,
             pg.alias_rate
         );
-    }
-
-    #[test]
-    fn worst_component_names_a_real_axis() {
-        let ta = workloads::by_name("gzip").unwrap().segment_trace(0, 4_000);
-        let tb = workloads::by_name("excel").unwrap().segment_trace(0, 4_000);
-        let a = StatProfile::measure(&ta);
-        let b = StatProfile::measure(&tb);
-        let (name, delta) = a.worst_component(&b);
-        assert!(delta > 0.0);
-        assert!(a.components().iter().any(|(n, _)| *n == name));
     }
 }

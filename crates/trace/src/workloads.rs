@@ -86,9 +86,9 @@ const PHRASES: [Phrase; 13] = [
 
 /// Per-application generation parameters.
 ///
-/// Public so the profile-fitting subsystem (`replay-clone`) can search
-/// this space directly: a point in `GenParams` *is* a synthetic program,
-/// and [`Workload::custom`] turns one into a runnable [`Workload`].
+/// Public so the stress sweep (`replay_sim::sweep`) can walk this space
+/// directly: a point in `GenParams` *is* a synthetic program, and
+/// [`Workload::custom`] turns one into a runnable [`Workload`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenParams {
     /// Seed of the workload's own phrase/table generator.

@@ -1,49 +1,15 @@
-//! Integration tests for workload cloning and adversarial stress sweeps.
+//! Integration test for the adversarial stress sweep.
 //!
-//! The clone subsystem's contract: a fit is a pure function of
-//! `(target, config)` — the synthesized trace is byte-identical across
-//! worker counts and across cold/warm artifact stores — and a sweep's
-//! `replay-clone/v1` JSON is byte-identical across runs and job counts.
-//! Non-convergence is a typed error, never a nearest-miss workload.
+//! A sweep's `replay-clone/v1` JSON is a pure function of its
+//! configuration: byte-identical across runs, job counts, and the
+//! committed golden artifact.
 
-use replay_clone::{fit_with_store, run_sweep, FitConfig, FitError, SweepConfig, SCHEMA};
-use replay_sim::TraceStore;
-use replay_store::Store;
-use replay_trace::{workloads, write_trace, StatProfile};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A unique scratch directory for a private artifact store.
-fn scratch(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let d = std::env::temp_dir().join(format!(
-        "replay-it-clone-{}-{tag}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-/// A disk-backed trace store over `dir`. The store handle is leaked
-/// because [`TraceStore::with_disk`] wants a `'static` borrow; each test
-/// leaks a few hundred bytes, which the process reclaims on exit.
-fn disk_trace_store(dir: &std::path::Path) -> TraceStore {
-    let store: &'static Store = Box::leak(Box::new(Store::open(dir.to_path_buf()).unwrap()));
-    TraceStore::with_disk(store)
-}
-
-/// The serialized bytes of the trace a fit synthesizes.
-fn clone_trace_bytes(fit: &replay_clone::FitResult, store: &TraceStore, scale: usize) -> Vec<u8> {
-    let trace = store.segment(&fit.workload, 0, scale);
-    let mut bytes = Vec::new();
-    write_trace(&mut bytes, &trace).unwrap();
-    bytes
-}
+use replay_sim::sweep::{run_sweep, SweepConfig, SCHEMA};
 
 /// A small sweep configuration sized for CI: three corners, three steps,
-/// short traces. Collapse behavior at this scale is not meaningful (the
-/// pipeline is still warming up); these tests only assert determinism.
+/// short traces — the configuration `replay sweep --corner all --steps 3
+/// -n 1500` runs. Collapse behavior at this scale is not meaningful (the
+/// pipeline is still warming up); this test only asserts determinism.
 fn mini_sweep() -> SweepConfig {
     SweepConfig {
         steps: 3,
@@ -53,9 +19,9 @@ fn mini_sweep() -> SweepConfig {
     }
 }
 
-/// Satellite: the pinned-seed mini-sweep emits byte-identical
-/// collapse-point JSON across two runs in the same process and across
-/// job counts.
+/// The pinned-seed mini-sweep emits byte-identical collapse-point JSON
+/// across two runs in the same process and across job counts, and
+/// matches `tests/golden/clone_sweep_small.json`.
 #[test]
 fn mini_sweep_json_is_byte_identical_across_runs_and_jobs() {
     let first = run_sweep(&mini_sweep()).to_json();
@@ -86,99 +52,13 @@ fn mini_sweep_json_is_byte_identical_across_runs_and_jobs() {
     );
     // steps points per corner, each with a spec digest.
     assert_eq!(first.matches("\"spec_digest\":").count(), 9);
-}
 
-/// Satellite: same target + same seed ⇒ byte-identical synthesized
-/// trace, across `jobs 1` vs `jobs 8` and across cold vs warm store.
-#[test]
-fn cloned_trace_is_byte_identical_across_jobs_and_cold_vs_warm_store() {
-    let scale = 1_500;
-    let cfg = FitConfig {
-        fit_scale: scale,
-        jobs: 1,
-        ..FitConfig::default()
-    };
-
-    // Target drawn from the suite, measured at the fit scale.
-    let gzip = workloads::by_name("gzip").unwrap();
-    let probe = TraceStore::new();
-    let target = StatProfile::measure(&probe.segment(&gzip, 0, scale));
-
-    // Job-count invariance, memory-only stores.
-    let serial_store = TraceStore::new();
-    let serial = fit_with_store(&target, &cfg, &serial_store).unwrap();
-    let par_store = TraceStore::new();
-    let par = fit_with_store(&target, &FitConfig { jobs: 8, ..cfg }, &par_store).unwrap();
     assert_eq!(
-        serial.workload.spec_digest(),
-        par.workload.spec_digest(),
-        "fit must select the same workload at any job count"
+        first,
+        include_str!("golden/clone_sweep_small.json"),
+        "mini-sweep JSON drifted from tests/golden/clone_sweep_small.json; \
+         regenerate it with `replay sweep --corner all --steps 3 -n 1500 \
+         --no-store --out tests/golden/clone_sweep_small.json` if the change \
+         is meant to move simulated numbers"
     );
-    let serial_bytes = clone_trace_bytes(&serial, &serial_store, scale);
-    let par_bytes = clone_trace_bytes(&par, &par_store, scale);
-    assert_eq!(
-        serial_bytes, par_bytes,
-        "synthesized trace bytes must not depend on the worker count"
-    );
-
-    // Cold vs warm: a second store over the same directory serves the
-    // fit's traces from disk and must reproduce the same bytes.
-    let dir = scratch("coldwarm");
-    let cold_store = disk_trace_store(&dir);
-    let cold = fit_with_store(&target, &cfg, &cold_store).unwrap();
-    let cold_bytes = clone_trace_bytes(&cold, &cold_store, scale);
-
-    let warm_store = disk_trace_store(&dir);
-    let warm = fit_with_store(&target, &cfg, &warm_store).unwrap();
-    let warm_bytes = clone_trace_bytes(&warm, &warm_store, scale);
-
-    assert!(
-        warm_store.disk_hits() > 0,
-        "warm store must serve at least one trace from disk"
-    );
-    assert_eq!(cold.workload.spec_digest(), warm.workload.spec_digest());
-    assert_eq!(
-        cold_bytes, warm_bytes,
-        "cold and warm fits must synthesize identical trace bytes"
-    );
-    assert_eq!(
-        serial_bytes, cold_bytes,
-        "disk-backed fit must match memory-only fit"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Satellite: a fit that cannot reach tolerance is a typed error carrying
-/// the best distance and iteration count — never a nearest-miss workload.
-#[test]
-fn non_convergence_is_a_typed_error_with_diagnostics() {
-    // A zero tolerance is unreachable for a target measured at a scale
-    // the fitter is not allowed to use.
-    let excel = workloads::by_name("excel").unwrap();
-    let probe = TraceStore::new();
-    let target = StatProfile::measure(&probe.segment(&excel, 0, 3_000));
-    let cfg = FitConfig {
-        fit_scale: 1_000,
-        tolerance: 0.0,
-        max_iters: 2,
-        candidates_per_iter: 2,
-        ..FitConfig::default()
-    };
-    let err = fit_with_store(&target, &cfg, &TraceStore::new()).unwrap_err();
-    match err {
-        FitError::NotConverged {
-            best_distance,
-            tolerance,
-            iterations,
-            evaluations,
-            worst_component,
-        } => {
-            assert!(best_distance > 0.0);
-            assert_eq!(tolerance, 0.0);
-            assert_eq!(iterations, 2);
-            assert!(evaluations > 0);
-            assert!(!worst_component.is_empty());
-        }
-    }
 }
