@@ -95,9 +95,14 @@ impl ConstructorStats {
     }
 }
 
-#[derive(Debug)]
+/// The frame under construction. The constructor keeps one for its whole
+/// lifetime: a new frame clears its vectors and [`FrameConstructor::finish`]
+/// copies them out exactly sized, so building a frame regrows nothing once
+/// the buffers have reached the largest frame seen.
+#[derive(Debug, Default)]
 struct Pending {
-    start_addr: u32,
+    /// Entry address; `None` while no frame is being built.
+    start_addr: Option<u32>,
     uops: Vec<Uop>,
     x86_addrs: Vec<u32>,
     block_starts: Vec<usize>,
@@ -105,14 +110,14 @@ struct Pending {
 }
 
 impl Pending {
-    fn new(start_addr: u32) -> Pending {
-        Pending {
-            start_addr,
-            uops: Vec::new(),
-            x86_addrs: Vec::new(),
-            block_starts: vec![0],
-            expectations: Vec::new(),
-        }
+    /// Starts a new frame at `start_addr`, reusing the buffers.
+    fn begin(&mut self, start_addr: u32) {
+        self.start_addr = Some(start_addr);
+        self.uops.clear();
+        self.x86_addrs.clear();
+        self.block_starts.clear();
+        self.block_starts.push(0);
+        self.expectations.clear();
     }
 }
 
@@ -127,7 +132,7 @@ impl Pending {
 pub struct FrameConstructor {
     cfg: ConstructorConfig,
     bias: BiasTable,
-    pending: Option<Pending>,
+    pending: Pending,
     start_counts: HashMap<u32, u32>,
     next_id: u64,
     stats: ConstructorStats,
@@ -146,7 +151,7 @@ impl FrameConstructor {
         FrameConstructor {
             cfg,
             bias,
-            pending: None,
+            pending: Pending::default(),
             start_counts: HashMap::new(),
             next_id: 0,
             stats: ConstructorStats::default(),
@@ -168,14 +173,14 @@ impl FrameConstructor {
         // construction; the next instruction is a fresh boundary.
         if ev.uops.iter().any(|u| u.op == Opcode::Fence) {
             self.aligned = true;
-            let done = self.finish(ev.addr, true);
+            let done = self.finish(ev.addr);
             if done.is_some() {
                 self.stats.ended_by_fence += 1;
             }
             return done;
         }
 
-        if self.pending.is_none() {
+        if self.pending.start_addr.is_none() {
             if !was_aligned {
                 // Mid-block: wait for the next control-flow target so that
                 // frame entry points stay stable across iterations.
@@ -190,15 +195,15 @@ impl FrameConstructor {
                 self.observe_bias(ev);
                 return None;
             }
-            self.pending = Some(Pending::new(ev.addr));
+            self.pending.begin(ev.addr);
         }
 
         // Would this instruction overflow the frame? Finish first; the next
         // frame waits for a control target.
         let flow_len = ev.uops.len();
-        let cur_len = self.pending.as_ref().map_or(0, |p| p.uops.len());
+        let cur_len = self.pending.uops.len();
         if cur_len + flow_len > self.cfg.max_uops && cur_len > 0 {
-            let done = self.finish(ev.addr, false);
+            let done = self.finish(ev.addr);
             if done.is_some() {
                 self.stats.ended_by_size += 1;
             }
@@ -208,7 +213,7 @@ impl FrameConstructor {
 
         if self.append(ev) {
             // The instruction ended the frame (unbiased control transfer).
-            return self.finish(ev.next_pc, false);
+            return self.finish(ev.next_pc);
         }
         None
     }
@@ -217,7 +222,7 @@ impl FrameConstructor {
     pub fn flush(&mut self) -> Option<Frame> {
         // The exit address of a flushed frame is unknown; use the address
         // after the last covered instruction.
-        self.finish(0, false)
+        self.finish(0)
     }
 
     /// Updates the bias table for an event without constructing.
@@ -249,7 +254,10 @@ impl FrameConstructor {
             stats,
             ..
         } = self;
-        let pending = pending.as_mut().expect("append requires a pending frame");
+        debug_assert!(
+            pending.start_addr.is_some(),
+            "append requires a pending frame"
+        );
         pending.x86_addrs.push(ev.addr);
         let mut ends = false;
         for u in ev.uops {
@@ -316,29 +324,31 @@ impl FrameConstructor {
     }
 
     /// Completes the pending frame, discarding it if below the minimum
-    /// size.
-    fn finish(&mut self, exit_next: u32, _fence: bool) -> Option<Frame> {
-        let pending = self.pending.take()?;
-        if pending.uops.len() < MIN_FRAME_UOPS {
+    /// size. The frame's vectors are exact-size copies of the pending
+    /// buffers, which stay with the constructor for the next frame.
+    fn finish(&mut self, exit_next: u32) -> Option<Frame> {
+        let start_addr = self.pending.start_addr.take()?;
+        let pending = &self.pending;
+        let orig = pending.uops.len();
+        if orig < MIN_FRAME_UOPS {
             self.stats.discarded += 1;
             return None;
         }
         // Drop a trailing empty block (boundary emitted after the last uop).
-        let mut block_starts = pending.block_starts;
-        if block_starts.last() == Some(&pending.uops.len()) {
-            block_starts.pop();
-        }
+        let block_starts = match pending.block_starts.split_last() {
+            Some((&last, rest)) if last == orig => rest,
+            _ => &pending.block_starts[..],
+        };
         let id = FrameId(self.next_id);
         self.next_id += 1;
         self.stats.completed += 1;
-        let orig = pending.uops.len();
         Some(Frame {
             id,
-            start_addr: pending.start_addr,
-            uops: pending.uops,
-            x86_addrs: pending.x86_addrs,
-            block_starts,
-            expectations: pending.expectations,
+            start_addr,
+            uops: pending.uops.clone(),
+            x86_addrs: pending.x86_addrs.clone(),
+            block_starts: block_starts.to_vec(),
+            expectations: pending.expectations.clone(),
             exit_next,
             orig_uop_count: orig,
         })
@@ -537,6 +547,38 @@ mod tests {
             assert_eq!(frame.is_some(), kept, "{n} uops");
             assert_eq!(c.stats().discarded, u64::from(!kept), "{n} uops");
         }
+    }
+
+    #[test]
+    fn discarded_frame_leaves_nothing_in_the_next() {
+        let mut c = FrameConstructor::new(cfg(64, 1));
+        let short = alu_flow(2);
+        let body = alu_flow(8);
+        let br = [Uop::br(Cond::Eq, 0x100).ending_x86()];
+        let fence = [Uop::fence().ending_x86()];
+        // Two passes over a short block: the second builds two uops, an
+        // assert (threshold 1) and a block boundary, and the fence
+        // discards it for being under the minimum size.
+        for _ in 0..HOT_THRESHOLD {
+            c.retire(&alu_ev(0x0, &short));
+            c.retire(&alu_ev(0x2, &br));
+            assert!(c.retire(&alu_ev(0x3, &fence)).is_none());
+        }
+        assert_eq!(c.stats().discarded, 1);
+        assert_eq!(c.stats().branches_converted, 1);
+        // The next frame reuses the buffers and carries none of it.
+        for _ in 0..HOT_THRESHOLD {
+            c.retire(&alu_ev(0x40, &body));
+            c.retire(&alu_ev(0x48, &fence));
+        }
+        c.retire(&alu_ev(0x40, &body));
+        let f = c.flush().expect("second sight of 0x40 builds a frame");
+        assert_eq!(f.start_addr, 0x40);
+        assert_eq!(f.x86_addrs, vec![0x40]);
+        assert_eq!(f.block_starts, vec![0]);
+        assert!(f.expectations.is_empty());
+        assert_eq!(f.uop_count(), 8);
+        assert!(f.uops.iter().all(|u| u.op == Opcode::Add));
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! engine ([`crate::experiment::run_specs`]) can run many instances
 //! concurrently with bit-identical results. The per-record and per-fetch
 //! hot paths are allocation-free once warm: the alias window recycles its
-//! address buffers ([`AliasWindow`]), cached frames are [`Arc`]-shared so
-//! a frame-cache hit is a reference-count bump, and frame probes reuse one
-//! [`ExecScratch`] instead of cloning the golden machine state.
+//! address buffers ([`AliasWindow`]), the frame constructor and the fill
+//! unit build in buffers they keep for the whole run, cached frames are
+//! [`Arc`]-shared so a frame-cache hit is a reference-count bump, and
+//! frame probes reuse one [`ExecScratch`] instead of cloning the golden
+//! machine state. What still allocates is paid once per built frame or
+//! filled trace: its exact-size copy out of the build buffer, the
+//! optimizer's work on a frame-memo miss, and the cache entry.
 
 use crate::framestore::FrameMemo;
 use crate::{ConfigKind, Injector, SimConfig, SimResult, TraceEntry, TraceFiller};

@@ -8,7 +8,7 @@ use replay_frame::CacheEntry;
 /// Unlike a frame, a trace is neither atomic nor single-exit: embedded
 /// branches stay branches and are predicted at fetch; execution may leave
 /// the trace at any of them (partial-trace fetch).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceEntry {
     /// Entry address.
     pub start_addr: u32,
@@ -34,11 +34,15 @@ const MAX_UOPS: usize = 32;
 /// The fill unit: continuously collects retired instructions into traces
 /// of at most three conditional branches and 32 uops (`MAX_BRANCHES`,
 /// `MAX_UOPS`).
+///
+/// The trace being filled lives as long as the fill unit: a completed
+/// trace is an exact-size copy of it, and its address buffer is cleared
+/// and reused for the next trace.
 #[derive(Debug, Default)]
 pub struct TraceFiller {
-    pending: Option<TraceEntry>,
+    /// The trace being filled; empty `x86_addrs` means none is.
+    pending: TraceEntry,
     branches: usize,
-    filled: u64,
 }
 
 impl TraceFiller {
@@ -61,11 +65,11 @@ impl TraceFiller {
         is_cond_branch: bool,
         ends_trace: bool,
     ) -> Option<TraceEntry> {
-        let pending = self.pending.get_or_insert_with(|| TraceEntry {
-            start_addr: addr,
-            x86_addrs: Vec::new(),
-            uop_count: 0,
-        });
+        let pending = &mut self.pending;
+        if pending.x86_addrs.is_empty() {
+            pending.start_addr = addr;
+            pending.uop_count = 0;
+        }
         pending.x86_addrs.push(addr);
         pending.uop_count += n_uops;
         if is_cond_branch {
@@ -73,15 +77,11 @@ impl TraceFiller {
         }
         if self.branches >= MAX_BRANCHES || pending.uop_count >= MAX_UOPS || ends_trace {
             self.branches = 0;
-            self.filled += 1;
-            return self.pending.take();
+            let done = pending.clone();
+            pending.x86_addrs.clear();
+            return Some(done);
         }
         None
-    }
-
-    /// Traces completed so far.
-    pub fn filled(&self) -> u64 {
-        self.filled
     }
 }
 
@@ -99,7 +99,6 @@ mod tests {
         assert_eq!(t.start_addr, 0x10);
         assert_eq!(t.x86_addrs, vec![0x10, 0x11, 0x20, 0x30]);
         assert_eq!(t.uop_count, 4);
-        assert_eq!(f.filled(), 1);
     }
 
     #[test]
@@ -129,8 +128,17 @@ mod tests {
         assert!(f.retire(0x50, 1, true, false).is_none());
         assert!(f.retire(0x60, 1, true, false).is_none());
         let t2 = f.retire(0x70, 1, true, false).unwrap();
-        assert_eq!(t1.start_addr, 0x10);
         assert_eq!(t2.start_addr, 0x50);
         assert_eq!(t2.x86_addrs, vec![0x50, 0x60, 0x70]);
+        // The fill unit reuses its buffer: filling the second trace left
+        // the first one untouched, and a shorter trace keeps nothing of
+        // a longer one.
+        assert_eq!(t1.start_addr, 0x10);
+        assert_eq!(t1.x86_addrs, vec![0x10, 0x20, 0x30]);
+        let t3 = f.retire(0x90, 3, false, true).expect("forced end");
+        assert_eq!(
+            (t3.start_addr, t3.x86_addrs, t3.uop_count),
+            (0x90, vec![0x90], 3)
+        );
     }
 }
