@@ -100,21 +100,23 @@ impl<T> OptimizerDatapath<T> {
         true
     }
 
-    /// Retrieves all frames whose optimization completes by time `now`, in
-    /// completion order.
-    pub fn take_completed(&mut self, now: u64) -> Vec<T> {
-        let mut done: Vec<InFlight<T>> = Vec::new();
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].done_at <= now {
-                done.push(self.in_flight.remove(i));
-                self.processed += 1;
-            } else {
-                i += 1;
-            }
+    /// Hands `deliver` every frame whose optimization completes by time
+    /// `now`, in completion order: by `done_at`, ties in the order the
+    /// frames were offered.
+    ///
+    /// Frames leave the in-flight list one at a time, so a call allocates
+    /// nothing; the list holds at most `pipeline_depth + queue_capacity`
+    /// frames.
+    pub fn drain_completed(&mut self, now: u64, mut deliver: impl FnMut(T)) {
+        // `min_by_key` returns the first of equal keys: ties leave in
+        // offer order.
+        while let Some(i) = (0..self.in_flight.len())
+            .filter(|&i| self.in_flight[i].done_at <= now)
+            .min_by_key(|&i| self.in_flight[i].done_at)
+        {
+            self.processed += 1;
+            deliver(self.in_flight.remove(i).payload);
         }
-        done.sort_by_key(|f| f.done_at);
-        done.into_iter().map(|f| f.payload).collect()
     }
 
     /// Number of frames accepted but not yet retrieved.
@@ -141,13 +143,19 @@ mod tests {
         OptimizerDatapath::new(DatapathConfig::default())
     }
 
+    fn completed(d: &mut OptimizerDatapath<u32>, now: u64) -> Vec<u32> {
+        let mut out = Vec::new();
+        d.drain_completed(now, |f| out.push(f));
+        out
+    }
+
     #[test]
     fn latency_is_ten_cycles_per_uop() {
         let mut d = dp();
         assert!(d.offer(1, 32, 0));
         // 32 uops * 10 cycles = 320 cycles.
-        assert!(d.take_completed(319).is_empty());
-        assert_eq!(d.take_completed(320), vec![1]);
+        assert!(completed(&mut d, 319).is_empty());
+        assert_eq!(completed(&mut d, 320), vec![1]);
         assert_eq!(d.processed(), 1);
     }
 
@@ -157,9 +165,9 @@ mod tests {
         assert!(d.offer(1, 30, 0)); // starts 0, done 300
         assert!(d.offer(2, 30, 0)); // issues at 100, done 400
         assert!(d.offer(3, 30, 0)); // issues at 200, done 500
-        assert_eq!(d.take_completed(300), vec![1]);
-        assert_eq!(d.take_completed(400), vec![2]);
-        assert_eq!(d.take_completed(500), vec![3]);
+        assert_eq!(completed(&mut d, 300), vec![1]);
+        assert_eq!(completed(&mut d, 400), vec![2]);
+        assert_eq!(completed(&mut d, 500), vec![3]);
     }
 
     #[test]
@@ -187,9 +195,9 @@ mod tests {
         let mut d: OptimizerDatapath<u32> = OptimizerDatapath::new(cfg);
         d.offer(1, 10, 0); // done at 100
         d.offer(2, 10, 0); // starts at 100, done at 200
-        assert_eq!(d.take_completed(100), vec![1]);
-        assert!(d.take_completed(150).is_empty());
-        assert_eq!(d.take_completed(200), vec![2]);
+        assert_eq!(completed(&mut d, 100), vec![1]);
+        assert!(completed(&mut d, 150).is_empty());
+        assert_eq!(completed(&mut d, 200), vec![2]);
     }
 
     #[test]
@@ -197,8 +205,26 @@ mod tests {
         let mut d = dp();
         d.offer(1, 100, 0); // done at 1000
         d.offer(2, 10, 0); // issues ~333, done ~433
-        let out = d.take_completed(10_000);
+        let out = completed(&mut d, 10_000);
         assert_eq!(out, vec![2, 1]);
+    }
+
+    #[test]
+    fn completion_ties_keep_offer_order() {
+        let cfg = DatapathConfig {
+            cycles_per_uop: 10,
+            pipeline_depth: 3,
+            queue_capacity: 8,
+        };
+        let mut d: OptimizerDatapath<u32> = OptimizerDatapath::new(cfg);
+        d.offer(1, 60, 0); // starts 0, done 600
+        d.offer(2, 30, 0); // issues 200, done 500
+        d.offer(3, 20, 0); // issues 300, done 500
+        d.offer(4, 30, 0); // waits for a stage: starts 500, done 800
+        assert_eq!(completed(&mut d, 550), vec![2, 3]);
+        assert_eq!(completed(&mut d, 10_000), vec![1, 4]);
+        assert_eq!(d.processed(), 4);
+        assert_eq!(d.occupancy(), 0);
     }
 
     #[test]

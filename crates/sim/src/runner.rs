@@ -10,7 +10,8 @@
 //! [`Arc`]-shared so a frame-cache hit is a reference-count bump, and
 //! frame probes reuse one [`ExecScratch`] instead of cloning the golden
 //! machine state. What still allocates is paid once per built frame or
-//! filled trace: its exact-size copy out of the build buffer, the
+//! per filled trace that differs from the one the trace cache holds
+//! under its key: its exact-size copy out of the build buffer, the
 //! optimizer's work on a frame-memo miss, and the cache entry.
 
 use crate::framestore::FrameMemo;
@@ -289,8 +290,15 @@ impl<'a> Runner<'a> {
                 .filler
                 .retire(r.addr, flow_len, r.taken().is_some(), ends)
             {
-                let key = self.static_id(t.start_addr);
-                self.tc_cache.insert(key, Arc::new(t));
+                let key = static_id(self.index, t.start_addr);
+                // Most fills repeat the resident trace under their key:
+                // keep its `Arc`. The insert still runs, so LRU state and
+                // the insert and replacement counts are as for a new one.
+                let entry = match self.tc_cache.peek(key) {
+                    Some(resident) if **resident == *t => Arc::clone(resident),
+                    _ => Arc::new(t.clone()),
+                };
+                self.tc_cache.insert(key, entry);
             }
         }
 
@@ -304,14 +312,6 @@ impl<'a> Runner<'a> {
         }
 
         self.injector.apply_static(r, self.index.record_id(idx));
-    }
-
-    /// The cache key of a frame or trace entered at `addr`: its static
-    /// instruction id (once per built frame, not per record).
-    fn static_id(&self, addr: u32) -> u32 {
-        self.index
-            .static_id(addr)
-            .expect("frames start at traced instructions")
     }
 
     /// Records aliasing events observed within the span of a just-built
@@ -345,7 +345,7 @@ impl<'a> Runner<'a> {
     /// happens for every frame, so a hit changes no simulated number.
     fn handle_new_frame(&mut self, frame: Frame) {
         let now = self.pipeline.cycles();
-        let key = self.static_id(frame.start_addr);
+        let key = static_id(self.index, frame.start_addr);
         let rpo = self.cfg.kind == ConfigKind::ReplayOpt;
         if rpo {
             self.profile_span(frame.x86_count());
@@ -548,9 +548,10 @@ impl<'a> Runner<'a> {
             }
             if self.cfg.kind == ConfigKind::ReplayOpt {
                 let now = self.pipeline.cycles();
-                for f in self.datapath.take_completed(now) {
-                    self.frame_cache.insert(f.key, f);
-                }
+                let cache = &mut self.frame_cache;
+                self.datapath.drain_completed(now, |f| {
+                    cache.insert(f.key, f);
+                });
             }
             let key = self.index.record_id(i);
             match self.cfg.kind {
@@ -682,6 +683,14 @@ impl<'a> Runner<'a> {
             profile: metrics,
         }
     }
+}
+
+/// The cache key of a frame or trace entered at `addr`: its static
+/// instruction id (once per built frame or filled trace, not per record).
+fn static_id(index: &StaticIndex, addr: u32) -> u32 {
+    index
+        .static_id(addr)
+        .expect("frames start at traced instructions")
 }
 
 /// Basic rePLay's frame (§6.3): remapped and compacted, with statistics

@@ -8,7 +8,7 @@ use replay_frame::CacheEntry;
 /// Unlike a frame, a trace is neither atomic nor single-exit: embedded
 /// branches stay branches and are predicted at fetch; execution may leave
 /// the trace at any of them (partial-trace fetch).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Entry address.
     pub start_addr: u32,
@@ -36,12 +36,14 @@ const MAX_UOPS: usize = 32;
 /// `MAX_UOPS`).
 ///
 /// The trace being filled lives as long as the fill unit: a completed
-/// trace is an exact-size copy of it, and its address buffer is cleared
-/// and reused for the next trace.
+/// trace is lent to the caller until the next retire, which clears the
+/// address buffer and reuses it for the next trace.
 #[derive(Debug, Default)]
 pub struct TraceFiller {
-    /// The trace being filled; empty `x86_addrs` means none is.
+    /// The trace being filled, or the one just completed when `complete`;
+    /// empty `x86_addrs` means none is.
     pending: TraceEntry,
+    complete: bool,
     branches: usize,
 }
 
@@ -53,8 +55,8 @@ impl TraceFiller {
         TraceFiller::default()
     }
 
-    /// Observes one retired instruction. Returns a completed trace when
-    /// the limits are reached.
+    /// Observes one retired instruction. Returns the completed trace when
+    /// the limits are reached; it stays valid until the next call.
     ///
     /// `ends_trace` marks instructions after which the fill must stop
     /// regardless of limits (indirect jumps, serializing instructions).
@@ -64,8 +66,12 @@ impl TraceFiller {
         n_uops: usize,
         is_cond_branch: bool,
         ends_trace: bool,
-    ) -> Option<TraceEntry> {
+    ) -> Option<&TraceEntry> {
         let pending = &mut self.pending;
+        if self.complete {
+            pending.x86_addrs.clear();
+            self.complete = false;
+        }
         if pending.x86_addrs.is_empty() {
             pending.start_addr = addr;
             pending.uop_count = 0;
@@ -77,9 +83,8 @@ impl TraceFiller {
         }
         if self.branches >= MAX_BRANCHES || pending.uop_count >= MAX_UOPS || ends_trace {
             self.branches = 0;
-            let done = pending.clone();
-            pending.x86_addrs.clear();
-            return Some(done);
+            self.complete = true;
+            return Some(&self.pending);
         }
         None
     }
@@ -122,20 +127,20 @@ mod tests {
         let mut f = TraceFiller::new();
         assert!(f.retire(0x10, 1, true, false).is_none());
         assert!(f.retire(0x20, 1, true, false).is_none());
-        let t1 = f.retire(0x30, 1, true, false).unwrap();
+        let t1 = f.retire(0x30, 1, true, false).cloned().unwrap();
         // The branch count restarts with the new trace: it too ends at
         // its own third branch.
         assert!(f.retire(0x50, 1, true, false).is_none());
         assert!(f.retire(0x60, 1, true, false).is_none());
-        let t2 = f.retire(0x70, 1, true, false).unwrap();
+        let t2 = f.retire(0x70, 1, true, false).cloned().unwrap();
         assert_eq!(t2.start_addr, 0x50);
         assert_eq!(t2.x86_addrs, vec![0x50, 0x60, 0x70]);
-        // The fill unit reuses its buffer: filling the second trace left
-        // the first one untouched, and a shorter trace keeps nothing of
+        // The fill unit reuses its buffer: a copy of the first trace
+        // outlives the second fill, and a shorter trace keeps nothing of
         // a longer one.
         assert_eq!(t1.start_addr, 0x10);
         assert_eq!(t1.x86_addrs, vec![0x10, 0x20, 0x30]);
-        let t3 = f.retire(0x90, 3, false, true).expect("forced end");
+        let t3 = f.retire(0x90, 3, false, true).cloned().expect("forced end");
         assert_eq!(
             (t3.start_addr, t3.x86_addrs, t3.uop_count),
             (0x90, vec![0x90], 3)

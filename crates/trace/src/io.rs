@@ -24,8 +24,14 @@
 //! n_reads u8, (u32 addr, u32 value) * n_reads,
 //! n_writes u8,(u32 addr, u32 value) * n_writes
 //! ```
+//!
+//! `inst_len` is at most 15 (the x86 length limit), and the effect counts
+//! at most what one instruction produces: [`replay_x86::MAX_REG_WRITES`]
+//! register writes, [`replay_x86::MAX_LOADS`] reads and
+//! [`replay_x86::MAX_STORES`] writes. A reader rejects larger counts as
+//! [`TraceIoError::OversizedField`].
 
-use crate::{Trace, TraceRecord};
+use crate::{InlineList, Trace, TraceRecord};
 use replay_x86::{decode, encode, DecodeError};
 use std::io::{self, Read, Write};
 
@@ -173,25 +179,28 @@ pub fn write_trace<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoError
     Ok(())
 }
 
+/// The longest x86 instruction encoding, in bytes: the bound on a
+/// record's declared instruction length.
+const MAX_INST_LEN: usize = 15;
+
 struct Reader<R: Read> {
     inner: R,
 }
 
 impl<R: Read> Reader<R> {
-    fn u8(&mut self) -> Result<u8, TraceIoError> {
-        let mut b = [0u8; 1];
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], TraceIoError> {
+        let mut b = [0u8; N];
         self.inner.read_exact(&mut b)?;
-        Ok(b[0])
+        Ok(b)
+    }
+    fn u8(&mut self) -> Result<u8, TraceIoError> {
+        Ok(self.array::<1>()?[0])
     }
     fn u32(&mut self) -> Result<u32, TraceIoError> {
-        let mut b = [0u8; 4];
-        self.inner.read_exact(&mut b)?;
-        Ok(u32::from_le_bytes(b))
+        Ok(u32::from_le_bytes(self.array()?))
     }
     fn u64(&mut self) -> Result<u64, TraceIoError> {
-        let mut b = [0u8; 8];
-        self.inner.read_exact(&mut b)?;
-        Ok(u64::from_le_bytes(b))
+        Ok(u64::from_le_bytes(self.array()?))
     }
     fn bytes(&mut self, n: usize) -> Result<Vec<u8>, TraceIoError> {
         // Never pre-allocate a buffer sized by an untrusted header field:
@@ -207,16 +216,41 @@ impl<R: Read> Reader<R> {
         }
         Ok(v)
     }
+    /// A `u8` count followed by that many items, into an inline list; a
+    /// count past the list's capacity is an
+    /// [`OversizedField`](TraceIoError::OversizedField) named `field`.
+    fn list<T: Copy + Default, const N: usize>(
+        &mut self,
+        field: &'static str,
+        mut item: impl FnMut(&mut Self) -> Result<T, TraceIoError>,
+    ) -> Result<InlineList<T, N>, TraceIoError> {
+        let n = self.u8()?;
+        if n as usize > N {
+            return Err(TraceIoError::OversizedField(field, n as u64));
+        }
+        let mut list = InlineList::new();
+        for _ in 0..n {
+            list.push(item(self)?);
+        }
+        Ok(list)
+    }
 }
 
 /// Reads a trace written by [`write_trace`].
 ///
+/// Decoding allocates the record vector and the name, and nothing per
+/// record: instruction bytes pass through a stack buffer and effects land
+/// in the record's inline lists.
+///
 /// # Errors
 ///
 /// Fails on I/O errors, format violations, or corrupt instruction bytes.
+/// A record declaring an instruction longer than 15 bytes, or more
+/// register writes, loads or stores than any instruction produces, is an
+/// [`OversizedField`](TraceIoError::OversizedField).
 pub fn read_trace<R: Read>(r: R) -> Result<Trace, TraceIoError> {
     let mut r = Reader { inner: r };
-    if &r.bytes(4)?[..] != MAGIC {
+    if &r.array::<4>()? != MAGIC {
         return Err(TraceIoError::BadMagic);
     }
     let version = r.u32()?;
@@ -236,29 +270,21 @@ pub fn read_trace<R: Read>(r: R) -> Result<Trace, TraceIoError> {
     let init_flags = r.u8()?;
     let count = r.u64()? as usize;
     let mut records = Vec::with_capacity(count.min(1 << 20));
+    let mut inst_bytes = [0u8; MAX_INST_LEN];
     for _ in 0..count {
         let addr = r.u32()?;
         let next_pc = r.u32()?;
         let flags_after = r.u8()?;
         let inst_len = r.u8()? as usize;
-        let inst_bytes = r.bytes(inst_len)?;
-        let (inst, len) = decode(&inst_bytes, addr).map_err(TraceIoError::BadInstruction)?;
-        let n = r.u8()? as usize;
-        let mut reg_writes = Vec::with_capacity(n);
-        for _ in 0..n {
-            let reg = r.u8()?;
-            reg_writes.push((reg, r.u32()?));
+        if inst_len > MAX_INST_LEN {
+            return Err(TraceIoError::OversizedField("instruction", inst_len as u64));
         }
-        let n = r.u8()? as usize;
-        let mut mem_reads = Vec::with_capacity(n);
-        for _ in 0..n {
-            mem_reads.push((r.u32()?, r.u32()?));
-        }
-        let n = r.u8()? as usize;
-        let mut mem_writes = Vec::with_capacity(n);
-        for _ in 0..n {
-            mem_writes.push((r.u32()?, r.u32()?));
-        }
+        let inst_bytes = &mut inst_bytes[..inst_len];
+        r.inner.read_exact(inst_bytes)?;
+        let (inst, len) = decode(inst_bytes, addr).map_err(TraceIoError::BadInstruction)?;
+        let reg_writes = r.list("register writes", |r| Ok((r.u8()?, r.u32()?)))?;
+        let mem_reads = r.list("memory reads", |r| Ok((r.u32()?, r.u32()?)))?;
+        let mem_writes = r.list("memory writes", |r| Ok((r.u32()?, r.u32()?)))?;
         records.push(TraceRecord {
             addr,
             len,
@@ -290,9 +316,9 @@ mod tests {
                         imm: -3,
                     },
                     next_pc: 0x40_0005,
-                    reg_writes: vec![(0, 0xffff_fffd)],
-                    mem_reads: vec![],
-                    mem_writes: vec![],
+                    reg_writes: [(0, 0xffff_fffd)].into(),
+                    mem_reads: [].into(),
+                    mem_writes: [].into(),
                     flags_after: 0,
                 },
                 TraceRecord {
@@ -303,9 +329,9 @@ mod tests {
                         src: Gpr::Eax,
                     },
                     next_pc: 0x40_000b,
-                    reg_writes: vec![],
-                    mem_reads: vec![],
-                    mem_writes: vec![(0x9000, 0xffff_fffd)],
+                    reg_writes: [].into(),
+                    mem_reads: [].into(),
+                    mem_writes: [(0x9000, 0xffff_fffd)].into(),
                     flags_after: 3,
                 },
                 TraceRecord {
@@ -316,9 +342,9 @@ mod tests {
                         target: 0x40_0000,
                     },
                     next_pc: 0x40_0000,
-                    reg_writes: vec![],
-                    mem_reads: vec![(1, 2), (3, 4)],
-                    mem_writes: vec![],
+                    reg_writes: [].into(),
+                    mem_reads: [(1, 2)].into(),
+                    mem_writes: [].into(),
                     flags_after: 0x1f,
                 },
             ],
@@ -431,6 +457,55 @@ mod tests {
         write_trace(&mut buf, &t).unwrap();
         let back = read_trace(&buf[..]).unwrap();
         assert_eq!(back.name.len(), MAX_NAME_LEN as usize);
+    }
+
+    /// A one-record trace of `NOP` (`0x90`) padded to `inst_len` bytes,
+    /// declaring the given effect counts, each backed by a full payload.
+    fn one_record(inst_len: u8, n_regs: u8, n_reads: u8, n_writes: u8) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.extend_from_slice(&0u32.to_le_bytes()); // empty name
+        body.extend_from_slice(&[0; 4 * replay_uop::NUM_ARCH_REGS + 1]);
+        body.extend_from_slice(&1u64.to_le_bytes());
+        body.extend_from_slice(&[0; 9]); // addr, next_pc, flags
+        body.push(inst_len);
+        body.extend(std::iter::repeat_n(0x90, inst_len as usize));
+        body.push(n_regs);
+        body.extend(std::iter::repeat_n(0, 5 * n_regs as usize));
+        for n in [n_reads, n_writes] {
+            body.push(n);
+            body.extend(std::iter::repeat_n(0, 8 * n as usize));
+        }
+        hostile(&body)
+    }
+
+    #[test]
+    fn effect_counts_past_the_isa_caps_rejected() {
+        use replay_x86::{MAX_LOADS, MAX_REG_WRITES, MAX_STORES};
+        let (regs, reads, writes) = (MAX_REG_WRITES as u8, MAX_LOADS as u8, MAX_STORES as u8);
+        // At the caps a record loads.
+        let t = read_trace(&one_record(1, regs, reads, writes)[..]).unwrap();
+        let r = &t.records()[0];
+        assert_eq!(
+            (r.reg_writes.len(), r.mem_reads.len(), r.mem_writes.len()),
+            (MAX_REG_WRITES, MAX_LOADS, MAX_STORES)
+        );
+        for (buf, field, n) in [
+            (one_record(1, regs + 1, 0, 0), "register writes", regs + 1),
+            (one_record(1, 0, reads + 1, 0), "memory reads", reads + 1),
+            (one_record(1, 0, 0, writes + 1), "memory writes", writes + 1),
+            (one_record(1, u8::MAX, 0, 0), "register writes", u8::MAX),
+            (one_record(16, 0, 0, 0), "instruction", 16),
+        ] {
+            let err = read_trace(&buf[..]).unwrap_err();
+            assert!(
+                matches!(err, TraceIoError::OversizedField(f, got) if f == field && got == n as u64),
+                "{field} {n}: {err}"
+            );
+        }
+        // Fifteen bytes is a legal length: the decoder, not the bound,
+        // judges them (a lone NOP with trailing bytes decodes as NOP).
+        let t = read_trace(&one_record(15, 0, 0, 0)[..]).unwrap();
+        assert_eq!(t.records()[0].inst, Inst::Nop);
     }
 
     #[test]

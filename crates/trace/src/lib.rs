@@ -49,6 +49,6 @@ pub use builder::ProgramBuilder;
 pub use index::StaticIndex;
 pub use io::{read_trace, trace_digest, write_trace, TraceIoError, FORMAT_VERSION};
 pub use profile::{StatProfile, PROFILE_DIMS, REDUNDANCY_WINDOW};
-pub use record::{Trace, TraceRecord};
+pub use record::{InlineList, Trace, TraceRecord};
 pub use stats::{InstClass, TraceStats};
 pub use workloads::{GenParams, Suite, Workload, PHRASE_NAMES};

@@ -264,9 +264,9 @@ mod tests {
                 len: 2,
                 inst: Inst::IncR { r: Gpr::Eax },
                 next_pc: 0x40_0000 + 2 * (i + 1),
-                reg_writes: vec![(0, i + 1)],
-                mem_reads: Vec::new(),
-                mem_writes: Vec::new(),
+                reg_writes: [(0, i + 1)].into(),
+                mem_reads: [].into(),
+                mem_writes: [].into(),
                 flags_after: 0,
             })
             .collect();

@@ -62,25 +62,32 @@ mod tests {
     use super::*;
     use replay_x86::{Gpr, Inst};
 
-    fn rec(reads: Vec<(u32, u32)>, writes: Vec<(u32, u32)>) -> TraceRecord {
-        TraceRecord {
+    fn rec(read: Option<(u32, u32)>, write: Option<(u32, u32)>) -> TraceRecord {
+        let mut r = TraceRecord {
             addr: 0,
             len: 1,
             inst: Inst::PushR { src: Gpr::Eax },
             next_pc: 1,
-            reg_writes: vec![],
-            mem_reads: reads,
-            mem_writes: writes,
+            reg_writes: [].into(),
+            mem_reads: [].into(),
+            mem_writes: [].into(),
             flags_after: 0,
+        };
+        if let Some(x) = read {
+            r.mem_reads.push(x);
         }
+        if let Some(x) = write {
+            r.mem_writes.push(x);
+        }
+        r
     }
 
     #[test]
     fn first_touch_defines_initial() {
         let records = vec![
-            rec(vec![(0x100, 7)], vec![]),
-            rec(vec![], vec![(0x100, 9)]),
-            rec(vec![(0x100, 9)], vec![]),
+            rec(Some((0x100, 7)), None),
+            rec(None, Some((0x100, 9))),
+            rec(Some((0x100, 9)), None),
         ];
         let m = MemoryMaps::from_records(&records);
         assert_eq!(m.initial(0x100), Some(7), "first read wins");
@@ -89,7 +96,7 @@ mod tests {
 
     #[test]
     fn store_first_location() {
-        let records = vec![rec(vec![], vec![(0x200, 1)]), rec(vec![], vec![(0x200, 2)])];
+        let records = vec![rec(None, Some((0x200, 1))), rec(None, Some((0x200, 2)))];
         let m = MemoryMaps::from_records(&records);
         assert_eq!(m.initial(0x200), Some(1));
         assert_eq!(m.finals.get(&0x200).copied(), Some(2));
@@ -97,7 +104,7 @@ mod tests {
 
     #[test]
     fn untouched_is_absent() {
-        let m = MemoryMaps::from_records(&[rec(vec![(0x300, 5)], vec![])]);
+        let m = MemoryMaps::from_records(&[rec(Some((0x300, 5)), None)]);
         assert_eq!(m.initial(0x400), None);
         assert_eq!(m.finals.get(&0x300).copied(), Some(5));
         assert_eq!(m.len(), 1);

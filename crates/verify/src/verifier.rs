@@ -586,9 +586,9 @@ mod tests {
                 len: 1,
                 inst: Inst::PushR { src: Gpr::Ebp },
                 next_pc: 0x1001,
-                reg_writes: vec![(ArchReg::Esp.index() as u8, 0x9000 - 4)],
-                mem_reads: vec![],
-                mem_writes: vec![(0x9000 - 4, 0x1111)],
+                reg_writes: [(ArchReg::Esp.index() as u8, 0x9000 - 4)].into(),
+                mem_reads: [].into(),
+                mem_writes: [(0x9000 - 4, 0x1111)].into(),
                 flags_after: 0,
             },
             TraceRecord {
@@ -599,9 +599,9 @@ mod tests {
                     mem: replay_x86::MemOperand::base_disp(Gpr::Esp, 0),
                 },
                 next_pc: 0x1004,
-                reg_writes: vec![(ArchReg::Ecx.index() as u8, 0x1111)],
-                mem_reads: vec![(0x9000 - 4, 0x1111)],
-                mem_writes: vec![],
+                reg_writes: [(ArchReg::Ecx.index() as u8, 0x1111)].into(),
+                mem_reads: [(0x9000 - 4, 0x1111)].into(),
+                mem_writes: [].into(),
                 flags_after: 0,
             },
         ];
@@ -624,9 +624,9 @@ mod tests {
             len: 1,
             inst: Inst::PushR { src: Gpr::Ebp },
             next_pc: 0x1001,
-            reg_writes: vec![(ArchReg::Esp.index() as u8, 0x9000 - 4)],
-            mem_writes: vec![(0x9000 - 4, 0xdead)], // trace says 0xdead
-            mem_reads: vec![],
+            reg_writes: [(ArchReg::Esp.index() as u8, 0x9000 - 4)].into(),
+            mem_writes: [(0x9000 - 4, 0xdead)].into(), // trace says 0xdead
+            mem_reads: [].into(),
             flags_after: 0,
         }];
         let frame = mk_frame(vec![

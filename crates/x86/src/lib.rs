@@ -56,4 +56,4 @@ pub use encode::encode;
 pub use gpr::Gpr;
 pub use inst::{AluOp, CondX86, Inst, MemOperand, ShiftOp};
 pub use interp::{Interp, InterpError, StepRecord, UopExec, HALT_ADDR};
-pub use translate::{translate, Translator};
+pub use translate::{translate, Translator, MAX_LOADS, MAX_REG_WRITES, MAX_STORES};

@@ -68,6 +68,20 @@ fn test_imm(a: ArchReg, imm: i32) -> Uop {
     }
 }
 
+/// The most register-writing uops in any instruction's flow: `AluMR`
+/// with an index register, `MOV [mem], imm` with an index and no base, and
+/// `DIV EDX` each write three. A trace record stores its register writes
+/// inline in a list of this capacity.
+pub const MAX_REG_WRITES: usize = 3;
+
+/// The most loads in any instruction's flow (read-modify-write forms and
+/// `POP`/`RET` load once).
+pub const MAX_LOADS: usize = 1;
+
+/// The most stores in any instruction's flow (read-modify-write forms,
+/// `PUSH` and `CALL` store once).
+pub const MAX_STORES: usize = 1;
+
 /// Translates one x86 instruction into its micro-operation flow.
 ///
 /// `addr` is the instruction's address and `next_addr` the address of the
@@ -492,5 +506,178 @@ mod tests {
                 assert!(!u.writes_flags, "{inst} wrote flags via {u}");
             }
         }
+    }
+
+    /// Every instruction form once per register and memory-operand shape
+    /// that changes its flow.
+    fn every_form() -> Vec<Inst> {
+        use crate::{AluOp, CondX86, ShiftOp};
+        let mems = [
+            MemOperand::absolute(0x9000),
+            MemOperand::base_disp(Gpr::Ebx, 8),
+            MemOperand::base_index(Gpr::Ebx, Gpr::Ecx, 4, 8),
+            MemOperand {
+                base: None,
+                index: Some((Gpr::Ecx, 4)),
+                disp: 8,
+            },
+        ];
+        let mut out = vec![
+            Inst::Cdq,
+            Inst::Jmp { target: 0x10 },
+            Inst::Jcc {
+                cc: CondX86::Z,
+                target: 0x10,
+            },
+            Inst::Call { target: 0x10 },
+            Inst::Ret,
+            Inst::Nop,
+            Inst::LongFlow,
+            Inst::PushI { imm: 7 },
+        ];
+        for r in Gpr::ALL {
+            let (a, b) = (r, Gpr::Ebx);
+            out.extend([
+                Inst::MovRR { dst: a, src: b },
+                Inst::MovRI { dst: a, imm: 1 },
+                Inst::PushR { src: a },
+                Inst::PopR { dst: a },
+                Inst::AluRR {
+                    op: AluOp::Add,
+                    dst: a,
+                    src: b,
+                },
+                Inst::AluRI {
+                    op: AluOp::Sub,
+                    dst: a,
+                    imm: 3,
+                },
+                Inst::CmpRR { a, b },
+                Inst::CmpRI { a, imm: 0 },
+                Inst::TestRR { a, b },
+                Inst::TestRI { a, imm: 1 },
+                Inst::IncR { r: a },
+                Inst::DecR { r: a },
+                Inst::NegR { r: a },
+                Inst::NotR { r: a },
+                Inst::ShiftRI {
+                    op: ShiftOp::Shl,
+                    r: a,
+                    imm: 2,
+                },
+                Inst::ImulRR { dst: a, src: b },
+                Inst::ImulRRI {
+                    dst: a,
+                    src: b,
+                    imm: 5,
+                },
+                Inst::DivR { src: a },
+                Inst::JmpInd { r: a },
+            ]);
+            for mem in mems {
+                out.extend([
+                    Inst::MovRM { dst: a, mem },
+                    Inst::MovMR { mem, src: a },
+                    Inst::MovMI { mem, imm: 9 },
+                    Inst::Lea { dst: a, mem },
+                    Inst::AluRM {
+                        op: AluOp::Add,
+                        dst: a,
+                        mem,
+                    },
+                    Inst::AluMR {
+                        op: AluOp::Xor,
+                        mem,
+                        src: a,
+                    },
+                    Inst::CmpRM { a, mem },
+                ]);
+            }
+        }
+        out
+    }
+
+    /// The variant's position in the declaration: exhaustive, so a new
+    /// form fails to compile here until `every_form` covers it.
+    fn form_id(inst: &Inst) -> usize {
+        match inst {
+            Inst::MovRR { .. } => 0,
+            Inst::MovRI { .. } => 1,
+            Inst::MovRM { .. } => 2,
+            Inst::MovMR { .. } => 3,
+            Inst::MovMI { .. } => 4,
+            Inst::Lea { .. } => 5,
+            Inst::PushR { .. } => 6,
+            Inst::PushI { .. } => 7,
+            Inst::PopR { .. } => 8,
+            Inst::AluRR { .. } => 9,
+            Inst::AluRI { .. } => 10,
+            Inst::AluRM { .. } => 11,
+            Inst::AluMR { .. } => 12,
+            Inst::CmpRR { .. } => 13,
+            Inst::CmpRI { .. } => 14,
+            Inst::CmpRM { .. } => 15,
+            Inst::TestRR { .. } => 16,
+            Inst::TestRI { .. } => 17,
+            Inst::IncR { .. } => 18,
+            Inst::DecR { .. } => 19,
+            Inst::NegR { .. } => 20,
+            Inst::NotR { .. } => 21,
+            Inst::ShiftRI { .. } => 22,
+            Inst::ImulRR { .. } => 23,
+            Inst::ImulRRI { .. } => 24,
+            Inst::DivR { .. } => 25,
+            Inst::Cdq => 26,
+            Inst::Jmp { .. } => 27,
+            Inst::Jcc { .. } => 28,
+            Inst::JmpInd { .. } => 29,
+            Inst::Call { .. } => 30,
+            Inst::Ret => 31,
+            Inst::Nop => 32,
+            Inst::LongFlow => 33,
+        }
+    }
+
+    #[test]
+    fn flows_stay_within_record_effect_caps() {
+        let forms = every_form();
+        let mut seen = [false; 34];
+        let mut peak = (0, 0, 0);
+        for inst in &forms {
+            seen[form_id(inst)] = true;
+            let uops = translate(inst, 0x1000, 0x1008);
+            let writes = uops.iter().filter(|u| u.dst.is_some()).count();
+            let loads = uops.iter().filter(|u| u.is_load()).count();
+            let stores = uops.iter().filter(|u| u.is_store()).count();
+            assert!(writes <= MAX_REG_WRITES, "{inst}: {writes} register writes");
+            assert!(loads <= MAX_LOADS, "{inst}: {loads} loads");
+            assert!(stores <= MAX_STORES, "{inst}: {stores} stores");
+            peak = (peak.0.max(writes), peak.1.max(loads), peak.2.max(stores));
+        }
+        assert!(seen.iter().all(|&s| s), "every form translated");
+        // The caps are reached, so none is looser than the ISA needs.
+        assert_eq!(peak, (MAX_REG_WRITES, MAX_LOADS, MAX_STORES));
+        let three_writes = |inst: Inst| {
+            translate(&inst, 0, 1)
+                .iter()
+                .filter(|u| u.dst.is_some())
+                .count()
+                == MAX_REG_WRITES
+        };
+        let index_only = MemOperand {
+            base: None,
+            index: Some((Gpr::Ecx, 4)),
+            disp: 8,
+        };
+        assert!(three_writes(Inst::DivR { src: Gpr::Edx }));
+        assert!(three_writes(Inst::MovMI {
+            mem: index_only,
+            imm: 1
+        }));
+        assert!(three_writes(Inst::AluMR {
+            op: crate::AluOp::Add,
+            mem: index_only,
+            src: Gpr::Eax,
+        }));
     }
 }

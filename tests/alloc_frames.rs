@@ -12,8 +12,11 @@
 //! On gzip, what remains under RP scales with frames built and optimized:
 //! about 0.19 per record in the optimized build, against 0.57 when every frame grew fresh vectors
 //! one push at a time (and near 1.8 with a per-record staging vector).
-//! Under TC it is one address vector and one `Arc` per filled trace:
-//! about 0.13 per record, against 0.27 with a fresh vector per trace.
+//! Under TC it is one address vector and one `Arc` per filled trace that
+//! differs from the trace resident under its key; a fill equal to it
+//! (about two in three) reuses the resident `Arc`. That is about 0.06 per
+//! record, against 0.13 when every fill was copied and 0.27 with a fresh
+//! vector per trace.
 //!
 //! The counting `#[global_allocator]` is binary-wide, so the tests take
 //! one lock and never measure concurrently.
@@ -93,7 +96,7 @@ fn marginal_allocs_per_record(kind: ConfigKind) -> (f64, SimResult, SimResult) {
 const MAX_ALLOCS_PER_RECORD: f64 = if cfg!(debug_assertions) { 0.7 } else { 0.3 };
 
 /// Upper bound on heap allocations per additional record under TC.
-const MAX_TC_ALLOCS_PER_RECORD: f64 = 0.2;
+const MAX_TC_ALLOCS_PER_RECORD: f64 = 0.08;
 
 #[test]
 fn frame_construction_allocations_per_record_are_bounded() {

@@ -192,9 +192,9 @@ fn trace_file_roundtrip() {
                     len,
                     inst: *inst,
                     next_pc: addr + len as u32,
-                    reg_writes: vec![(0, i as u32)],
-                    mem_reads: vec![],
-                    mem_writes: vec![(addr, 7)],
+                    reg_writes: [(0, i as u32)].into(),
+                    mem_reads: [].into(),
+                    mem_writes: [(addr, 7)].into(),
                     flags_after: (i % 32) as u8,
                 }
             })

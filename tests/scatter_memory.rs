@@ -95,9 +95,9 @@ fn scattered_trace(passes: usize) -> Trace {
                 len: encode(&inst, addr).len() as u8,
                 inst,
                 next_pc: code(i + 1),
-                reg_writes: vec![(ArchReg::Eax.index() as u8, i as u32)],
-                mem_reads: vec![(data, i as u32)],
-                mem_writes: vec![],
+                reg_writes: [(ArchReg::Eax.index() as u8, i as u32)].into(),
+                mem_reads: [(data, i as u32)].into(),
+                mem_writes: [].into(),
                 flags_after: 0,
             }
         })
