@@ -212,14 +212,8 @@ mod tests {
         for (addr, bytes) in &data {
             interp.machine.mem.write_bytes(*addr, bytes);
         }
-        let steps = interp.run(1_500).unwrap();
-        let trace = replay_trace::Trace::new(
-            "t",
-            steps
-                .iter()
-                .map(replay_trace::TraceRecord::from_step)
-                .collect(),
-        );
+        let trace =
+            replay_trace::Trace::new("t", replay_trace::record_run(&mut interp, 1_500).unwrap());
         let mut inj = Injector::new();
         for r in trace.records() {
             inj.flow(r);

@@ -32,7 +32,7 @@
 //! [`TraceIoError::OversizedField`].
 
 use crate::{InlineList, Trace, TraceRecord};
-use replay_x86::{decode, encode, DecodeError};
+use replay_x86::{decode, encode_into, DecodeError};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"RPLT";
@@ -150,6 +150,7 @@ pub fn write_trace<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoError
     }
     w.write_all(&[trace.init_flags])?;
     w.write_all(&(trace.len() as u64).to_le_bytes())?;
+    let mut bytes = Vec::with_capacity(MAX_INST_LEN);
     for r in trace.records() {
         w.write_all(&r.addr.to_le_bytes())?;
         w.write_all(&r.next_pc.to_le_bytes())?;
@@ -157,7 +158,8 @@ pub fn write_trace<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoError
         // The canonical encoding: `r.len` may be longer when `read_trace`
         // accepted a non-canonical one, which is why the trace store
         // round-trips what it loads.
-        let bytes = encode(&r.inst, r.addr);
+        bytes.clear();
+        encode_into(&r.inst, r.addr, &mut bytes);
         w.write_all(&[bytes.len() as u8])?;
         w.write_all(&bytes)?;
         w.write_all(&[r.reg_writes.len() as u8])?;

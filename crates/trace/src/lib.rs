@@ -14,7 +14,11 @@
 //! Executing it on the functional interpreter produces a [`Trace`]: a
 //! sequence of [`TraceRecord`]s carrying, for every dynamic x86
 //! instruction, its register state changes and memory transactions — the
-//! same record content the paper describes (§5.1.1). Traces can be saved
+//! same record content the paper describes (§5.1.1). [`record_run`] is
+//! the one recording loop: it fills each record from its instruction's
+//! uop effects as the interpreter executes them, with no per-record heap
+//! object, and every trace built from an interpreter (including
+//! [`Workload::segment_trace`]) goes through it. Traces can be saved
 //! and reloaded in a compact binary format ([`write_trace`] /
 //! [`read_trace`]).
 //!
@@ -49,6 +53,6 @@ pub use builder::ProgramBuilder;
 pub use index::StaticIndex;
 pub use io::{read_trace, trace_digest, write_trace, TraceIoError, FORMAT_VERSION};
 pub use profile::{StatProfile, PROFILE_DIMS, REDUNDANCY_WINDOW};
-pub use record::{InlineList, Trace, TraceRecord};
+pub use record::{record_run, InlineList, Trace, TraceRecord};
 pub use stats::{InstClass, TraceStats};
 pub use workloads::{GenParams, Suite, Workload, PHRASE_NAMES};

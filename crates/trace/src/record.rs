@@ -7,7 +7,7 @@
 //! allocation however many records it holds.
 
 use crate::StaticIndex;
-use replay_x86::{Inst, StepRecord, MAX_LOADS, MAX_REG_WRITES, MAX_STORES};
+use replay_x86::{Inst, Interp, InterpError, MAX_LOADS, MAX_REG_WRITES, MAX_STORES};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
@@ -124,39 +124,6 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// Builds a record from an interpreter step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the step's flow has more effects than a record holds,
-    /// which no instruction of the ISA produces.
-    pub fn from_step(step: &StepRecord) -> TraceRecord {
-        let mut reg_writes = InlineList::new();
-        let mut mem_reads = InlineList::new();
-        let mut mem_writes = InlineList::new();
-        for e in &step.uops {
-            if let Some((r, v)) = e.effect.reg_write {
-                reg_writes.push((r.index() as u8, v));
-            }
-            if let Some(rw) = e.effect.mem_read {
-                mem_reads.push(rw);
-            }
-            if let Some(w) = e.effect.mem_write {
-                mem_writes.push(w);
-            }
-        }
-        TraceRecord {
-            addr: step.addr,
-            len: step.len,
-            inst: step.inst,
-            next_pc: step.next_pc,
-            reg_writes,
-            mem_reads,
-            mem_writes,
-            flags_after: step.flags_after.to_bits(),
-        }
-    }
-
     /// The fall-through address (`addr + len`).
     pub fn fallthrough(&self) -> u32 {
         self.addr + self.len as u32
@@ -174,6 +141,52 @@ impl TraceRecord {
     pub fn touches_memory(&self) -> bool {
         !self.mem_reads.is_empty() || !self.mem_writes.is_empty()
     }
+}
+
+/// Records at most `max` steps of `interp` (fewer if the program halts)
+/// as trace records, each filled from its step's uop effects as they
+/// execute. The only per-run allocation is the result, reserved at `max`
+/// records up front; the interpreter reuses its flow buffer every step.
+///
+/// # Errors
+///
+/// Propagates the first [`InterpError`].
+///
+/// # Panics
+///
+/// Panics if a step has more effects than a record holds, which no
+/// instruction of the ISA produces.
+pub fn record_run(interp: &mut Interp, max: usize) -> Result<Vec<TraceRecord>, InterpError> {
+    let mut records = Vec::with_capacity(max);
+    while !interp.halted() && records.len() < max {
+        let mut reg_writes = InlineList::new();
+        let mut mem_reads = InlineList::new();
+        let mut mem_writes = InlineList::new();
+        let step = interp.step(|e| {
+            if let Some((r, v)) = e.reg_write {
+                reg_writes.push((r.index() as u8, v));
+            }
+            if let Some(rw) = e.mem_read {
+                mem_reads.push(rw);
+            }
+            if let Some(w) = e.mem_write {
+                mem_writes.push(w);
+            }
+        })?;
+        records.push(TraceRecord {
+            addr: step.addr,
+            len: step.len,
+            inst: step.inst,
+            next_pc: step.next_pc,
+            reg_writes,
+            mem_reads,
+            mem_writes,
+            flags_after: step.flags_after.to_bits(),
+        });
+    }
+    // A program that halts early keeps no unused reservation.
+    records.shrink_to_fit();
+    Ok(records)
 }
 
 /// A dynamic instruction trace: one "hot spot" of an application.
@@ -282,8 +295,7 @@ mod tests {
         });
         asm.push(Inst::Ret);
         let mut interp = Interp::new(asm.finish());
-        let steps = interp.run(100).unwrap();
-        Trace::new("sample", steps.iter().map(TraceRecord::from_step).collect())
+        Trace::new("sample", record_run(&mut interp, 100).unwrap())
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! often enough that speculative store forwarding backfires (Figure 10),
 //! SPEC programs have higher frame coverage than desktop programs (§6.1).
 
-use crate::{ProgramBuilder, Trace, TraceRecord};
+use crate::{record_run, ProgramBuilder, Trace};
 use replay_rng::SmallRng;
 use replay_x86::{AluOp, CondX86, Gpr, Inst, Interp, Label, MemOperand, Program, ShiftOp};
 
@@ -209,14 +209,9 @@ impl Workload {
             init_regs[r.index()] = interp.machine.reg(r);
         }
         let init_flags = interp.machine.flags().to_bits();
-        let steps = interp
-            .run(max_x86)
+        let records = record_run(&mut interp, max_x86)
             .unwrap_or_else(|e| panic!("workload {} faulted: {e}", self.name));
-        Trace::new(
-            format!("{}.{}", self.name, segment),
-            steps.iter().map(TraceRecord::from_step).collect(),
-        )
-        .with_init(init_regs, init_flags)
+        Trace::new(format!("{}.{}", self.name, segment), records).with_init(init_regs, init_flags)
     }
 
     /// Generates every segment at its default length.

@@ -1,6 +1,6 @@
 //! A small label-based assembler producing executable byte images.
 
-use crate::{decode, encode, CondX86, DecodeError, Inst};
+use crate::{decode, encode_into, CondX86, DecodeError, Inst};
 use std::collections::HashMap;
 
 /// A forward-referenceable code label.
@@ -127,7 +127,7 @@ impl Assembler {
     /// Emits an instruction whose operands are fully known.
     pub fn push(&mut self, inst: Inst) {
         let addr = self.here();
-        self.image.extend(encode(&inst, addr));
+        encode_into(&inst, addr, &mut self.image);
     }
 
     /// Emits `JMP` to a label.

@@ -104,123 +104,130 @@ fn alu_mr_opcode(op: AluOp) -> u8 {
 /// ```
 pub fn encode(inst: &Inst, addr: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(8);
+    encode_into(inst, addr, &mut out);
+    out
+}
+
+/// [`encode`] into a caller's buffer: appends the instruction's bytes to
+/// `out`, so a loop that reuses one buffer encodes without allocating.
+pub fn encode_into(inst: &Inst, addr: u32, out: &mut Vec<u8>) {
     match *inst {
         Inst::MovRR { dst, src } => {
             out.push(0x89);
-            modrm_reg(src.code(), dst, &mut out);
+            modrm_reg(src.code(), dst, out);
         }
         Inst::MovRI { dst, imm } => {
             out.push(0xb8 + dst.code());
-            imm32(imm, &mut out);
+            imm32(imm, out);
         }
         Inst::MovRM { dst, mem } => {
             out.push(0x8b);
-            modrm_mem(dst.code(), &mem, &mut out);
+            modrm_mem(dst.code(), &mem, out);
         }
         Inst::MovMR { mem, src } => {
             out.push(0x89);
-            modrm_mem(src.code(), &mem, &mut out);
+            modrm_mem(src.code(), &mem, out);
         }
         Inst::MovMI { mem, imm } => {
             out.push(0xc7);
-            modrm_mem(0, &mem, &mut out);
-            imm32(imm, &mut out);
+            modrm_mem(0, &mem, out);
+            imm32(imm, out);
         }
         Inst::Lea { dst, mem } => {
             out.push(0x8d);
-            modrm_mem(dst.code(), &mem, &mut out);
+            modrm_mem(dst.code(), &mem, out);
         }
         Inst::PushR { src } => out.push(0x50 + src.code()),
         Inst::PushI { imm } => {
             out.push(0x68);
-            imm32(imm, &mut out);
+            imm32(imm, out);
         }
         Inst::PopR { dst } => out.push(0x58 + dst.code()),
         Inst::AluRR { op, dst, src } => {
             out.push(alu_mr_opcode(op));
-            modrm_reg(src.code(), dst, &mut out);
+            modrm_reg(src.code(), dst, out);
         }
         Inst::AluRI { op, dst, imm } => {
             out.push(0x81);
-            modrm_reg(op.ext(), dst, &mut out);
-            imm32(imm, &mut out);
+            modrm_reg(op.ext(), dst, out);
+            imm32(imm, out);
         }
         Inst::AluRM { op, dst, mem } => {
             out.push(alu_mr_opcode(op) + 2);
-            modrm_mem(dst.code(), &mem, &mut out);
+            modrm_mem(dst.code(), &mem, out);
         }
         Inst::AluMR { op, mem, src } => {
             out.push(alu_mr_opcode(op));
-            modrm_mem(src.code(), &mem, &mut out);
+            modrm_mem(src.code(), &mem, out);
         }
         Inst::CmpRR { a, b } => {
             out.push(0x39);
-            modrm_reg(b.code(), a, &mut out);
+            modrm_reg(b.code(), a, out);
         }
         Inst::CmpRI { a, imm } => {
             out.push(0x81);
-            modrm_reg(7, a, &mut out);
-            imm32(imm, &mut out);
+            modrm_reg(7, a, out);
+            imm32(imm, out);
         }
         Inst::CmpRM { a, mem } => {
             out.push(0x3b);
-            modrm_mem(a.code(), &mem, &mut out);
+            modrm_mem(a.code(), &mem, out);
         }
         Inst::TestRR { a, b } => {
             out.push(0x85);
-            modrm_reg(b.code(), a, &mut out);
+            modrm_reg(b.code(), a, out);
         }
         Inst::TestRI { a, imm } => {
             out.push(0xf7);
-            modrm_reg(0, a, &mut out);
-            imm32(imm, &mut out);
+            modrm_reg(0, a, out);
+            imm32(imm, out);
         }
         Inst::IncR { r } => out.push(0x40 + r.code()),
         Inst::DecR { r } => out.push(0x48 + r.code()),
         Inst::NegR { r } => {
             out.push(0xf7);
-            modrm_reg(3, r, &mut out);
+            modrm_reg(3, r, out);
         }
         Inst::NotR { r } => {
             out.push(0xf7);
-            modrm_reg(2, r, &mut out);
+            modrm_reg(2, r, out);
         }
         Inst::ShiftRI { op, r, imm } => {
             out.push(0xc1);
-            modrm_reg(op.ext(), r, &mut out);
+            modrm_reg(op.ext(), r, out);
             out.push(imm);
         }
         Inst::ImulRR { dst, src } => {
             out.push(0x0f);
             out.push(0xaf);
-            modrm_reg(dst.code(), src, &mut out);
+            modrm_reg(dst.code(), src, out);
         }
         Inst::ImulRRI { dst, src, imm } => {
             out.push(0x69);
-            modrm_reg(dst.code(), src, &mut out);
-            imm32(imm, &mut out);
+            modrm_reg(dst.code(), src, out);
+            imm32(imm, out);
         }
         Inst::DivR { src } => {
             out.push(0xf7);
-            modrm_reg(6, src, &mut out);
+            modrm_reg(6, src, out);
         }
         Inst::Cdq => out.push(0x99),
         Inst::Jmp { target } => {
             out.push(0xe9);
-            rel32(target, addr, 5, &mut out);
+            rel32(target, addr, 5, out);
         }
         Inst::Jcc { cc, target } => {
             out.push(0x0f);
             out.push(0x80 + cc.tttn());
-            rel32(target, addr, 6, &mut out);
+            rel32(target, addr, 6, out);
         }
         Inst::JmpInd { r } => {
             out.push(0xff);
-            modrm_reg(4, r, &mut out);
+            modrm_reg(4, r, out);
         }
         Inst::Call { target } => {
             out.push(0xe8);
-            rel32(target, addr, 5, &mut out);
+            rel32(target, addr, 5, out);
         }
         Inst::Ret => out.push(0xc3),
         Inst::Nop => out.push(0x90),
@@ -229,7 +236,6 @@ pub fn encode(inst: &Inst, addr: u32) -> Vec<u8> {
             out.push(0x0b);
         }
     }
-    out
 }
 
 #[cfg(test)]

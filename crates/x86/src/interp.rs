@@ -1,11 +1,12 @@
 //! Functional x86 interpreter.
 //!
 //! The interpreter executes a [`Program`] by decoding each instruction,
-//! translating it to uops, and running the uops on a [`MachineState`]. Every
-//! step yields a [`StepRecord`] carrying the instruction, its uops, and all
-//! observed effects (register writes, memory transactions, branch outcome) —
-//! the same per-instruction content the paper describes for its
-//! hardware-generated trace records (§5.1.1).
+//! translating it to uops in a flow buffer it owns, and running the uops on
+//! a [`MachineState`]. A step hands each uop's observed effects (register
+//! write, memory transaction, branch outcome) to the caller as it happens
+//! and returns a fixed-size [`Step`] header — the per-instruction content
+//! the paper describes for its hardware-generated trace records (§5.1.1),
+//! produced without any per-step heap object.
 
 use crate::{DecodeError, Inst, Program, Translator};
 use replay_uop::{ControlEffect, ExecError, Flags, MachineState, Uop, UopEffect};
@@ -14,18 +15,10 @@ use replay_uop::{ControlEffect, ExecError, Flags, MachineState, Uop, UopEffect};
 /// stack with this return address, so the program's final `RET` lands here.
 pub const HALT_ADDR: u32 = 0xdead_0000;
 
-/// A uop together with the effects of its execution.
-#[derive(Debug, Clone)]
-pub struct UopExec {
-    /// The executed micro-operation.
-    pub uop: Uop,
-    /// Its observed effects.
-    pub effect: UopEffect,
-}
-
-/// The record of one executed x86 instruction.
-#[derive(Debug, Clone)]
-pub struct StepRecord {
+/// The header of one executed x86 instruction; its uops' effects went to
+/// the callback given to [`Interp::step`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Step {
     /// Instruction address.
     pub addr: u32,
     /// The decoded instruction.
@@ -34,13 +27,11 @@ pub struct StepRecord {
     pub len: u8,
     /// Address of the next instruction actually executed.
     pub next_pc: u32,
-    /// The executed uop flow with per-uop effects.
-    pub uops: Vec<UopExec>,
     /// The architectural flags after the instruction.
     pub flags_after: Flags,
 }
 
-impl StepRecord {
+impl Step {
     /// For conditional branches: whether the branch was taken.
     /// `None` for non-branch instructions.
     pub fn taken(&self) -> Option<bool> {
@@ -48,11 +39,6 @@ impl StepRecord {
             Inst::Jcc { target, .. } => Some(self.next_pc == target),
             _ => None,
         }
-    }
-
-    /// The fall-through address (`addr + len`).
-    pub fn fallthrough(&self) -> u32 {
-        self.addr + self.len as u32
     }
 }
 
@@ -105,8 +91,8 @@ impl std::error::Error for InterpError {}
 /// asm.push(Inst::AluRI { op: replay_x86::AluOp::Add, dst: Gpr::Eax, imm: 2 });
 /// asm.push(Inst::Ret);
 /// let mut interp = Interp::new(asm.finish());
-/// let records = interp.run(100).expect("program runs");
-/// assert_eq!(records.len(), 3);
+/// let steps = interp.run(100).expect("program runs");
+/// assert_eq!(steps, 3);
 /// assert_eq!(interp.machine.reg(ArchReg::Eax), 42);
 /// ```
 #[derive(Debug)]
@@ -119,6 +105,8 @@ pub struct Interp {
     /// Decoded instructions by byte offset into the program image.
     decode_cache: Vec<Option<(Inst, u8)>>,
     translator: Translator,
+    /// The current instruction's uop flow, reused by every step.
+    flow: Vec<Uop>,
 }
 
 impl Interp {
@@ -138,6 +126,7 @@ impl Interp {
             program,
             decode_cache,
             translator: Translator::new(),
+            flow: Vec::new(),
         }
     }
 
@@ -156,13 +145,14 @@ impl Interp {
         self.pc == HALT_ADDR
     }
 
-    /// Executes one instruction.
+    /// Executes one instruction, calling `on_effect` with the effects of
+    /// each of its uops in flow order.
     ///
     /// # Errors
     ///
     /// Fails on decode errors, execution faults, or control leaving the
     /// program image.
-    pub fn step(&mut self) -> Result<StepRecord, InterpError> {
+    pub fn step(&mut self, mut on_effect: impl FnMut(&UopEffect)) -> Result<Step, InterpError> {
         let addr = self.pc;
         if !self.program.contains(addr) {
             return Err(InterpError::OutOfProgram { pc: addr });
@@ -180,14 +170,14 @@ impl Interp {
             }
         };
         let fallthrough = addr + len as u32;
-        let uops = self.translator.translate(&inst, addr, fallthrough);
+        self.translator
+            .translate_into(&inst, addr, fallthrough, &mut self.flow);
 
         let mut next_pc = fallthrough;
-        let mut execs = Vec::with_capacity(uops.len());
-        for uop in uops {
+        for uop in &self.flow {
             let effect = self
                 .machine
-                .exec(&uop)
+                .exec(uop)
                 .map_err(|err| InterpError::Exec { addr, err })?;
             match effect.control {
                 ControlEffect::Taken(t) | ControlEffect::IndirectTo(t) => next_pc = t,
@@ -196,32 +186,34 @@ impl Interp {
                     unreachable!("translated x86 code contains no assertions")
                 }
             }
-            execs.push(UopExec { uop, effect });
+            on_effect(&effect);
         }
 
         self.pc = next_pc;
-        Ok(StepRecord {
+        Ok(Step {
             addr,
             inst,
             len,
             next_pc,
-            uops: execs,
             flags_after: self.machine.flags(),
         })
     }
 
     /// Runs until the program halts (outermost `RET`) or `max_steps`
-    /// instructions have executed, collecting all step records.
+    /// instructions have executed, and returns how many executed. The
+    /// effects are dropped; the machine state and [`Interp::translator`]
+    /// counts reflect every step.
     ///
     /// # Errors
     ///
     /// Propagates the first [`InterpError`].
-    pub fn run(&mut self, max_steps: usize) -> Result<Vec<StepRecord>, InterpError> {
-        let mut records = Vec::new();
-        while !self.halted() && records.len() < max_steps {
-            records.push(self.step()?);
+    pub fn run(&mut self, max_steps: usize) -> Result<usize, InterpError> {
+        let mut steps = 0;
+        while !self.halted() && steps < max_steps {
+            self.step(|_| {})?;
+            steps += 1;
         }
-        Ok(records)
+        Ok(steps)
     }
 }
 
@@ -230,6 +222,18 @@ mod tests {
     use super::*;
     use crate::{AluOp, Assembler, CondX86, Gpr, MemOperand};
     use replay_uop::ArchReg;
+
+    /// Steps until halt or `max` steps, keeping each step's header and
+    /// uop effects.
+    fn run_steps(interp: &mut Interp, max: usize) -> Vec<(Step, Vec<UopEffect>)> {
+        let mut steps = Vec::new();
+        while !interp.halted() && steps.len() < max {
+            let mut effects = Vec::new();
+            let step = interp.step(|e| effects.push(*e)).unwrap();
+            steps.push((step, effects));
+        }
+        steps
+    }
 
     fn countdown_program() -> Program {
         // ECX = 5; loop { ECX-- } until zero; RET.
@@ -249,13 +253,13 @@ mod tests {
     #[test]
     fn loop_executes_and_halts() {
         let mut interp = Interp::new(countdown_program());
-        let records = interp.run(1000).unwrap();
+        let steps = run_steps(&mut interp, 1000);
         assert!(interp.halted());
         assert_eq!(interp.machine.reg(ArchReg::Ecx), 0);
         // 1 mov + 5 * (dec + jcc) + ret.
-        assert_eq!(records.len(), 1 + 10 + 1);
+        assert_eq!(steps.len(), 1 + 10 + 1);
         // Branch outcome: taken 4 times, not-taken once.
-        let takens: Vec<bool> = records.iter().filter_map(|r| r.taken()).collect();
+        let takens: Vec<bool> = steps.iter().filter_map(|(s, _)| s.taken()).collect();
         assert_eq!(takens, vec![true, true, true, true, false]);
     }
 
@@ -300,11 +304,11 @@ mod tests {
         });
         asm.push(Inst::Ret);
         let mut interp = Interp::new(asm.finish());
-        let records = interp.run(100).unwrap();
-        let store = records[1].uops.last().unwrap();
-        assert_eq!(store.effect.mem_write, Some((0x9000, 7)));
-        let load = &records[2].uops[0];
-        assert_eq!(load.effect.mem_read, Some((0x9000, 7)));
+        let steps = run_steps(&mut interp, 100);
+        let store = steps[1].1.last().unwrap();
+        assert_eq!(store.mem_write, Some((0x9000, 7)));
+        let load = &steps[2].1[0];
+        assert_eq!(load.mem_read, Some((0x9000, 7)));
     }
 
     #[test]
@@ -312,9 +316,9 @@ mod tests {
         let mut asm = Assembler::new(0x100);
         asm.push(Inst::Jmp { target: 0x9999 });
         let mut interp = Interp::new(asm.finish());
-        interp.step().unwrap();
+        interp.step(|_| {}).unwrap();
         assert_eq!(
-            interp.step().unwrap_err(),
+            interp.step(|_| {}).unwrap_err(),
             InterpError::OutOfProgram { pc: 0x9999 }
         );
     }
@@ -322,7 +326,7 @@ mod tests {
     #[test]
     fn uop_ratio_accumulates() {
         let mut interp = Interp::new(countdown_program());
-        interp.run(1000).unwrap();
+        assert_eq!(interp.run(1000).unwrap(), 12);
         let t = interp.translator();
         assert_eq!(t.x86_count(), 12);
         // mov(1) + 5*dec(1) + 5*jcc(1) + ret(3) = 14 uops.

@@ -52,8 +52,8 @@ mod translate;
 pub use asm::{Assembler, Label, Program};
 pub use decode::{decode, DecodeError};
 pub use disasm::{Disasm, DisasmLine};
-pub use encode::encode;
+pub use encode::{encode, encode_into};
 pub use gpr::Gpr;
 pub use inst::{AluOp, CondX86, Inst, MemOperand, ShiftOp};
-pub use interp::{Interp, InterpError, StepRecord, UopExec, HALT_ADDR};
-pub use translate::{translate, Translator, MAX_LOADS, MAX_REG_WRITES, MAX_STORES};
+pub use interp::{Interp, InterpError, Step, HALT_ADDR};
+pub use translate::{translate, translate_into, Translator, MAX_LOADS, MAX_REG_WRITES, MAX_STORES};

@@ -101,13 +101,21 @@ pub const MAX_STORES: usize = 1;
 /// ```
 pub fn translate(inst: &Inst, addr: u32, next_addr: u32) -> Vec<Uop> {
     let mut out = Vec::with_capacity(4);
-    emit(inst, next_addr, &mut out);
+    translate_into(inst, addr, next_addr, &mut out);
+    out
+}
+
+/// [`translate`] into a caller's buffer: replaces the contents of `out`
+/// with the instruction's flow, so a loop that reuses one buffer
+/// translates without allocating.
+pub fn translate_into(inst: &Inst, addr: u32, next_addr: u32, out: &mut Vec<Uop>) {
+    out.clear();
+    emit(inst, next_addr, out);
     let n = out.len();
     for (i, u) in out.iter_mut().enumerate() {
         u.x86_addr = addr;
         u.last_of_x86 = i + 1 == n;
     }
-    out
 }
 
 fn emit(inst: &Inst, next_addr: u32, out: &mut Vec<Uop>) {
@@ -273,12 +281,12 @@ impl Translator {
         Translator::default()
     }
 
-    /// Translates one instruction, accumulating statistics.
-    pub fn translate(&mut self, inst: &Inst, addr: u32, next_addr: u32) -> Vec<Uop> {
-        let uops = translate(inst, addr, next_addr);
+    /// Translates one instruction into `out` ([`translate_into`]),
+    /// accumulating statistics.
+    pub fn translate_into(&mut self, inst: &Inst, addr: u32, next_addr: u32, out: &mut Vec<Uop>) {
+        translate_into(inst, addr, next_addr, out);
         self.x86_count += 1;
-        self.uop_count += uops.len() as u64;
-        uops
+        self.uop_count += out.len() as u64;
     }
 
     /// Number of x86 instructions translated so far.
@@ -468,15 +476,20 @@ mod tests {
     #[test]
     fn translator_ratio() {
         let mut t = Translator::new();
-        t.translate(&Inst::PushR { src: Gpr::Ebp }, 0, 1); // 2 uops
-        t.translate(
+        let mut flow = Vec::new();
+        t.translate_into(&Inst::PushR { src: Gpr::Ebp }, 0, 1, &mut flow); // 2 uops
+        assert_eq!(flow, translate(&Inst::PushR { src: Gpr::Ebp }, 0, 1));
+        t.translate_into(
             &Inst::MovRR {
                 dst: Gpr::Eax,
                 src: Gpr::Ebx,
             },
             1,
             3,
+            &mut flow,
         ); // 1 uop
+        assert_eq!(flow.len(), 1, "the buffer holds only the latest flow");
+        assert!(flow[0].last_of_x86);
         assert_eq!(t.x86_count(), 2);
         assert_eq!(t.uop_count(), 3);
         assert!((t.ratio() - 1.5).abs() < 1e-9);

@@ -11,7 +11,7 @@
 
 use replay_sim::experiment::gain_pct;
 use replay_sim::{simulate, ConfigKind, SimConfig};
-use replay_trace::{Trace, TraceRecord};
+use replay_trace::{record_run, Trace};
 use replay_x86::{AluOp, Assembler, CondX86, Gpr, Inst, Interp, MemOperand};
 
 fn main() {
@@ -49,19 +49,16 @@ fn main() {
 
     let mut interp = Interp::new(asm.finish());
     interp.machine.store32(table, 7);
-    let steps = interp.run(30_000).expect("loop runs");
+    let records = record_run(&mut interp, 30_000).expect("loop runs");
     println!(
         "interpreted {} x86 instructions ({} uops, ratio {:.2}); eax = {}",
-        steps.len(),
+        records.len(),
         interp.translator().uop_count(),
         interp.translator().ratio(),
         interp.machine.reg(replay_uop::ArchReg::Eax),
     );
 
-    let trace = Trace::new(
-        "hotloop",
-        steps.iter().map(TraceRecord::from_step).collect(),
-    );
+    let trace = Trace::new("hotloop", records);
     let rp = simulate(&trace, &SimConfig::new(ConfigKind::Replay));
     let rpo = simulate(&trace, &SimConfig::new(ConfigKind::ReplayOpt));
 
